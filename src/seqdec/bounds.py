@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from seqdec.numerics import (
     SQRT_2PI,
     DomainError,
@@ -28,7 +30,7 @@ from seqdec.numerics import (
     log_std_normal_cdf,
     std_normal_cdf,
 )
-from seqdec.trellis import ABSENT, compute_dstar
+from seqdec.trellis import compute_dstar
 
 log = logging.getLogger(__name__)
 
@@ -288,6 +290,12 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
     Sums 2^k B(d*_j(l), N - l n, gamma) over levels l < L and states j
     present at level l, at gamma = k L gamma_b / N.  Absent states
     contribute nothing.
+
+    B is evaluated once per distinct d* of a level.  The terms are then
+    added one by one in ascending (level, state) order, with a
+    sequential cumulative sum, so the result does not depend on how many
+    states share a d* value; a pairwise or count-weighted sum would move
+    it in the last digits.
     """
     code = trellis.code
     n_out = code.n_out
@@ -297,9 +305,9 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
     total = 0.0
     for level in range(trellis.L):
         clipped = N - level * n_out
-        for s in trellis.reachable[level]:
-            d = int(dstar[level, s])
-            if d == ABSENT:
-                continue
-            total += extension_probability_bound(d, clipped, gamma, variant)
+        d = dstar[level, trellis.reachable[level]]
+        lut = np.zeros(int(d.max()) + 1)
+        for v in np.flatnonzero(np.bincount(d)).tolist():
+            lut[v] = extension_probability_bound(v, clipped, gamma, variant)
+        total = float(np.cumsum(np.concatenate(([total], lut[d])))[-1])
     return (1 << code.k_in) * total

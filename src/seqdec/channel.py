@@ -18,11 +18,25 @@ from seqdec.codes import LengthMismatch
 from seqdec.numerics import RngStream
 
 
+class NonFiniteLLR(ValueError):
+    """An LLR vector holds a NaN or an infinity."""
+
+
+class InvalidSnr(ValueError):
+    """An SNR is NaN or infinite, or its linear value is not positive."""
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     gamma_b_db: float
     gamma: float          # E/N0, linear
     e_signal: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.gamma_b_db):
+            raise InvalidSnr(f"gamma_b_db must be finite, got {self.gamma_b_db}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise InvalidSnr(f"gamma must be positive and finite, got {self.gamma}")
 
     @property
     def noise_variance(self) -> float:
@@ -69,4 +83,6 @@ def check_lengths(phi, expected: int):
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (expected,):
         raise LengthMismatch(f"LLR vector length {phi.shape} != {expected}")
+    if not np.isfinite(phi).all():
+        raise NonFiniteLLR("LLR vector holds NaN or infinite entries")
     return phi

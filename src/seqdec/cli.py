@@ -2,7 +2,7 @@
 
 Subcommands: bound-gda, bound-mlsda, simulate-gda, simulate-mlsda,
 atilde, dstar, validate.  Exit codes: 0 success, 1 validation failure,
-2 configuration error.
+2 configuration error or invalid input (NaN/infinite LLR or SNR).
 """
 
 import argparse
@@ -11,6 +11,7 @@ import json
 import sys
 
 from seqdec import harness
+from seqdec.channel import InvalidSnr, NonFiniteLLR
 from seqdec.codes import BlockCode, ConvCode
 from seqdec.harness import ConfigError, ExperimentConfig
 from seqdec.trellis import build_trellis
@@ -225,6 +226,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (InvalidSnr, NonFiniteLLR) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -280,21 +280,6 @@ class ConvCode:
         if not any(tap[0] for tap in self.taps):
             raise ValueError("no output taps the current input (pure delay)")
 
-    def step(self, state: int, bit: int):
-        """(output bit-pattern, next state) for one input bit.
-
-        State packs the previous inputs with the most recent in the low
-        bit, so state s1 is reached from s0 by input 1.
-        """
-        out = 0
-        for i, tap in enumerate(self.taps):
-            b = tap[0] & bit
-            for j in range(1, self.m + 1):
-                b ^= tap[j] & ((state >> (j - 1)) & 1)
-            out |= b << i
-        nxt = ((state << 1) | bit) & ((1 << self.m) - 1)
-        return out, nxt
-
 
 def parse_octal_generators(octal, m: int, name: str = "") -> ConvCode:
     """Build a ConvCode from octal generator strings.
@@ -317,15 +302,17 @@ def parse_octal_generators(octal, m: int, name: str = "") -> ConvCode:
 
 
 def encode_conv(code: ConvCode, info) -> np.ndarray:
-    """Shift-register encoding of info followed by m zero tail bits;
-    output length n*(L+m)."""
+    """Encoding of info followed by m zero tail bits; output length
+    n*(L+m), interleaved by output line.
+
+    Output line i is the GF(2) convolution of the terminated input with
+    tap vector i.
+    """
     info = np.asarray(info, dtype=np.uint8)
     if info.ndim != 1 or len(info) < 1:
         raise LengthMismatch("info must be a nonempty bit vector")
-    out = np.empty(code.n_out * (len(info) + code.m), dtype=np.uint8)
-    state = 0
-    for t, bit in enumerate(list(info) + [0] * code.m):
-        pattern, state = code.step(state, int(bit))
-        for i in range(code.n_out):
-            out[t * code.n_out + i] = (pattern >> i) & 1
-    return out
+    u = np.concatenate((info, np.zeros(code.m, dtype=np.uint8)))
+    out = np.empty((len(u), code.n_out), dtype=np.uint8)
+    for i, tap in enumerate(code.taps):
+        out[:, i] = np.convolve(u, tap)[:len(u)] & 1
+    return out.ravel()

@@ -91,6 +91,19 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
             seq += 1
 
 
+def _metric_table(trellis: Trellis, phi) -> list:
+    """Branch metric of every n_out-bit output pattern p at every level,
+    as nested lists [level][p] of Python floats: the sum of |phi_j| over
+    the positions of the level where p disagrees with the hard decision.
+    """
+    n_out = trellis.code.n_out
+    phi = check_lengths(phi, n_out * trellis.levels)
+    y = hard_decision(phi).reshape(-1, n_out)
+    a = np.abs(phi).reshape(-1, n_out)
+    patterns = (np.arange(1 << n_out)[:, None] >> np.arange(n_out)) & 1
+    return ((patterns != y[:, None, :]) * a[:, None, :]).sum(-1).tolist()
+
+
 def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> DecodeOutcome:
     """Two-stack best-first search over the trellis; exact ML.
 
@@ -101,26 +114,9 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     ends at the goal node.
     """
     code = trellis.code
-    n_out = code.n_out
-    N = n_out * trellis.levels
-    phi = check_lengths(phi, N)
-    y = hard_decision(phi)
-    abs_phi = np.abs(phi)
+    inc = _metric_table(trellis, phi)
+    next_state, outputs = trellis.table_lists()
 
-    # branch metric of output pattern p at level l, by table lookup
-    inc = []
-    for level in range(trellis.levels):
-        base = level * n_out
-        row = []
-        for p in range(1 << n_out):
-            m = 0.0
-            for i in range(n_out):
-                if ((p >> i) & 1) != y[base + i]:
-                    m += abs_phi[base + i]
-            row.append(float(m))
-        inc.append(row)
-
-    nst = trellis.num_states
     goal = trellis.levels << code.m
     closed = set()
     resident = {0: (0.0, 0)}  # (level, state) node key -> (metric, seq)
@@ -157,11 +153,11 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
         else:
             tail_metrics += 1
         for b in trellis.branch_inputs(level):
-            ns = trellis.next_state[state][b]
+            ns = next_state[state][b]
             child = ((level + 1) << code.m) | ns
             if child in closed:
                 continue
-            child_zeta = zeta + inc[level][trellis.outputs[state][b]]
+            child_zeta = zeta + inc[level][outputs[state][b]]
             incumbent = resident.get(child)
             if incumbent is not None and incumbent[0] <= child_zeta:
                 continue  # merge: keep the incumbent (also on ties)
@@ -209,29 +205,18 @@ def brute_force_ml_block(code: BlockCode, phi) -> np.ndarray:
 def viterbi_ml(trellis: Trellis, phi) -> np.ndarray:
     """Forward DP minimizing the disagreement metric; ML oracle for the
     trellis decoder."""
-    code = trellis.code
-    n_out = code.n_out
-    N = n_out * trellis.levels
-    phi = check_lengths(phi, N)
-    y = hard_decision(phi)
-    abs_phi = np.abs(phi)
-
+    inc = _metric_table(trellis, phi)
+    next_state, outputs = trellis.table_lists()
     INF = float("inf")
     metric = {0: (0.0, 0)}  # state -> (metric, info bits so far)
     for level in range(trellis.levels):
-        base = level * n_out
         nxt: dict = {}
         for state, (m, info) in metric.items():
             for b in trellis.branch_inputs(level):
-                pattern = trellis.outputs[state][b]
-                bm = 0.0
-                for i in range(n_out):
-                    if ((pattern >> i) & 1) != y[base + i]:
-                        bm += abs_phi[base + i]
-                ns = trellis.next_state[state][b]
-                cand = m + bm
+                ns = next_state[state][b]
+                cand = m + inc[level][outputs[state][b]]
                 if cand < nxt.get(ns, (INF, 0))[0]:
                     nxt[ns] = (cand, info | (b << level))
         metric = nxt
     _, info = metric[0]
-    return encode_conv(code, [(info >> t) & 1 for t in range(trellis.L)])
+    return encode_conv(trellis.code, [(info >> t) & 1 for t in range(trellis.L)])

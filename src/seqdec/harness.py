@@ -35,10 +35,9 @@ from seqdec.decoders import (
     gda_decode,
     mlsda_decode,
     brute_force_ml_block,
-    viterbi_ml,
 )
 from seqdec.numerics import RngStream
-from seqdec.trellis import build_trellis, compute_dstar
+from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
 CSV_HEADER = ["gamma_b_db", "bound_be", "bound_chernoff",
               "sim_mean", "sim_ci95_half", "trials"]
@@ -72,6 +71,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad mode {self.mode!r}")
         if len(self.snr_db) == 0:
             raise ConfigError("empty SNR grid")
+        if not all(math.isfinite(v) for v in self.snr_db):
+            raise ConfigError("SNR grid must be finite")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("SNR grid must be strictly increasing")
 
@@ -330,12 +331,12 @@ def write_atilde_csv(rows, stream) -> None:
 
 
 def write_dstar_csv(trellis, stream) -> None:
+    """One row per present node, in ascending (level, state) order."""
     table = compute_dstar(trellis)
+    levels, states = np.nonzero(trellis.reachable)
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(["level", "state", "dstar"])
-    for level in range(trellis.levels + 1):
-        for state in trellis.reachable[level]:
-            w.writerow([level, state, int(table[level, state])])
+    w.writerows(zip(levels.tolist(), states.tolist(), table[levels, states].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,36 +360,35 @@ def check_encoder_fixture() -> CheckResult:
     return _check("encoder-fixture", got == want, f"{got} vs {want}")
 
 
+def dstar_by_enumeration(code: ConvCode, L: int) -> np.ndarray:
+    """The d* table by exhaustive enumeration of all 2^L inputs.
+
+    Entry [level, state] is the least Hamming weight of the first level
+    output blocks over the inputs whose path is in that state at that
+    level (the state packs the last m inputs, most recent lowest), and
+    ABSENT where no path passes.  This is the oracle for compute_dstar.
+    """
+    levels, mask = L + code.m, (1 << code.m) - 1
+    table = np.full((levels + 1, 1 << code.m), ABSENT, dtype=np.int64)
+    for val in range(1 << L):
+        word = encode_conv(code, [(val >> t) & 1 for t in range(L)])
+        weights = np.cumsum(word.reshape(levels, code.n_out).sum(1)).tolist()
+        state = weight = 0
+        for level in range(levels + 1):
+            if table[level, state] == ABSENT or weight < table[level, state]:
+                table[level, state] = weight
+            if level < levels:
+                state = ((state << 1) | ((val >> level) & 1)) & mask
+                weight = weights[level]
+    return table
+
+
 def check_dstar_oracle(trellis=None) -> CheckResult:
     """DP table against exhaustive input enumeration on a small trellis."""
     if trellis is None:
         trellis = build_trellis(parse_octal_generators(["6", "5", "7"], m=2), L=6)
-    table = compute_dstar(trellis)
-    L, m, nst = trellis.L, trellis.code.m, trellis.num_states
-    best = {}
-    for val in range(1 << L):
-        info = [(val >> t) & 1 for t in range(L)]
-        word = encode_conv(trellis.code, info)
-        state = 0
-        weight = 0
-        for level in range(L + m):
-            key = (level, state)
-            if key not in best or weight < best[key]:
-                best[key] = weight
-            if level < L + m:
-                bit = info[level] if level < L else 0
-                _, state = trellis.code.step(state, bit)
-                weight += int(word[level * trellis.code.n_out:
-                                   (level + 1) * trellis.code.n_out].sum())
-        key = (L + m, 0)
-        if key not in best or weight < best[key]:
-            best[key] = weight
-    mismatches = 0
-    for level in range(L + m + 1):
-        for s in range(nst):
-            want = best.get((level, s), -1)
-            if int(table[level, s]) != want:
-                mismatches += 1
+    mismatches = int((compute_dstar(trellis)
+                      != dstar_by_enumeration(trellis.code, trellis.L)).sum())
     return _check("dstar-oracle", mismatches == 0, f"{mismatches} mismatching entries")
 
 

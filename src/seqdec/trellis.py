@@ -1,12 +1,12 @@
-"""Trellis construction for convolutional codes, per-node minimum path
-weights, and the code-tree view of block codes used by the tree decoder.
+"""Trellis construction for convolutional codes and per-node minimum path
+weights, held as numpy tables and computed one level at a time.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqdec.codes import BlockCode, ConvCode
+from seqdec.codes import ConvCode
 
 ABSENT = -1
 
@@ -16,18 +16,21 @@ class Trellis:
     """Unrolled (L+m)-section state graph of a ConvCode.
 
     Level 0 holds only state 0; inputs are forced to 0 from level L on,
-    so level L+m again holds only state 0 (the goal node).  next_state
-    and outputs are indexed [state][input bit]; outputs are n_out-bit
-    patterns (bit i = output line i, matching codeword order).
+    so level L+m again holds only state 0 (the goal node).  next_state,
+    outputs and output_weight are int64 arrays of shape [S, 2] indexed
+    [state, input bit]; outputs are n_out-bit patterns (bit i = output
+    line i, matching codeword order).  reachable is a boolean mask of
+    shape [levels + 1, S] marking the states present at each level.
     """
 
     code: ConvCode
     L: int
-    next_state: tuple
-    outputs: tuple
-    output_weight: tuple
-    reachable: tuple  # per level, sorted tuple of present states
+    next_state: np.ndarray
+    outputs: np.ndarray
+    output_weight: np.ndarray
+    reachable: np.ndarray
     _dstar: np.ndarray = field(default=None, repr=False)
+    _lists: tuple = field(default=None, repr=False)
 
     @property
     def levels(self) -> int:
@@ -40,78 +43,62 @@ class Trellis:
     def branch_inputs(self, level: int) -> tuple:
         return (0, 1) if level < self.L else (0,)
 
+    def table_lists(self) -> tuple:
+        """(next_state, outputs) as nested lists of Python ints, built
+        once, for per-node search loops that index them scalar by scalar."""
+        if self._lists is None:
+            self._lists = (self.next_state.tolist(), self.outputs.tolist())
+        return self._lists
+
 
 def build_trellis(code: ConvCode, L: int) -> Trellis:
-    """Forward reachability from state 0 with terminated tail levels."""
+    """Transition tables by array parity, then forward reachability from
+    state 0 with terminated tail levels.
+
+    The shift register of a branch holds the input bit in bit 0 and the
+    state (previous inputs, most recent lowest) above it, so output i is
+    the parity of the register masked by the tap vector of output i.
+    """
     if L < 1:
         raise ValueError("L must be >= 1")
     nst = 1 << code.m
-    nxt = []
-    outs = []
-    w = []
-    for s in range(nst):
-        row_n, row_o, row_w = [], [], []
-        for b in (0, 1):
-            pattern, ns = code.step(s, b)
-            row_n.append(ns)
-            row_o.append(pattern)
-            row_w.append(bin(pattern).count("1"))
-        nxt.append(tuple(row_n))
-        outs.append(tuple(row_o))
-        w.append(tuple(row_w))
+    reg = (np.arange(nst, dtype=np.int64)[:, None] << 1) | np.array([0, 1])
+    outputs = np.zeros((nst, 2), dtype=np.int64)
+    for i, tap in enumerate(code.taps):
+        tapmask = sum(bit << j for j, bit in enumerate(tap))
+        outputs |= (np.bitwise_count(reg & tapmask).astype(np.int64) & 1) << i
+    next_state = reg & (nst - 1)
+    output_weight = np.bitwise_count(outputs).astype(np.int64)
 
-    reachable = [(0,)]
-    current = {0}
-    for level in range(L + code.m):
-        inputs = (0, 1) if level < L else (0,)
-        current = {nxt[s][b] for s in current for b in inputs}
-        reachable.append(tuple(sorted(current)))
-    assert reachable[-1] == (0,)
-
-    return Trellis(code=code, L=L, next_state=tuple(nxt), outputs=tuple(outs),
-                   output_weight=tuple(w), reachable=tuple(reachable))
+    trellis = Trellis(code=code, L=L, next_state=next_state, outputs=outputs,
+                      output_weight=output_weight,
+                      reachable=np.zeros((L + code.m + 1, nst), dtype=bool))
+    trellis.reachable[0, 0] = True
+    for level in range(trellis.levels):
+        present = np.flatnonzero(trellis.reachable[level])
+        for b in trellis.branch_inputs(level):
+            trellis.reachable[level + 1, next_state[present, b]] = True
+    assert np.array_equal(np.flatnonzero(trellis.reachable[-1]), [0])
+    return trellis
 
 
 def compute_dstar(trellis: Trellis) -> np.ndarray:
     """Minimum Hamming weight over all paths into each (level, state).
 
-    Dynamic program over the trellis; entry [level, state] is ABSENT for
-    unreachable nodes.  The table is cached on the trellis.
+    One min-plus step per level and input bit; entry [level, state] is
+    ABSENT for unreachable nodes.  The table is cached on the trellis.
     """
     if trellis._dstar is not None:
         return trellis._dstar
-    nst = trellis.num_states
     big = np.iinfo(np.int64).max // 2
-    table = np.full((trellis.levels + 1, nst), big, dtype=np.int64)
+    table = np.full((trellis.levels + 1, trellis.num_states), big, dtype=np.int64)
     table[0, 0] = 0
     for level in range(trellis.levels):
-        for s in trellis.reachable[level]:
-            base = table[level, s]
-            for b in trellis.branch_inputs(level):
-                ns = trellis.next_state[s][b]
-                cand = base + trellis.output_weight[s][b]
-                if cand < table[level + 1, ns]:
-                    table[level + 1, ns] = cand
+        present = np.flatnonzero(trellis.reachable[level])
+        base = table[level, present]
+        for b in trellis.branch_inputs(level):
+            np.minimum.at(table[level + 1], trellis.next_state[present, b],
+                          base + trellis.output_weight[present, b])
     table[table >= big] = ABSENT
     trellis._dstar = table
     return table
-
-
-def code_tree_successors(code: BlockCode, path):
-    """Successors of a code-tree path (a bit prefix of length < n).
-
-    Below level k both labels branch; from level k on the single
-    successor bit is fixed by re-encoding the first k bits.
-    """
-    path = list(path)
-    level = len(path)
-    if level >= code.n:
-        raise ValueError("path already ends at a leaf")
-    if level < code.k:
-        return [(path + [0], 0), (path + [1], 1)]
-    info = 0
-    for i in range(code.k):
-        info |= int(path[i]) << i
-    mask = code.parity_column_masks()[level - code.k]
-    bit = bin(info & mask).count("1") & 1
-    return [(path + [bit], bit)]

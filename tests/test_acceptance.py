@@ -3,7 +3,9 @@ line with the measured quantities before asserting.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line; a
 plain `pytest` run reports the same outcomes per test.  Expected wall
-time for the whole module is on the order of ten minutes.
+time for the whole module is on the order of ten minutes.  Every test
+here carries the `acceptance` marker, so `pytest -m "not acceptance"`
+runs the unit tests alone.
 """
 
 import math
@@ -27,6 +29,8 @@ from seqdec.decoders import brute_force_ml_block, gda_decode, mlsda_decode, vite
 from seqdec.harness import ExperimentConfig, run_simulation_curve
 from seqdec.numerics import RngStream
 from seqdec.trellis import build_trellis, compute_dstar
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(criterion, passed, detail):

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from seqdec.bounds import db_to_linear
-from seqdec.channel import ChannelConfig, hard_decision, llr, transmit
+from seqdec.channel import (
+    ChannelConfig,
+    InvalidSnr,
+    NonFiniteLLR,
+    check_lengths,
+    hard_decision,
+    llr,
+    transmit,
+)
 from seqdec.codes import encode_block, encode_conv
-from seqdec.decoders import gda_decode
+from seqdec.decoders import brute_force_ml_block, gda_decode, mlsda_decode, viterbi_ml
 from seqdec.numerics import RngStream
 
 
@@ -111,3 +119,49 @@ class TestChannelRoundTrip:
         word = encode_conv(conv_634_564, rng.bits(20))
         phi = llr(transmit(word, cfg, rng), cfg)
         assert np.array_equal(hard_decision(phi), word)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_check_lengths_rejects(self, bad):
+        phi = np.array([1.0, -0.5, bad, 2.0])
+        with pytest.raises(NonFiniteLLR):
+            check_lengths(phi, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_block_decoders_reject(self, golay, bad):
+        phi = np.ones(24)
+        phi[5] = bad
+        with pytest.raises(NonFiniteLLR):
+            gda_decode(golay, phi)
+        with pytest.raises(NonFiniteLLR):
+            brute_force_ml_block(golay, phi)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_trellis_decoders_reject(self, fig_trellis, bad):
+        phi = np.ones(3 * fig_trellis.levels)
+        phi[4] = bad
+        with pytest.raises(NonFiniteLLR):
+            mlsda_decode(fig_trellis, phi)
+        with pytest.raises(NonFiniteLLR):
+            viterbi_ml(fig_trellis, phi)
+
+    @pytest.mark.parametrize("db", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite_db(self, db):
+        with pytest.raises(InvalidSnr):
+            ChannelConfig(gamma_b_db=db, gamma=1.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_config_rejects_bad_gamma(self, gamma):
+        with pytest.raises(InvalidSnr):
+            ChannelConfig(gamma_b_db=0.0, gamma=gamma)
+
+    def test_constructors_reject_nan_db(self, golay, conv_634_564):
+        with pytest.raises(InvalidSnr):
+            ChannelConfig.for_block_code(golay, math.nan)
+        with pytest.raises(InvalidSnr):
+            ChannelConfig.for_conv_code(conv_634_564, 20, math.nan)
+
+    def test_negative_db_is_legal(self, golay):
+        cfg = ChannelConfig.for_block_code(golay, -7.5)
+        assert 0.0 < cfg.gamma < 1.0

@@ -11,6 +11,7 @@ from seqdec.codes import (
     encode_conv,
     parse_octal_generators,
 )
+from seqdec.trellis import build_trellis
 
 
 class TestExtendedGolay:
@@ -94,12 +95,11 @@ class TestParseOctalGenerators:
         assert code.taps == ((1, 1, 0), (1, 0, 1), (1, 1, 1))
         # branch labels: s0 --1--> s1 emits 111, s1 --0--> s2 emits 101,
         # s2 --0--> s0 emits 011 (bit i of the pattern is output line i)
-        out, nxt = code.step(0, 1)
-        assert (out, nxt) == (0b111, 1)
-        out, nxt = code.step(1, 0)
-        assert (out, nxt) == (0b101, 2)
-        out, nxt = code.step(2, 0)
-        assert (out, nxt) == (0b110, 0)  # pattern 011 read as bits 0,1,2
+        trellis = build_trellis(code, L=3)
+        for state, bit, out, nxt in ((0, 1, 0b111, 1), (1, 0, 0b101, 2),
+                                     (2, 0, 0b110, 0)):  # 011 read as bits 0,1,2
+            assert trellis.outputs[state, bit] == out
+            assert trellis.next_state[state, bit] == nxt
 
     def test_memory_16_pair_overflows(self):
         with pytest.raises(TapLengthError):

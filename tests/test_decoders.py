@@ -154,7 +154,7 @@ class TestMlsdaDecode:
         assert agreements >= 195  # exact ties are rare
 
     def test_each_node_extended_at_most_once(self, fig_trellis):
-        total_nodes = sum(len(s) for s in fig_trellis.reachable)
+        total_nodes = int(fig_trellis.reachable.sum())
         for t in range(100):
             _, phi = conv_trial(fig_trellis, -3.0, 4000 + t)
             out = mlsda_decode(fig_trellis, phi)
@@ -178,7 +178,7 @@ class TestMlsdaDecode:
         phi[0:3] = np.array([4.0, 0.6, 0.6])
         out = mlsda_decode(trellis, phi)
         assert not out.decoded.any()
-        total_nodes = sum(len(s) for s in trellis.reachable)
+        total_nodes = int(trellis.reachable.sum())
         assert out.extensions <= total_nodes
 
     def test_counter_lower_bound(self, fig_trellis):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seqdec import cli, harness
+from seqdec.channel import NonFiniteLLR
 from seqdec.codes import BlockCode, ConvCode
 from seqdec.harness import (
     ConfigError,
@@ -231,6 +232,39 @@ class TestCli:
         table = {(int(l), int(s)): int(d)
                  for l, s, d in (line.split(",") for line in lines[1:])}
         assert table[(3, 3)] == 4
+
+    def test_dstar_csv_literal(self, capsys):
+        rc = cli.main(["dstar", "--octal", "6,5,7", "-m", "2", "-L", "6"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "level,state,dstar\n"
+            "0,0,0\n"
+            "1,0,0\n1,1,3\n"
+            + "".join(f"{level},0,0\n{level},1,3\n{level},2,5\n{level},3,4\n"
+                      for level in range(2, 7))
+            + "7,0,0\n7,2,5\n"
+            "8,0,0\n")
+
+    def test_invalid_snr_exit_code(self, capsys):
+        # -4000 dB underflows to a linear SNR of 0, which the channel rejects
+        rc = cli.main(["simulate-gda", "--code", "golay24", "--snr", "-4000",
+                       "--trials", "1"])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_non_finite_snr_exit_code(self, capsys):
+        rc = cli.main(["bound-gda", "--code", "golay24", "--snr", "nan"])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_non_finite_llr_exit_code(self, capsys, monkeypatch):
+        def boom(cfg):
+            raise NonFiniteLLR("LLR vector holds NaN or infinite entries")
+        monkeypatch.setattr(harness, "run_experiment", boom)
+        rc = cli.main(["simulate-gda", "--code", "golay24", "--snr", "1.0",
+                       "--trials", "1"])
+        assert rc == 2
+        assert "NaN" in capsys.readouterr().err
 
     def test_validate_passes(self, capsys):
         assert cli.main(["validate"]) == 0

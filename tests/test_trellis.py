@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from seqdec.codes import encode_block, encode_conv
-from seqdec.trellis import ABSENT, build_trellis, code_tree_successors, compute_dstar
+from seqdec.codes import encode_conv
+from seqdec.harness import dstar_by_enumeration
+from seqdec.trellis import ABSENT, build_trellis, compute_dstar
+
+
+def states(trellis, level):
+    """The states present at a level, ascending."""
+    return tuple(np.flatnonzero(trellis.reachable[level]).tolist())
 
 
 class TestBuildTrellis:
@@ -12,11 +18,12 @@ class TestBuildTrellis:
         # 8 levels of nodes (0..7); single state at both ends, all four
         # states through the middle
         assert fig_trellis.levels == 7
-        assert fig_trellis.reachable[0] == (0,)
-        assert fig_trellis.reachable[1] == (0, 1)
+        assert fig_trellis.reachable.shape == (8, 4)
+        assert states(fig_trellis, 0) == (0,)
+        assert states(fig_trellis, 1) == (0, 1)
         for level in (3, 4, 5):
-            assert fig_trellis.reachable[level] == (0, 1, 2, 3)
-        assert fig_trellis.reachable[7] == (0,)
+            assert states(fig_trellis, level) == (0, 1, 2, 3)
+        assert states(fig_trellis, 7) == (0,)
 
     def test_first_transition(self, fig_trellis):
         assert fig_trellis.next_state[0][1] == 1
@@ -64,26 +71,8 @@ class TestComputeDstar:
     @pytest.mark.parametrize("L", [4, 6, 8])
     def test_matches_exhaustive_enumeration(self, fig_trellis_code, L):
         trellis = build_trellis(fig_trellis_code, L)
-        table = compute_dstar(trellis)
-        code = fig_trellis_code
-        n = code.n_out
-        best = {}
-        for val in range(2 ** L):
-            info = [(val >> t) & 1 for t in range(L)]
-            word = encode_conv(code, info)
-            state, weight = 0, 0
-            for level in range(trellis.levels + 1):
-                key = (level, state)
-                if weight < best.get(key, 10**9):
-                    best[key] = weight
-                if level == trellis.levels:
-                    break
-                bit = info[level] if level < L else 0
-                _, state = code.step(state, bit)
-                weight += int(word[level * n:(level + 1) * n].sum())
-        for level in range(trellis.levels + 1):
-            for s in range(trellis.num_states):
-                assert table[level, s] == best.get((level, s), ABSENT)
+        assert np.array_equal(compute_dstar(trellis),
+                              dstar_by_enumeration(fig_trellis_code, L))
 
     def test_dstar_maximizes_extension_probability(self, fig_trellis_code):
         # among the Hamming weights of all paths into a node, the minimum
@@ -99,7 +88,7 @@ class TestComputeDstar:
             state, weight = 0, 0
             for level in range(L):
                 weights_into.setdefault((level, state), set()).add(weight)
-                _, state = fig_trellis_code.step(state, info[level])
+                state = ((state << 1) | info[level]) & (trellis.num_states - 1)
                 weight += int(word[level * n:(level + 1) * n].sum())
         gen = np.random.default_rng(77)
         gamma = 0.5
@@ -125,7 +114,7 @@ class TestComputeDstar:
         table = compute_dstar(trellis)
         for level in range(trellis.levels):
             incoming = {}
-            for s in trellis.reachable[level]:
+            for s in states(trellis, level):
                 for b in trellis.branch_inputs(level):
                     ns = trellis.next_state[s][b]
                     w = trellis.output_weight[s][b]
@@ -133,40 +122,3 @@ class TestComputeDstar:
                     incoming.setdefault(ns, []).append(table[level, s] + w)
             for ns, cands in incoming.items():
                 assert table[level + 1, ns] == min(cands)
-
-
-class TestCodeTreeSuccessors:
-    def test_binary_below_k(self, golay):
-        succ = code_tree_successors(golay, [])
-        assert [bit for _, bit in succ] == [0, 1]
-        succ = code_tree_successors(golay, [1] * 11)
-        assert len(succ) == 2
-
-    def test_single_branch_from_k(self, golay):
-        info = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0], dtype=np.uint8)
-        word = encode_block(golay, info)
-        path = list(info)
-        for level in range(golay.k, golay.n):
-            succ = code_tree_successors(golay, path)
-            assert len(succ) == 1
-            path, bit = succ[0]
-            assert bit == word[level]
-        assert np.array_equal(np.array(path, dtype=np.uint8), word)
-
-    def test_leaf_rejects_extension(self, golay):
-        word = encode_block(golay, np.zeros(12, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            code_tree_successors(golay, list(word))
-
-    def test_all_traversals_spell_codewords(self, golay):
-        # every root-to-leaf path is a codeword; 2^k leaves
-        leaves = 0
-        for val in range(2 ** golay.k):
-            info = np.array([(val >> i) & 1 for i in range(golay.k)], dtype=np.uint8)
-            path = list(info)
-            for _ in range(golay.k, golay.n):
-                path, _ = code_tree_successors(golay, path)[0]
-            assert np.array_equal(np.array(path, dtype=np.uint8),
-                                  encode_block(golay, info))
-            leaves += 1
-        assert leaves == 2 ** golay.k
