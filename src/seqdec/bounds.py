@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from seqdec.channel import ChannelConfig
 from seqdec.numerics import (
     SQRT_2PI,
     DomainError,
@@ -48,17 +49,14 @@ class BoundVariant:
     """Selects the subexponential treatment of the tail bound.
 
     kind "chernoff" forces the prefactor to 1; kind "be" keeps the
-    normal-approximation prefactor with constant c.
+    normal-approximation prefactor with IID_NORMAL_APPROX_CONSTANT.
     """
 
     kind: str
-    c: float = IID_NORMAL_APPROX_CONSTANT
 
     def __post_init__(self):
         if self.kind not in ("be", "chernoff"):
             raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
 
     @property
     def is_chernoff(self) -> bool:
@@ -67,56 +65,6 @@ class BoundVariant:
 
 BERRY_ESSEEN = BoundVariant("be")
 CHERNOFF = BoundVariant("chernoff")
-
-
-@dataclass(frozen=True)
-class TiltedMoments:
-    """First three moments of a tilted marginal at a fixed tilt.
-
-    mgf is M(theta) = E[exp(theta X)]; mean, variance and abs_third are
-    the mean, variance and absolute centered third moment of the
-    reweighted variable with density exp(theta x) dF(x) / M(theta).
-    """
-
-    mgf: float
-    mean: float
-    variance: float
-    abs_third: float
-
-    def __post_init__(self):
-        if self.mgf <= 0 or self.variance <= 0 or self.abs_third < 0:
-            raise ValueError("moments out of range")
-
-
-def tilted_tail_bound(moments: TiltedMoments, n: int, alpha: float,
-                      theta: float, variant: BoundVariant) -> float:
-    """Upper bound on Pr{X_1 + ... + X_n <= -n alpha} for i.i.d. X_i.
-
-    moments must be evaluated at exactly this (negative) theta.  The
-    Chernoff variant returns min(1, exp(theta alpha n) M(theta)^n); the
-    sharpened variant multiplies the same exponential by a prefactor
-    built from the tilted mean/variance/third moment, never exceeding 1.
-    """
-    if theta >= 0:
-        raise DomainError("theta must be negative")
-    if n <= 0:
-        raise DomainError("n must be positive")
-    log_exp = theta * alpha * n + n * math.log(moments.mgf)
-    if variant.is_chernoff:
-        return math.exp(min(log_exp, 0.0))
-
-    mu, var, rho = moments.mean, moments.variance, moments.abs_third
-    sigma = math.sqrt(var)
-    be_term = 2.0 * variant.c * rho / (var * sigma * math.sqrt(n))
-    if alpha > theta * var - mu:
-        gap = (mu + alpha) - theta * var
-        prefactor = (sigma / (math.sqrt(2.0 * math.pi * n) * gap)
-                     * math.exp(-(mu + alpha) ** 2 * n / (2.0 * var))
-                     + be_term)
-    else:
-        prefactor = math.exp(theta * (theta * var - 2.0 * (mu + alpha)) * n / 2.0) + be_term
-    prefactor = min(prefactor, 1.0)
-    return math.exp(min(math.log(prefactor) + log_exp, 0.0))
 
 
 def clipped_gaussian_mean(gamma: float) -> float:
@@ -195,7 +143,8 @@ def subexponential_factor(d: int, clipped: int, gamma: float, lam: float,
         return 1.0
     sig_t = math.sqrt(var_t)
     value = (sig_t / (a * math.sqrt(2.0 * math.pi * clipped))
-             + 2.0 * variant.c * rho_t / (var_t * sig_t * math.sqrt(clipped)))
+             + 2.0 * IID_NORMAL_APPROX_CONSTANT * rho_t
+             / (var_t * sig_t * math.sqrt(clipped)))
     return min(value, 1.0)
 
 
@@ -260,19 +209,16 @@ def _logaddexp(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
 def gda_complexity_bound(code, gamma_b_db: float,
                          variant: BoundVariant = BERRY_ESSEEN) -> float:
     """Average branch-metric computations of the tree decoder, bounded.
 
     Sums 2 C(l, d) B(d, n - l, gamma) over levels l < k and weights
-    d <= l at gamma = (k/n) gamma_b.  The level-0 term (value 1) counts
-    the start-node extension; the result is at least 2k.
+    d <= l at the channel SNR gamma of ChannelConfig.for_block_code.
+    The level-0 term (value 1) counts the start-node extension; the
+    result is at least 2k.
     """
-    gamma = (code.k / code.n) * db_to_linear(gamma_b_db)
+    gamma = ChannelConfig.for_block_code(code, gamma_b_db).gamma
     total = 0.0
     for level in range(code.k):
         for d in range(level + 1):
@@ -287,9 +233,9 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
                            variant: BoundVariant = BERRY_ESSEEN) -> float:
     """Average branch-metric computations of the trellis decoder, bounded.
 
-    Sums 2^k B(d*_j(l), N - l n, gamma) over levels l < L and states j
-    present at level l, at gamma = k L gamma_b / N.  Absent states
-    contribute nothing.
+    Sums 2 B(d*_j(l), N - l n, gamma) over levels l < L and states j
+    present at level l, at the channel SNR gamma of
+    ChannelConfig.for_conv_code.  Absent states contribute nothing.
 
     B is evaluated once per distinct d* of a level.  The terms are then
     added one by one in ascending (level, state) order, with a
@@ -300,7 +246,7 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
     code = trellis.code
     n_out = code.n_out
     N = n_out * (trellis.L + code.m)
-    gamma = (code.k_in * trellis.L / N) * db_to_linear(gamma_b_db)
+    gamma = ChannelConfig.for_conv_code(code, trellis.L, gamma_b_db).gamma
     dstar = compute_dstar(trellis)
     total = 0.0
     for level in range(trellis.L):
@@ -310,4 +256,4 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
         for v in np.flatnonzero(np.bincount(d)).tolist():
             lut[v] = extension_probability_bound(v, clipped, gamma, variant)
         total = float(np.cumsum(np.concatenate(([total], lut[d])))[-1])
-    return (1 << code.k_in) * total
+    return 2 * total

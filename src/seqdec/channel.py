@@ -4,8 +4,9 @@ Signal energy is fixed at E = 1 and the noise level is derived from the
 SNR, since only the ratio matters to every decoder and bound here.  The
 per-information-bit SNR gamma_b (always handled in dB at the public
 surface) maps to the channel SNR gamma = E/N0 as (k/n) gamma_b for an
-(n, k) block code and k L gamma_b / N for a terminated convolutional
-code of codeword length N.
+(n, k) block code and L gamma_b / N for a terminated rate-1/n
+convolutional code of codeword length N.  This is the one place that
+mapping is stated; the complexity bounds take gamma from here too.
 """
 
 import math
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqdec.bounds import db_to_linear
 from seqdec.codes import LengthMismatch
 from seqdec.numerics import RngStream
 
@@ -24,6 +24,17 @@ class NonFiniteLLR(ValueError):
 
 class InvalidSnr(ValueError):
     """An SNR is NaN or infinite, or its linear value is not positive."""
+
+
+def db_to_linear(db: float) -> float:
+    """10^(db/10); raises InvalidSnr unless that is positive and finite."""
+    try:
+        value = 10.0 ** (db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidSnr(f"SNR {db} dB has no positive finite linear value")
+    return value
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,7 @@ class ChannelConfig:
     @classmethod
     def for_conv_code(cls, code, L: int, gamma_b_db: float) -> "ChannelConfig":
         N = code.n_out * (L + code.m)
-        gamma = (code.k_in * L / N) * db_to_linear(gamma_b_db)
+        gamma = (L / N) * db_to_linear(gamma_b_db)
         return cls(gamma_b_db=gamma_b_db, gamma=gamma)
 
 

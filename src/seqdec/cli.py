@@ -38,9 +38,12 @@ def _parse_snr(text: str) -> tuple:
 def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return raw
 
 
 def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
@@ -121,30 +124,19 @@ def _cmd_curve(args, kind: str, mode: str) -> int:
 
 def _cmd_atilde(args) -> int:
     raw = _load_config(args.config) if args.config else {}
-    d_over_n = args.ratio
-    gamma_db = args.gamma_db
-    curves = raw.get("curves", [])
-    if d_over_n is None and gamma_db is None and len(curves) == 1:
-        d_over_n = curves[0].get("d_over_n")
-        gamma_db = curves[0].get("gamma_db")
-    elif curves and (d_over_n is None or gamma_db is None):
-        # multi-curve recipe: the flags select one curve
-        for c in curves:
-            if ((d_over_n is None or c.get("d_over_n") == d_over_n)
-                    and (gamma_db is None or c.get("gamma_db") == gamma_db)):
-                d_over_n, gamma_db = c["d_over_n"], c["gamma_db"]
-                break
-    if d_over_n is None:
-        d_over_n = raw.get("d_over_n")
-    if gamma_db is None:
-        gamma_db = raw.get("gamma_db")
+    flags = {"d_over_n": args.ratio, "gamma_db": args.gamma_db}
+    # flags win; the first config curve consistent with them fills the rest
+    curve = next((c for c in raw.get("curves", [])
+                  if all(v is None or c.get(k) == v for k, v in flags.items())), {})
+    d_over_n, gamma_db = (curve.get(k) if v is None else v for k, v in flags.items())
     if d_over_n is None or gamma_db is None:
         raise ConfigError("atilde needs --ratio and --gamma-db (or a config curve)")
-    n_grid = raw.get("n_grid")
+    n_grid = raw.get("n_grid", list(range(40, 401, 10)))
     if args.n_grid:
-        n_grid = [int(v) for v in args.n_grid.split(",")]
-    if n_grid is None:
-        n_grid = list(range(40, 401, 10))
+        try:
+            n_grid = [int(v) for v in args.n_grid.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad --n-grid {args.n_grid!r}: {exc}") from exc
     rows = harness.run_atilde_table(float(d_over_n), float(gamma_db), n_grid)
     with _open_out(args) as out:
         harness.write_atilde_csv(rows, out)

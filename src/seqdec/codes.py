@@ -8,8 +8,8 @@ GF(2), and both builds self-check their minimum distance by exhaustive
 weight enumeration the first time they run in a process.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -115,7 +115,6 @@ class BlockCode:
     k: int
     rows: tuple
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) != self.k:
@@ -126,28 +125,11 @@ class BlockCode:
             if row >> self.n:
                 raise ValueError("generator row wider than n")
 
-    def encode_int(self, info: int) -> int:
-        word = 0
-        i = 0
-        while info:
-            if info & 1:
-                word ^= self.rows[i]
-            info >>= 1
-            i += 1
-        return word
-
+    @cached_property
     def parity_column_masks(self) -> tuple:
         """For each column j >= k, the mask of info bits feeding it."""
-        if "colmasks" not in self._cache:
-            masks = []
-            for j in range(self.k, self.n):
-                m = 0
-                for i in range(self.k):
-                    if (self.rows[i] >> j) & 1:
-                        m |= 1 << i
-                masks.append(m)
-            self._cache["colmasks"] = tuple(masks)
-        return self._cache["colmasks"]
+        return tuple(sum(((self.rows[i] >> j) & 1) << i for i in range(self.k))
+                     for j in range(self.k, self.n))
 
     def codeword_ints(self) -> np.ndarray:
         """All 2^k codewords as packed uint64, indexed by info int."""
@@ -159,34 +141,30 @@ class BlockCode:
             arr[half:2 * half] = arr[:half] ^ np.uint64(row)
         return arr
 
+    @cached_property
+    def weight_histogram(self) -> np.ndarray:
+        """Number of codewords of each Hamming weight 0..n, by enumerating
+        all 2^k codewords with a 16-bit popcount table."""
+        lut = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+        words = self.codeword_ints()
+        counts = np.zeros(self.n + 1, dtype=np.int64)
+        mask = np.uint64(0xFFFF)
+        chunk = 1 << 20
+        for start in range(0, len(words), chunk):
+            c = words[start:start + chunk]
+            w = lut[(c & mask).astype(np.int64)].astype(np.int64)
+            w += lut[((c >> np.uint64(16)) & mask).astype(np.int64)]
+            w += lut[((c >> np.uint64(32)) & mask).astype(np.int64)]
+            w += lut[((c >> np.uint64(48)) & mask).astype(np.int64)]
+            counts += np.bincount(w, minlength=self.n + 1)
+        return counts
+
     def minimum_distance(self) -> int:
-        if "dmin" not in self._cache:
-            self._cache["dmin"] = int(_weight_profile(self)[0])
-        return self._cache["dmin"]
+        return int(np.flatnonzero(self.weight_histogram[1:])[0]) + 1
 
     def weight_count(self, w: int) -> int:
         """Number of codewords of Hamming weight w."""
-        dmin, counts = _weight_profile(self)
-        return int(counts[w])
-
-
-def _weight_profile(code: BlockCode):
-    """(minimum nonzero weight, histogram of weights), by enumerating all
-    2^k codewords with a 16-bit popcount table."""
-    lut = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-    words = code.codeword_ints()
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    mask = np.uint64(0xFFFF)
-    chunk = 1 << 20
-    for start in range(0, len(words), chunk):
-        c = words[start:start + chunk]
-        w = lut[(c & mask).astype(np.int64)].astype(np.int64)
-        w += lut[((c >> np.uint64(16)) & mask).astype(np.int64)]
-        w += lut[((c >> np.uint64(32)) & mask).astype(np.int64)]
-        w += lut[((c >> np.uint64(48)) & mask).astype(np.int64)]
-        counts += np.bincount(w, minlength=code.n + 1)
-    nonzero = np.nonzero(counts[1:])[0]
-    return int(nonzero[0]) + 1, counts
+        return int(self.weight_histogram[w])
 
 
 def _systematic_rows(poly: int, p: int, k: int) -> list:
@@ -267,11 +245,8 @@ class ConvCode:
     m: int
     taps: tuple
     name: str = ""
-    k_in: int = 1
 
     def __post_init__(self):
-        if self.k_in != 1:
-            raise ValueError("only single-input encoders are supported")
         if len(self.taps) != self.n_out:
             raise ValueError("need one tap vector per output")
         for tap in self.taps:

@@ -4,11 +4,11 @@ and dynamic-programming oracles.
 Both searches are best-first with FIFO tie-breaking (insertion order),
 which makes every decode deterministic for a fixed LLR vector.
 
-Counting conventions.  Extending a tree path below level k evaluates
-two branch metrics; extending a trellis node below level L evaluates
-2^k of them.  Those are the headline `branch_computations`.  Extensions
-in the single-branch tail (tree levels >= k, trellis levels >= L) cost
-one metric each and are included only in `branch_computations_total`.
+Counting conventions.  Extending a tree path below level k, or a
+trellis node below level L, evaluates two branch metrics; those are the
+headline `branch_computations`.  Extensions in the single-branch tail
+(tree levels >= k, trellis levels >= L) cost one metric each and are
+included only in `branch_computations_total`.
 """
 
 import heapq
@@ -56,7 +56,7 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     offset = float(np.sum(opt))
     bm0 = ((phi - 1.0) ** 2 - opt).tolist()
     bm1 = ((phi + 1.0) ** 2 - opt).tolist()
-    colmasks = code.parity_column_masks()
+    colmasks = code.parity_column_masks
     k, n = code.k, code.n
 
     heap = [(0.0, 0, 0, 0)]  # (f, insertion seq, level, path bits as int)
@@ -125,7 +125,6 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     extensions = 0
     low_extensions = 0
     tail_metrics = 0
-    branching = 1 << code.k_in
 
     while heap:
         zeta, entry_seq, level, state, info = heapq.heappop(heap)
@@ -138,9 +137,8 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
         if node == goal:
             decoded = encode_conv(code, [(info >> t) & 1 for t in range(trellis.L)])
             return DecodeOutcome(decoded=decoded,
-                                 branch_computations=branching * low_extensions,
-                                 branch_computations_total=(branching * low_extensions
-                                                            + tail_metrics),
+                                 branch_computations=2 * low_extensions,
+                                 branch_computations_total=2 * low_extensions + tail_metrics,
                                  extensions=extensions,
                                  metric=zeta)
         closed.add(node)

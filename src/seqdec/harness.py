@@ -7,6 +7,7 @@ results are reduced in trial order.  Outputs are therefore byte-identical
 for a fixed config regardless of the worker count.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -14,13 +15,13 @@ import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from seqdec import bounds
-from seqdec.bounds import BERRY_ESSEEN, CHERNOFF, db_to_linear
-from seqdec.channel import ChannelConfig, llr, transmit
+from seqdec.bounds import BERRY_ESSEEN, CHERNOFF
+from seqdec.channel import ChannelConfig, db_to_linear, llr, transmit
 from seqdec.codes import (
     BlockCode,
     ConvCode,
@@ -119,7 +120,7 @@ def code_from_config(spec: dict):
         try:
             rows = tuple(int(r, 16) for r in spec["generator_rows"])
             return BlockCode(n=int(spec["n"]), k=int(spec["k"]), rows=rows, name=name)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad block code spec: {exc}") from exc
     if kind == "conv":
         try:
@@ -128,33 +129,29 @@ def code_from_config(spec: dict):
                 taps = tuple(tuple(int(c) for c in t) for t in spec["taps"])
                 return ConvCode(n_out=len(taps), m=m, taps=taps, name=name)
             return parse_octal_generators(spec["octal"], m, name=name)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad conv code spec: {exc}") from exc
     raise ConfigError(f"bad code spec {spec!r}")
 
 
 @lru_cache(maxsize=32)
-def _built_code(code_json: str):
-    spec = json.loads(code_json)
-    code = code_from_config(spec["code"])
+def _built_target(code_json: str, L: int | None):
+    """The decode target of a JSON code spec: a BlockCode, or the Trellis
+    of a convolutional code at information length L.  Cached, so that
+    repeated runs on one code build its trellis once."""
+    code = code_from_config(json.loads(code_json))
     if isinstance(code, ConvCode):
-        L = spec.get("L")
         if not L:
             raise ConfigError("convolutional experiments need L")
         return build_trellis(code, int(L))
     return code
 
 
-def _experiment_target(cfg: ExperimentConfig):
-    """The decode target: a BlockCode, or a Trellis for conv codes."""
-    return _built_code(json.dumps({"code": cfg.code, "L": cfg.L}, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # bound curves
 
 def run_bound_curve(cfg: ExperimentConfig) -> list:
-    target = _experiment_target(cfg)
+    target = _built_target(json.dumps(cfg.code, sort_keys=True), cfg.L)
     if isinstance(target, BlockCode):
         evaluate = lambda db, v: bounds.gda_complexity_bound(target, db, v)
     else:
@@ -173,44 +170,41 @@ def run_bound_curve(cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # simulation curves
 
-def _run_trial(target, gamma_b_db: float, seed: int, trial: int,
-               all_zero: bool, extension_limit: int | None):
+def _run_trial(target, cfg: ExperimentConfig, gamma_b_db: float, trial: int):
     """One transmit/decode round; returns branch_computations or None on
     budget overflow.  Stream: info bits first, then channel noise."""
-    rng = RngStream(seed ^ trial)
+    rng = RngStream(cfg.seed ^ trial)
     if isinstance(target, BlockCode):
         code = target
-        cfg = ChannelConfig.for_block_code(code, gamma_b_db)
-        info = np.zeros(code.k, dtype=np.uint8) if all_zero else rng.bits(code.k)
+        channel = ChannelConfig.for_block_code(code, gamma_b_db)
+        info = np.zeros(code.k, dtype=np.uint8) if cfg.all_zero else rng.bits(code.k)
         word = encode_block(code, info)
     else:
         code = target.code
-        cfg = ChannelConfig.for_conv_code(code, target.L, gamma_b_db)
-        info = np.zeros(target.L, dtype=np.uint8) if all_zero else rng.bits(target.L)
+        channel = ChannelConfig.for_conv_code(code, target.L, gamma_b_db)
+        info = np.zeros(target.L, dtype=np.uint8) if cfg.all_zero else rng.bits(target.L)
         word = encode_conv(code, info)
-    phi = llr(transmit(word, cfg, rng), cfg)
+    phi = llr(transmit(word, channel, rng), channel)
     try:
         if isinstance(target, BlockCode):
-            out = gda_decode(code, phi, extension_limit=extension_limit)
+            out = gda_decode(code, phi, extension_limit=cfg.extension_limit)
         else:
-            out = mlsda_decode(target, phi, extension_limit=extension_limit)
+            out = mlsda_decode(target, phi, extension_limit=cfg.extension_limit)
     except ExtensionLimitExceeded:
         return None
     return out.branch_computations
 
 
-def _trial_batch(cfg_json: str, gamma_b_db: float, trial_indices: list):
-    cfg = ExperimentConfig(**json.loads(cfg_json))
-    target = _experiment_target(cfg)
-    return [(t, _run_trial(target, gamma_b_db, cfg.seed, t,
-                           cfg.all_zero, cfg.extension_limit))
-            for t in trial_indices]
+_worker_job = None  # (target, cfg) of a pool worker, set by _init_worker
 
 
-def _config_json(cfg: ExperimentConfig) -> str:
-    d = dict(cfg.__dict__)
-    d["snr_db"] = list(cfg.snr_db)
-    return json.dumps(d, sort_keys=True)
+def _init_worker(target, cfg: ExperimentConfig) -> None:
+    global _worker_job
+    _worker_job = (target, cfg)
+
+
+def _worker_trial(gamma_b_db: float, trial: int):
+    return _run_trial(*_worker_job, gamma_b_db, trial)
 
 
 def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
@@ -218,37 +212,37 @@ def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
 
     Mean and a normal-approximation 95% CI half-width over the included
     trials; trials that blow the extension budget are excluded and
-    counted in overflow_trials.
+    counted in overflow_trials.  With several workers, one process pool
+    serves the whole grid; its workers receive the built target once,
+    through the pool initializer.
     """
-    cfg_json = _config_json(cfg)
-    target = _experiment_target(cfg)
+    target = _built_target(json.dumps(cfg.code, sort_keys=True), cfg.L)
+    parallel = cfg.workers > 1
+    pool = (ProcessPoolExecutor(cfg.workers, initializer=_init_worker,
+                                initargs=(target, cfg))
+            if parallel else contextlib.nullcontext())
     points = []
-    for db in cfg.snr_db:
-        if cfg.workers == 1:
-            results = [(t, _run_trial(target, db, cfg.seed, t,
-                                      cfg.all_zero, cfg.extension_limit))
-                       for t in range(cfg.trials)]
-        else:
-            stripes = [list(range(w, cfg.trials, cfg.workers))
-                       for w in range(cfg.workers)]
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = [pool.submit(_trial_batch, cfg_json, db, s)
-                           for s in stripes if s]
-                results = [item for f in futures for item in f.result()]
-            results.sort()  # deterministic reduction in trial order
-        counts = [c for _, c in results if c is not None]
-        overflow = sum(1 for _, c in results if c is None)
-        if counts:
-            mean = statistics.fmean(counts)
-            half = (1.96 * statistics.stdev(counts) / math.sqrt(len(counts))
-                    if len(counts) > 1 else 0.0)
-        else:
-            mean = None
-            half = None
-        points.append(CurvePoint(gamma_b_db=db, sim_mean=mean, sim_ci95_half=half,
-                                 trials=len(counts), overflow_trials=overflow))
-        if progress is not None:
-            progress(points[-1])
+    with pool:
+        for db in cfg.snr_db:
+            if parallel:
+                # map keeps trial order, so the reduction is worker-count invariant
+                results = list(pool.map(partial(_worker_trial, db), range(cfg.trials),
+                                        chunksize=-(-cfg.trials // cfg.workers)))
+            else:
+                results = [_run_trial(target, cfg, db, t) for t in range(cfg.trials)]
+            counts = [c for c in results if c is not None]
+            if counts:
+                mean = statistics.fmean(counts)
+                half = (1.96 * statistics.stdev(counts) / math.sqrt(len(counts))
+                        if len(counts) > 1 else 0.0)
+            else:
+                mean = None
+                half = None
+            points.append(CurvePoint(gamma_b_db=db, sim_mean=mean, sim_ci95_half=half,
+                                     trials=len(counts),
+                                     overflow_trials=len(results) - len(counts)))
+            if progress is not None:
+                progress(points[-1])
     return points
 
 

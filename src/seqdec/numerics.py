@@ -1,8 +1,8 @@
 """Scalar numerics shared by every other module.
 
 Gaussian cdf evaluation (linear and log domain), a deterministic
-bracketing root solver, log-binomials, and a seeded Gaussian sampler
-with a fixed draw-count contract.
+bracketing root solver, log-binomials, and a seeded bit and Gaussian
+stream.
 """
 
 import math
@@ -85,13 +85,12 @@ def log_binomial(n: int, d: int) -> float:
 
 
 class RngStream:
-    """Seeded random stream with a reproducible draw count.
+    """Seeded random stream whose draws do not depend on call pattern.
 
-    Uniforms come from a PCG64 generator; Gaussians are produced by the
-    Box-Muller transform.  Every Gaussian consumes exactly one fresh
-    uniform pair (the sine branch is discarded), so the stream position
-    advances by two per Gaussian regardless of call pattern.  Identical
-    seeds give identical sequences.
+    Uniforms come from a PCG64 generator: one per bit, and one fresh
+    pair per Gaussian (Box-Muller, the sine branch discarded), so n
+    single Gaussians equal one call for n.  Identical seeds give
+    identical sequences.
 
     A stream is single-owner: never draw from one stream in two
     concurrent activities.  Parallel work derives one stream per unit of
@@ -99,34 +98,18 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        self._draws = 0
-
-    @property
-    def position(self) -> int:
-        """Number of uniform draws consumed so far."""
-        return self._draws
-
-    def uniform(self) -> float:
-        self._draws += 1
-        return float(self._gen.random())
+        self._gen = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
 
     def bits(self, n: int) -> np.ndarray:
         """n equiprobable bits, one uniform draw per bit."""
-        self._draws += n
         return (self._gen.random(n) < 0.5).astype(np.uint8)
 
     def gaussians(self, n: int, mean: float = 0.0, stddev: float = 1.0) -> np.ndarray:
         """n independent N(mean, stddev^2) draws."""
         if stddev <= 0.0:
             raise DomainError("stddev must be positive")
-        self._draws += 2 * n
         u = self._gen.random(2 * n)
         u1 = 1.0 - u[0::2]  # (0, 1]: keeps log finite
         u2 = u[1::2]
         z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
         return mean + stddev * z
-
-    def gaussian(self, mean: float = 0.0, stddev: float = 1.0) -> float:
-        return float(self.gaussians(1, mean, stddev)[0])

@@ -7,16 +7,15 @@ from scipy.integrate import quad
 from seqdec.bounds import (
     BERRY_ESSEEN,
     CHERNOFF,
+    IID_NORMAL_APPROX_CONSTANT,
     BoundVariant,
     NoRoot,
-    TiltedMoments,
     clipped_gaussian_mean,
     extension_probability_bound,
     gda_complexity_bound,
     mlsda_complexity_bound,
     solve_tilt,
     subexponential_factor,
-    tilted_tail_bound,
 )
 from seqdec.numerics import SQRT_2PI, DomainError, std_normal_cdf
 from seqdec.trellis import build_trellis
@@ -146,45 +145,6 @@ class TestSubexponentialFactor:
         assert var_closed == pytest.approx(var_numeric, rel=1e-9)
 
 
-class TestTiltedTailBound:
-    @staticmethod
-    def rademacher_moments(theta):
-        m = math.cosh(theta)
-        p = math.exp(theta) / (2.0 * m)
-        mu = math.tanh(theta)
-        var = p * (1.0 - mu) ** 2 + (1.0 - p) * (-1.0 - mu) ** 2
-        rho = p * abs(1.0 - mu) ** 3 + (1.0 - p) * abs(-1.0 - mu) ** 3
-        return TiltedMoments(mgf=m, mean=mu, variance=var, abs_third=rho)
-
-    def test_chernoff_form(self):
-        mom = self.rademacher_moments(-0.5)
-        got = tilted_tail_bound(mom, 20, 0.5, -0.5, CHERNOFF)
-        want = min(1.0, math.exp(-0.5 * 0.5 * 20) * mom.mgf ** 20)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_dominates_exact_binomial_tail(self):
-        # Pr{sum of 20 Rademachers <= -10} exactly, by enumeration
-        exact = sum(math.comb(20, j) for j in range(6)) / 2.0 ** 20
-        mom = self.rademacher_moments(-0.5)
-        for variant in (BERRY_ESSEEN, CHERNOFF):
-            assert tilted_tail_bound(mom, 20, 0.5, -0.5, variant) >= exact
-
-    def test_variant_ordering(self):
-        for theta in (-0.2, -0.5, -1.0):
-            for alpha in (0.1, 0.3, 0.6):
-                mom = self.rademacher_moments(theta)
-                be = tilted_tail_bound(mom, 50, alpha, theta, BERRY_ESSEEN)
-                ch = tilted_tail_bound(mom, 50, alpha, theta, CHERNOFF)
-                assert be <= ch + 1e-15
-
-    def test_rejects_bad_theta(self):
-        mom = self.rademacher_moments(-0.5)
-        with pytest.raises(DomainError):
-            tilted_tail_bound(mom, 10, 0.5, 0.1, CHERNOFF)
-        with pytest.raises(DomainError):
-            tilted_tail_bound(mom, 0, 0.5, -0.5, CHERNOFF)
-
-
 class TestExtensionProbabilityBound:
     def test_no_gaussians_is_certain(self):
         assert extension_probability_bound(0, 10, 1.0) == 1.0
@@ -288,12 +248,8 @@ class TestComplexityBounds:
 
 class TestBoundVariant:
     def test_constant_default(self):
-        assert BERRY_ESSEEN.c == pytest.approx(0.7655)
+        assert IID_NORMAL_APPROX_CONSTANT == pytest.approx(0.7655)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             BoundVariant("both")
-
-    def test_rejects_bad_constant(self):
-        with pytest.raises(ValueError):
-            BoundVariant("be", c=0.0)

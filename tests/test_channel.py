@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from seqdec.bounds import db_to_linear
 from seqdec.channel import (
     ChannelConfig,
     InvalidSnr,
     NonFiniteLLR,
     check_lengths,
+    db_to_linear,
     hard_decision,
     llr,
     transmit,

@@ -101,7 +101,7 @@ class TestGdaDecode:
             bm = [((phi[l] - 1.0) ** 2 - (np.abs(phi[l]) - 1.0) ** 2,
                    (phi[l] + 1.0) ** 2 - (np.abs(phi[l]) - 1.0) ** 2)
                   for l in range(golay.n)]
-            colmasks = golay.parity_column_masks()
+            colmasks = golay.parity_column_masks
             heap = [(0.0, 0, 0, 0)]
             seq = 1
             while True:

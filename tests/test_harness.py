@@ -94,9 +94,9 @@ class TestCurves:
         assert a == b
 
     def test_worker_count_invariance(self):
-        a = curve_csv_text(run_simulation_curve(small_cfg(mode="simulate", trials=30)))
-        b = curve_csv_text(run_simulation_curve(small_cfg(mode="simulate", trials=30,
-                                                          workers=2)))
+        grid = dict(mode="simulate", trials=30, snr_db=(2.0, 4.0))
+        a = curve_csv_text(run_simulation_curve(small_cfg(**grid)))
+        b = curve_csv_text(run_simulation_curve(small_cfg(**grid, workers=2)))
         assert a == b
 
     def test_seed_changes_sim_not_bound(self):
@@ -265,6 +265,27 @@ class TestCli:
                        "--trials", "1"])
         assert rc == 2
         assert "NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["dstar", "--octal", "6,5,7", "-L", "4"], "config"),
+        (["atilde", "--ratio", "0.2", "--gamma-db", "1", "--n-grid", "40,x"], "config"),
+        (["atilde", "--config", "{curves}", "--gamma-db", "1"], "config"),
+        (["atilde", "--ratio", "0.2", "--gamma-db", "nan"], "input"),
+        (["bound-gda", "--code", "golay24", "--snr", "-4000"], "input"),
+        (["bound-mlsda", "--config", "{conv}", "--snr", "-4000"], "input"),
+        (["bound-gda", "--code", "golay24", "--snr", "4000"], "input"),
+        (["bound-gda", "--config", "{list}", "--snr", "1"], "config"),
+    ])
+    def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
+        curves = tmp_path / "curves.json"  # a curve without d_over_n
+        curves.write_text(json.dumps({"curves": [{"gamma_db": 1}]}))
+        not_an_object = tmp_path / "list.json"
+        not_an_object.write_text("[]")
+        paths = {"{curves}": str(curves), "{conv}": str(_write_cfg(tmp_path)),
+                 "{list}": str(not_an_object)}
+        rc = cli.main([paths.get(a, a) for a in argv])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"{kind} error:")
 
     def test_validate_passes(self, capsys):
         assert cli.main(["validate"]) == 0

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from seqdec.bounds import (
     BERRY_ESSEEN,
     CHERNOFF,
-    db_to_linear,
     extension_probability_bound,
     mlsda_complexity_bound,
 )
-from seqdec.channel import hard_decision
+from seqdec.channel import db_to_linear, hard_decision
 from seqdec.codes import ConvCode, encode_conv
 from seqdec.decoders import mlsda_decode, viterbi_ml
 from seqdec.harness import dstar_by_enumeration
