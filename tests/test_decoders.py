@@ -1,4 +1,6 @@
+import hashlib
 import heapq
+import json
 import math
 
 import numpy as np
@@ -255,3 +257,82 @@ class TestComplexityStatistics:
             means.append(counts.mean())
             halfs.append(1.96 * counts.std(ddof=1) / math.sqrt(len(counts)))
         assert abs(means[0] - means[1]) <= halfs[0] + halfs[1]
+
+
+# ---------------------------------------------------------------------------
+# golden counts: every counted quantity of seeded decodes, pinned as one
+# sha256 per group over the exact records.  The digests were written once
+# from the plain pop-and-push search (one heappop and a heappush per child
+# on every extension) and must never be regenerated from a changed decoder.
+
+def _record(decode, target, phi, limit=None):
+    try:
+        out = decode(target, phi, extension_limit=limit)
+    except ExtensionLimitExceeded:
+        return ["limit"]
+    return ["".join(map(str, out.decoded.tolist())), out.branch_computations,
+            out.branch_computations_total, out.extensions, out.metric.hex()]
+
+
+def _noisy_llr(target, db, seed):
+    rng = RngStream(seed)
+    if hasattr(target, "k"):
+        cfg = ChannelConfig.for_block_code(target, db)
+        word = encode_block(target, rng.bits(target.k))
+    else:
+        cfg = ChannelConfig.for_conv_code(target.code, target.L, db)
+        word = encode_conv(target.code, rng.bits(target.L))
+    return llr(transmit(word, cfg, rng), cfg)
+
+
+def _golden_records(group, golay, qr48, t657, t634):
+    gda, mlsda = gda_decode, mlsda_decode
+    if group == "golay24":
+        return [_record(gda, golay, _noisy_llr(golay, db, 1000 * db + t))
+                for db in (1, 2, 3, 4) for t in range(100)]
+    if group == "qr48":
+        return [_record(gda, qr48, _noisy_llr(qr48, 4.5, 4500 + t)) for t in range(200)]
+    if group == "conv657":
+        return [_record(mlsda, t657, _noisy_llr(t657, db, 700 + 1000 * db + t))
+                for db in (0, 2, 4) for t in range(100)]
+    if group == "conv634":
+        return [_record(mlsda, t634, _noisy_llr(t634, db, 6300 + 1000 * db + t))
+                for db in (0, 3, 6) for t in range(60)]
+    if group == "limits":  # low-SNR trials stopped by small budgets
+        return [_record(decode, target, _noisy_llr(target, db, 900 + t), limit)
+                for decode, target, db in ((gda, golay, -2.0), (gda, qr48, 2.0),
+                                           (mlsda, t657, -2.0), (mlsda, t634, -1.0))
+                for t in range(20) for limit in (5, 50)]
+    # "ties": integer-valued LLRs, so that many paths share a metric and
+    # the FIFO tie-break decides the order of the search
+    gen = np.random.Generator(np.random.PCG64(2024))
+    records = []
+    for decode, target, n, limits in ((gda, golay, 24, (5, 50, 500, None)),
+                                      (gda, qr48, 48, (5, 50, 500)),
+                                      (mlsda, t657, 30, (5, 50, 500, None)),
+                                      (mlsda, t634, 52, (5, 50, 500, None))):
+        for top in (2, 4):  # {0, +-1, +-2} and {0, ..., +-4}
+            for _ in range(30):
+                phi = gen.integers(-top, top + 1, size=n).astype(float)
+                records.extend(_record(decode, target, phi, limit) for limit in limits)
+        records.append(_record(decode, target, np.zeros(n), limits[-1]))
+    return records
+
+
+GOLDEN = {  # group -> (records, of which stopped by the budget, sha256)
+    "conv634": (180, 0, "e2d203dd8c251f9ec6747d27813378cbfbaccce4fc625ef6fedc7bf7a0aec265"),
+    "conv657": (300, 0, "c171f4a26524ce9bf2b67f43a9ef2d6563dc1c24a2b81a931d638935437c5f34"),
+    "golay24": (400, 0, "05ccb9ceb78d887fada47e52defd3d3ce29c1a4e19b9674462cb576504c1e1d3"),
+    "limits": (160, 139, "b582fb09dfdc2c5ed04a64141bb338359dadf80c2d9654f52a862aab676a6ba6"),
+    "qr48": (200, 0, "20974cd4588fc4127902a39dc47e954e5c4b97a8d819ae46326bae60f5ade878"),
+    "ties": (904, 581, "ea3387cc5103f47ad24980521e5469a6b5a0abfe717a4bb9ba0c465b133c9d5e"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN))
+def test_golden_counts(group, golay, qr48, fig_trellis_code, conv_634_564):
+    t657 = build_trellis(fig_trellis_code, 8)
+    t634 = build_trellis(conv_634_564, 20)
+    records = _golden_records(group, golay, qr48, t657, t634)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert (len(records), records.count(["limit"]), digest) == GOLDEN[group]
