@@ -124,13 +124,19 @@ def _cmd_curve(args, kind: str, mode: str) -> int:
 
 def _cmd_atilde(args) -> int:
     raw = _load_config(args.config) if args.config else {}
+    curves = raw.get("curves", [])
+    if not isinstance(curves, list) or not all(isinstance(c, dict) for c in curves):
+        raise ConfigError("atilde config curves must be a list of JSON objects")
     flags = {"d_over_n": args.ratio, "gamma_db": args.gamma_db}
     # flags win; the first config curve consistent with them fills the rest
-    curve = next((c for c in raw.get("curves", [])
+    curve = next((c for c in curves
                   if all(v is None or c.get(k) == v for k, v in flags.items())), {})
     d_over_n, gamma_db = (curve.get(k) if v is None else v for k, v in flags.items())
     if d_over_n is None or gamma_db is None:
         raise ConfigError("atilde needs --ratio and --gamma-db (or a config curve)")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (d_over_n, gamma_db)):
+        raise ConfigError("atilde d_over_n and gamma_db must be numbers")
     n_grid = raw.get("n_grid", list(range(40, 401, 10)))
     if args.n_grid:
         try:

@@ -2,7 +2,14 @@
 and dynamic-programming oracles.
 
 Both searches are best-first with FIFO tie-breaking (insertion order),
-which makes every decode deterministic for a fixed LLR vector.
+which makes every decode deterministic for a fixed LLR vector.  Each
+extension hands out insertion numbers to all its children, then expands
+the best child (lowest metric, lower number on a tie) in place when its
+metric lies strictly below the top of the open stack: a pop would return
+exactly that child.  Otherwise the child goes through the stack
+(heapreplace), so every tie is settled by the stack's FIFO order.  The
+extension order, and with it every count, is that of a loop that pops
+each path and pushes every child.
 
 Counting conventions.  Extending a tree path below level k, or a
 trellis node below level L, evaluates two branch metrics; those are the
@@ -12,6 +19,7 @@ included only in `branch_computations_total`.
 """
 
 import heapq
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +56,9 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     branch metric (phi_l - (-1)^b)^2 - (|phi_l| - 1)^2; the constant
     offset sum (|phi_j| - 1)^2 cancels in all comparisons, so the
     ordering matches the full squared-distance evaluation function.
-    Search stops when the popped path ends at level n.
+    Search stops when the path up for extension ends at level n.  The
+    child that agrees with the hard decision adds 0, so a search that
+    follows the hard decision stays out of the heap.
     """
     phi = check_lengths(phi, code.n)
     # per-level differential branch metrics for labels 0 and 1
@@ -59,13 +69,14 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     colmasks = code.parity_column_masks
     k, n = code.k, code.n
 
-    heap = [(0.0, 0, 0, 0)]  # (f, insertion seq, level, path bits as int)
+    limit = sys.maxsize if extension_limit is None else extension_limit
+    heap = []  # open paths (f, insertion seq, level, path bits as int)
+    f, level, bits = 0.0, 0, 0  # the path being extended; the start has seq 0
     seq = 1
     extensions = 0
     low_extensions = 0
     tail_metrics = 0
     while True:
-        f, _, level, bits = heapq.heappop(heap)
         if level == n:
             decoded = np.array([(bits >> j) & 1 for j in range(n)], dtype=np.uint8)
             return DecodeOutcome(decoded=decoded,
@@ -74,21 +85,33 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
                                  extensions=extensions,
                                  metric=f + offset)
         extensions += 1
-        if extension_limit is not None and extensions > extension_limit:
+        if extensions > limit:
             raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
         if level < k:
             low_extensions += 1
-            heapq.heappush(heap, (f + bm0[level], seq, level + 1, bits))
-            seq += 1
-            heapq.heappush(heap, (f + bm1[level], seq, level + 1, bits | (1 << level)))
-            seq += 1
+            f0 = f + bm0[level]
+            f1 = f + bm1[level]
+            if f1 < f0:  # the 1-child is best; on a tie the 0-child (lower seq) is
+                sibling = (f0, seq, level + 1, bits)
+                f, best_seq, bits = f1, seq + 1, bits | (1 << level)
+            else:
+                sibling = (f1, seq + 1, level + 1, bits | (1 << level))
+                f, best_seq = f0, seq
+            seq += 2
         else:
             tail_metrics += 1
             info = bits & ((1 << k) - 1)
             bit = (info & colmasks[level - k]).bit_count() & 1
-            heapq.heappush(heap, (f + (bm1[level] if bit else bm0[level]),
-                                  seq, level + 1, bits | (bit << level)))
+            f += bm1[level] if bit else bm0[level]
+            bits |= bit << level
+            best_seq = seq
             seq += 1
+            sibling = None
+        level += 1
+        if heap and f >= heap[0][0]:  # not strictly below the top: no dive
+            f, _, level, bits = heapq.heapreplace(heap, (f, best_seq, level, bits))
+        if sibling is not None:
+            heapq.heappush(heap, sibling)
 
 
 def _metric_table(trellis: Trellis, phi) -> list:
@@ -104,38 +127,40 @@ def _metric_table(trellis: Trellis, phi) -> list:
     return ((patterns != y[:, None, :]) * a[:, None, :]).sum(-1).tolist()
 
 
+_NOT_OPEN = (None, -1)  # resident entry of a node with no open path
+
+
 def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> DecodeOutcome:
     """Two-stack best-first search over the trellis; exact ML.
 
     A popped node's (state, level) goes into the closed set and is never
     extended again; successors landing on a closed node are discarded.
     When two open paths merge, the one with the higher metric is
-    eliminated (ties keep the incumbent).  Stops when the popped path
-    ends at the goal node.
+    eliminated (ties keep the incumbent).  Stops when the path up for
+    extension ends at the goal node.  A stale top entry (closed or
+    superseded) does not stop the best child's dive: a child strictly
+    below it is below every entry on the stack.
     """
     code = trellis.code
     inc = _metric_table(trellis, phi)
     next_state, outputs = trellis.table_lists()
 
-    goal = trellis.levels << code.m
+    m, L = code.m, trellis.L
+    goal = trellis.levels << m
+    limit = sys.maxsize if extension_limit is None else extension_limit
     closed = set()
     resident = {0: (0.0, 0)}  # (level, state) node key -> (metric, seq)
-    heap = [(0.0, 0, 0, 0, 0)]  # (zeta, seq, level, state, info bits)
+    heap = []  # open entries (zeta, seq, level, state, info bits)
+    zeta, level, state, info = 0.0, 0, 0, 0  # the node being extended
     seq = 1
     extensions = 0
     low_extensions = 0
     tail_metrics = 0
 
-    while heap:
-        zeta, entry_seq, level, state, info = heapq.heappop(heap)
-        node = (level << code.m) | state
-        if node in closed:
-            continue
-        live = resident.get(node)
-        if live is None or live[1] != entry_seq:
-            continue  # superseded by a merge
+    while True:
+        node = (level << m) | state
         if node == goal:
-            decoded = encode_conv(code, [(info >> t) & 1 for t in range(trellis.L)])
+            decoded = encode_conv(code, [(info >> t) & 1 for t in range(L)])
             return DecodeOutcome(decoded=decoded,
                                  branch_computations=2 * low_extensions,
                                  branch_computations_total=2 * low_extensions + tail_metrics,
@@ -144,15 +169,18 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
         closed.add(node)
         del resident[node]
         extensions += 1
-        if extension_limit is not None and extensions > extension_limit:
+        if extensions > limit:
             raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
-        if level < trellis.L:
+        if level < L:
             low_extensions += 1
+            inputs = (0, 1)
         else:
             tail_metrics += 1
-        for b in trellis.branch_inputs(level):
+            inputs = (0,)
+        best = sibling = None
+        for b in inputs:
             ns = next_state[state][b]
-            child = ((level + 1) << code.m) | ns
+            child = ((level + 1) << m) | ns
             if child in closed:
                 continue
             child_zeta = zeta + inc[level][outputs[state][b]]
@@ -160,10 +188,27 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
             if incumbent is not None and incumbent[0] <= child_zeta:
                 continue  # merge: keep the incumbent (also on ties)
             resident[child] = (child_zeta, seq)
-            heapq.heappush(heap, (child_zeta, seq, level + 1,
-                                  ns, info | (b << level)))
+            entry = (child_zeta, seq, level + 1, ns, info | (b << level))
             seq += 1
-    raise AssertionError("open stack exhausted before reaching the goal")
+            if best is None:
+                best = entry
+            elif child_zeta < best[0]:
+                best, sibling = entry, best
+            else:
+                sibling = entry
+        dive = best is not None and (not heap or best[0] < heap[0][0])
+        if sibling is not None:  # above best, so it cannot be the next pop
+            heapq.heappush(heap, sibling)
+        if dive:
+            zeta, _, level, state, info = best
+            continue
+        try:  # pop to the first live entry; a closed node has left resident
+            entry = heapq.heapreplace(heap, best) if best is not None else heapq.heappop(heap)
+            while resident.get((entry[2] << m) | entry[3], _NOT_OPEN)[1] != entry[1]:
+                entry = heapq.heappop(heap)
+        except IndexError:
+            raise AssertionError("open stack exhausted before reaching the goal") from None
+        zeta, _, level, state, info = entry
 
 
 def brute_force_ml_block(code: BlockCode, phi) -> np.ndarray:

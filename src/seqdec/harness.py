@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -214,11 +215,13 @@ def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
     trials; trials that blow the extension budget are excluded and
     counted in overflow_trials.  With several workers, one process pool
     serves the whole grid; its workers receive the built target once,
-    through the pool initializer.
+    through the pool initializer.  The pool has no more processes than
+    there are CPUs or trials, and none at all when that leaves one.
     """
     target = _built_target(json.dumps(cfg.code, sort_keys=True), cfg.L)
-    parallel = cfg.workers > 1
-    pool = (ProcessPoolExecutor(cfg.workers, initializer=_init_worker,
+    workers = min(cfg.workers, os.cpu_count() or 1, cfg.trials)
+    parallel = workers > 1
+    pool = (ProcessPoolExecutor(workers, initializer=_init_worker,
                                 initargs=(target, cfg))
             if parallel else contextlib.nullcontext())
     points = []
@@ -227,7 +230,7 @@ def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
             if parallel:
                 # map keeps trial order, so the reduction is worker-count invariant
                 results = list(pool.map(partial(_worker_trial, db), range(cfg.trials),
-                                        chunksize=-(-cfg.trials // cfg.workers)))
+                                        chunksize=-(-cfg.trials // workers)))
             else:
                 results = [_run_trial(target, cfg, db, t) for t in range(cfg.trials)]
             counts = [c for c in results if c is not None]

@@ -86,19 +86,22 @@ def compute_dstar(trellis: Trellis) -> np.ndarray:
     """Minimum Hamming weight over all paths into each (level, state).
 
     One min-plus step per level and input bit; entry [level, state] is
-    ABSENT for unreachable nodes.  The table is cached on the trellis.
+    ABSENT for unreachable nodes.  The table is int32, which holds every
+    path weight (at most n_out * levels) and the unreached-node sentinel
+    (n_out * levels + 1) alike.  The table is cached on the trellis.
     """
     if trellis._dstar is not None:
         return trellis._dstar
-    big = np.iinfo(np.int64).max // 2
-    table = np.full((trellis.levels + 1, trellis.num_states), big, dtype=np.int64)
+    big = trellis.code.n_out * trellis.levels + 1
+    table = np.full((trellis.levels + 1, trellis.num_states), big, dtype=np.int32)
     table[0, 0] = 0
+    weight = trellis.output_weight.astype(np.int32)  # ufunc.at is fast on one dtype
     for level in range(trellis.levels):
         present = np.flatnonzero(trellis.reachable[level])
         base = table[level, present]
         for b in trellis.branch_inputs(level):
             np.minimum.at(table[level + 1], trellis.next_state[present, b],
-                          base + trellis.output_weight[present, b])
+                          base + weight[present, b])
     table[table >= big] = ABSENT
     trellis._dstar = table
     return table

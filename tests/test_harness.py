@@ -99,6 +99,34 @@ class TestCurves:
         b = curve_csv_text(run_simulation_curve(small_cfg(**grid, workers=2)))
         assert a == b
 
+    @pytest.mark.parametrize("cpus, trials, pool", [
+        (4, 30, 4), (4, 3, 3), (1, 30, None), (None, 30, None)])
+    def test_pool_size_bounded(self, monkeypatch, cpus, trials, pool):
+        # the stand-in executor records its size and runs the trials here,
+        # so asking for a million workers starts no process
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                opened.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        grid = dict(mode="simulate", trials=trials)
+        got = curve_csv_text(run_simulation_curve(small_cfg(**grid, workers=10**6)))
+        assert opened == ([] if pool is None else [pool])
+        assert got == curve_csv_text(run_simulation_curve(small_cfg(**grid)))
+
     def test_seed_changes_sim_not_bound(self):
         a = run_experiment(small_cfg())
         b = run_experiment(small_cfg(seed=99))
@@ -275,14 +303,20 @@ class TestCli:
         (["bound-mlsda", "--config", "{conv}", "--snr", "-4000"], "input"),
         (["bound-gda", "--code", "golay24", "--snr", "4000"], "input"),
         (["bound-gda", "--config", "{list}", "--snr", "1"], "config"),
+        (["atilde", "--config", "{curve-list}"], "config"),
+        (["atilde", "--config", "{curve-text}"], "config"),
     ])
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
-        curves = tmp_path / "curves.json"  # a curve without d_over_n
-        curves.write_text(json.dumps({"curves": [{"gamma_db": 1}]}))
-        not_an_object = tmp_path / "list.json"
-        not_an_object.write_text("[]")
-        paths = {"{curves}": str(curves), "{conv}": str(_write_cfg(tmp_path)),
-                 "{list}": str(not_an_object)}
+        configs = {
+            "{curves}": {"curves": [{"gamma_db": 1}]},  # a curve without d_over_n
+            "{list}": [],
+            "{curve-list}": {"curves": [[0.2, 1.0]]},  # a curve that is no object
+            "{curve-text}": {"curves": [{"d_over_n": 0.2, "gamma_db": "x"}]},
+        }
+        paths = {"{conv}": str(_write_cfg(tmp_path))}
+        for i, (key, raw) in enumerate(configs.items()):
+            paths[key] = str(tmp_path / f"cfg{i}.json")
+            (tmp_path / f"cfg{i}.json").write_text(json.dumps(raw))
         rc = cli.main([paths.get(a, a) for a in argv])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"{kind} error:")
