@@ -122,6 +122,11 @@ def _cmd_curve(args, kind: str, mode: str) -> int:
     return 0
 
 
+def _all_numbers(values, kind) -> bool:
+    """Every value is a JSON number of the given type (booleans are not)."""
+    return all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
+
+
 def _cmd_atilde(args) -> int:
     raw = _load_config(args.config) if args.config else {}
     curves = raw.get("curves", [])
@@ -134,8 +139,7 @@ def _cmd_atilde(args) -> int:
     d_over_n, gamma_db = (curve.get(k) if v is None else v for k, v in flags.items())
     if d_over_n is None or gamma_db is None:
         raise ConfigError("atilde needs --ratio and --gamma-db (or a config curve)")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in (d_over_n, gamma_db)):
+    if not _all_numbers((d_over_n, gamma_db), (int, float)):
         raise ConfigError("atilde d_over_n and gamma_db must be numbers")
     n_grid = raw.get("n_grid", list(range(40, 401, 10)))
     if args.n_grid:
@@ -143,6 +147,8 @@ def _cmd_atilde(args) -> int:
             n_grid = [int(v) for v in args.n_grid.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --n-grid {args.n_grid!r}: {exc}") from exc
+    if not isinstance(n_grid, list) or not _all_numbers(n_grid, int):
+        raise ConfigError("atilde n_grid must be a list of integers")
     rows = harness.run_atilde_table(float(d_over_n), float(gamma_db), n_grid)
     with _open_out(args) as out:
         harness.write_atilde_csv(rows, out)

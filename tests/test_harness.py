@@ -305,6 +305,7 @@ class TestCli:
         (["bound-gda", "--config", "{list}", "--snr", "1"], "config"),
         (["atilde", "--config", "{curve-list}"], "config"),
         (["atilde", "--config", "{curve-text}"], "config"),
+        (["atilde", "--config", "{n-grid}"], "config"),
     ])
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
         configs = {
@@ -312,6 +313,7 @@ class TestCli:
             "{list}": [],
             "{curve-list}": {"curves": [[0.2, 1.0]]},  # a curve that is no object
             "{curve-text}": {"curves": [{"d_over_n": 0.2, "gamma_db": "x"}]},
+            "{n-grid}": {"curves": [{"d_over_n": 0.2, "gamma_db": 1}], "n_grid": ["x"]},
         }
         paths = {"{conv}": str(_write_cfg(tmp_path))}
         for i, (key, raw) in enumerate(configs.items()):
