@@ -251,7 +251,7 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
     total = 0.0
     for level in range(trellis.L):
         clipped = N - level * n_out
-        d = dstar[level, trellis.reachable[level]].astype(np.intp)
+        d = dstar[level, trellis.reachable[level]].astype(np.intp)  # index once, not per use
         lut = np.zeros(int(d.max()) + 1)
         for v in np.flatnonzero(np.bincount(d)).tolist():
             lut[v] = extension_probability_bound(v, clipped, gamma, variant)

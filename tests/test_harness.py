@@ -316,9 +316,10 @@ class TestCli:
             "{n-grid}": {"curves": [{"d_over_n": 0.2, "gamma_db": 1}], "n_grid": ["x"]},
         }
         paths = {"{conv}": str(_write_cfg(tmp_path))}
-        for i, (key, raw) in enumerate(configs.items()):
-            paths[key] = str(tmp_path / f"cfg{i}.json")
-            (tmp_path / f"cfg{i}.json").write_text(json.dumps(raw))
+        for key, raw in configs.items():
+            path = tmp_path / f"{key[1:-1]}.json"
+            path.write_text(json.dumps(raw))
+            paths[key] = str(path)
         rc = cli.main([paths.get(a, a) for a in argv])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"{kind} error:")
