@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -335,3 +336,53 @@ def _write_cfg(tmp_path):
         "code": SMALL_CONV, "L": 8, "snr_db": [6.0], "trials": 10,
         "seed": 4, "variant": "both", "mode": "simulate", "workers": 1}))
     return path
+
+
+# golden simulation CSVs: a sha256 of curve_csv_text per fixed-seed config,
+# together with the overflow counts per point.  The digests were written
+# once from the one-trial-at-a-time harness and must never be regenerated
+# from a changed pipeline.
+
+_QR48 = {"name": "qr48"}
+_GOLAY = {"name": "golay24"}
+_C634 = {"type": "conv", "m": 6, "octal": ["634", "564"]}
+_M16 = {"type": "conv", "m": 16, "taps": ["11100110100001001", "10011001011110111"]}
+
+GOLDEN_CSV = {  # name -> (config, overflow trials per point, sha256)
+    "golay": (dict(code=_GOLAY, snr_db=(1.0, 2.0, 3.0), trials=301, seed=11), [0, 0, 0],
+              "3bfdaf90cc90728d93943e86725d52d35c0d40d5b5efeb1ca9124744442fcf5a"),
+    "qr48": (dict(code=_QR48, snr_db=(4.5,), trials=40, seed=12), [0],
+             "d42a1c5e19e2aba1dcddcbf6cbb9ac1a68e7b69e4550fbce8ebff80f2bd3ae9a"),
+    "conv657": (dict(code=SMALL_CONV, L=8, snr_db=(0.0, 2.0, 4.0), trials=601, seed=13),
+                [0, 0, 0], "440893e49f48b66f7dda7e4edea05427e9ea5aa68091433589b02443690c1e3f"),
+    "conv634": (dict(code=_C634, L=100, snr_db=(5.0, 8.0, 11.0), trials=150, seed=14),
+                [0, 0, 0], "f886531927d463136bb0d823d859f8e9e0ac84a8819c2cda0924244cdb18156c"),
+    "conv-m16": (dict(code=_M16, L=100, snr_db=(8.0,), trials=30, seed=15), [0],
+                 "9c7387476666476ecd9bc7e3a4953ea4c485c5ee86ae9c0176c8cb3c4d5b84d1"),
+    "golay-all-zero": (dict(code=_GOLAY, snr_db=(1.0, 3.0), trials=100, seed=16,
+                            all_zero=True), [0, 0],
+                       "d5ac12ae4e13d42c7b94980ce5011fc6da6d0b4d45fb842c14de9f5627c2d42c"),
+    "conv634-all-zero": (dict(code=_C634, L=100, snr_db=(3.0, 8.0), trials=100, seed=17,
+                              all_zero=True), [0, 0],
+                         "1458d81e6da58d6c55148365b9100670d04163f3a22bd3234e186b9e4cfea41a"),
+    "golay-limit": (dict(code=_GOLAY, snr_db=(-1.0, 1.0), trials=100, seed=18,
+                         extension_limit=400), [55, 29],
+                    "2269eb2808556321c850f296feb5c6e073710b1d4bf15b569f3ba156d97eab19"),
+    "conv634-limit": (dict(code=_C634, L=100, snr_db=(3.0, 5.0), trials=100, seed=20,
+                           extension_limit=200), [98, 27],
+                      "57cf33ef757eccbc7ca84526568dcfd8d12c5a20cc2a672e021a48231401353a"),
+    "conv657-limit": (dict(code=SMALL_CONV, L=8, snr_db=(-3.0, 0.0), trials=100, seed=19,
+                           extension_limit=12), [94, 78],
+                      "957e0051402d9d6ed4a9502d16097a653b9f0fec2bba9842dfe5d1f1c08c5149"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_golden_csv(name, workers):
+    config, overflow, digest = GOLDEN_CSV[name]
+    points = run_simulation_curve(ExperimentConfig(**config, mode="simulate",
+                                                   workers=workers))
+    text = curve_csv_text(points)
+    assert ([p.overflow_trials for p in points],
+            hashlib.sha256(text.encode()).hexdigest()) == (overflow, digest)
