@@ -55,6 +55,10 @@ class ChannelConfig:
         return self.e_signal / (2.0 * self.gamma)
 
     @property
+    def noise_stddev(self) -> float:
+        return math.sqrt(self.noise_variance)
+
+    @property
     def llr_scale(self) -> float:
         """phi_j = llr_scale * r_j on this channel (4 sqrt(E) / N0)."""
         n0 = self.e_signal / self.gamma
@@ -75,8 +79,13 @@ class ChannelConfig:
 def transmit(codeword, cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
     """r_j = (-1)^{x_j} sqrt(E) + e_j with e_j ~ N(0, N0/2) independent."""
     bits = np.asarray(codeword, dtype=np.uint8)
-    signs = 1.0 - 2.0 * bits.astype(np.float64)
-    noise = rng.gaussians(len(bits), 0.0, math.sqrt(cfg.noise_variance))
+    return channel_output(bits, cfg, rng.gaussians(len(bits), 0.0, cfg.noise_stddev))
+
+
+def channel_output(codewords, cfg: ChannelConfig, noise) -> np.ndarray:
+    """(-1)^{x_j} sqrt(E) + noise_j, elementwise over codeword bits of any
+    shape (one codeword per row of a batch)."""
+    signs = 1.0 - 2.0 * np.asarray(codewords, dtype=np.uint8).astype(np.float64)
     return signs * math.sqrt(cfg.e_signal) + noise
 
 
@@ -90,10 +99,13 @@ def hard_decision(phi) -> np.ndarray:
     return (np.asarray(phi) < 0.0).astype(np.uint8)
 
 
-def check_lengths(phi, expected: int):
+def check_lengths(phi, *shape: int) -> np.ndarray:
+    """phi as float64; raises LengthMismatch unless its shape is `shape`
+    (one LLR vector of length n: shape (n,); a batch: (trials, n)), and
+    NonFiniteLLR if any entry is NaN or infinite."""
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (expected,):
-        raise LengthMismatch(f"LLR vector length {phi.shape} != {expected}")
+    if phi.shape != shape:
+        raise LengthMismatch(f"LLR array shape {phi.shape} != {shape}")
     if not np.isfinite(phi).all():
         raise NonFiniteLLR("LLR vector holds NaN or infinite entries")
     return phi

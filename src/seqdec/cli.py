@@ -168,6 +168,8 @@ def _cmd_dstar(args) -> int:
     L = args.length if args.length is not None else raw.get("L")
     if not L:
         raise ConfigError("dstar needs L (use --length)")
+    if int(L) < 1:
+        raise ConfigError("L must be >= 1")
     trellis = build_trellis(code, int(L))
     with _open_out(args) as out:
         harness.write_dstar_csv(trellis, out)

@@ -14,6 +14,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 
+_ENUM_LOW_ROWS = 20  # info rows in the codeword table of codeword_chunks
+
+
 class LengthMismatch(ValueError):
     pass
 
@@ -131,32 +134,41 @@ class BlockCode:
         return tuple(sum(((self.rows[i] >> j) & 1) << i for i in range(self.k))
                      for j in range(self.k, self.n))
 
-    def codeword_ints(self) -> np.ndarray:
-        """All 2^k codewords as packed uint64, indexed by info int."""
+    @cached_property
+    def generator_bits(self) -> np.ndarray:
+        """The generator matrix as a [k, n] uint8 array of bits."""
+        return np.array([[(row >> j) & 1 for j in range(self.n)] for row in self.rows],
+                        dtype=np.uint8)
+
+    def codeword_chunks(self):
+        """All 2^k codewords as packed uint64 arrays, in info-int order.
+
+        A table of the 2^min(k, 20) codewords of the low info rows is
+        built once; each chunk is that table XORed with one combination
+        of the high rows, so at most two 8 MiB tables are held at a time.
+        """
         if self.n > 64:
             raise ValueError("codewords wider than 64 bits")
-        arr = np.zeros(1 << self.k, dtype=np.uint64)
-        for i, row in enumerate(self.rows):
+        low = min(self.k, _ENUM_LOW_ROWS)
+        table = np.zeros(1 << low, dtype=np.uint64)
+        for i, row in enumerate(self.rows[:low]):
             half = 1 << i
-            arr[half:2 * half] = arr[:half] ^ np.uint64(row)
-        return arr
+            table[half:2 * half] = table[:half] ^ np.uint64(row)
+        high_rows = self.rows[low:]
+        for high in range(1 << len(high_rows)):
+            base = 0
+            for i, row in enumerate(high_rows):
+                if (high >> i) & 1:
+                    base ^= row
+            yield table ^ np.uint64(base)
 
     @cached_property
     def weight_histogram(self) -> np.ndarray:
         """Number of codewords of each Hamming weight 0..n, by enumerating
-        all 2^k codewords with a 16-bit popcount table."""
-        lut = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-        words = self.codeword_ints()
+        all 2^k codewords."""
         counts = np.zeros(self.n + 1, dtype=np.int64)
-        mask = np.uint64(0xFFFF)
-        chunk = 1 << 20
-        for start in range(0, len(words), chunk):
-            c = words[start:start + chunk]
-            w = lut[(c & mask).astype(np.int64)].astype(np.int64)
-            w += lut[((c >> np.uint64(16)) & mask).astype(np.int64)]
-            w += lut[((c >> np.uint64(32)) & mask).astype(np.int64)]
-            w += lut[((c >> np.uint64(48)) & mask).astype(np.int64)]
-            counts += np.bincount(w, minlength=self.n + 1)
+        for words in self.codeword_chunks():
+            counts += np.bincount(np.bitwise_count(words), minlength=self.n + 1)
         return counts
 
     def minimum_distance(self) -> int:
@@ -209,24 +221,18 @@ def build_extended_golay() -> BlockCode:
 def build_extended_qr48() -> BlockCode:
     """(48, 24) extended quadratic-residue code, systematic, minimum
     distance 12.  The distance self-check enumerates all 2^24 codewords;
-    it runs once per process and takes a couple of seconds."""
+    it runs once per process and takes about a tenth of a second."""
     return _build_extended_qr(47, "qr48", 12)
 
 
 def encode_block(code: BlockCode, info) -> np.ndarray:
-    """info . G over GF(2); systematic, so the first k bits equal info."""
+    """info . G over GF(2) along the last axis: info [..., k] gives
+    codewords [..., n]; systematic, so the first k bits equal info."""
     info = np.asarray(info, dtype=np.uint8)
-    if info.shape != (code.k,):
+    if info.shape[-1:] != (code.k,):
         raise LengthMismatch(f"info length {info.shape} != k={code.k}")
-    val = 0
-    for i in range(code.k):
-        if info[i]:
-            val ^= code.rows[i]
-    return _int_to_bits(val, code.n)
-
-
-def _int_to_bits(val: int, n: int) -> np.ndarray:
-    return np.array([(val >> j) & 1 for j in range(n)], dtype=np.uint8)
+    # a uint8 product wraps mod 256, which keeps its parity
+    return (info @ code.generator_bits) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +283,21 @@ def parse_octal_generators(octal, m: int, name: str = "") -> ConvCode:
 
 
 def encode_conv(code: ConvCode, info) -> np.ndarray:
-    """Encoding of info followed by m zero tail bits; output length
-    n*(L+m), interleaved by output line.
+    """Encoding of info followed by m zero tail bits, along the last axis:
+    info [..., L] gives codewords [..., n*(L+m)], interleaved by output
+    line.
 
     Output line i is the GF(2) convolution of the terminated input with
-    tap vector i.
+    tap vector i: the XOR of the input shifted by each tapped delay.
     """
     info = np.asarray(info, dtype=np.uint8)
-    if info.ndim != 1 or len(info) < 1:
+    if info.ndim < 1 or info.shape[-1] < 1:
         raise LengthMismatch("info must be a nonempty bit vector")
-    u = np.concatenate((info, np.zeros(code.m, dtype=np.uint8)))
-    out = np.empty((len(u), code.n_out), dtype=np.uint8)
+    lead = info.shape[:-1]
+    u = np.concatenate((info, np.zeros(lead + (code.m,), dtype=np.uint8)), axis=-1)
+    steps = u.shape[-1]
+    out = np.zeros(lead + (steps, code.n_out), dtype=np.uint8)
     for i, tap in enumerate(code.taps):
-        out[:, i] = np.convolve(u, tap)[:len(u)] & 1
-    return out.ravel()
+        for delay in np.flatnonzero(tap):
+            out[..., delay:, i] ^= u[..., :steps - delay]
+    return out.reshape(lead + (-1,))

@@ -49,6 +49,14 @@ class DecodeOutcome:
     disagreement metric sum (y_j ^ x_j)|phi_j| for the trellis decoder."""
 
 
+def _gda_tables(phi) -> tuple:
+    """(offset [...], bm0 [..., n], bm1 [..., n]) of the tree search for
+    LLRs [..., n]: the differential branch metrics of labels 0 and 1 at
+    each level, and the offset (see gda_decode)."""
+    opt = (np.abs(phi) - 1.0) ** 2
+    return np.sum(opt, axis=-1), (phi - 1.0) ** 2 - opt, (phi + 1.0) ** 2 - opt
+
+
 def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> DecodeOutcome:
     """Best-first search over the virtual code tree; exact ML.
 
@@ -60,12 +68,18 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     child that agrees with the hard decision adds 0, so a search that
     follows the hard decision stays out of the heap.
     """
-    phi = check_lengths(phi, code.n)
-    # per-level differential branch metrics for labels 0 and 1
-    opt = (np.abs(phi) - 1.0) ** 2
-    offset = float(np.sum(opt))
-    bm0 = ((phi - 1.0) ** 2 - opt).tolist()
-    bm1 = ((phi + 1.0) ** 2 - opt).tolist()
+    offset, bm0, bm1 = _gda_tables(check_lengths(phi, code.n))
+    *counts, f, bits = _gda_search(code, bm0.tolist(), bm1.tolist(), extension_limit)
+    decoded = np.array([(bits >> j) & 1 for j in range(code.n)], dtype=np.uint8)
+    return DecodeOutcome(decoded, *counts, metric=f + float(offset))
+
+
+def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple:
+    """The tree search on prebuilt branch-metric lists (see _gda_tables).
+
+    Returns (branch_computations, branch_computations_total, extensions,
+    path value, path bits as an int) of the path that reached level n.
+    """
     colmasks = code.parity_column_masks
     k, n = code.k, code.n
 
@@ -78,12 +92,8 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     tail_metrics = 0
     while True:
         if level == n:
-            decoded = np.array([(bits >> j) & 1 for j in range(n)], dtype=np.uint8)
-            return DecodeOutcome(decoded=decoded,
-                                 branch_computations=2 * low_extensions,
-                                 branch_computations_total=2 * low_extensions + tail_metrics,
-                                 extensions=extensions,
-                                 metric=f + offset)
+            return (2 * low_extensions, 2 * low_extensions + tail_metrics, extensions,
+                    f, bits)
         extensions += 1
         if extensions > limit:
             raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
@@ -114,17 +124,18 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
             heapq.heappush(heap, sibling)
 
 
-def _metric_table(trellis: Trellis, phi) -> list:
+def _metric_table(trellis: Trellis, phi) -> np.ndarray:
     """Branch metric of every n_out-bit output pattern p at every level,
-    as nested lists [level][p] of Python floats: the sum of |phi_j| over
-    the positions of the level where p disagrees with the hard decision.
+    for LLRs [..., N], as an array [..., level, p]: the sum of |phi_j|
+    over the positions of the level where p disagrees with the hard
+    decision.
     """
     n_out = trellis.code.n_out
-    phi = check_lengths(phi, n_out * trellis.levels)
-    y = hard_decision(phi).reshape(-1, n_out)
-    a = np.abs(phi).reshape(-1, n_out)
+    lead = phi.shape[:-1]
+    y = hard_decision(phi).reshape(lead + (-1, n_out))
+    a = np.abs(phi).reshape(lead + (-1, n_out))
     patterns = (np.arange(1 << n_out)[:, None] >> np.arange(n_out)) & 1
-    return ((patterns != y[:, None, :]) * a[:, None, :]).sum(-1).tolist()
+    return ((patterns != y[..., None, :]) * a[..., None, :]).sum(-1)
 
 
 _NOT_OPEN = (None, -1)  # resident entry of a node with no open path
@@ -141,11 +152,24 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     superseded) does not stop the best child's dive: a child strictly
     below it is below every entry on the stack.
     """
-    code = trellis.code
-    inc = _metric_table(trellis, phi)
+    phi = check_lengths(phi, trellis.code.n_out * trellis.levels)
+    inc = _metric_table(trellis, phi).tolist()
+    *counts, zeta, info = _mlsda_search(trellis, inc, extension_limit)
+    decoded = encode_conv(trellis.code, [(info >> t) & 1 for t in range(trellis.L)])
+    return DecodeOutcome(decoded, *counts, metric=zeta)
+
+
+def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
+    """The trellis search on a prebuilt metric table (nested lists
+    [level][output pattern], see _metric_table).
+
+    Returns (branch_computations, branch_computations_total, extensions,
+    path metric, information bits as an int) of the path that reached
+    the goal node.
+    """
     next_state, outputs = trellis.table_lists()
 
-    m, L = code.m, trellis.L
+    m, L = trellis.code.m, trellis.L
     goal = trellis.levels << m
     limit = sys.maxsize if extension_limit is None else extension_limit
     closed = set()
@@ -160,12 +184,8 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     while True:
         node = (level << m) | state
         if node == goal:
-            decoded = encode_conv(code, [(info >> t) & 1 for t in range(L)])
-            return DecodeOutcome(decoded=decoded,
-                                 branch_computations=2 * low_extensions,
-                                 branch_computations_total=2 * low_extensions + tail_metrics,
-                                 extensions=extensions,
-                                 metric=zeta)
+            return (2 * low_extensions, 2 * low_extensions + tail_metrics, extensions,
+                    zeta, info)
         closed.add(node)
         del resident[node]
         extensions += 1
@@ -221,34 +241,35 @@ def brute_force_ml_block(code: BlockCode, phi) -> np.ndarray:
     if code.k > 24:
         raise SizeError("brute force limited to k <= 24")
     phi = check_lengths(phi, code.n)
-    words = code.codeword_ints()
     shifts = np.arange(code.n, dtype=np.uint64)
     lex_weights = 2.0 ** (code.n - 1 - np.arange(code.n))
     best_corr = -np.inf
     best_lex = np.inf
     best_word = 0
     chunk = 1 << 16
-    for start in range(0, len(words), chunk):
-        c = words[start:start + chunk]
-        bits = ((c[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
-        corr = (1.0 - 2.0 * bits) @ phi
-        cmax = float(np.max(corr))
-        if cmax < best_corr:
-            continue
-        ties = np.flatnonzero(corr == cmax)
-        lex = bits[ties] @ lex_weights  # numeric order = lexicographic bit order
-        j = ties[int(np.argmin(lex))]
-        if cmax > best_corr or float(lex.min()) < best_lex:
-            best_corr = cmax
-            best_lex = float(lex.min())
-            best_word = int(c[j])
+    for words in code.codeword_chunks():
+        for start in range(0, len(words), chunk):
+            c = words[start:start + chunk]
+            bits = ((c[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
+            corr = (1.0 - 2.0 * bits) @ phi
+            cmax = float(np.max(corr))
+            if cmax < best_corr:
+                continue
+            ties = np.flatnonzero(corr == cmax)
+            lex = bits[ties] @ lex_weights  # numeric order = lexicographic bit order
+            j = ties[int(np.argmin(lex))]
+            if cmax > best_corr or float(lex.min()) < best_lex:
+                best_corr = cmax
+                best_lex = float(lex.min())
+                best_word = int(c[j])
     return np.array([(best_word >> j) & 1 for j in range(code.n)], dtype=np.uint8)
 
 
 def viterbi_ml(trellis: Trellis, phi) -> np.ndarray:
     """Forward DP minimizing the disagreement metric; ML oracle for the
     trellis decoder."""
-    inc = _metric_table(trellis, phi)
+    phi = check_lengths(phi, trellis.code.n_out * trellis.levels)
+    inc = _metric_table(trellis, phi).tolist()
     next_state, outputs = trellis.table_lists()
     INF = float("inf")
     metric = {0: (0.0, 0)}  # state -> (metric, info bits so far)

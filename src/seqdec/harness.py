@@ -22,7 +22,14 @@ import numpy as np
 
 from seqdec import bounds
 from seqdec.bounds import BERRY_ESSEEN, CHERNOFF
-from seqdec.channel import ChannelConfig, db_to_linear, llr, transmit
+from seqdec.channel import (
+    ChannelConfig,
+    channel_output,
+    check_lengths,
+    db_to_linear,
+    llr,
+    transmit,
+)
 from seqdec.codes import (
     BlockCode,
     ConvCode,
@@ -34,11 +41,14 @@ from seqdec.codes import (
 )
 from seqdec.decoders import (
     ExtensionLimitExceeded,
-    gda_decode,
-    mlsda_decode,
+    _gda_search,
+    _gda_tables,
+    _metric_table,
+    _mlsda_search,
     brute_force_ml_block,
+    gda_decode,
 )
-from seqdec.numerics import RngStream
+from seqdec.numerics import RngStream, bits_from_uniforms, gaussians_from_uniforms
 from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
 CSV_HEADER = ["gamma_b_db", "bound_be", "bound_chernoff",
@@ -67,6 +77,10 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.L is not None and self.L < 1:
+            raise ConfigError("L must be >= 1")
+        if self.extension_limit is not None and self.extension_limit < 1:
+            raise ConfigError("extension_limit must be >= 1")
         if self.variant not in ("be", "chernoff", "both"):
             raise ConfigError(f"bad variant {self.variant!r}")
         if self.mode not in ("bound", "simulate", "both"):
@@ -171,29 +185,55 @@ def run_bound_curve(cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # simulation curves
 
-def _run_trial(target, cfg: ExperimentConfig, gamma_b_db: float, trial: int):
-    """One transmit/decode round; returns branch_computations or None on
-    budget overflow.  Stream: info bits first, then channel noise."""
-    rng = RngStream(cfg.seed ^ trial)
+TRIAL_BATCH = 256  # trials whose arrays are built together; bounds peak memory
+
+
+def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range) -> list:
+    """branch_computations of each trial, or None where the trial blew the
+    extension budget, in trial order.
+
+    Trial t draws one row of uniforms from RngStream(seed XOR t): its
+    information bits first (none in all-zero mode), then two per channel
+    symbol for the noise.  The rows of TRIAL_BATCH trials are stacked, and
+    the bits, codewords, channel outputs, LLRs and metric tables are built
+    as arrays with a leading trial axis, by the functions a single trial
+    uses, so every float is that of a trial built alone.  Each trial's
+    search then runs on the Python lists of its row.
+    """
     if isinstance(target, BlockCode):
-        code = target
-        channel = ChannelConfig.for_block_code(code, gamma_b_db)
-        info = np.zeros(code.k, dtype=np.uint8) if cfg.all_zero else rng.bits(code.k)
-        word = encode_block(code, info)
+        channel = ChannelConfig.for_block_code(target, gamma_b_db)
+        info_len, n = target.k, target.n
+        encode = partial(encode_block, target)
     else:
-        code = target.code
-        channel = ChannelConfig.for_conv_code(code, target.L, gamma_b_db)
-        info = np.zeros(target.L, dtype=np.uint8) if cfg.all_zero else rng.bits(target.L)
-        word = encode_conv(code, info)
-    phi = llr(transmit(word, channel, rng), channel)
-    try:
+        channel = ChannelConfig.for_conv_code(target.code, target.L, gamma_b_db)
+        info_len, n = target.L, target.code.n_out * target.levels
+        encode = partial(encode_conv, target.code)
+    drawn = 0 if cfg.all_zero else info_len
+    limit = cfg.extension_limit
+    results = []
+    for first in range(trials.start, trials.stop, TRIAL_BATCH):
+        batch = range(first, min(first + TRIAL_BATCH, trials.stop))
+        u = np.empty((len(batch), drawn + 2 * n))
+        for row, t in zip(u, batch):
+            row[:] = RngStream(cfg.seed ^ t).uniforms(drawn + 2 * n)
+        info = (bits_from_uniforms(u[:, :drawn]) if drawn
+                else np.zeros((len(batch), info_len), dtype=np.uint8))
+        noise = gaussians_from_uniforms(u[:, drawn:], 0.0, channel.noise_stddev)
+        phi = llr(channel_output(encode(info), channel, noise), channel)
+        phi = check_lengths(phi, len(batch), n)
         if isinstance(target, BlockCode):
-            out = gda_decode(code, phi, extension_limit=cfg.extension_limit)
+            _, bm0, bm1 = _gda_tables(phi)
+            searches = (partial(_gda_search, target, a.tolist(), b.tolist())
+                        for a, b in zip(bm0, bm1))
         else:
-            out = mlsda_decode(target, phi, extension_limit=cfg.extension_limit)
-    except ExtensionLimitExceeded:
-        return None
-    return out.branch_computations
+            searches = (partial(_mlsda_search, target, inc.tolist())
+                        for inc in _metric_table(target, phi))
+        for search in searches:
+            try:
+                results.append(search(limit)[0])
+            except ExtensionLimitExceeded:
+                results.append(None)
+    return results
 
 
 _worker_job = None  # (target, cfg) of a pool worker, set by _init_worker
@@ -204,8 +244,8 @@ def _init_worker(target, cfg: ExperimentConfig) -> None:
     _worker_job = (target, cfg)
 
 
-def _worker_trial(gamma_b_db: float, trial: int):
-    return _run_trial(*_worker_job, gamma_b_db, trial)
+def _worker_trials(gamma_b_db: float, trials: range) -> list:
+    return _run_trials(*_worker_job, gamma_b_db, trials)
 
 
 def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
@@ -215,8 +255,9 @@ def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
     trials; trials that blow the extension budget are excluded and
     counted in overflow_trials.  With several workers, one process pool
     serves the whole grid; its workers receive the built target once,
-    through the pool initializer.  The pool has no more processes than
-    there are CPUs or trials, and none at all when that leaves one.
+    through the pool initializer, and each runs one contiguous block of
+    trials per point.  The pool has no more processes than there are
+    CPUs or trials, and none at all when that leaves one.
     """
     target = _built_target(json.dumps(cfg.code, sort_keys=True), cfg.L)
     workers = min(cfg.workers, os.cpu_count() or 1, cfg.trials)
@@ -224,15 +265,19 @@ def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
     pool = (ProcessPoolExecutor(workers, initializer=_init_worker,
                                 initargs=(target, cfg))
             if parallel else contextlib.nullcontext())
+    size = -(-cfg.trials // workers)
+    blocks = [range(start, min(start + size, cfg.trials))
+              for start in range(0, cfg.trials, size)]
     points = []
     with pool:
         for db in cfg.snr_db:
             if parallel:
-                # map keeps trial order, so the reduction is worker-count invariant
-                results = list(pool.map(partial(_worker_trial, db), range(cfg.trials),
-                                        chunksize=-(-cfg.trials // workers)))
+                # map keeps block order, so the reduction is worker-count invariant
+                results = [c for block in pool.map(partial(_worker_trials, db), blocks,
+                                                   chunksize=1)
+                           for c in block]
             else:
-                results = [_run_trial(target, cfg, db, t) for t in range(cfg.trials)]
+                results = _run_trials(target, cfg, db, range(cfg.trials))
             counts = [c for c in results if c is not None]
             if counts:
                 mean = statistics.fmean(counts)

@@ -84,13 +84,32 @@ def log_binomial(n: int, d: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(d + 1) - math.lgamma(n - d + 1)
 
 
+def bits_from_uniforms(u) -> np.ndarray:
+    """One equiprobable bit per uniform draw: 1 iff the draw is below 1/2."""
+    return (u < 0.5).astype(np.uint8)
+
+
+def gaussians_from_uniforms(u, mean: float = 0.0, stddev: float = 1.0) -> np.ndarray:
+    """Box-Muller along the last axis: n N(mean, stddev^2) draws from 2n
+    uniforms [..., 2n], one fresh pair per draw, the sine branch
+    discarded.  Every element takes the same float operations whatever
+    the leading axes, so a row of a batch equals a draw of its own."""
+    if stddev <= 0.0:
+        raise DomainError("stddev must be positive")
+    u1 = 1.0 - u[..., 0::2]  # (0, 1]: keeps log finite
+    u2 = u[..., 1::2]
+    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    return mean + stddev * z
+
+
 class RngStream:
     """Seeded random stream whose draws do not depend on call pattern.
 
-    Uniforms come from a PCG64 generator: one per bit, and one fresh
-    pair per Gaussian (Box-Muller, the sine branch discarded), so n
-    single Gaussians equal one call for n.  Identical seeds give
-    identical sequences.
+    Uniforms come from a PCG64 generator, which spends one 64-bit output
+    per uniform, so one call for n uniforms equals any split of it into
+    consecutive calls.  Bits take one uniform each and Gaussians a pair
+    each, so n single Gaussians equal one call for n.  Identical seeds
+    give identical sequences.
 
     A stream is single-owner: never draw from one stream in two
     concurrent activities.  Parallel work derives one stream per unit of
@@ -100,16 +119,14 @@ class RngStream:
     def __init__(self, seed: int):
         self._gen = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
 
+    def uniforms(self, n: int) -> np.ndarray:
+        """n uniform draws on [0, 1)."""
+        return self._gen.random(n)
+
     def bits(self, n: int) -> np.ndarray:
         """n equiprobable bits, one uniform draw per bit."""
-        return (self._gen.random(n) < 0.5).astype(np.uint8)
+        return bits_from_uniforms(self.uniforms(n))
 
     def gaussians(self, n: int, mean: float = 0.0, stddev: float = 1.0) -> np.ndarray:
         """n independent N(mean, stddev^2) draws."""
-        if stddev <= 0.0:
-            raise DomainError("stddev must be positive")
-        u = self._gen.random(2 * n)
-        u1 = 1.0 - u[0::2]  # (0, 1]: keeps log finite
-        u2 = u[1::2]
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-        return mean + stddev * z
+        return gaussians_from_uniforms(self.uniforms(2 * n), mean, stddev)

@@ -206,7 +206,7 @@ class TestBruteForce:
 
     def test_equals_correlation_argmax(self, golay):
         # expanding the square shows argmin distance = argmax correlation
-        table = golay.codeword_ints()
+        table = np.concatenate(list(golay.codeword_chunks()))
         signs = 1.0 - 2.0 * ((table[:, None] >> np.arange(24, dtype=np.uint64))
                              & np.uint64(1)).astype(float)
         for t in range(25):

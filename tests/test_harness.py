@@ -307,6 +307,12 @@ class TestCli:
         (["atilde", "--config", "{curve-list}"], "config"),
         (["atilde", "--config", "{curve-text}"], "config"),
         (["atilde", "--config", "{n-grid}"], "config"),
+        (["simulate-mlsda", "--config", "{conv}", "-L", "-5"], "config"),
+        (["bound-mlsda", "--config", "{conv}", "-L", "-5", "--snr", "1"], "config"),
+        (["dstar", "--octal", "6,5,7", "-m", "2", "-L", "-3"], "config"),
+        (["simulate-mlsda", "--config", "{conv}", "--extension-limit", "0"], "config"),
+        (["simulate-gda", "--code", "golay24", "--snr", "1", "--trials", "1",
+          "--extension-limit", "-4"], "config"),
     ])
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
         configs = {

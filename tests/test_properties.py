@@ -1,6 +1,7 @@
-"""Properties of the trellis layer over random small convolutional codes
-(memory <= 4, 2-3 outputs, L <= 8), each checked against a scalar
-reference kept here."""
+"""Properties over random small codes, each checked against a scalar or
+per-trial reference kept here: the trellis layer on convolutional codes
+(memory <= 4, 2-3 outputs, L <= 8), the tree search on systematic block
+codes (k <= 10), and the harness's batched trial pipeline on both."""
 
 import numpy as np
 import pytest
@@ -13,10 +14,17 @@ from seqdec.bounds import (
     extension_probability_bound,
     mlsda_complexity_bound,
 )
-from seqdec.channel import db_to_linear, hard_decision
-from seqdec.codes import ConvCode, encode_conv
-from seqdec.decoders import mlsda_decode, viterbi_ml
-from seqdec.harness import dstar_by_enumeration
+from seqdec.channel import ChannelConfig, db_to_linear, hard_decision, llr, transmit
+from seqdec.codes import BlockCode, ConvCode, encode_block, encode_conv
+from seqdec.decoders import (
+    ExtensionLimitExceeded,
+    brute_force_ml_block,
+    gda_decode,
+    mlsda_decode,
+    viterbi_ml,
+)
+from seqdec.harness import ExperimentConfig, _run_trials, dstar_by_enumeration
+from seqdec.numerics import RngStream
 from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -34,6 +42,14 @@ def conv_codes(draw):
 @st.composite
 def trellises(draw):
     return build_trellis(draw(conv_codes()), draw(st.integers(1, 8)))
+
+
+@st.composite
+def block_codes(draw):
+    k = draw(st.integers(1, 10))
+    parity = draw(st.integers(0, 8))
+    rows = tuple((1 << i) | (draw(st.integers(0, (1 << parity) - 1)) << k) for i in range(k))
+    return BlockCode(n=k + parity, k=k, rows=rows)
 
 
 def shift_register_encode(code, info) -> list:
@@ -98,3 +114,61 @@ def test_bound_equals_per_state_sum(trellis, gamma_b_db, variant):
     # exact equality: the level-vectorized sum must keep the scalar order
     assert (mlsda_complexity_bound(trellis, gamma_b_db, variant)
             == per_state_bound(trellis, gamma_b_db, variant))
+
+
+def squared_distance(phi, word) -> float:
+    return float(np.sum((phi - (1.0 - 2.0 * word)) ** 2))
+
+
+@PROPERTY_SETTINGS
+@given(block_codes(), st.data())
+def test_gda_metric_equals_brute_force(code, data):
+    phi = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=code.n,
+                                      max_size=code.n)))
+    out = gda_decode(code, phi)
+    want = brute_force_ml_block(code, phi)
+    assert out.metric == pytest.approx(squared_distance(phi, want), rel=1e-12, abs=1e-9)
+    assert out.metric == pytest.approx(squared_distance(phi, out.decoded),
+                                       rel=1e-12, abs=1e-9)
+    assert out.branch_computations >= 2 * code.k
+    assert out.branch_computations_total >= 2 * code.k + code.n - code.k
+    again = gda_decode(code, phi)
+    assert (again.decoded.tolist(), again.branch_computations,
+            again.branch_computations_total, again.extensions, again.metric.hex()) == (
+        out.decoded.tolist(), out.branch_computations, out.branch_computations_total,
+        out.extensions, out.metric.hex())
+
+
+def per_trial_counts(target, cfg, gamma_b_db, trials) -> list:
+    """The reference pipeline: each trial built alone through the public
+    functions, bits first, then the noise."""
+    counts = []
+    for t in trials:
+        rng = RngStream(cfg.seed ^ t)
+        if isinstance(target, BlockCode):
+            channel = ChannelConfig.for_block_code(target, gamma_b_db)
+            info = np.zeros(target.k, dtype=np.uint8) if cfg.all_zero else rng.bits(target.k)
+            word, decode = encode_block(target, info), gda_decode
+        else:
+            channel = ChannelConfig.for_conv_code(target.code, target.L, gamma_b_db)
+            info = np.zeros(target.L, dtype=np.uint8) if cfg.all_zero else rng.bits(target.L)
+            word, decode = encode_conv(target.code, info), mlsda_decode
+        phi = llr(transmit(word, channel, rng), channel)
+        try:
+            counts.append(decode(target, phi, cfg.extension_limit).branch_computations)
+        except ExtensionLimitExceeded:
+            counts.append(None)
+    return counts
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(block_codes(), trellises()), st.integers(0, 2**64 - 1),
+       st.booleans(), st.one_of(st.none(), st.integers(1, 40)), st.floats(-3.0, 9.0),
+       st.integers(0, 1000), st.integers(1, 300))
+def test_batched_trials_match_per_trial_path(target, seed, all_zero, limit, gamma_b_db,
+                                             first, count):
+    cfg = ExperimentConfig(code={}, snr_db=(gamma_b_db,), seed=seed, all_zero=all_zero,
+                           extension_limit=limit)
+    trials = range(first, first + count)
+    assert (_run_trials(target, cfg, gamma_b_db, trials)
+            == per_trial_counts(target, cfg, gamma_b_db, trials))
