@@ -185,7 +185,7 @@ def run_bound_curve(cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # simulation curves
 
-TRIAL_BATCH = 256  # trials whose arrays are built together; bounds peak memory
+TRIAL_BATCH = 64  # trials whose arrays are built together; bounds peak memory
 
 
 def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range) -> list:
@@ -209,7 +209,6 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
         info_len, n = target.L, target.code.n_out * target.levels
         encode = partial(encode_conv, target.code)
     drawn = 0 if cfg.all_zero else info_len
-    limit = cfg.extension_limit
     results = []
     for first in range(trials.start, trials.stop, TRIAL_BATCH):
         batch = range(first, min(first + TRIAL_BATCH, trials.stop))
@@ -230,7 +229,7 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
                         for inc in _metric_table(target, phi))
         for search in searches:
             try:
-                results.append(search(limit)[0])
+                results.append(search(cfg.extension_limit)[0])
             except ExtensionLimitExceeded:
                 results.append(None)
     return results

@@ -2,7 +2,8 @@
 
 Gaussian cdf evaluation (linear and log domain), a deterministic
 bracketing root solver, log-binomials, and a seeded bit and Gaussian
-stream.
+stream whose bit and Box-Muller rules also apply to stacked rows of
+uniforms.
 """
 
 import math
