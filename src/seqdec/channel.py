@@ -56,6 +56,7 @@ class ChannelConfig:
 
     @property
     def noise_stddev(self) -> float:
+        """Per-dimension noise standard deviation sqrt(N0/2)."""
         return math.sqrt(self.noise_variance)
 
     @property
