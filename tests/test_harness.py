@@ -198,6 +198,40 @@ class TestValidationSuite:
         assert not result.passed
 
 
+class TestExtensionEventHits:
+    """Hit counts of the extension event, pinned from the draw code each
+    site had of its own before they shared one estimator."""
+
+    def test_validation_checks(self, monkeypatch):
+        tallies = []
+        estimate = harness.extension_event_hits
+
+        def recording(*args):
+            hits = estimate(*args)
+            tallies.append(hits.tolist())
+            return hits
+
+        monkeypatch.setattr(harness, "extension_event_hits", recording)
+        assert harness.check_bound_dominance().passed
+        assert harness.check_extension_probability_monotone().passed
+        assert tallies == [
+            [[100000, 100000, 100000, 100000], [7744, 13222, 19608, 26706],
+             [2216, 3776, 5971, 8638], [679, 1184, 1881, 2849]],
+            [[100000, 100000, 100000, 100000], [2346, 3389, 4657, 6036],
+             [227, 340, 480, 653], [25, 34, 55, 77]],
+            [[426019], [231171], [129067], [72653], [41625], [23809]],
+        ]
+
+    @pytest.mark.parametrize("d, clipped, gamma, samples, seed, hits", [
+        (5, 15, 1.0, 1_000_000, 17, 2750),
+        (3, 10, 0.25, 200_000, 103, 71231),
+    ])
+    def test_single_cells(self, d, clipped, gamma, samples, seed, hits):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        got = harness.extension_event_hits(gen, gamma, [d], [clipped], samples)
+        assert got.tolist() == [[hits]]
+
+
 class TestShippedConfigs:
     def test_all_parse(self):
         root = resources.files("seqdec") / "configs"
