@@ -99,7 +99,7 @@ def solve_tilt(d: int, total: int, gamma: float) -> float:
     ratio = d / total
     hi = math.sqrt(2.0 * gamma) - 1e-9
     try:
-        lam = bisect_root(lambda x: _tilt_residual(x, ratio, gamma), 0.0, hi, tol=1e-12)
+        lam = bisect_root(lambda x: _tilt_residual(x, ratio, gamma), 0.0, hi)
     except NoSignChange as exc:
         raise NoRoot(str(exc)) from exc
     return lam

@@ -41,7 +41,6 @@ def db_to_linear(db: float) -> float:
 class ChannelConfig:
     gamma_b_db: float
     gamma: float          # E/N0, linear
-    e_signal: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.gamma_b_db):
@@ -52,7 +51,7 @@ class ChannelConfig:
     @property
     def noise_variance(self) -> float:
         """Per-dimension noise variance N0/2."""
-        return self.e_signal / (2.0 * self.gamma)
+        return 1.0 / (2.0 * self.gamma)
 
     @property
     def noise_stddev(self) -> float:
@@ -62,8 +61,7 @@ class ChannelConfig:
     @property
     def llr_scale(self) -> float:
         """phi_j = llr_scale * r_j on this channel (4 sqrt(E) / N0)."""
-        n0 = self.e_signal / self.gamma
-        return 4.0 * math.sqrt(self.e_signal) / n0
+        return 4.0 / (1.0 / self.gamma)
 
     @classmethod
     def for_block_code(cls, code, gamma_b_db: float) -> "ChannelConfig":
@@ -80,14 +78,14 @@ class ChannelConfig:
 def transmit(codeword, cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
     """r_j = (-1)^{x_j} sqrt(E) + e_j with e_j ~ N(0, N0/2) independent."""
     bits = np.asarray(codeword, dtype=np.uint8)
-    return channel_output(bits, cfg, rng.gaussians(len(bits), 0.0, cfg.noise_stddev))
+    return channel_output(bits, cfg, rng.gaussians(len(bits), cfg.noise_stddev))
 
 
 def channel_output(codewords, cfg: ChannelConfig, noise) -> np.ndarray:
     """(-1)^{x_j} sqrt(E) + noise_j, elementwise over codeword bits of any
     shape (one codeword per row of a batch)."""
     signs = 1.0 - 2.0 * np.asarray(codewords, dtype=np.uint8).astype(np.float64)
-    return signs * math.sqrt(cfg.e_signal) + noise
+    return signs + noise
 
 
 def llr(received, cfg: ChannelConfig) -> np.ndarray:

@@ -8,6 +8,7 @@ atilde, dstar, validate.  Exit codes: 0 success, 1 validation failure,
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from seqdec import harness
@@ -22,14 +23,14 @@ def _parse_snr(text: str) -> tuple:
     try:
         if ":" in text:
             start, stop, step = (float(v) for v in text.split(":"))
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError("start, stop and step must be finite")
             if step <= 0:
                 raise ValueError("step must be positive")
-            grid = []
-            v = start
-            while v <= stop + 1e-9:
-                grid.append(round(v, 10))
-                v += step
-            return tuple(grid)
+            last = (stop - start + 1e-9) / step  # index of the last point
+            if last >= 10_000:
+                raise ValueError("more than 10,000 grid points")
+            return tuple(round(start + i * step, 10) for i in range(math.floor(last) + 1))
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --snr {text!r}: {exc}") from exc
@@ -58,6 +59,8 @@ def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
         snr = _parse_snr(args.snr)
     if snr is None:
         raise ConfigError("no SNR grid given (use --config or --snr)")
+    if not isinstance(snr, (list, tuple)):
+        raise ConfigError(f"snr_db must be a list of numbers, got {snr!r}")
     cfg = ExperimentConfig(
         code=code,
         snr_db=tuple(snr),

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -73,22 +74,25 @@ class ExperimentConfig:
     extension_limit: int | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.L is not None and self.L < 1:
-            raise ConfigError("L must be >= 1")
-        if self.extension_limit is not None and self.extension_limit < 1:
-            raise ConfigError("extension_limit must be >= 1")
+        for name in ("trials", "seed", "workers", "L", "extension_limit"):
+            value = getattr(self, name)
+            if value is None and name in ("L", "extension_limit"):
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if not isinstance(self.all_zero, bool):
+            raise ConfigError(f"all_zero must be true or false, got {self.all_zero!r}")
         if self.variant not in ("be", "chernoff", "both"):
             raise ConfigError(f"bad variant {self.variant!r}")
         if self.mode not in ("bound", "simulate", "both"):
             raise ConfigError(f"bad mode {self.mode!r}")
         if len(self.snr_db) == 0:
             raise ConfigError("empty SNR grid")
-        if not all(math.isfinite(v) for v in self.snr_db):
-            raise ConfigError("SNR grid must be finite")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in self.snr_db):
+            raise ConfigError(f"SNR grid must hold finite numbers, got {self.snr_db!r}")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("SNR grid must be strictly increasing")
 
@@ -217,7 +221,7 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
             row[:] = RngStream(cfg.seed ^ t).uniforms(drawn + 2 * n)
         info = (bits_from_uniforms(u[:, :drawn]) if drawn
                 else np.zeros((len(batch), info_len), dtype=np.uint8))
-        noise = gaussians_from_uniforms(u[:, drawn:], 0.0, channel.noise_stddev)
+        noise = gaussians_from_uniforms(u[:, drawn:], channel.noise_stddev)
         phi = llr(channel_output(encode(info), channel, noise), channel)
         phi = check_lengths(phi, len(batch), n)
         if isinstance(target, BlockCode):
@@ -448,20 +452,36 @@ def check_ml_equivalence(trials: int = 100, seed: int = 7) -> CheckResult:
     return _check("ml-equivalence", worst <= 1e-6, f"max metric gap {worst:.3g}")
 
 
+def extension_event_hits(gen: np.random.Generator, gamma: float, ds, clipped,
+                         samples: int) -> np.ndarray:
+    """Hit counts [len(ds), len(clipped)] of the extension event
+    Σ_{i≤d} X_i + Σ_{j≤c} min(W_j, 0) ≤ 0 over samples Monte Carlo rows,
+    with every X_i and W_j independent N(sqrt(2 gamma), 1).
+
+    Draws max(ds) X's per row from gen, then max(clipped) W's, and
+    tallies S_x[d] + S_w[c] ≤ 0 for the requested cells only, S being
+    each row's running sums after a leading zero.  To bound memory, call
+    once per chunk of rows on the same generator and add the counts.
+    """
+    mu = math.sqrt(2.0 * gamma)
+    lead_zero = ((0, 0), (1, 0))
+    sx = np.cumsum(np.pad(gen.normal(mu, 1.0, size=(samples, max(ds))), lead_zero), axis=1)
+    w = np.minimum(gen.normal(mu, 1.0, size=(samples, max(clipped))), 0.0)
+    sw = np.cumsum(np.pad(w, lead_zero), axis=1)[:, list(clipped)]
+    return np.array([(sx[:, d:d + 1] + sw <= 0.0).sum(axis=0) for d in ds], dtype=np.int64)
+
+
 def check_bound_dominance(samples: int = 100_000, seed: int = 11) -> CheckResult:
     gen = np.random.Generator(np.random.PCG64(seed))
+    ds, clipped_counts = range(0, 7, 2), range(0, 13, 4)
     worst = -np.inf
     for gamma in (0.5, 1.0):
-        mu = math.sqrt(2.0 * gamma)
-        x = gen.normal(mu, 1.0, size=(samples, 6))
-        w = np.minimum(gen.normal(mu, 1.0, size=(samples, 12)), 0.0)
-        sx = np.concatenate([np.zeros((samples, 1)), np.cumsum(x, axis=1)], axis=1)
-        sw = np.concatenate([np.zeros((samples, 1)), np.cumsum(w, axis=1)], axis=1)
-        for d in range(0, 7, 2):
-            for clipped in range(0, 13, 4):
+        hits = extension_event_hits(gen, gamma, ds, clipped_counts, samples)
+        for i, d in enumerate(ds):
+            for j, clipped in enumerate(clipped_counts):
                 if d + clipped == 0:
                     continue
-                p_hat = float(np.mean(sx[:, d] + sw[:, clipped] <= 0.0))
+                p_hat = hits[i, j] / samples
                 se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / samples)
                 for variant in (BERRY_ESSEEN, CHERNOFF):
                     b = bounds.extension_probability_bound(d, clipped, gamma, variant)
@@ -472,22 +492,11 @@ def check_bound_dominance(samples: int = 100_000, seed: int = 11) -> CheckResult
 def check_extension_probability_monotone(samples: int = 1_000_000,
                                          seed: int = 13) -> CheckResult:
     """Estimated extension probability decreases in the Gaussian count."""
-    gamma = 0.5
-    mu = math.sqrt(2.0 * gamma)
     gen = np.random.Generator(np.random.PCG64(seed))
-    x = gen.normal(mu, 1.0, size=(samples, 6))
-    w = np.minimum(gen.normal(mu, 1.0, size=(samples, 10)), 0.0)
-    sw = np.sum(w, axis=1)
-    sx = np.cumsum(x, axis=1)
-    last = np.inf
-    ok = True
-    details = []
-    for d in range(1, 7):
-        p = float(np.mean(sx[:, d - 1] + sw <= 0.0))
-        details.append(f"{p:.4f}")
-        ok = ok and p < last
-        last = p
-    return _check("extension-probability-monotone", ok, " > ".join(details))
+    p = extension_event_hits(gen, 0.5, range(1, 7), [10], samples)[:, 0] / samples
+    ok = all(p[:-1] > p[1:])
+    return _check("extension-probability-monotone", ok,
+                  " > ".join(f"{v:.4f}" for v in p))
 
 
 def check_golay_fixture() -> CheckResult:

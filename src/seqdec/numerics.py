@@ -45,17 +45,15 @@ def log_std_normal_cdf(x: float) -> float:
     return math.log(0.5) + math.log(erfcx(-x / SQRT2)) - 0.5 * x * x
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def bisect_root(f, lo: float, hi: float) -> float:
     """Bisection on [lo, hi]; requires a sign change over the bracket.
 
     Deterministic: always returns the midpoint of the final bracket,
-    after the bracket width has shrunk below tol.
+    after the bracket width has shrunk below 1e-12.
 
     Raises NoSignChange when f(lo) * f(hi) > 0; the caller decides what
     a missing root means.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -73,7 +71,7 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
             lo, flo = mid, fmid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= 1e-12:
             break
     return 0.5 * (lo + hi)
 
@@ -90,8 +88,8 @@ def bits_from_uniforms(u) -> np.ndarray:
     return (u < 0.5).astype(np.uint8)
 
 
-def gaussians_from_uniforms(u, mean: float = 0.0, stddev: float = 1.0) -> np.ndarray:
-    """Box-Muller along the last axis: n N(mean, stddev^2) draws from 2n
+def gaussians_from_uniforms(u, stddev: float = 1.0) -> np.ndarray:
+    """Box-Muller along the last axis: n N(0, stddev^2) draws from 2n
     uniforms [..., 2n], one fresh pair per draw, the sine branch
     discarded.  Every element takes the same float operations whatever
     the leading axes, so a row of a batch equals a draw of its own."""
@@ -100,7 +98,7 @@ def gaussians_from_uniforms(u, mean: float = 0.0, stddev: float = 1.0) -> np.nda
     u1 = 1.0 - u[..., 0::2]  # (0, 1]: keeps log finite
     u2 = u[..., 1::2]
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-    return mean + stddev * z
+    return stddev * z
 
 
 class RngStream:
@@ -128,6 +126,6 @@ class RngStream:
         """n equiprobable bits, one uniform draw per bit."""
         return bits_from_uniforms(self.uniforms(n))
 
-    def gaussians(self, n: int, mean: float = 0.0, stddev: float = 1.0) -> np.ndarray:
-        """n independent N(mean, stddev^2) draws."""
-        return gaussians_from_uniforms(self.uniforms(2 * n), mean, stddev)
+    def gaussians(self, n: int, stddev: float = 1.0) -> np.ndarray:
+        """n independent N(0, stddev^2) draws."""
+        return gaussians_from_uniforms(self.uniforms(2 * n), stddev)

@@ -2,8 +2,8 @@
 line with the measured quantities before asserting.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line; a
-plain `pytest` run reports the same outcomes per test.  Expected wall
-time for the whole module is on the order of ten minutes.  Every test
+plain `pytest` run reports the same outcomes per test.  The whole
+module takes about 130 s on a 2-core machine.  Every test
 here carries the `acceptance` marker, so `pytest -m "not acceptance"`
 runs the unit tests alone.
 """
@@ -26,7 +26,7 @@ from seqdec.bounds import (
 from seqdec.channel import ChannelConfig, llr, transmit
 from seqdec.codes import encode_block, encode_conv, parse_octal_generators
 from seqdec.decoders import brute_force_ml_block, gda_decode, mlsda_decode, viterbi_ml
-from seqdec.harness import ExperimentConfig, run_simulation_curve
+from seqdec.harness import ExperimentConfig, extension_event_hits, run_simulation_curve
 from seqdec.numerics import RngStream
 from seqdec.trellis import build_trellis, compute_dstar
 
@@ -135,16 +135,9 @@ def test_criterion_6_bound_dominance_grid():
     worst = -np.inf
     worst_cell = None
     for gi, gamma in enumerate(gammas):
-        mu = math.sqrt(2.0 * gamma)
-        hits = np.zeros((11, 31), dtype=np.int64)
         gen = np.random.Generator(np.random.PCG64(1000 + gi))
-        for _ in range(samples // chunk):
-            x = gen.normal(mu, 1.0, size=(chunk, 10))
-            w = np.minimum(gen.normal(mu, 1.0, size=(chunk, 30)), 0.0)
-            sx = np.concatenate([np.zeros((chunk, 1)), np.cumsum(x, axis=1)], axis=1)
-            sw = np.concatenate([np.zeros((chunk, 1)), np.cumsum(w, axis=1)], axis=1)
-            for d in range(11):
-                hits[d] += (sx[:, d:d + 1] + sw <= 0.0).sum(axis=0)
+        hits = sum(extension_event_hits(gen, gamma, range(11), range(31), chunk)
+                   for _ in range(samples // chunk))
         for d in range(11):
             for nd in range(31):
                 if d + nd == 0:
@@ -208,19 +201,12 @@ def test_criterion_8_structural_fixtures(golay, qr48, fig_trellis):
 
 
 def test_criterion_9_monotone_in_gaussian_count():
-    gamma = 0.5
-    mu = math.sqrt(2.0 * gamma)
     samples = 10_000_000
     chunk = 1_000_000
-    hits = np.zeros(8, dtype=np.int64)
     gen = np.random.Generator(np.random.PCG64(2024))
-    for _ in range(samples // chunk):
-        x = gen.normal(mu, 1.0, size=(chunk, 8))
-        w = np.minimum(gen.normal(mu, 1.0, size=(chunk, 10)), 0.0).sum(axis=1)
-        sx = np.cumsum(x, axis=1)
-        for d in range(1, 9):
-            hits[d - 1] += int((sx[:, d - 1] + w <= 0.0).sum())
-    p = hits / samples
+    hits = sum(extension_event_hits(gen, 0.5, range(1, 9), [10], chunk)
+               for _ in range(samples // chunk))
+    p = hits[:, 0] / samples
     half = 1.96 * np.sqrt(p * (1.0 - p) / samples)
     strictly_decreasing = all(p[i] > p[i + 1] for i in range(7))
     separated = all(p[i] - half[i] > p[i + 1] + half[i + 1] for i in range(7))

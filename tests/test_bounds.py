@@ -17,23 +17,14 @@ from seqdec.bounds import (
     solve_tilt,
     subexponential_factor,
 )
+from seqdec.harness import extension_event_hits
 from seqdec.numerics import SQRT_2PI, DomainError, std_normal_cdf
 from seqdec.trellis import build_trellis
 
 
-def mixed_sum_tail_mc(d, clipped, gamma, samples, seed=0, mu_scale=1.0):
-    """Monte Carlo oracle for Pr{sum of d Gaussians + clipped clipped
-    Gaussians <= 0} at SNR gamma; (p_hat, standard error)."""
-    gen = np.random.Generator(np.random.PCG64(seed))
-    mu = math.sqrt(2.0 * gamma) * mu_scale
-    total = np.zeros(samples)
-    if d:
-        total += gen.normal(mu, mu_scale, size=(samples, d)).sum(axis=1)
-    if clipped:
-        w = gen.normal(mu, mu_scale, size=(samples, clipped))
-        total += np.minimum(w, 0.0).sum(axis=1)
-    p = float(np.mean(total <= 0.0))
-    return p, math.sqrt(max(p * (1.0 - p), 1e-12) / samples)
+def standard_error(p, samples):
+    """Of a Monte Carlo probability estimate p over samples draws."""
+    return math.sqrt(max(p * (1.0 - p), 1e-12) / samples)
 
 
 class TestClippedGaussianMean:
@@ -156,23 +147,35 @@ class TestExtensionProbabilityBound:
         assert extension_probability_bound(1, 0, 0.5) == pytest.approx(0.158655, abs=1e-6)
 
     def test_upper_bounds_monte_carlo(self):
-        p, se = mixed_sum_tail_mc(5, 15, 1.0, 1_000_000, seed=17)
+        samples = 1_000_000
+        gen = np.random.Generator(np.random.PCG64(17))
+        p = extension_event_hits(gen, 1.0, [5], [15], samples)[0, 0] / samples
+        se = standard_error(p, samples)
         for variant in (BERRY_ESSEEN, CHERNOFF):
             assert extension_probability_bound(5, 15, 1.0, variant) >= p - 4.0 * se
 
     def test_dominance_spot_grid(self):
+        samples = 200_000
         for (d, clipped, gamma) in [(1, 5, 0.5), (3, 10, 0.25), (8, 4, 2.0), (2, 30, 1.0)]:
-            p, se = mixed_sum_tail_mc(d, clipped, gamma, 200_000, seed=d * 31 + clipped)
+            gen = np.random.Generator(np.random.PCG64(d * 31 + clipped))
+            p = extension_event_hits(gen, gamma, [d], [clipped], samples)[0, 0] / samples
             b = extension_probability_bound(d, clipped, gamma, BERRY_ESSEEN)
-            assert b >= p - 4.0 * se
+            assert b >= p - 4.0 * standard_error(p, samples)
 
     def test_scale_invariance_of_event(self):
         # the event probability depends on (mu, sigma) only through
         # gamma, so scaling both leaves the MC estimate put (and the
-        # bound takes only gamma to begin with)
-        p1, se1 = mixed_sum_tail_mc(4, 12, 0.8, 400_000, seed=5, mu_scale=1.0)
-        p2, se2 = mixed_sum_tail_mc(4, 12, 0.8, 400_000, seed=6, mu_scale=2.0)
-        assert abs(p1 - p2) < 4.0 * (se1 + se2)
+        # bound takes only gamma to begin with); the estimator draws
+        # sigma = 1 only, so the sigma = 2 side is drawn here
+        samples = 400_000
+        gen = np.random.Generator(np.random.PCG64(5))
+        p1 = extension_event_hits(gen, 0.8, [4], [12], samples)[0, 0] / samples
+        gen = np.random.Generator(np.random.PCG64(6))
+        mu = math.sqrt(2.0 * 0.8) * 2.0
+        total = gen.normal(mu, 2.0, size=(samples, 4)).sum(axis=1)
+        total += np.minimum(gen.normal(mu, 2.0, size=(samples, 12)), 0.0).sum(axis=1)
+        p2 = float(np.mean(total <= 0.0))
+        assert abs(p1 - p2) < 4.0 * (standard_error(p1, samples) + standard_error(p2, samples))
 
     def test_variant_ordering_grid(self):
         for d in (1, 3, 7):
@@ -193,7 +196,8 @@ class TestExtensionProbabilityBound:
         # the bounded probability itself decreases as Gaussians are added
         last = 1.1
         for d in range(1, 7):
-            p, _ = mixed_sum_tail_mc(d, 10, 0.5, 300_000, seed=101)
+            gen = np.random.Generator(np.random.PCG64(101))
+            p = extension_event_hits(gen, 0.5, [d], [10], 300_000)[0, 0] / 300_000
             assert p < last
             last = p
 

@@ -72,6 +72,13 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigError):
             small_cfg(variant="bogus")
 
+    @pytest.mark.parametrize("field", [
+        dict(trials=None), dict(workers=True), dict(L="8"), dict(extension_limit=1.5),
+        dict(all_zero="yes"), dict(snr_db=(False,))])
+    def test_field_types(self, field):
+        with pytest.raises(ConfigError):
+            small_cfg(**field)
+
 
 class TestCurves:
     def test_csv_schema(self):
@@ -347,6 +354,14 @@ class TestCli:
         (["simulate-mlsda", "--config", "{conv}", "--extension-limit", "0"], "config"),
         (["simulate-gda", "--code", "golay24", "--snr", "1", "--trials", "1",
           "--extension-limit", "-4"], "config"),
+        (["bound-gda", "--code", "golay24", "--snr", "0:10:nan"], "config"),
+        (["bound-gda", "--code", "golay24", "--snr", "0:10:inf"], "config"),
+        (["bound-gda", "--code", "golay24", "--snr", "0:inf:1"], "config"),
+        (["bound-gda", "--code", "golay24", "--snr", "1:2:1e-300"], "config"),
+        (["simulate-mlsda", "--config", "{trials-text}"], "config"),
+        (["simulate-mlsda", "--config", "{seed-text}"], "config"),
+        (["simulate-mlsda", "--config", "{trials-float}"], "config"),
+        (["simulate-mlsda", "--config", "{snr-text}"], "config"),
     ])
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
         configs = {
@@ -355,6 +370,10 @@ class TestCli:
             "{curve-list}": {"curves": [[0.2, 1.0]]},  # a curve that is no object
             "{curve-text}": {"curves": [{"d_over_n": 0.2, "gamma_db": "x"}]},
             "{n-grid}": {"curves": [{"d_over_n": 0.2, "gamma_db": 1}], "n_grid": ["x"]},
+            "{trials-text}": {**CONV_CFG, "trials": "100"},
+            "{seed-text}": {**CONV_CFG, "seed": "7"},
+            "{trials-float}": {**CONV_CFG, "trials": 2.5},
+            "{snr-text}": {**CONV_CFG, "snr_db": "2.0"},
         }
         paths = {"{conv}": str(_write_cfg(tmp_path))}
         for key, raw in configs.items():
@@ -370,11 +389,13 @@ class TestCli:
         assert "PASS" in capsys.readouterr().out
 
 
+CONV_CFG = {"code": SMALL_CONV, "L": 8, "snr_db": [6.0], "trials": 10,
+            "seed": 4, "variant": "both", "mode": "simulate", "workers": 1}
+
+
 def _write_cfg(tmp_path):
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps({
-        "code": SMALL_CONV, "L": 8, "snr_db": [6.0], "trials": 10,
-        "seed": 4, "variant": "both", "mode": "simulate", "workers": 1}))
+    path.write_text(json.dumps(CONV_CFG))
     return path
 
 

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from seqdec.codes import encode_conv
-from seqdec.harness import dstar_by_enumeration
+from seqdec.harness import dstar_by_enumeration, extension_event_hits
 from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
 
@@ -91,19 +89,15 @@ class TestComputeDstar:
                 state = ((state << 1) | info[level]) & (trellis.num_states - 1)
                 weight += int(word[level * n:(level + 1) * n].sum())
         gen = np.random.default_rng(77)
-        gamma = 0.5
-        mu = math.sqrt(2.0 * gamma)
         checked = 0
         for (level, state), weights in weights_into.items():
             if len(weights) < 2 or max(weights) > 6:
                 continue
             clipped = n * (trellis.levels - level)
-            estimates = {}
-            for d in sorted(weights):
-                x = gen.normal(mu, 1.0, size=(200_000, d)).sum(axis=1) if d else 0.0
-                w = np.minimum(gen.normal(mu, 1.0, size=(200_000, clipped)), 0.0).sum(axis=1)
-                estimates[d] = float(np.mean(x + w <= 0.0))
-            best = max(estimates, key=estimates.get)
+            # an independent draw per weight
+            hits = {d: int(extension_event_hits(gen, 0.5, [d], [clipped], 200_000)[0, 0])
+                    for d in sorted(weights)}
+            best = max(hits, key=hits.get)
             assert best == table[level, state] == min(weights)
             checked += 1
         assert checked >= 3
