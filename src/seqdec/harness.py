@@ -464,11 +464,19 @@ def extension_event_hits(gen: np.random.Generator, gamma: float, ds, clipped,
     once per chunk of rows on the same generator and add the counts.
     """
     mu = math.sqrt(2.0 * gamma)
-    lead_zero = ((0, 0), (1, 0))
-    sx = np.cumsum(np.pad(gen.normal(mu, 1.0, size=(samples, max(ds))), lead_zero), axis=1)
+    sx = _running_sums(gen.normal(mu, 1.0, size=(samples, max(ds))))
     w = np.minimum(gen.normal(mu, 1.0, size=(samples, max(clipped))), 0.0)
-    sw = np.cumsum(np.pad(w, lead_zero), axis=1)[:, list(clipped)]
+    # take keeps the selected columns row-major (w[:, list] would not),
+    # so each d's tally below streams through memory in order
+    sw = np.take(_running_sums(w), list(clipped), axis=1)
     return np.array([(sx[:, d:d + 1] + sw <= 0.0).sum(axis=0) for d in ds], dtype=np.int64)
+
+
+def _running_sums(a: np.ndarray) -> np.ndarray:
+    """Row-wise running sums of a, after a leading zero column."""
+    sums = np.zeros((a.shape[0], a.shape[1] + 1))
+    np.cumsum(a, axis=1, out=sums[:, 1:])
+    return sums
 
 
 def check_bound_dominance(samples: int = 100_000, seed: int = 11) -> CheckResult:
