@@ -3,7 +3,7 @@ line with the measured quantities before asserting.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line; a
 plain `pytest` run reports the same outcomes per test.  The whole
-module takes about 130 s on a 2-core machine.  Every test
+module takes about 120 s on a 2-core machine.  Every test
 here carries the `acceptance` marker, so `pytest -m "not acceptance"`
 runs the unit tests alone.
 """
