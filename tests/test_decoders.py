@@ -1,5 +1,4 @@
 import hashlib
-import heapq
 import json
 import math
 
@@ -11,6 +10,7 @@ from seqdec.codes import encode_block, encode_conv
 from seqdec.decoders import (
     ExtensionLimitExceeded,
     SizeError,
+    _gda_tables,
     brute_force_ml_block,
     gda_decode,
     mlsda_decode,
@@ -93,35 +93,15 @@ class TestGdaDecode:
         with pytest.raises(ExtensionLimitExceeded):
             gda_decode(golay, phi, extension_limit=5)
 
-    def test_every_extended_path_below_ml_metric(self, golay):
+    def test_every_extended_path_below_ml_metric(self, golay, textbook_gda):
         # replay the search and check the guiding inequality: no path
         # with evaluation above the ML code path's metric gets extended
         for t in range(25):
             _, phi = golay_trial(golay, 1.0, 5000 + t)
             ml_metric = squared_distance_metric(phi, brute_force_ml_block(golay, phi))
-            offset = float(np.sum((np.abs(phi) - 1.0) ** 2))
-            bm = [((phi[l] - 1.0) ** 2 - (np.abs(phi[l]) - 1.0) ** 2,
-                   (phi[l] + 1.0) ** 2 - (np.abs(phi[l]) - 1.0) ** 2)
-                  for l in range(golay.n)]
-            colmasks = golay.parity_column_masks
-            heap = [(0.0, 0, 0, 0)]
-            seq = 1
-            while True:
-                f, _, level, bits = heapq.heappop(heap)
-                if level == golay.n:
-                    break
-                assert f + offset <= ml_metric + 1e-9
-                if level < golay.k:
-                    for b in (0, 1):
-                        heapq.heappush(heap, (f + bm[level][b], seq,
-                                              level + 1, bits | (b << level)))
-                        seq += 1
-                else:
-                    bit = bin((bits & ((1 << golay.k) - 1))
-                              & colmasks[level - golay.k]).count("1") & 1
-                    heapq.heappush(heap, (f + bm[level][bit], seq,
-                                          level + 1, bits | (bit << level)))
-                    seq += 1
+            offset, bm0, bm1 = _gda_tables(phi)
+            *_, extended = textbook_gda(golay, bm0.tolist(), bm1.tolist())
+            assert all(f + float(offset) <= ml_metric + 1e-9 for f in extended)
 
 
 class TestMlsdaDecode:

@@ -1,11 +1,14 @@
 """Properties over random small codes, each checked against a scalar or
 per-trial reference kept here: the trellis layer on convolutional codes
 (memory <= 4, 2-3 outputs, L <= 8), the tree search on systematic block
-codes (k <= 10), and the harness's batched trial pipeline on both."""
+codes (k <= 10) and the Golay code, and the harness's batched trial
+pipeline on both."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqdec.bounds import (
@@ -15,9 +18,11 @@ from seqdec.bounds import (
     mlsda_complexity_bound,
 )
 from seqdec.channel import ChannelConfig, db_to_linear, hard_decision, llr, transmit
-from seqdec.codes import BlockCode, ConvCode, encode_block, encode_conv
+from seqdec.codes import BlockCode, ConvCode, build_extended_golay, encode_block, encode_conv
 from seqdec.decoders import (
     ExtensionLimitExceeded,
+    _gda_search,
+    _gda_tables,
     brute_force_ml_block,
     gda_decode,
     mlsda_decode,
@@ -137,6 +142,60 @@ def test_gda_metric_equals_brute_force(code, data):
             again.branch_computations_total, again.extensions, again.metric.hex()) == (
         out.decoded.tolist(), out.branch_computations, out.branch_computations_total,
         out.extensions, out.metric.hex())
+
+
+def near_tie_llrs(seed: int, n: int) -> np.ndarray:
+    """n LLRs of random signs whose magnitudes lie within 64 ulps of each
+    other, but for one huge |phi|: the disagreeing children's metrics
+    c_a != c_b then often give f + c_a == f + c_b after rounding."""
+    gen = np.random.default_rng(seed)
+    base = gen.uniform(0.1, 3.0)
+    phi = gen.choice([-1.0, 1.0], n) * (base + gen.integers(0, 64, n) * math.ulp(base))
+    phi[gen.integers(n)] *= gen.uniform(1e2, 1e6)
+    return phi
+
+
+@st.composite
+def tree_search_inputs(draw):
+    """A code (random systematic with k <= 10, or Golay) and LLRs of one
+    of three kinds: continuous, integer-valued in {0, +-1, +-2} (so that
+    many paths tie), or near ties (see near_tie_llrs)."""
+    code = draw(st.one_of(block_codes(), st.builds(build_extended_golay)))
+    n = code.n
+    kind = draw(st.sampled_from(["continuous", "integer", "near-ties"]))
+    if kind == "continuous":
+        return code, np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n)))
+    if kind == "integer":
+        return code, np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+                              dtype=float)
+    return code, near_tie_llrs(draw(st.integers(0, 2**32 - 1)), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_search_inputs(), st.sampled_from([5, 50, None]))
+@example((build_extended_golay(), near_tie_llrs(5, 24)), None)  # 36 ties of unequal c
+# parity bit 3 = b0 forces b0 = 1 (f = 28); parity bit 4 = b1 ^ b2 then wants one
+# flip, and c1 > c2 although 28 + c1 == 28 + c2: the lower insertion number (b1)
+# must win the tie, not the lower c
+@example((BlockCode(n=5, k=3, rows=(0b01001, 0b10010, 0b10100)),
+          np.array([7.0, 0.5 + 2 * math.ulp(0.5), 0.5, -1e3, -1e3])), None)
+# parity bit 2 = b0 forces b0 = 1 (f = 28); c1 > 0 but 28 + c1 == 28, so both
+# children of level 1 tie and no whole dive may cross it
+@example((BlockCode(n=3, k=2, rows=(0b101, 0b010)), np.array([7.0, -3e-16, -1e3])), None)
+def test_gda_search_matches_textbook(textbook_gda, inputs, limit):
+    # every count, the metric's bits and the path bits equal those of the
+    # plain pop-every-path search; the budget trips exactly when its
+    # extension count exceeds the limit
+    code, phi = inputs
+    _, bm0, bm1 = _gda_tables(phi)
+    bm0, bm1 = bm0.tolist(), bm1.tolist()
+    *counts, metric, bits, _ = textbook_gda(code, bm0, bm1)
+    if limit is not None and counts[2] > limit:
+        with pytest.raises(ExtensionLimitExceeded):
+            _gda_search(code, bm0, bm1, limit)
+        return
+    *got, got_metric, got_bits = _gda_search(code, bm0, bm1, limit)
+    assert (got, got_metric.hex(), got_bits) == (counts, metric.hex(), bits)
 
 
 def per_trial_counts(target, cfg, gamma_b_db, trials) -> list:
