@@ -129,10 +129,19 @@ class BlockCode:
                 raise ValueError("generator row wider than n")
 
     @cached_property
-    def parity_column_masks(self) -> tuple:
-        """For each column j >= k, the mask of info bits feeding it."""
-        return tuple(sum(((self.rows[i] >> j) & 1) << i for i in range(self.k))
-                     for j in range(self.k, self.n))
+    def parity_tables(self) -> tuple:
+        """Parity words by information byte: entry t[v] of table t is the
+        XOR of the parity columns (bits k..n-1, in place) of the rows
+        8t..8t+7 selected by the bits of v.  The parity bits of the
+        codeword of info are the XOR of table t at byte t of info."""
+        tables = []
+        for first in range(0, self.k, 8):
+            table = [0]
+            for row in self.rows[first:first + 8]:
+                parity = row >> self.k << self.k
+                table += [word ^ parity for word in table]
+            tables.append(tuple(table))
+        return tuple(tables)
 
     @cached_property
     def generator_bits(self) -> np.ndarray:

@@ -11,6 +11,15 @@ exactly that child.  Otherwise the child goes through the stack
 extension order, and with it every count, is that of a loop that pops
 each path and pushes every child.
 
+The tree search goes further and takes many extensions in one step
+where that loop's order is certain.  A path strictly below the top of
+the stack whose every sibling to come would lie strictly above it dives
+along the hard decisions to level k at once; the dive's siblings form
+one fan, of which only the least member is on the stack.  In the
+single-child tail a path steps level by level, with its parity bits
+read from per-byte tables, until its metric reaches the top.  Any tie
+falls back to one extension through the stack.
+
 Counting conventions.  Extending a tree path below level k, or a
 trellis node below level L, evaluates two branch metrics; those are the
 headline `branch_computations`.  Extensions in the single-branch tail
@@ -19,6 +28,8 @@ included only in `branch_computations_total`.
 """
 
 import heapq
+import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -65,8 +76,11 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     offset sum (|phi_j| - 1)^2 cancels in all comparisons, so the
     ordering matches the full squared-distance evaluation function.
     Search stops when the path up for extension ends at level n.  The
-    child that agrees with the hard decision adds 0, so a search that
-    follows the hard decision stays out of the heap.
+    child that agrees with the hard decision adds exactly 0.0 (the
+    difference of two equal squares), so a path strictly below the top of
+    the heap, whose disagreeing children below level k all add enough to
+    exceed it, follows the hard decisions to level k in one step.  Its
+    siblings enter the heap one at a time, in the order a pop takes them.
     """
     offset, bm0, bm1 = _gda_tables(check_lengths(phi, code.n))
     *counts, f, bits = _gda_search(code, bm0.tolist(), bm1.tolist(), extension_limit)
@@ -80,48 +94,106 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
     Returns (branch_computations, branch_computations_total, extensions,
     path value, path bits as an int) of the path that reached level n.
     """
-    colmasks = code.parity_column_masks
+    heappush, heapreplace = heapq.heappush, heapq.heapreplace
     k, n = code.k, code.n
-
+    parity_tables = code.parity_tables
     limit = sys.maxsize if extension_limit is None else extension_limit
-    heap = []  # open paths (f, insertion seq, level, path bits as int)
+    # c[j]: metric of the child that disagrees with the hard decision at
+    # level j < k (the other adds exactly 0.0); 0.0 where the children tie
+    # or a square overflowed, which stops every whole dive across j
+    c = [x if x > 0.0 else 0.0 for x in map(operator.add, bm0[:k], bm1[:k])]
+    hard = sum(1 << j for j in range(k) if bm1[j] < bm0[j])
+    orders = [None] * k  # orders[l]: levels l..k-1 by (c[j], j), built on first use
+    heap = []  # open entries (f, insertion seq, level, path bits as int, fan or None)
+    # A fan [f, seq base, path bits, 1 << l, orders[l], position] holds the
+    # siblings of a whole dive from level l; only its member at position
+    # is on the heap, and only while strictly below the next member.
+    fan = None  # a fan whose member at position goes on the heap next
+
     f, level, bits = 0.0, 0, 0  # the path being extended; the start has seq 0
     seq = 1
     extensions = 0
     low_extensions = 0
     tail_metrics = 0
     while True:
+        if fan is not None:  # put the fan's next member on the heap
+            fan_f, base, fan_bits, start, order, pos = fan
+            j = order[pos]
+            metric = fan_f + c[j]
+            pos += 1
+            if pos < len(order) and fan_f + c[order[pos]] == metric:
+                for j in order[pos - 1:]:  # a tie: every member left goes on plain
+                    heappush(heap, (fan_f + c[j], base + 2 * j + 1 - ((hard >> j) & 1), j + 1,
+                                    fan_bits | ((hard ^ (1 << j)) & ((2 << j) - start)), None))
+            else:
+                fan[5] = pos
+                heappush(heap, (metric, base + 2 * j + 1 - ((hard >> j) & 1), j + 1,
+                                fan_bits | ((hard ^ (1 << j)) & ((2 << j) - start)),
+                                fan if pos < len(order) else None))
+            fan = None
         if level == n:
             return (2 * low_extensions, 2 * low_extensions + tail_metrics, extensions,
                     f, bits)
-        extensions += 1
-        if extensions > limit:
-            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
-        if level < k:
+        if level >= k:  # whole tail: one step per level while below the top
+            if level == k:
+                info, parity = bits, 0
+                for table in parity_tables:
+                    parity ^= table[info & 0xFF]
+                    info >>= 8
+                bits |= parity
+            top = heap[0][0] if heap else math.nan  # nan: no open path stops it
+            first = level
+            while True:
+                f += bm1[level] if (bits >> level) & 1 else bm0[level]
+                level += 1
+                if level == n or f >= top:
+                    break
+            steps = level - first
+            extensions += steps
+            if extensions > limit:
+                raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
+            tail_metrics += steps
+            seq += steps
+            if not f >= top:
+                continue  # at level n, below every open path
+            entry = heapreplace(heap, (f, seq - 1, level, bits, None))
+        else:
+            order = None
+            if not heap or f < heap[0][0]:
+                order = orders[level]
+                if order is None:
+                    order = orders[level] = sorted(range(level, k), key=c.__getitem__)
+            if order is not None and f + c[order[0]] > f:  # whole dive to level k
+                steps = k - level
+                extensions += steps
+                if extensions > limit:
+                    raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
+                low_extensions += steps
+                fan = [f, seq - 2 * level, bits, 1 << level, order, 0]
+                bits |= hard & ((1 << k) - (1 << level))
+                seq += 2 * steps
+                level = k
+                continue
+            extensions += 1  # one extension, as a plain loop takes it
+            if extensions > limit:
+                raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
             low_extensions += 1
             f0 = f + bm0[level]
             f1 = f + bm1[level]
             if f1 < f0:  # the 1-child is best; on a tie the 0-child (lower seq) is
-                sibling = (f0, seq, level + 1, bits)
+                sibling = (f0, seq, level + 1, bits, None)
                 f, best_seq, bits = f1, seq + 1, bits | (1 << level)
             else:
-                sibling = (f1, seq + 1, level + 1, bits | (1 << level))
+                sibling = (f1, seq + 1, level + 1, bits | (1 << level), None)
                 f, best_seq = f0, seq
             seq += 2
-        else:
-            tail_metrics += 1
-            info = bits & ((1 << k) - 1)
-            bit = (info & colmasks[level - k]).bit_count() & 1
-            f += bm1[level] if bit else bm0[level]
-            bits |= bit << level
-            best_seq = seq
-            seq += 1
-            sibling = None
-        level += 1
-        if heap and f >= heap[0][0]:  # not strictly below the top: no dive
-            f, _, level, bits = heapq.heapreplace(heap, (f, best_seq, level, bits))
-        if sibling is not None:
-            heapq.heappush(heap, sibling)
+            level += 1
+            if not (heap and f >= heap[0][0]):  # strictly below the top: dive
+                heappush(heap, sibling)
+                continue
+            entry = heapreplace(heap, (f, best_seq, level, bits, None))
+            heappush(heap, sibling)
+        f, _, level, bits, fan = entry
 
 
 def _metric_table(trellis: Trellis, phi) -> np.ndarray:
