@@ -437,12 +437,12 @@ def check_dstar_oracle(trellis=None) -> CheckResult:
     return _check("dstar-oracle", mismatches == 0, f"{mismatches} mismatching entries")
 
 
-def check_ml_equivalence(trials: int = 100, seed: int = 7) -> CheckResult:
+def check_ml_equivalence() -> CheckResult:
     code = build_extended_golay()
     cfg = ChannelConfig.for_block_code(code, 2.0)
     worst = 0.0
-    for t in range(trials):
-        rng = RngStream(seed ^ t)
+    for t in range(100):
+        rng = RngStream(7 ^ t)
         info = rng.bits(code.k)
         phi = llr(transmit(encode_block(code, info), cfg, rng), cfg)
         got = gda_decode(code, phi)
@@ -479,8 +479,9 @@ def _running_sums(a: np.ndarray) -> np.ndarray:
     return sums
 
 
-def check_bound_dominance(samples: int = 100_000, seed: int = 11) -> CheckResult:
-    gen = np.random.Generator(np.random.PCG64(seed))
+def check_bound_dominance() -> CheckResult:
+    samples = 100_000
+    gen = np.random.Generator(np.random.PCG64(11))
     ds, clipped_counts = range(0, 7, 2), range(0, 13, 4)
     worst = -np.inf
     for gamma in (0.5, 1.0):
@@ -497,10 +498,10 @@ def check_bound_dominance(samples: int = 100_000, seed: int = 11) -> CheckResult
     return _check("bound-dominance", worst <= 0.0, f"worst margin {worst:.3g}")
 
 
-def check_extension_probability_monotone(samples: int = 1_000_000,
-                                         seed: int = 13) -> CheckResult:
+def check_extension_probability_monotone() -> CheckResult:
     """Estimated extension probability decreases in the Gaussian count."""
-    gen = np.random.Generator(np.random.PCG64(seed))
+    samples = 1_000_000
+    gen = np.random.Generator(np.random.PCG64(13))
     p = extension_event_hits(gen, 0.5, range(1, 7), [10], samples)[:, 0] / samples
     ok = all(p[:-1] > p[1:])
     return _check("extension-probability-monotone", ok,
@@ -514,9 +515,8 @@ def check_golay_fixture() -> CheckResult:
                   ok, f"dmin={code.minimum_distance()} A8={code.weight_count(8)}")
 
 
-def run_validation_suite(checks=None) -> list:
-    if checks is None:
-        checks = [check_encoder_fixture, check_golay_fixture, check_dstar_oracle,
-                  check_ml_equivalence, check_bound_dominance,
-                  check_extension_probability_monotone]
+def run_validation_suite() -> list:
+    checks = [check_encoder_fixture, check_golay_fixture, check_dstar_oracle,
+              check_ml_equivalence, check_bound_dominance,
+              check_extension_probability_monotone]
     return [c() for c in checks]
