@@ -105,35 +105,36 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
     hard = sum(1 << j for j in range(k) if bm1[j] < bm0[j])
     orders = [None] * k  # orders[l]: levels l..k-1 by (c[j], j), built on first use
     heap = []  # open entries (f, insertion seq, level, path bits as int, fan or None)
-    # A fan [f, seq base, path bits, 1 << l, orders[l], position] holds the
-    # siblings of a whole dive from level l; only its member at position
-    # is on the heap, and only while strictly below the next member.
+    # A fan [f, base, dive bits, orders[l], k - l, position] holds the k - l
+    # siblings of a whole dive from level l with metric f.  Member j is
+    # (f + c[j], base + 2j - hard bit j, j + 1, the dive's bits below level
+    # j + 1 with bit j flipped).  Only the member at position is on the
+    # heap, and only while strictly below the next member.
     fan = None  # a fan whose member at position goes on the heap next
 
-    f, level, bits = 0.0, 0, 0  # the path being extended; the start has seq 0
-    seq = 1
+    # The start path has insertion number 0 and each extension numbers its
+    # children in turn, so the next number is 1 + extensions + low_extensions.
+    f, level, bits = 0.0, 0, 0  # the path being extended
     extensions = 0
     low_extensions = 0
-    tail_metrics = 0
     while True:
         if fan is not None:  # put the fan's next member on the heap
-            fan_f, base, fan_bits, start, order, pos = fan
+            fan_f, base, dive_bits, order, size, pos = fan
             j = order[pos]
             metric = fan_f + c[j]
             pos += 1
-            if pos < len(order) and fan_f + c[order[pos]] == metric:
+            if pos < size and fan_f + c[order[pos]] == metric:
                 for j in order[pos - 1:]:  # a tie: every member left goes on plain
-                    heappush(heap, (fan_f + c[j], base + 2 * j + 1 - ((hard >> j) & 1), j + 1,
-                                    fan_bits | ((hard ^ (1 << j)) & ((2 << j) - start)), None))
+                    heappush(heap, (fan_f + c[j], base + 2 * j - ((hard >> j) & 1), j + 1,
+                                    (dive_bits ^ (1 << j)) & ((2 << j) - 1), None))
             else:
                 fan[5] = pos
-                heappush(heap, (metric, base + 2 * j + 1 - ((hard >> j) & 1), j + 1,
-                                fan_bits | ((hard ^ (1 << j)) & ((2 << j) - start)),
-                                fan if pos < len(order) else None))
+                heappush(heap, (metric, base + 2 * j - ((hard >> j) & 1), j + 1,
+                                (dive_bits ^ (1 << j)) & ((2 << j) - 1),
+                                fan if pos < size else None))
             fan = None
         if level == n:
-            return (2 * low_extensions, 2 * low_extensions + tail_metrics, extensions,
-                    f, bits)
+            return 2 * low_extensions, low_extensions + extensions, extensions, f, bits
         if level >= k:  # whole tail: one step per level while below the top
             if level == k:
                 info, parity = bits, 0
@@ -152,11 +153,9 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
             extensions += steps
             if extensions > limit:
                 raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
-            tail_metrics += steps
-            seq += steps
             if not f >= top:
                 continue  # at level n, below every open path
-            entry = heapreplace(heap, (f, seq - 1, level, bits, None))
+            entry = heapreplace(heap, (f, extensions + low_extensions, level, bits, None))
         else:
             order = None
             if not heap or f < heap[0][0]:
@@ -169,9 +168,8 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
                 if extensions > limit:
                     raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
                 low_extensions += steps
-                fan = [f, seq - 2 * level, bits, 1 << level, order, 0]
                 bits |= hard & ((1 << k) - (1 << level))
-                seq += 2 * steps
+                fan = [f, extensions + low_extensions + 2 - 2 * k, bits, order, steps, 0]
                 level = k
                 continue
             extensions += 1  # one extension, as a plain loop takes it
@@ -180,13 +178,13 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
             low_extensions += 1
             f0 = f + bm0[level]
             f1 = f + bm1[level]
+            seq = extensions + low_extensions - 1  # the 0-child's number
             if f1 < f0:  # the 1-child is best; on a tie the 0-child (lower seq) is
                 sibling = (f0, seq, level + 1, bits, None)
                 f, best_seq, bits = f1, seq + 1, bits | (1 << level)
             else:
                 sibling = (f1, seq + 1, level + 1, bits | (1 << level), None)
                 f, best_seq = f0, seq
-            seq += 2
             level += 1
             if not (heap and f >= heap[0][0]):  # strictly below the top: dive
                 heappush(heap, sibling)
