@@ -173,7 +173,7 @@ def tree_search_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(tree_search_inputs(), st.sampled_from([5, 50, None]))
-@example((build_extended_golay(), near_tie_llrs(5, 24)), None)  # 36 ties of unequal c
+@example((build_extended_golay(), near_tie_llrs(5, 24)), None)  # many fan ties of unequal c
 # parity bit 3 = b0 forces b0 = 1 (f = 28); parity bit 4 = b1 ^ b2 then wants one
 # flip, and c1 > c2 although 28 + c1 == 28 + c2: the lower insertion number (b1)
 # must win the tie, not the lower c
