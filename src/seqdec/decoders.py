@@ -196,16 +196,16 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
 
 def _metric_table(trellis: Trellis, phi) -> np.ndarray:
     """Branch metric of every n_out-bit output pattern p at every level,
-    for LLRs [..., N], as an array [..., level, p]: the sum of |phi_j|
-    over the positions of the level where p disagrees with the hard
-    decision.
+    for LLRs [..., N], as a flat row [..., levels << n_out] with entry
+    (level << n_out) | p: the sum of |phi_j| over the positions of the
+    level where p disagrees with the hard decision.
     """
     n_out = trellis.code.n_out
     lead = phi.shape[:-1]
     y = hard_decision(phi).reshape(lead + (-1, n_out))
     a = np.abs(phi).reshape(lead + (-1, n_out))
     patterns = (np.arange(1 << n_out)[:, None] >> np.arange(n_out)) & 1
-    return ((patterns != y[..., None, :]) * a[..., None, :]).sum(-1)
+    return ((patterns != y[..., None, :]) * a[..., None, :]).sum(-1).reshape(lead + (-1,))
 
 
 _NOT_OPEN = (None, -1)  # resident entry of a node with no open path
@@ -230,8 +230,8 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
 
 
 def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
-    """The trellis search on a prebuilt metric table (nested lists
-    [level][output pattern], see _metric_table).
+    """The trellis search on a prebuilt metric row (a flat list indexed
+    (level << n_out) | output pattern, see _metric_table).
 
     Returns (branch_computations, branch_computations_total, extensions,
     path metric, information bits as an int) of the path that reached
@@ -239,7 +239,7 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
     """
     next_state, outputs = trellis.table_lists()
 
-    m, L = trellis.code.m, trellis.L
+    n_out, m, L = trellis.code.n_out, trellis.code.m, trellis.L
     goal = trellis.levels << m
     limit = sys.maxsize if extension_limit is None else extension_limit
     closed = set()
@@ -273,7 +273,7 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
             child = ((level + 1) << m) | ns
             if child in closed:
                 continue
-            child_zeta = zeta + inc[level][outputs[state][b]]
+            child_zeta = zeta + inc[(level << n_out) | outputs[state][b]]
             incumbent = resident.get(child)
             if incumbent is not None and incumbent[0] <= child_zeta:
                 continue  # merge: keep the incumbent (also on ties)
@@ -341,6 +341,7 @@ def viterbi_ml(trellis: Trellis, phi) -> np.ndarray:
     phi = check_lengths(phi, trellis.code.n_out * trellis.levels)
     inc = _metric_table(trellis, phi).tolist()
     next_state, outputs = trellis.table_lists()
+    n_out = trellis.code.n_out
     INF = float("inf")
     metric = {0: (0.0, 0)}  # state -> (metric, info bits so far)
     for level in range(trellis.levels):
@@ -348,7 +349,7 @@ def viterbi_ml(trellis: Trellis, phi) -> np.ndarray:
         for state, (m, info) in metric.items():
             for b in trellis.branch_inputs(level):
                 ns = next_state[state][b]
-                cand = m + inc[level][outputs[state][b]]
+                cand = m + inc[(level << n_out) | outputs[state][b]]
                 if cand < nxt.get(ns, (INF, 0))[0]:
                     nxt[ns] = (cand, info | (b << level))
         metric = nxt
