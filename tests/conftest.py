@@ -72,3 +72,53 @@ def textbook_gda():
     """The reference tree search that the decoder's search must match
     step for step (see textbook_gda_search)."""
     return textbook_gda_search
+
+
+def textbook_mlsda_search(trellis, inc: list) -> tuple:
+    """The plain two-stack trellis search on a metric row (see
+    decoders._metric_table), with no budget: pop the least open entry by
+    (metric, insertion number), skip it if its node is closed or holds a
+    better path, close its node, and push every child, input 0 first,
+    whose node is not closed and whose metric beats the node's incumbent
+    (ties keep the incumbent).
+
+    Returns (branch_computations, branch_computations_total, extensions,
+    metric, information bits as an int).
+    """
+    next_state, outputs = trellis.table_lists()
+    n_out, m = trellis.code.n_out, trellis.code.m
+    goal = trellis.levels << m
+    closed = set()
+    live = {0: 0}  # node -> insertion number of its open entry
+    best = {0: 0.0}  # node -> least metric that reached it
+    heap = [(0.0, 0, 0, 0, 0)]  # (metric, insertion number, level, state, info bits)
+    seq, low, tail = 1, 0, 0
+    while True:
+        zeta, number, level, state, info = heapq.heappop(heap)
+        node = (level << m) | state
+        if node in closed or live[node] != number:
+            continue
+        if node == goal:
+            return 2 * low, 2 * low + tail, low + tail, zeta, info
+        closed.add(node)
+        if level < trellis.L:
+            low += 1
+        else:
+            tail += 1
+        for b in trellis.branch_inputs(level):
+            ns = next_state[state][b]
+            child = ((level + 1) << m) | ns
+            child_zeta = zeta + inc[(level << n_out) | outputs[state][b]]
+            incumbent = best.get(child)
+            if child in closed or (incumbent is not None and incumbent <= child_zeta):
+                continue
+            best[child], live[child] = child_zeta, seq
+            heapq.heappush(heap, (child_zeta, seq, level + 1, ns, info | (b << level)))
+            seq += 1
+
+
+@pytest.fixture(scope="session")
+def textbook_mlsda():
+    """The reference trellis search that the decoder's search must match
+    step for step (see textbook_mlsda_search)."""
+    return textbook_mlsda_search

@@ -1,8 +1,8 @@
 """Properties over random small codes, each checked against a scalar or
 per-trial reference kept here: the trellis layer on convolutional codes
 (memory <= 4, 2-3 outputs, L <= 8), the tree search on systematic block
-codes (k <= 10) and the Golay code, and the harness's batched trial
-pipeline on both."""
+codes (k <= 10) and the Golay code, the trellis search against a plain
+two-stack search, and the harness's batched trial pipeline on both."""
 
 import math
 
@@ -23,6 +23,8 @@ from seqdec.decoders import (
     ExtensionLimitExceeded,
     _gda_search,
     _gda_tables,
+    _metric_table,
+    _mlsda_search,
     brute_force_ml_block,
     gda_decode,
     mlsda_decode,
@@ -196,6 +198,41 @@ def test_gda_search_matches_textbook(textbook_gda, inputs, limit):
         return
     *got, got_metric, got_bits = _gda_search(code, bm0, bm1, limit)
     assert (got, got_metric.hex(), got_bits) == (counts, metric.hex(), bits)
+
+
+@st.composite
+def trellis_search_inputs(draw):
+    """A trellis (memory 0-4) and LLRs of one of two kinds: continuous, or
+    integer-valued in {0, +-1, +-2}, so that many paths and merges tie."""
+    trellis = draw(trellises())
+    N = trellis.code.n_out * trellis.levels
+    if draw(st.booleans()):
+        return trellis, np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=N,
+                                               max_size=N)))
+    return trellis, np.array(draw(st.lists(st.integers(-2, 2), min_size=N, max_size=N)),
+                             dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trellis_search_inputs(), st.sampled_from([5, 50, None]))
+# both children of the root overflow to metric inf and the stack is empty:
+# the first extension must still follow the 0-child, and the decoded word
+# is all zeros
+@example((build_trellis(ConvCode(n_out=3, m=1, taps=((1, 0), (0, 1), (0, 1))), 3),
+          np.array([1.0, -1.7e308, -1.7e308] + [1.0] * 9)), None)
+def test_mlsda_search_matches_textbook(textbook_mlsda, inputs, limit):
+    # every count, the metric's bits and the information bits equal those
+    # of the plain two-stack search; the budget trips exactly when its
+    # extension count exceeds the limit
+    trellis, phi = inputs
+    inc = _metric_table(trellis, phi).tolist()
+    *counts, metric, info = textbook_mlsda(trellis, inc)
+    if limit is not None and counts[2] > limit:
+        with pytest.raises(ExtensionLimitExceeded):
+            _mlsda_search(trellis, inc, limit)
+        return
+    *got, got_metric, got_info = _mlsda_search(trellis, inc, limit)
+    assert (got, got_metric.hex(), got_info) == (counts, metric.hex(), info)
 
 
 def per_trial_counts(target, cfg, gamma_b_db, trials) -> list:
