@@ -20,6 +20,13 @@ single-child tail a path steps level by level, with its parity bits
 read from per-byte tables, until its metric reaches the top.  Any tie
 falls back to one extension through the stack.
 
+The trellis search dives too, over fresh levels: above the deepest
+level that holds a closed or open node, no lookup can find anything, so
+a node there follows its best child level by level with no set or dict
+work and no push, while that child lies strictly below the top of the
+stack and the dive's own siblings.  A dive that stops short of the goal
+writes once what single steps would have written.
+
 Counting conventions.  Extending a tree path below level k, or a
 trellis node below level L, evaluates two branch metrics; those are the
 headline `branch_computations`.  Extensions in the single-branch tail
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqdec.channel import check_lengths, hard_decision
+from seqdec.channel import NonFiniteLLR, check_lengths, hard_decision
 from seqdec.codes import BlockCode, encode_conv
 from seqdec.trellis import Trellis
 
@@ -63,9 +70,17 @@ class DecodeOutcome:
 def _gda_tables(phi) -> tuple:
     """(offset [...], bm0 [..., n], bm1 [..., n]) of the tree search for
     LLRs [..., n]: the differential branch metrics of labels 0 and 1 at
-    each level, and the offset (see gda_decode)."""
-    opt = (np.abs(phi) - 1.0) ** 2
-    return np.sum(opt, axis=-1), (phi - 1.0) ** 2 - opt, (phi + 1.0) ** 2 - opt
+    each level, and the offset (see gda_decode).
+
+    Raises NonFiniteLLR if an offset is not finite: the squares of LLRs
+    above about 1.3e154 overflow, and their branch metrics would be
+    inf - inf = nan."""
+    with np.errstate(over="ignore"):
+        opt = (np.abs(phi) - 1.0) ** 2
+        offset = np.sum(opt, axis=-1)
+    if not np.isfinite(offset).all():
+        raise NonFiniteLLR("LLR magnitudes so large that the squared metrics overflow")
+    return offset, (phi - 1.0) ** 2 - opt, (phi + 1.0) ** 2 - opt
 
 
 def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> DecodeOutcome:
@@ -197,7 +212,7 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
 def _metric_table(trellis: Trellis, phi) -> np.ndarray:
     """Branch metric of every n_out-bit output pattern p at every level,
     for LLRs [..., N], as a flat row [..., levels << n_out] with entry
-    (level << n_out) | p: the sum of |phi_j| over the positions of the
+    (level << n_out) + p: the sum of |phi_j| over the positions of the
     level where p disagrees with the hard decision.
     """
     n_out = trellis.code.n_out
@@ -221,6 +236,17 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     extension ends at the goal node.  A stale top entry (closed or
     superseded) does not stop the best child's dive: a child strictly
     below it is below every entry on the stack.
+
+    A node at or above the deepest level holding a closed or open node
+    (memory m >= 1) dives: neither of its children can be closed or have
+    an incumbent, nor can theirs, so it follows the best child (the
+    0-child on a tie) while that child lies strictly below the top of
+    the stack and every sibling the dive has passed.  When it stops short
+    of the goal, the path's nodes are closed, the siblings and the
+    stopped child become open, and the stack is popped as after a single
+    step.  Pop order depends only on the set of entries, whose (metric,
+    insertion number) keys are unique, so every count, metric and
+    decoded word is that of single steps.
     """
     phi = check_lengths(phi, trellis.code.n_out * trellis.levels)
     inc = _metric_table(trellis, phi).tolist()
@@ -231,20 +257,25 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
 
 def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
     """The trellis search on a prebuilt metric row (a flat list indexed
-    (level << n_out) | output pattern, see _metric_table).
+    (level << n_out) + output pattern, see _metric_table).
 
     Returns (branch_computations, branch_computations_total, extensions,
     path metric, information bits as an int) of the path that reached
     the goal node.
     """
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     next_state, outputs = trellis.table_lists()
-
     n_out, m, L = trellis.code.n_out, trellis.code.m, trellis.L
-    goal = trellis.levels << m
+    levels = trellis.levels
+    goal = levels << m
     limit = sys.maxsize if extension_limit is None else extension_limit
     closed = set()
     resident = {0: (0.0, 0)}  # (level, state) node key -> (metric, seq)
     heap = []  # open entries (zeta, seq, level, state, info bits)
+    # The highest level holding a closed or resident node.  Children above
+    # it are neither, so a node at or above it dives (see below); with
+    # m = 0 both children of a node land on one node, and it never dives.
+    deepest = 0 if m else levels + 1
     zeta, level, state, info = 0.0, 0, 0, 0  # the node being extended
     seq = 1
     extensions = 0
@@ -256,46 +287,108 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
         if node == goal:
             return (2 * low_extensions, 2 * low_extensions + tail_metrics, extensions,
                     zeta, info)
-        closed.add(node)
-        del resident[node]
-        extensions += 1
-        if extensions > limit:
-            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
-        if level < L:
-            low_extensions += 1
-            inputs = (0, 1)
+        if level >= deepest:
+            # Fresh-level dive: follow the best child while it lies strictly
+            # below the stack and the dive's own siblings.  Its lookups could
+            # find nothing, and its writes are left until it stops.
+            del resident[node]
+            top = heap[0][0] if heap else math.nan  # nan: no open entry stops it
+            first, first_seq = level, seq
+            path, pending = [], []  # extended states; their siblings' metrics
+            budget = first + limit - extensions  # the first level past the budget
+            while level < levels:
+                if level >= budget:
+                    raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
+                path.append(state)
+                s0, s1 = next_state[state]
+                if level < L:
+                    o0, o1 = outputs[state]
+                    row = level << n_out
+                    f0 = zeta + inc[row + o0]
+                    f1 = zeta + inc[row + o1]
+                    if f1 < f0:  # the 1-child is best; on a tie the 0-child (lower seq) is
+                        zeta, sib, best_seq, state, info = f1, f0, seq + 1, s1, info | (1 << level)
+                    else:
+                        zeta, sib, best_seq, state = f0, f1, seq, s0
+                    seq += 2
+                    level += 1
+                    pending.append(sib)
+                    if zeta >= top:
+                        break
+                    if not sib >= top:
+                        top = sib
+                else:
+                    zeta += inc[(level << n_out) + outputs[state][0]]
+                    best_seq, state = seq, s0
+                    seq += 1
+                    level += 1
+                    if zeta >= top:
+                        break
+            extensions += level - first
+            low_extensions += len(pending)
+            tail_metrics += level - first - len(pending)
+            if not zeta >= top:
+                continue  # at the goal, below every open entry
+            # stopped: write what single steps would have written
+            for i, s in enumerate(path):
+                j = first + i
+                closed.add((j << m) | s)
+                if j < L:
+                    b = 1 - ((info >> j) & 1)  # the input that leads to the sibling
+                    ns = next_state[s][b]
+                    f = pending[i]
+                    resident[((j + 1) << m) | ns] = (f, first_seq + 2 * i + b)
+                    heappush(heap, (f, first_seq + 2 * i + b, j + 1, ns,
+                                    (info & ((1 << j) - 1)) | (b << j)))
+            resident[(level << m) | state] = (zeta, best_seq)
+            deepest = level
+            entry = heapreplace(heap, (zeta, best_seq, level, state, info))
         else:
-            tail_metrics += 1
-            inputs = (0,)
-        best = sibling = None
-        for b in inputs:
-            ns = next_state[state][b]
-            child = ((level + 1) << m) | ns
-            if child in closed:
-                continue
-            child_zeta = zeta + inc[(level << n_out) | outputs[state][b]]
-            incumbent = resident.get(child)
-            if incumbent is not None and incumbent[0] <= child_zeta:
-                continue  # merge: keep the incumbent (also on ties)
-            resident[child] = (child_zeta, seq)
-            entry = (child_zeta, seq, level + 1, ns, info | (b << level))
-            seq += 1
-            if best is None:
-                best = entry
-            elif child_zeta < best[0]:
-                best, sibling = entry, best
+            closed.add(node)
+            del resident[node]
+            extensions += 1
+            if extensions > limit:
+                raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
+            if level < L:
+                low_extensions += 1
+                inputs = (0, 1)
             else:
-                sibling = entry
-        dive = best is not None and (not heap or best[0] < heap[0][0])
-        if sibling is not None:  # above best, so it cannot be the next pop
-            heapq.heappush(heap, sibling)
-        if dive:
-            zeta, _, level, state, info = best
-            continue
+                tail_metrics += 1
+                inputs = (0,)
+            best = sibling = None
+            row, to_state, to_output = level << n_out, next_state[state], outputs[state]
+            child_level = level + 1
+            base = child_level << m
+            for b in inputs:
+                ns = to_state[b]
+                child = base | ns
+                if child in closed:
+                    continue
+                child_zeta = zeta + inc[row + to_output[b]]
+                incumbent = resident.get(child)
+                if incumbent is not None and incumbent[0] <= child_zeta:
+                    continue  # merge: keep the incumbent (also on ties)
+                resident[child] = (child_zeta, seq)
+                entry = (child_zeta, seq, child_level, ns, info | (b << level))
+                seq += 1
+                if best is None:
+                    best = entry
+                elif child_zeta < best[0]:
+                    best, sibling = entry, best
+                else:
+                    sibling = entry
+            dive = best is not None and (not heap or best[0] < heap[0][0])
+            if sibling is not None:  # above best, so it cannot be the next pop
+                heappush(heap, sibling)
+            if dive:
+                zeta, _, level, state, info = best
+                continue
+            entry = None if best is None else heapreplace(heap, best)
         try:  # pop to the first live entry; a closed node has left resident
-            entry = heapq.heapreplace(heap, best) if best is not None else heapq.heappop(heap)
+            if entry is None:
+                entry = heappop(heap)
             while resident.get((entry[2] << m) | entry[3], _NOT_OPEN)[1] != entry[1]:
-                entry = heapq.heappop(heap)
+                entry = heappop(heap)
         except IndexError:
             raise AssertionError("open stack exhausted before reaching the goal") from None
         zeta, _, level, state, info = entry
@@ -349,7 +442,7 @@ def viterbi_ml(trellis: Trellis, phi) -> np.ndarray:
         for state, (m, info) in metric.items():
             for b in trellis.branch_inputs(level):
                 ns = next_state[state][b]
-                cand = m + inc[(level << n_out) | outputs[state][b]]
+                cand = m + inc[(level << n_out) + outputs[state][b]]
                 if cand < nxt.get(ns, (INF, 0))[0]:
                     nxt[ns] = (cand, info | (b << level))
         metric = nxt

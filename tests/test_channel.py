@@ -137,6 +137,14 @@ class TestNonFiniteInputs:
         with pytest.raises(NonFiniteLLR):
             brute_force_ml_block(golay, phi)
 
+    def test_block_decoder_rejects_overflowing_squares(self, golay):
+        # finite, but (|phi| - 1)^2 overflows: the branch metrics would be
+        # inf - inf = nan and the search would return a word that is not ML
+        phi = np.ones(24)
+        phi[3] = -2e154
+        with pytest.raises(NonFiniteLLR):
+            gda_decode(golay, phi)
+
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_trellis_decoders_reject(self, fig_trellis, bad):
         phi = np.ones(3 * fig_trellis.levels)

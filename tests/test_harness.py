@@ -327,6 +327,13 @@ class TestCli:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_overflowing_llr_exit_code(self, capsys):
+        # at 1540 dB the LLRs are finite but their squares overflow
+        rc = cli.main(["simulate-gda", "--code", "golay24", "--snr", "1540",
+                       "--trials", "3"])
+        assert rc == 2
+        assert "overflow" in capsys.readouterr().err
+
     def test_non_finite_llr_exit_code(self, capsys, monkeypatch):
         def boom(cfg):
             raise NonFiniteLLR("LLR vector holds NaN or infinite entries")
