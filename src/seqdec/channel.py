@@ -78,10 +78,10 @@ class ChannelConfig:
 def transmit(codeword, cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
     """r_j = (-1)^{x_j} sqrt(E) + e_j with e_j ~ N(0, N0/2) independent."""
     bits = np.asarray(codeword, dtype=np.uint8)
-    return channel_output(bits, cfg, rng.gaussians(len(bits), cfg.noise_stddev))
+    return channel_output(bits, rng.gaussians(len(bits), cfg.noise_stddev))
 
 
-def channel_output(codewords, cfg: ChannelConfig, noise) -> np.ndarray:
+def channel_output(codewords, noise) -> np.ndarray:
     """(-1)^{x_j} sqrt(E) + noise_j, elementwise over codeword bits of any
     shape (one codeword per row of a batch)."""
     signs = 1.0 - 2.0 * np.asarray(codewords, dtype=np.uint8).astype(np.float64)

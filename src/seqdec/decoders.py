@@ -20,12 +20,17 @@ single-child tail a path steps level by level, with its parity bits
 read from per-byte tables, until its metric reaches the top.  Any tie
 falls back to one extension through the stack.
 
-The trellis search dives too, over fresh levels: above the deepest
-level that holds a closed or open node, no lookup can find anything, so
-a node there follows its best child level by level with no set or dict
-work and no push, while that child lies strictly below the top of the
-stack and the dive's own siblings.  A dive that stops short of the goal
-writes once what single steps would have written.
+The trellis search keeps each node's state (unseen, open with one path,
+or closed) in one node table, so a child costs one lookup.  It dives
+too, over fresh levels: above the deepest level that holds a node of
+the table, no lookup can find anything, so a node there follows its
+best child level by level with no table work and no push, while that
+child lies strictly below the top of the stack and the dive's own
+siblings.  A dive that stops short of the goal writes once what single
+steps would have written.
+
+Each search checks its extension budget once per turn of its loop, before
+the goal test, so it raises exactly when its final count exceeds the budget.
 
 Counting conventions.  Extending a tree path below level k, or a
 trellis node below level L, evaluates two branch metrics; those are the
@@ -72,15 +77,15 @@ def _gda_tables(phi) -> tuple:
     LLRs [..., n]: the differential branch metrics of labels 0 and 1 at
     each level, and the offset (see gda_decode).
 
-    Raises NonFiniteLLR if an offset is not finite: the squares of LLRs
-    above about 1.3e154 overflow, and their branch metrics would be
-    inf - inf = nan."""
-    with np.errstate(over="ignore"):
-        opt = (np.abs(phi) - 1.0) ** 2
-        offset = np.sum(opt, axis=-1)
-    if not np.isfinite(offset).all():
-        raise NonFiniteLLR("LLR magnitudes so large that the squared metrics overflow")
-    return offset, (phi - 1.0) ** 2 - opt, (phi + 1.0) ** 2 - opt
+    Raises NonFiniteLLR unless every |phi| < 2^53: at or above it phi - 1
+    and phi + 1 round to one float and the level's sign is lost, and from
+    about 1.3e154 the squares overflow."""
+    a = np.abs(phi)
+    if not (a < 2.0 ** 53).all():
+        raise NonFiniteLLR("LLR magnitudes of 2^53 or more: the squared metrics "
+                           "lose their sign or overflow")
+    opt = (a - 1.0) ** 2
+    return np.sum(opt, axis=-1), (phi - 1.0) ** 2 - opt, (phi + 1.0) ** 2 - opt
 
 
 def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> DecodeOutcome:
@@ -133,6 +138,8 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
     extensions = 0
     low_extensions = 0
     while True:
+        if extensions > limit:
+            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
         if fan is not None:  # put the fan's next member on the heap
             fan_f, base, dive_bits, order, size, pos = fan
             j = order[pos]
@@ -164,10 +171,7 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
                 level += 1
                 if level == n or f >= top:
                     break
-            steps = level - first
-            extensions += steps
-            if extensions > limit:
-                raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
+            extensions += level - first
             if not f >= top:
                 continue  # at level n, below every open path
             entry = heapreplace(heap, (f, extensions + low_extensions, level, bits, None))
@@ -180,16 +184,12 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
             if order is not None and f + c[order[0]] > f:  # whole dive to level k
                 steps = k - level
                 extensions += steps
-                if extensions > limit:
-                    raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
                 low_extensions += steps
                 bits |= hard & ((1 << k) - (1 << level))
                 fan = [f, extensions + low_extensions + 2 - 2 * k, bits, order, steps, 0]
                 level = k
                 continue
             extensions += 1  # one extension, as a plain loop takes it
-            if extensions > limit:
-                raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
             low_extensions += 1
             f0 = f + bm0[level]
             f1 = f + bm1[level]
@@ -223,19 +223,19 @@ def _metric_table(trellis: Trellis, phi) -> np.ndarray:
     return ((patterns != y[..., None, :]) * a[..., None, :]).sum(-1).reshape(lead + (-1,))
 
 
-_NOT_OPEN = (None, -1)  # resident entry of a node with no open path
+_CLOSED = (-math.inf, -1)  # a closed node: loses every merge test; seq -1 matches no entry
 
 
 def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> DecodeOutcome:
     """Two-stack best-first search over the trellis; exact ML.
 
-    A popped node's (state, level) goes into the closed set and is never
-    extended again; successors landing on a closed node are discarded.
-    When two open paths merge, the one with the higher metric is
-    eliminated (ties keep the incumbent).  Stops when the path up for
-    extension ends at the goal node.  A stale top entry (closed or
-    superseded) does not stop the best child's dive: a child strictly
-    below it is below every entry on the stack.
+    A popped node is marked closed in the node table (which holds each
+    open node's metric) and never extended again; successors landing on
+    a closed node are discarded.  When two open paths merge, the one
+    with the higher metric is eliminated (ties keep the incumbent).
+    Stops when the path up for extension ends at the goal node.  A stale
+    top entry (closed or superseded) does not stop the best child's
+    dive: a child strictly below it is below every entry on the stack.
 
     A node at or above the deepest level holding a closed or open node
     (memory m >= 1) dives: neither of its children can be closed or have
@@ -269,11 +269,10 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
     levels = trellis.levels
     goal = levels << m
     limit = sys.maxsize if extension_limit is None else extension_limit
-    closed = set()
-    resident = {0: (0.0, 0)}  # (level, state) node key -> (metric, seq)
+    nodes = {0: (0.0, 0)}  # (level << m) | state -> (metric, seq) of its open path, or _CLOSED
     heap = []  # open entries (zeta, seq, level, state, info bits)
-    # The highest level holding a closed or resident node.  Children above
-    # it are neither, so a node at or above it dives (see below); with
+    # The highest level holding a node of the table.  Children above it
+    # are not in it, so a node at or above it dives (see below); with
     # m = 0 both children of a node land on one node, and it never dives.
     deepest = 0 if m else levels + 1
     zeta, level, state, info = 0.0, 0, 0, 0  # the node being extended
@@ -283,6 +282,8 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
     tail_metrics = 0
 
     while True:
+        if extensions > limit:
+            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
         node = (level << m) | state
         if node == goal:
             return (2 * low_extensions, 2 * low_extensions + tail_metrics, extensions,
@@ -291,14 +292,10 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
             # Fresh-level dive: follow the best child while it lies strictly
             # below the stack and the dive's own siblings.  Its lookups could
             # find nothing, and its writes are left until it stops.
-            del resident[node]
             top = heap[0][0] if heap else math.nan  # nan: no open entry stops it
             first, first_seq = level, seq
             path, pending = [], []  # extended states; their siblings' metrics
-            budget = first + limit - extensions  # the first level past the budget
             while level < levels:
-                if level >= budget:
-                    raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
                 path.append(state)
                 s0, s1 = next_state[state]
                 if level < L:
@@ -332,23 +329,20 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
             # stopped: write what single steps would have written
             for i, s in enumerate(path):
                 j = first + i
-                closed.add((j << m) | s)
+                nodes[(j << m) | s] = _CLOSED
                 if j < L:
                     b = 1 - ((info >> j) & 1)  # the input that leads to the sibling
                     ns = next_state[s][b]
                     f = pending[i]
-                    resident[((j + 1) << m) | ns] = (f, first_seq + 2 * i + b)
+                    nodes[((j + 1) << m) | ns] = (f, first_seq + 2 * i + b)
                     heappush(heap, (f, first_seq + 2 * i + b, j + 1, ns,
                                     (info & ((1 << j) - 1)) | (b << j)))
-            resident[(level << m) | state] = (zeta, best_seq)
+            nodes[(level << m) | state] = (zeta, best_seq)
             deepest = level
             entry = heapreplace(heap, (zeta, best_seq, level, state, info))
         else:
-            closed.add(node)
-            del resident[node]
+            nodes[node] = _CLOSED
             extensions += 1
-            if extensions > limit:
-                raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
             if level < L:
                 low_extensions += 1
                 inputs = (0, 1)
@@ -362,13 +356,11 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
             for b in inputs:
                 ns = to_state[b]
                 child = base | ns
-                if child in closed:
-                    continue
                 child_zeta = zeta + inc[row + to_output[b]]
-                incumbent = resident.get(child)
+                incumbent = nodes.get(child)
                 if incumbent is not None and incumbent[0] <= child_zeta:
-                    continue  # merge: keep the incumbent (also on ties)
-                resident[child] = (child_zeta, seq)
+                    continue  # closed, or merge: keep the incumbent (also on ties)
+                nodes[child] = (child_zeta, seq)
                 entry = (child_zeta, seq, child_level, ns, info | (b << level))
                 seq += 1
                 if best is None:
@@ -384,10 +376,10 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
                 zeta, _, level, state, info = best
                 continue
             entry = None if best is None else heapreplace(heap, best)
-        try:  # pop to the first live entry; a closed node has left resident
+        try:  # pop to the first live entry: a closed or superseded node's seq differs
             if entry is None:
                 entry = heappop(heap)
-            while resident.get((entry[2] << m) | entry[3], _NOT_OPEN)[1] != entry[1]:
+            while nodes[(entry[2] << m) | entry[3]][1] != entry[1]:
                 entry = heappop(heap)
         except IndexError:
             raise AssertionError("open stack exhausted before reaching the goal") from None

@@ -222,7 +222,7 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
         info = (bits_from_uniforms(u[:, :drawn]) if drawn
                 else np.zeros((len(batch), info_len), dtype=np.uint8))
         noise = gaussians_from_uniforms(u[:, drawn:], channel.noise_stddev)
-        phi = llr(channel_output(encode(info), channel, noise), channel)
+        phi = llr(channel_output(encode(info), noise), channel)
         phi = check_lengths(phi, len(batch), n)
         if isinstance(target, BlockCode):
             _, bm0, bm1 = _gda_tables(phi)

@@ -138,12 +138,15 @@ class TestNonFiniteInputs:
             brute_force_ml_block(golay, phi)
 
     def test_block_decoder_rejects_overflowing_squares(self, golay):
-        # finite, but (|phi| - 1)^2 overflows: the branch metrics would be
-        # inf - inf = nan and the search would return a word that is not ML
-        phi = np.ones(24)
-        phi[3] = -2e154
-        with pytest.raises(NonFiniteLLR):
-            gda_decode(golay, phi)
+        # finite, but at -2e154 (|phi| - 1)^2 overflows, so the branch
+        # metrics would be inf - inf = nan; at -1e16 (above 2^53) phi - 1
+        # and phi + 1 round to one float, so both labels would add 0.  Either
+        # way the search would return a word that is not ML.
+        for big in (-2e154, -1e16):
+            phi = np.ones(24)
+            phi[3] = big
+            with pytest.raises(NonFiniteLLR):
+                gda_decode(golay, phi)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_trellis_decoders_reject(self, fig_trellis, bad):

@@ -192,9 +192,27 @@ class TestAtilde:
             run_atilde_table(1.2, 0.0, [100])
 
 
-class TestValidationSuite:
-    def test_all_pass(self):
+@pytest.fixture(scope="module")
+def validation_run():
+    """One run of the validation suite, shared by the tests that read it,
+    with the hit counts of every extension-event draw it made."""
+    tallies = []
+    estimate = harness.extension_event_hits
+
+    def recording(*args):
+        hits = estimate(*args)
+        tallies.append(hits.tolist())
+        return hits
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "extension_event_hits", recording)
         results = run_validation_suite()
+    return results, tallies
+
+
+class TestValidationSuite:
+    def test_all_pass(self, validation_run):
+        results, _ = validation_run
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
     def test_dstar_fault_injection(self, fig_trellis_code):
@@ -209,18 +227,11 @@ class TestExtensionEventHits:
     """Hit counts of the extension event, pinned from the draw code each
     site had of its own before they shared one estimator."""
 
-    def test_validation_checks(self, monkeypatch):
-        tallies = []
-        estimate = harness.extension_event_hits
-
-        def recording(*args):
-            hits = estimate(*args)
-            tallies.append(hits.tolist())
-            return hits
-
-        monkeypatch.setattr(harness, "extension_event_hits", recording)
-        assert harness.check_bound_dominance().passed
-        assert harness.check_extension_probability_monotone().passed
+    def test_validation_checks(self, validation_run):
+        # only the two Monte Carlo checks of the suite draw the event
+        results, tallies = validation_run
+        passed = {r.name: r.passed for r in results}
+        assert passed["bound-dominance"] and passed["extension-probability-monotone"]
         assert tallies == [
             [[100000, 100000, 100000, 100000], [7744, 13222, 19608, 26706],
              [2216, 3776, 5971, 8638], [679, 1184, 1881, 2849]],
@@ -328,11 +339,13 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     def test_overflowing_llr_exit_code(self, capsys):
-        # at 1540 dB the LLRs are finite but their squares overflow
-        rc = cli.main(["simulate-gda", "--code", "golay24", "--snr", "1540",
-                       "--trials", "3"])
-        assert rc == 2
-        assert "overflow" in capsys.readouterr().err
+        # at 1540 dB the LLRs are finite but their squares overflow; at
+        # 160 dB they pass 2^53, where phi - 1 and phi + 1 round to one float
+        for snr in ("1540", "160"):
+            rc = cli.main(["simulate-gda", "--code", "golay24", "--snr", snr,
+                           "--trials", "3"])
+            assert rc == 2
+            assert "overflow" in capsys.readouterr().err
 
     def test_non_finite_llr_exit_code(self, capsys, monkeypatch):
         def boom(cfg):
@@ -391,9 +404,20 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"{kind} error:")
 
-    def test_validate_passes(self, capsys):
+    def test_validate_passes(self, capsys, monkeypatch, validation_run):
+        results, _ = validation_run
+        monkeypatch.setattr(harness, "run_validation_suite", lambda: results)
         assert cli.main(["validate"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_validate_failure_exit_code(self, capsys, monkeypatch):
+        results = [harness.CheckResult("good", True, "ok"),
+                   harness.CheckResult("bad", False, "off by one")]
+        monkeypatch.setattr(harness, "run_validation_suite", lambda: results)
+        assert cli.main(["validate"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "PASS good: ok\nFAIL bad: off by one\n"
+        assert "1 check(s) failed" in err
 
 
 CONV_CFG = {"code": SMALL_CONV, "L": 8, "snr_db": [6.0], "trials": 10,
