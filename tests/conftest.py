@@ -1,8 +1,11 @@
 import heapq
+import math
 
 import pytest
 
-from seqdec.codes import build_extended_golay, build_extended_qr48, parse_octal_generators
+from seqdec.bounds import NoRoot
+from seqdec.codes import ConvCode, build_extended_golay, build_extended_qr48, parse_octal_generators
+from seqdec.numerics import SQRT_2PI, NoSignChange, std_normal_cdf
 from seqdec.trellis import build_trellis
 
 
@@ -31,6 +34,13 @@ def fig_trellis(fig_trellis_code):
 def conv_634_564():
     """(2,1,6) code with generators 634,564 (octal)."""
     return parse_octal_generators(["634", "564"], m=6, name="conv-634-564")
+
+
+@pytest.fixture(scope="session")
+def conv_m16():
+    """The memory-16 (2,1,16) code of fig7 (see src/seqdec/configs/fig7.json)."""
+    taps = tuple(tuple(int(c) for c in t) for t in ("11100110100001001", "10011001011110111"))
+    return ConvCode(n_out=2, m=16, taps=taps, name="conv-m16")
 
 
 def textbook_gda_search(code, bm0: list, bm1: list) -> tuple:
@@ -122,3 +132,56 @@ def textbook_mlsda():
     """The reference trellis search that the decoder's search must match
     step for step (see textbook_mlsda_search)."""
     return textbook_mlsda_search
+
+
+def scalar_bisect_root(f, lo: float, hi: float) -> float:
+    """Plain scalar bisection on [lo, hi]: the midpoint of the final
+    bracket once it is at most 1e-12 wide (or after 200 halvings), an
+    endpoint or midpoint where f is exactly 0, and NoSignChange when
+    f(lo) and f(hi) have one sign."""
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise NoSignChange(f"no sign change on [{lo}, {hi}]")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+def scalar_tilt_residual(lam: float, ratio: float, gamma: float) -> float:
+    """The tilt equation's residual in plain math-module arithmetic."""
+    s = math.sqrt(2.0 * gamma)
+    return (lam * math.exp(0.5 * lam * lam) * std_normal_cdf(-lam)
+            - (1.0 - ratio) / SQRT_2PI
+            + ratio * math.exp(gamma) * std_normal_cdf(s) * lam)
+
+
+def scalar_solve_tilt(ratio: float, gamma: float) -> float:
+    """The tilt for d/total = ratio, one scalar bisection on
+    [0, sqrt(2 gamma) - 1e-9]; NoRoot when the bracket has no sign
+    change."""
+    hi = math.sqrt(2.0 * gamma) - 1e-9
+    try:
+        return scalar_bisect_root(lambda x: scalar_tilt_residual(x, ratio, gamma), 0.0, hi)
+    except NoSignChange as exc:
+        raise NoRoot(str(exc)) from exc
+
+
+@pytest.fixture(scope="session")
+def scalar_tilt():
+    """The scalar tilt solve that the batched one must match bit for bit
+    (see scalar_solve_tilt)."""
+    return scalar_solve_tilt

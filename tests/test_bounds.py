@@ -251,6 +251,55 @@ class TestComplexityBounds:
             assert mlsda_complexity_bound(trellis, db) == pytest.approx(2.0, abs=1e-12)
 
 
+# (code, variant, SNR in dB) -> bound value, pinned by repr from the
+# scalar-solve implementation; any change of the summation order or of a
+# single tilt moves the last digits.
+GOLDEN_BOUNDS = {
+    ("golay", "be", 1.0): 1558.7480374617041,
+    ("golay", "chernoff", 1.0): 1558.7480374617041,
+    ("golay", "be", 4.0): 231.299279817183,
+    ("golay", "chernoff", 4.0): 231.299279817183,
+    ("golay", "be", 8.0): 29.581200497969224,
+    ("golay", "chernoff", 8.0): 29.581200497969224,
+    ("qr48", "be", 1.0): 839569.1707452103,
+    ("qr48", "chernoff", 1.0): 839569.1707452103,
+    ("qr48", "be", 4.5): 5230.717177310351,
+    ("qr48", "chernoff", 4.5): 5230.717177310351,
+    ("qr48", "be", 8.0): 82.96626929087269,
+    ("qr48", "chernoff", 8.0): 82.96626929087269,
+    ("657-L8", "be", 1.0): 44.292824913301104,
+    ("657-L8", "chernoff", 1.0): 44.292824913301104,
+    ("657-L8", "be", 4.0): 25.951586992442362,
+    ("657-L8", "chernoff", 4.0): 25.951586992442362,
+    ("657-L8", "be", 7.0): 16.728743540923787,
+    ("657-L8", "chernoff", 7.0): 16.728743540923787,
+    ("634-L100", "be", 2.0): 8575.836860020052,
+    ("634-L100", "chernoff", 2.0): 8575.836860020052,
+    ("634-L100", "be", 5.0): 901.6223475510969,
+    ("634-L100", "chernoff", 5.0): 901.6223475510969,
+    ("634-L100", "be", 8.0): 202.2030434006625,
+    ("634-L100", "chernoff", 8.0): 202.2030434006625,
+    ("m16-L100", "be", 4.0): 46555.030849048075,
+    ("m16-L100", "chernoff", 4.0): 46555.32169456859,
+}
+
+
+def test_golden_bounds(golay, qr48, fig_trellis_code, conv_634_564, conv_m16):
+    targets = {
+        "golay": (gda_complexity_bound, golay),
+        "qr48": (gda_complexity_bound, qr48),
+        "657-L8": (mlsda_complexity_bound, build_trellis(fig_trellis_code, 8)),
+        "634-L100": (mlsda_complexity_bound, build_trellis(conv_634_564, 100)),
+        "m16-L100": (mlsda_complexity_bound, build_trellis(conv_m16, 100)),
+    }
+    variants = {"be": BERRY_ESSEEN, "chernoff": CHERNOFF}
+    got = {}
+    for name, kind, db in GOLDEN_BOUNDS:
+        fn, target = targets[name]
+        got[name, kind, db] = fn(target, db, variants[kind])
+    assert got == GOLDEN_BOUNDS
+
+
 class TestBoundVariant:
     def test_constant_default(self):
         assert IID_NORMAL_APPROX_CONSTANT == pytest.approx(0.7655)
