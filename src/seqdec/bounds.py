@@ -12,6 +12,13 @@ constant 0.7655 for i.i.d. sums.
 Summing these per-node extension probabilities over a code tree or a
 trellis yields the average branch-metric-computation bounds exposed as
 gda_complexity_bound and mlsda_complexity_bound.
+
+A complexity bound first collects every (d, clipped) pair it needs and
+solves their tilts in one elementwise numpy bisection over the distinct
+ratios d/total (solve_tilts).  Residuals within TILT_SIGN_MARGIN of 0
+are recomputed with the math module, so every bisection step, and with
+it every tilt and bound value, is bit-equal to a scalar solve.  The rest
+of each per-node bound is scalar.
 """
 
 import logging
@@ -20,12 +27,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from seqdec.channel import ChannelConfig
 from seqdec.numerics import (
+    SQRT2,
     SQRT_2PI,
     DomainError,
-    NoSignChange,
     bisect_root,
     log_binomial,
     log_std_normal_cdf,
@@ -76,32 +84,62 @@ def clipped_gaussian_mean(gamma: float) -> float:
     return -math.exp(-gamma) / SQRT_2PI + s * std_normal_cdf(-s)
 
 
-def _tilt_residual(lam: float, ratio: float, gamma: float) -> float:
-    s = math.sqrt(2.0 * gamma)
-    return (lam * math.exp(0.5 * lam * lam) * std_normal_cdf(-lam)
+#: Batched residuals within this distance of 0 are recomputed with the
+#: math module.  np.exp and scipy's erfc differ from math.exp and
+#: math.erfc by a few ulps, which near a root could flip the sign a
+#: scalar solve sees; outside the margin the two residuals agree in sign
+#: (test_bounds.py shows them within TILT_SIGN_MARGIN / 100 of each other
+#: wherever the residual is below 1 in magnitude, over a dense grid of
+#: ratios in (0, 1) and gammas in [0.05, 20]).
+TILT_SIGN_MARGIN = 1e-13
+
+
+def _tilt_residual(lam, ratio, slope, exp=math.exp, erfc=math.erfc):
+    """lam e^(lam^2/2) Phi(-lam) - (1 - ratio)/sqrt(2 pi) + slope lam,
+    with slope = ratio e^gamma Phi(sqrt(2 gamma)) multiplied in that
+    order.  Scalar with the default math functions; elementwise on
+    arrays with np.exp and scipy.special.erfc."""
+    return (lam * exp(0.5 * lam * lam) * (0.5 * erfc(lam / SQRT2))
             - (1.0 - ratio) / SQRT_2PI
-            + ratio * math.exp(gamma) * std_normal_cdf(s) * lam)
+            + slope * lam)
+
+
+def solve_tilts(ratios, gamma: float) -> np.ndarray:
+    """Optimal tilts for an array of ratios d/total at one gamma, in one
+    elementwise bisection on [0, sqrt(2 gamma) - 1e-9].
+
+    Solves lam e^(lam^2/2) Phi(-lam) = (1 - d/total)/sqrt(2 pi)
+    - (d/total) e^gamma Phi(sqrt(2 gamma)) lam, the stationarity
+    condition of the exponential factor in the tilt parameter.  Each
+    tilt is bit-equal to a scalar bisection on the math-module residual:
+    every residual within TILT_SIGN_MARGIN of 0 is recomputed that way.
+    A ratio whose bracket shows no sign change gets nan.
+    """
+    ratios = np.asarray(ratios, dtype=float)
+    slopes = ratios * math.exp(gamma) * std_normal_cdf(math.sqrt(2.0 * gamma))
+
+    def residual(lam):
+        r = _tilt_residual(lam, ratios, slopes, np.exp, special.erfc)
+        for i in np.flatnonzero(np.abs(r) <= TILT_SIGN_MARGIN).tolist():
+            r[i] = _tilt_residual(float(lam[i]), float(ratios[i]), float(slopes[i]))
+        return r
+
+    hi = math.sqrt(2.0 * gamma) - 1e-9
+    return bisect_root(residual, np.zeros(ratios.shape), np.full(ratios.shape, hi))
 
 
 def solve_tilt(d: int, total: int, gamma: float) -> float:
-    """Optimal tilt parameter for the mixed Gaussian/clipped sum.
-
-    Solves lam e^(lam^2/2) Phi(-lam) = (1 - d/total)/sqrt(2 pi)
-    - (d/total) e^gamma Phi(sqrt(2 gamma)) lam on [0, sqrt(2 gamma)),
-    the stationarity condition of the exponential factor in the tilt
-    parameter.  The solution depends on (d/total, gamma) only.
+    """Optimal tilt parameter for the mixed Gaussian/clipped sum; the
+    one-ratio case of solve_tilts.  It depends on (d/total, gamma) only.
 
     Raises NoRoot when the bracket shows no sign change (the bound then
     falls back to 1).
     """
     if not 1 <= d < total:
         raise DomainError("need 1 <= d < total")
-    ratio = d / total
-    hi = math.sqrt(2.0 * gamma) - 1e-9
-    try:
-        lam = bisect_root(lambda x: _tilt_residual(x, ratio, gamma), 0.0, hi)
-    except NoSignChange as exc:
-        raise NoRoot(str(exc)) from exc
+    lam = float(solve_tilts([d / total], gamma)[0])
+    if math.isnan(lam):
+        raise NoRoot(f"no sign change for d/total = {d / total} at gamma = {gamma}")
     return lam
 
 
@@ -153,29 +191,44 @@ def _mean_positivity_threshold(gamma: float) -> float:
     return 1.0 - t / (1.0 + t * std_normal_cdf(math.sqrt(2.0 * gamma)))
 
 
-@lru_cache(maxsize=1 << 18)
-def log_extension_probability_bound(d: int, clipped: int, gamma: float,
-                                    variant: BoundVariant) -> float:
-    """ln of the upper bound on Pr{sum of d Gaussians + clipped
-    min-clipped Gaussians <= 0}; see extension_probability_bound."""
-    if d < 0 or clipped < 0 or d + clipped < 1:
-        raise DomainError("need d, clipped >= 0 with d + clipped >= 1")
+def _log_bounds(pairs, gamma: float, variant: BoundVariant) -> list:
+    """ln of the extension-probability bound for each (d, clipped) pair
+    at one gamma (see extension_probability_bound).  The tilts of all
+    pairs are solved in one solve_tilts call, one per distinct d/total;
+    the rest of each bound is scalar."""
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
-    if d == 0:
-        # every clipped summand is <= 0, so the event is certain
-        return 0.0
-    if clipped == 0:
-        return log_std_normal_cdf(-math.sqrt(2.0 * gamma * d))
+    logs = []
+    tilted = {}  # d/total -> its position in the batch of tilts
+    threshold = None
+    for d, clipped in pairs:
+        if d < 0 or clipped < 0 or d + clipped < 1:
+            raise DomainError("need d, clipped >= 0 with d + clipped >= 1")
+        if d == 0:
+            # every clipped summand is <= 0, so the event is certain
+            logs.append(0.0)
+        elif clipped == 0:
+            logs.append(log_std_normal_cdf(-math.sqrt(2.0 * gamma * d)))
+        else:
+            if threshold is None:
+                threshold = _mean_positivity_threshold(gamma)
+            if d / (d + clipped) < threshold:
+                logs.append(0.0)
+            else:
+                logs.append(None)
+                tilted.setdefault(d / (d + clipped), len(tilted))
+    if not tilted:
+        return logs
+    lams = solve_tilts(list(tilted), gamma).tolist()
+    for i, (d, clipped) in enumerate(pairs):
+        if logs[i] is None:
+            lam = lams[tilted[d / (d + clipped)]]
+            logs[i] = 0.0 if math.isnan(lam) else _log_tilted_bound(d, clipped, gamma, lam, variant)
+    return logs
 
-    total = d + clipped
-    if d / total < _mean_positivity_threshold(gamma):
-        return 0.0
-    try:
-        lam = solve_tilt(d, total, gamma)
-    except NoRoot:
-        return 0.0
 
+def _log_tilted_bound(d: int, clipped: int, gamma: float, lam: float,
+                      variant: BoundVariant) -> float:
     s = math.sqrt(2.0 * gamma)
     mh = clipped_gaussian_mean(gamma)
     prefactor = subexponential_factor(d, clipped, gamma, lam, variant)
@@ -187,6 +240,14 @@ def log_extension_probability_bound(d: int, clipped: int, gamma: float,
               + d * (-gamma + 0.5 * lam * lam)
               + log_std_normal_cdf((clipped * mh + lam * d) / sqrt_d))
     return min(_logaddexp(gauss_tail, tilted), 0.0)
+
+
+@lru_cache(maxsize=1 << 18)
+def log_extension_probability_bound(d: int, clipped: int, gamma: float,
+                                    variant: BoundVariant) -> float:
+    """ln of the upper bound on Pr{sum of d Gaussians + clipped
+    min-clipped Gaussians <= 0}; see extension_probability_bound."""
+    return _log_bounds([(d, clipped)], gamma, variant)[0]
 
 
 def extension_probability_bound(d: int, clipped: int, gamma: float,
@@ -219,13 +280,13 @@ def gda_complexity_bound(code, gamma_b_db: float,
     result is at least 2k.
     """
     gamma = ChannelConfig.for_block_code(code, gamma_b_db).gamma
+    pairs = [(level, d) for level in range(code.k) for d in range(level + 1)]
+    logs = _log_bounds([(d, code.n - level) for level, d in pairs], gamma, variant)
     total = 0.0
-    for level in range(code.k):
-        for d in range(level + 1):
-            log_term = (log_binomial(level, d)
-                        + log_extension_probability_bound(d, code.n - level, gamma, variant))
-            if log_term > -700.0:
-                total += math.exp(log_term)
+    for (level, d), log_bound in zip(pairs, logs):
+        log_term = log_binomial(level, d) + log_bound
+        if log_term > -700.0:
+            total += math.exp(log_term)
     return 2.0 * total
 
 
@@ -237,23 +298,34 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
     present at level l, at the channel SNR gamma of
     ChannelConfig.for_conv_code.  Absent states contribute nothing.
 
-    B is evaluated once per distinct d* of a level.  The terms are then
-    added one by one in ascending (level, state) order, with a
-    sequential cumulative sum, so the result does not depend on how many
-    states share a d* value; a pairwise or count-weighted sum would move
-    it in the last digits.
+    B is evaluated once per distinct d* of a level, and the tilts of all
+    levels are solved in one batched bisection (see _log_bounds).  A
+    level whose states are all present reads its d* row as it is; other
+    levels gather the present states.  The terms are then added one by
+    one in ascending (level, state) order, with a sequential cumulative
+    sum, so the result does not depend on how many states share a d*
+    value; a pairwise or count-weighted sum would move it in the last
+    digits.
     """
     code = trellis.code
     n_out = code.n_out
     N = n_out * (trellis.L + code.m)
     gamma = ChannelConfig.for_conv_code(code, trellis.L, gamma_b_db).gamma
     dstar = compute_dstar(trellis)
+
+    def present(level):
+        row, mask = dstar[level], trellis.reachable[level]
+        return row if mask.all() else row[mask]
+
+    distinct = [np.flatnonzero(np.bincount(present(level))).tolist()
+                for level in range(trellis.L)]
+    pairs = [(v, N - level * n_out) for level, vs in enumerate(distinct) for v in vs]
+    bounds = iter(_log_bounds(pairs, gamma, variant))
     total = 0.0
-    for level in range(trellis.L):
-        clipped = N - level * n_out
-        d = dstar[level, trellis.reachable[level]].astype(np.intp)  # index once, not per use
-        lut = np.zeros(int(d.max()) + 1)
-        for v in np.flatnonzero(np.bincount(d)).tolist():
-            lut[v] = extension_probability_bound(v, clipped, gamma, variant)
+    for level, vs in enumerate(distinct):
+        d = present(level)
+        lut = np.zeros(vs[-1] + 1)
+        for v in vs:
+            lut[v] = math.exp(next(bounds))
         total = float(np.cumsum(np.concatenate(([total], lut[d])))[-1])
     return 2 * total

@@ -1,9 +1,9 @@
-"""Scalar numerics shared by every other module.
+"""Numerics shared by every other module.
 
 Gaussian cdf evaluation (linear and log domain), a deterministic
-bracketing root solver, log-binomials, and a seeded bit and Gaussian
-stream whose bit and Box-Muller rules also apply to stacked rows of
-uniforms.
+bracketing root solver (scalar, or elementwise over arrays),
+log-binomials, and a seeded bit and Gaussian stream whose bit and
+Box-Muller rules also apply to stacked rows of uniforms.
 """
 
 import math
@@ -45,35 +45,49 @@ def log_std_normal_cdf(x: float) -> float:
     return math.log(0.5) + math.log(erfcx(-x / SQRT2)) - 0.5 * x * x
 
 
-def bisect_root(f, lo: float, hi: float) -> float:
+def bisect_root(f, lo, hi):
     """Bisection on [lo, hi]; requires a sign change over the bracket.
 
     Deterministic: always returns the midpoint of the final bracket,
-    after the bracket width has shrunk below 1e-12.
+    after the bracket width has shrunk below 1e-12, or the first point
+    tried where f is exactly 0.
 
     Raises NoSignChange when f(lo) * f(hi) > 0; the caller decides what
     a missing root means.
+
+    Elementwise when lo and hi are arrays: f then maps an array of points
+    to the array of their values, each element takes exactly the steps
+    of a scalar call on its own bracket, and an element whose bracket
+    shows no sign change comes out nan instead of raising.
     """
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        root = float(bisect_root(lambda x: np.array([f(float(x[0]))]),
+                                 np.array([lo], dtype=float), np.array([hi], dtype=float))[0])
+        if math.isnan(root):
+            raise NoSignChange(f"no sign change on [{lo}, {hi}]")
+        return root
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     flo = f(lo)
     fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NoSignChange(f"no sign change on [{lo}, {hi}]")
+    root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
+    lo_positive = flo > 0.0  # the sign of f(lo) never changes as lo moves
+    active = (flo != 0.0) & (fhi != 0.0) & (lo_positive != (fhi > 0.0))
     for _ in range(200):
+        if not active.any():
+            break
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+        hit = active & (fmid == 0.0)
+        root[hit] = mid[hit]
+        active &= ~hit
+        up = active & ((fmid > 0.0) == lo_positive)
+        lo = np.where(up, mid, lo)
+        hi = np.where(active & ~up, mid, hi)
+        done = active & (hi - lo <= 1e-12)
+        root[done] = 0.5 * (lo[done] + hi[done])
+        active &= ~done
+    root[active] = 0.5 * (lo[active] + hi[active])
+    return root
 
 
 def log_binomial(n: int, d: int) -> float:

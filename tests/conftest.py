@@ -185,3 +185,17 @@ def scalar_tilt():
     """The scalar tilt solve that the batched one must match bit for bit
     (see scalar_solve_tilt)."""
     return scalar_solve_tilt
+
+
+@pytest.fixture(scope="session")
+def scalar_bisect():
+    """The scalar bisection that each element of an array call of
+    numerics.bisect_root must match (see scalar_bisect_root)."""
+    return scalar_bisect_root
+
+
+@pytest.fixture(scope="session")
+def scalar_residual():
+    """The tilt equation's residual in math-module arithmetic (see
+    scalar_tilt_residual)."""
+    return scalar_tilt_residual

@@ -2,19 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from seqdec.bounds import (
     BERRY_ESSEEN,
     CHERNOFF,
     IID_NORMAL_APPROX_CONSTANT,
+    TILT_SIGN_MARGIN,
     BoundVariant,
     NoRoot,
     clipped_gaussian_mean,
     extension_probability_bound,
     gda_complexity_bound,
     mlsda_complexity_bound,
+    _tilt_residual,
     solve_tilt,
+    solve_tilts,
     subexponential_factor,
 )
 from seqdec.harness import extension_event_hits
@@ -93,6 +99,50 @@ class TestSolveTilt:
         # tiny d/n at low SNR: mean-positivity fails and no root exists
         with pytest.raises(NoRoot):
             solve_tilt(1, 1000, 0.05)
+
+
+class TestSolveTilts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=30),
+           st.floats(0.05, 20.0))
+    # ratios 0.001 and 0.01 have no root at gamma 0.05; the rest do
+    @example([0.001, 0.01, 0.2, 0.5, 0.999], 0.05)
+    @example([0.2, 0.2, 1e-300, 1.0 - 2.0 ** -53], 20.0)
+    # the scalar residual is exactly 0 at a midpoint near 0.648, where the
+    # numpy one is 2.8e-17: without the exact-sign guard the tilts differ
+    @example([0.014278991897404447], 3.0113131693802564)
+    def test_bit_equal_to_scalar_solve(self, scalar_tilt, ratios, gamma):
+        got = solve_tilts(ratios, gamma).tolist()
+        for ratio, lam in zip(ratios, got):
+            try:
+                want = scalar_tilt(ratio, gamma)
+            except NoRoot:
+                assert math.isnan(lam)
+            else:
+                assert lam.hex() == want.hex()
+
+    def test_numpy_residual_within_margin(self, scalar_residual):
+        # the guard recomputes residuals within TILT_SIGN_MARGIN of 0 with
+        # the math module; outside it the numpy residual must carry the
+        # scalar one's sign, which holds since the two differ by at most
+        # TILT_SIGN_MARGIN / 100, relative to the residual where it is
+        # above 1 in magnitude
+        worst = 0.0
+        for gamma in np.linspace(0.05, 20.0, 40).tolist():
+            s = math.sqrt(2.0 * gamma)
+            lam = np.linspace(0.0, s - 1e-9, 150)
+            for ratio in np.linspace(0.001, 0.999, 40).tolist():
+                slope = ratio * math.exp(gamma) * std_normal_cdf(s)
+                fast = _tilt_residual(lam, ratio, slope, np.exp, special.erfc)
+                exact = np.array([scalar_residual(x, ratio, gamma) for x in lam.tolist()])
+                worst = max(worst, float((np.abs(fast - exact)
+                                          / np.maximum(np.abs(exact), 1.0)).max()))
+        assert worst <= TILT_SIGN_MARGIN / 100
+
+    def test_one_ratio_calls_match(self):
+        assert solve_tilt(20, 100, 0.5) == solve_tilts([0.2], 0.5)[0]
+        assert math.isnan(solve_tilts([1 / 1000], 0.05)[0])
 
 
 class TestSubexponentialFactor:

@@ -110,6 +110,32 @@ class TestBisectRoot:
         assert f(root - 1e-10) * f(root + 1e-10) <= 0.0
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 4.0),
+                              st.sampled_from(["lo", "hi", "mid", "inside", "outside"]),
+                              st.floats(0.0, 1.0)),
+                    min_size=1, max_size=20))
+    def test_elementwise_matches_scalar(self, scalar_bisect, cases):
+        # f(x) = x - c per element, with c at an endpoint (f exactly 0
+        # there), at the bracket's first midpoint, inside or outside it
+        lo, hi, c = [], [], []
+        for a, width, kind, u in cases:
+            b = a + width
+            lo.append(a)
+            hi.append(b)
+            c.append({"lo": a, "hi": b, "mid": 0.5 * (a + b), "inside": a + u * (b - a),
+                      "outside": b + 1.0 + u}[kind])
+        lo, hi, c = np.array(lo), np.array(hi), np.array(c)
+        got = bisect_root(lambda x: x - c, lo, hi).tolist()
+        for lam, a, b, root in zip(got, lo.tolist(), hi.tolist(), c.tolist()):
+            try:
+                want = scalar_bisect(lambda x: x - root, a, b)
+            except NoSignChange:
+                assert math.isnan(lam)
+            else:
+                assert lam.hex() == want.hex()
+
+
 class TestLogBinomial:
     def test_edge(self):
         assert log_binomial(5, 0) == pytest.approx(0.0, abs=1e-12)
