@@ -214,11 +214,23 @@ def _metric_table(trellis: Trellis, phi) -> np.ndarray:
     for LLRs [..., N], as a flat row [..., levels << n_out] with entry
     (level << n_out) + p: the sum of |phi_j| over the positions of the
     level where p disagrees with the hard decision.
+
+    Raises NonFiniteLLR unless every row's sum of |phi| is at most half
+    the largest float.  A path metric adds a subset of those magnitudes
+    in its own order, which rounding moves by a factor of at most about
+    1 + 2N eps, so under the limit no path metric overflows to inf,
+    where paths with different metrics would tie.
     """
     n_out = trellis.code.n_out
     lead = phi.shape[:-1]
     y = hard_decision(phi).reshape(lead + (-1, n_out))
-    a = np.abs(phi).reshape(lead + (-1, n_out))
+    a = np.abs(phi)
+    with np.errstate(over="ignore"):
+        sums = a.sum(axis=-1)
+    if not (sums <= 0.5 * sys.float_info.max).all():
+        raise NonFiniteLLR("LLR magnitudes sum past half the largest float: "
+                           "the path metrics could overflow")
+    a = a.reshape(lead + (-1, n_out))
     patterns = (np.arange(1 << n_out)[:, None] >> np.arange(n_out)) & 1
     return ((patterns != y[..., None, :]) * a[..., None, :]).sum(-1).reshape(lead + (-1,))
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -156,6 +157,27 @@ class TestNonFiniteInputs:
             mlsda_decode(fig_trellis, phi)
         with pytest.raises(NonFiniteLLR):
             viterbi_ml(fig_trellis, phi)
+
+    @pytest.mark.parametrize("seed", [1, 5, 7])
+    def test_trellis_decoders_reject_overflowing_metrics(self, fig_trellis, seed):
+        # N(0, 1) LLRs scaled to max |phi| = 1.7e308: path metrics, sums
+        # of |phi|, overflow to inf and tie, and an unchecked search
+        # returns a word other than viterbi_ml's on the unscaled vector
+        phi = np.random.default_rng(seed).normal(size=3 * fig_trellis.levels)
+        phi *= 1.7e308 / np.abs(phi).max()
+        with pytest.raises(NonFiniteLLR):
+            mlsda_decode(fig_trellis, phi)
+        with pytest.raises(NonFiniteLLR):
+            viterbi_ml(fig_trellis, phi)
+
+    def test_trellis_metric_limit(self, fig_trellis):
+        # the row's sum of |phi| may reach half the largest float, not pass it
+        phi = np.full(3 * fig_trellis.levels, -1.0)
+        phi[0] = -0.5 * sys.float_info.max  # the other 20 magnitudes round away
+        assert math.isfinite(mlsda_decode(fig_trellis, phi).metric)
+        phi[1] = -1e300
+        with pytest.raises(NonFiniteLLR):
+            mlsda_decode(fig_trellis, phi)
 
     @pytest.mark.parametrize("db", [math.nan, math.inf, -math.inf])
     def test_config_rejects_non_finite_db(self, db):

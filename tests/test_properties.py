@@ -215,11 +215,11 @@ def trellis_search_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(trellis_search_inputs(), st.sampled_from([5, 50, None]))
-# both children of the root overflow to metric inf and the stack is empty:
-# the first extension must still follow the 0-child, and the decoded word
-# is all zeros
+# both children of the root tie at metric 8e307 (the 1.0 rounds away) and
+# the stack is empty: the first extension must still follow the 0-child,
+# and the decoded word is all zeros
 @example((build_trellis(ConvCode(n_out=3, m=1, taps=((1, 0), (0, 1), (0, 1))), 3),
-          np.array([1.0, -1.7e308, -1.7e308] + [1.0] * 9)), None)
+          np.array([1.0, -4e307, -4e307] + [1.0] * 9)), None)
 def test_mlsda_search_matches_textbook(textbook_mlsda, inputs, limit):
     # every count, the metric's bits and the information bits equal those
     # of the plain two-stack search; the budget trips exactly when its
