@@ -58,16 +58,10 @@ class TestClippedGaussianMean:
 
 
 class TestSolveTilt:
-    def residual(self, lam, ratio, gamma):
-        s = math.sqrt(2.0 * gamma)
-        return (lam * math.exp(0.5 * lam * lam) * std_normal_cdf(-lam)
-                - (1.0 - ratio) / SQRT_2PI
-                + ratio * math.exp(gamma) * std_normal_cdf(s) * lam)
-
-    def test_residual_small(self):
+    def test_residual_small(self, scalar_residual):
         lam = solve_tilt(20, 100, 0.5)
         assert 0.0 <= lam < math.sqrt(1.0)
-        assert abs(self.residual(lam, 0.2, 0.5)) < 1e-9
+        assert abs(scalar_residual(lam, 0.2, 0.5)) < 1e-9
 
     def test_stationary_point(self):
         # the root must zero the derivative of the log of the

@@ -83,16 +83,14 @@ class TestBisectRoot:
         with pytest.raises(NoSignChange):
             bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
-    def test_tilt_equation_instance(self):
+    def test_tilt_equation_instance(self, scalar_residual):
         # the root solver's main customer: grid-scan oracle shows exactly
         # one sign change in [0, sqrt(2 gamma)) for d=20, n=100, gamma=0.5
         gamma, ratio = 0.5, 0.2
         s = math.sqrt(2.0 * gamma)
 
         def resid(lam):
-            return (lam * math.exp(0.5 * lam * lam) * std_normal_cdf(-lam)
-                    - (1.0 - ratio) / math.sqrt(2.0 * math.pi)
-                    + ratio * math.exp(gamma) * std_normal_cdf(s) * lam)
+            return scalar_residual(lam, ratio, gamma)
 
         grid = np.linspace(0.0, s - 1e-9, 10_000)
         vals = np.array([resid(x) for x in grid])
