@@ -94,14 +94,13 @@ def clipped_gaussian_mean(gamma: float) -> float:
 TILT_SIGN_MARGIN = 1e-13
 
 
-def _tilt_residual(lam, ratio, slope, exp=math.exp, erfc=math.erfc):
-    """lam e^(lam^2/2) Phi(-lam) - (1 - ratio)/sqrt(2 pi) + slope lam,
-    with slope = ratio e^gamma Phi(sqrt(2 gamma)) multiplied in that
-    order.  Scalar with the default math functions; elementwise on
-    arrays with np.exp and scipy.special.erfc."""
-    return (lam * exp(0.5 * lam * lam) * (0.5 * erfc(lam / SQRT2))
-            - (1.0 - ratio) / SQRT_2PI
-            + slope * lam)
+def _tilt_residual(lam, offset, slope, exp=math.exp, erfc=math.erfc):
+    """lam e^(lam^2/2) Phi(-lam) - offset + slope lam, for offset =
+    (1 - d/total)/sqrt(2 pi) and slope = (d/total) e^gamma
+    Phi(sqrt(2 gamma)), multiplied in that order.  Scalar with the
+    default math functions; elementwise on arrays with np.exp and
+    scipy.special.erfc."""
+    return lam * exp(0.5 * lam * lam) * (0.5 * erfc(lam / SQRT2)) - offset + slope * lam
 
 
 def solve_tilts(ratios, gamma: float) -> np.ndarray:
@@ -116,12 +115,15 @@ def solve_tilts(ratios, gamma: float) -> np.ndarray:
     A ratio whose bracket shows no sign change gets nan.
     """
     ratios = np.asarray(ratios, dtype=float)
+    offsets = (1.0 - ratios) / SQRT_2PI
     slopes = ratios * math.exp(gamma) * std_normal_cdf(math.sqrt(2.0 * gamma))
 
     def residual(lam):
-        r = _tilt_residual(lam, ratios, slopes, np.exp, special.erfc)
-        for i in np.flatnonzero(np.abs(r) <= TILT_SIGN_MARGIN).tolist():
-            r[i] = _tilt_residual(float(lam[i]), float(ratios[i]), float(slopes[i]))
+        r = _tilt_residual(lam, offsets, slopes, np.exp, special.erfc)
+        near = np.abs(r) <= TILT_SIGN_MARGIN
+        if near.any():
+            for i in np.flatnonzero(near).tolist():
+                r[i] = _tilt_residual(float(lam[i]), float(offsets[i]), float(slopes[i]))
         return r
 
     hi = math.sqrt(2.0 * gamma) - 1e-9

@@ -74,20 +74,18 @@ def bisect_root(f, lo, hi):
     active = (flo != 0.0) & (fhi != 0.0) & (lo_positive != (fhi > 0.0))
     for _ in range(200):
         if not active.any():
-            break
+            return root
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
-        hit = active & (fmid == 0.0)
-        root[hit] = mid[hit]
-        active &= ~hit
         up = active & ((fmid > 0.0) == lo_positive)
         lo = np.where(up, mid, lo)
-        hi = np.where(active & ~up, mid, hi)
-        done = active & (hi - lo <= 1e-12)
-        root[done] = 0.5 * (lo[done] + hi[done])
-        active &= ~done
-    root[active] = 0.5 * (lo[active] + hi[active])
-    return root
+        hi = np.where(active ^ up, mid, hi)
+        zero = fmid == 0.0
+        stop = active & (zero | (hi - lo <= 1e-12))
+        if stop.any():
+            root = np.where(stop, np.where(zero, mid, 0.5 * (lo + hi)), root)
+            active ^= stop
+    return np.where(active, 0.5 * (lo + hi), root)
 
 
 def log_binomial(n: int, d: int) -> float:

@@ -128,7 +128,7 @@ class TestSolveTilts:
             lam = np.linspace(0.0, s - 1e-9, 150)
             for ratio in np.linspace(0.001, 0.999, 40).tolist():
                 slope = ratio * math.exp(gamma) * std_normal_cdf(s)
-                fast = _tilt_residual(lam, ratio, slope, np.exp, special.erfc)
+                fast = _tilt_residual(lam, (1.0 - ratio) / SQRT_2PI, slope, np.exp, special.erfc)
                 exact = np.array([scalar_residual(x, ratio, gamma) for x in lam.tolist()])
                 worst = max(worst, float((np.abs(fast - exact)
                                           / np.maximum(np.abs(exact), 1.0)).max()))

@@ -133,6 +133,17 @@ class TestBisectRoot:
             else:
                 assert lam.hex() == want.hex()
 
+    def test_elementwise_stalled_bracket(self, scalar_bisect):
+        # the root lies halfway between two adjacent floats near 1e6, whose
+        # step 2^-33 exceeds 1e-12: the bracket stops shrinking there and
+        # the search ends after its 200 halvings
+        def f(x):
+            return (x - 1e6) - 2.0 ** -34
+
+        want = scalar_bisect(f, 1e6, 1e6 + 1.0)
+        assert bisect_root(f, np.array([1e6]), np.array([1e6 + 1.0]))[0] == want
+        assert abs(want - 1e6) <= 2.0 ** -33
+
 
 class TestLogBinomial:
     def test_edge(self):
