@@ -134,10 +134,6 @@ class TestSolveTilts:
                                           / np.maximum(np.abs(exact), 1.0)).max()))
         assert worst <= TILT_SIGN_MARGIN / 100
 
-    def test_one_ratio_calls_match(self):
-        assert solve_tilt(20, 100, 0.5) == solve_tilts([0.2], 0.5)[0]
-        assert math.isnan(solve_tilts([1 / 1000], 0.05)[0])
-
 
 class TestSubexponentialFactor:
     def test_chernoff_always_one(self):
