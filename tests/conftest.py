@@ -2,10 +2,11 @@ import heapq
 import math
 
 import pytest
+from scipy.special import erfcx
 
-from seqdec.bounds import NoRoot
+from seqdec.bounds import IID_NORMAL_APPROX_CONSTANT, NoRoot, clipped_gaussian_mean
 from seqdec.codes import ConvCode, build_extended_golay, build_extended_qr48, parse_octal_generators
-from seqdec.numerics import SQRT_2PI, NoSignChange, std_normal_cdf
+from seqdec.numerics import SQRT2, SQRT_2PI, DomainError, NoSignChange, std_normal_cdf
 from seqdec.trellis import build_trellis
 
 
@@ -199,3 +200,97 @@ def scalar_residual():
     """The tilt equation's residual in math-module arithmetic (see
     scalar_tilt_residual)."""
     return scalar_tilt_residual
+
+
+def scalar_log_std_normal_cdf(x: float) -> float:
+    """ln Phi(x) in plain math-module arithmetic, the scaled erfc below
+    x = -5."""
+    if x >= -5.0:
+        return math.log(std_normal_cdf(x))
+    return math.log(0.5) + math.log(erfcx(-x / SQRT2)) - 0.5 * x * x
+
+
+def scalar_logaddexp(a: float, b: float) -> float:
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
+def scalar_subexponential_factor(d: int, clipped: int, gamma: float, lam: float,
+                                 variant) -> float:
+    """The prefactor of one (d, clipped) pair at tilt lam, one scalar
+    expression at a time (a BoundVariant selects the variant): 1 for the
+    Chernoff variant, a non-positive
+    tilted variance or a non-positive margin a, and at most 1 always."""
+    if clipped < 1:
+        raise DomainError("need at least one clipped summand")
+    if variant.is_chernoff:
+        return 1.0
+    n = d + clipped
+    s = math.sqrt(2.0 * gamma)
+    q = 1.0 + SQRT_2PI * lam * math.exp(gamma) * std_normal_cdf(s)
+    mean_t = -d * lam / clipped
+    var_t = (-d / clipped - n * d * lam * lam / (clipped * clipped)
+             + (n / clipped) / q)
+    if var_t <= 0.0:
+        return 1.0
+    c2 = clipped * clipped
+    rho_t = (n / clipped) * (lam / q) * (
+        1.0
+        - d * (n + d) * lam * lam / c2
+        + 2.0 * ((n * n / c2) * lam * lam + 2.0)
+        * math.exp(-d * (2.0 * n - d) * lam * lam / (2.0 * c2))
+        - (d / clipped) * (((n + d) / clipped) * lam * lam + 3.0)
+        * SQRT_2PI * lam * math.exp(gamma) * std_normal_cdf(s)
+        - (2.0 * n / clipped) * ((n * n / c2) * lam * lam + 3.0)
+        * SQRT_2PI * lam * math.exp(0.5 * lam * lam) * std_normal_cdf(-n * lam / clipped))
+    a = -clipped_gaussian_mean(gamma) + (s - lam) * var_t + mean_t
+    if a <= 0.0:
+        return 1.0
+    sig_t = math.sqrt(var_t)
+    value = (sig_t / (a * math.sqrt(2.0 * math.pi * clipped))
+             + 2.0 * IID_NORMAL_APPROX_CONSTANT * rho_t
+             / (var_t * sig_t * math.sqrt(clipped)))
+    return min(value, 1.0)
+
+
+def scalar_log_tilted_bound(d: int, clipped: int, gamma: float, lam: float,
+                            variant) -> float:
+    """ln of the tilted bound of one pair with d, clipped >= 1 at tilt lam."""
+    s = math.sqrt(2.0 * gamma)
+    mh = clipped_gaussian_mean(gamma)
+    prefactor = scalar_subexponential_factor(d, clipped, gamma, lam, variant)
+    log_mgf = scalar_logaddexp(scalar_log_std_normal_cdf(-lam) - gamma + 0.5 * lam * lam,
+                               scalar_log_std_normal_cdf(s))
+    sqrt_d = math.sqrt(d)
+    gauss_tail = scalar_log_std_normal_cdf(-(clipped * mh + d * s) / sqrt_d)
+    tilted = (math.log(prefactor) + clipped * log_mgf
+              + d * (-gamma + 0.5 * lam * lam)
+              + scalar_log_std_normal_cdf((clipped * mh + lam * d) / sqrt_d))
+    return min(scalar_logaddexp(gauss_tail, tilted), 0.0)
+
+
+def scalar_log_extension_bound(d: int, clipped: int, gamma: float, variant) -> float:
+    """ln of the extension-probability bound of one (d, clipped) pair,
+    one pair at a time: 0 for d = 0, the Gaussian tail for clipped = 0,
+    0 below the mean-positivity threshold or without a tilt root, and
+    else the tilted bound at the scalar tilt."""
+    if d == 0:
+        return 0.0
+    if clipped == 0:
+        return scalar_log_std_normal_cdf(-math.sqrt(2.0 * gamma * d))
+    t = math.sqrt(4.0 * math.pi * gamma) * math.exp(gamma)
+    if d / (d + clipped) < 1.0 - t / (1.0 + t * std_normal_cdf(math.sqrt(2.0 * gamma))):
+        return 0.0
+    try:
+        lam = scalar_solve_tilt(d / (d + clipped), gamma)
+    except NoRoot:
+        return 0.0
+    return scalar_log_tilted_bound(d, clipped, gamma, lam, variant)
+
+
+@pytest.fixture(scope="session")
+def scalar_log_bound():
+    """The per-pair log bound that every element of an array evaluation
+    must match bit for bit (see scalar_log_extension_bound)."""
+    return scalar_log_extension_bound

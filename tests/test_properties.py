@@ -2,7 +2,8 @@
 per-trial reference kept here: the trellis layer on convolutional codes
 (memory <= 4, 2-3 outputs, L <= 8), the tree search on systematic block
 codes (k <= 10) and the Golay code, the trellis search against a plain
-two-stack search, and the harness's batched trial pipeline on both."""
+two-stack search, the harness's batched trial pipeline on both, and the
+per-pair bound of a whole evaluation against the scalar one."""
 
 import math
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from seqdec.bounds import (
     BERRY_ESSEEN,
     CHERNOFF,
+    _log_bounds,
     extension_probability_bound,
     mlsda_complexity_bound,
 )
@@ -113,6 +115,28 @@ def test_mlsda_metric_equals_viterbi(trellis, data):
     assert out.metric == pytest.approx(disagreement_metric(phi, want), abs=1e-9)
     assert out.metric == pytest.approx(disagreement_metric(phi, out.decoded), abs=1e-9)
     assert out.branch_computations >= 2 * trellis.L
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)).filter(lambda p: sum(p) >= 1),
+                min_size=1, max_size=12),
+       st.floats(0.01, 30.0))
+@example([(1, 1)], 14.57)  # tilted variance <= 0
+@example([(3, 7)], 14.979)  # margin a <= 0
+@example([(1, 1)], 1.2589)  # prefactor clamped at 1
+@example([(2, 1)], 25.795)  # prefactor below 1
+@example([(1, 1)], 20.0)  # Gaussian tail's log Phi argument below -5 (erfcx)
+@example([(327, 8828)], 0.8200000000000001)  # above the threshold, but no tilt root
+@example([(5, 0)], 1.0)  # clipped == 0: the plain Gaussian tail
+@example([(0, 10)], 1.0)  # d == 0: certain
+@example([(1, 2)], 0.05)  # ratio below the mean-positivity threshold
+@example([(1, 4), (2, 8), (3, 12), (1, 4), (4, 1), (0, 3), (6, 0)], 1.0)  # shared ratios
+def test_log_bounds_equal_scalar_reference(scalar_log_bound, pairs, gamma):
+    # every element of one evaluation's log bounds equals the scalar
+    # per-pair bound, bit for bit
+    for variant in (BERRY_ESSEEN, CHERNOFF):
+        got = [float(x).hex() for x in _log_bounds(pairs, gamma, variant)]
+        assert got == [scalar_log_bound(d, c, gamma, variant).hex() for d, c in pairs]
 
 
 @PROPERTY_SETTINGS
