@@ -15,6 +15,7 @@ from seqdec.bounds import (
     CHERNOFF,
     BoundVariant,
     extension_probability_bound,
+    extension_probability_bounds,
     gda_complexity_bound,
     mlsda_complexity_bound,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "encode_block",
     "encode_conv",
     "extension_probability_bound",
+    "extension_probability_bounds",
     "gda_complexity_bound",
     "gda_decode",
     "hard_decision",

@@ -14,11 +14,17 @@ trellis yields the average branch-metric-computation bounds exposed as
 gda_complexity_bound and mlsda_complexity_bound.
 
 A complexity bound first collects every (d, clipped) pair it needs and
-solves their tilts in one elementwise numpy bisection over the distinct
-ratios d/total (solve_tilts).  Residuals within TILT_SIGN_MARGIN of 0
-are recomputed with the math module, so every bisection step, and with
-it every tilt and bound value, is bit-equal to a scalar solve.  The rest
-of each per-node bound is scalar.
+evaluates all their bounds as numpy arrays.  The tilts come from one
+elementwise bisection over the distinct ratios d/total (solve_tilts),
+memoized for the last few (ratios, gamma), so the two variants at one
+SNR point share one solve.  Residuals within TILT_SIGN_MARGIN of 0 are
+recomputed with the math module, so every bisection step, and with it
+every tilt, is bit-equal to a scalar solve.  The rest of each bound runs
+in the operand order of the scalar formula, with + - * / and sqrt in
+numpy and exp, log, log1p and erfc mapped from the math module
+(numerics.math_map), so every bound value is bit-equal to a scalar
+evaluation too.  Per-gamma constants are computed once per evaluation
+and per-tilt terms once per distinct tilt.
 """
 
 import logging
@@ -37,15 +43,21 @@ from seqdec.numerics import (
     bisect_root,
     log_binomial,
     log_std_normal_cdf,
+    math_map,
     std_normal_cdf,
 )
-from seqdec.trellis import compute_dstar
+from seqdec.trellis import dstar_levels
 
 log = logging.getLogger(__name__)
 
 #: Best known absolute constant in the normal-approximation error bound
 #: for sums of i.i.d. variables.
 IID_NORMAL_APPROX_CONSTANT = 0.7655
+
+#: Bound on d + clipped in the prefactor: below it every integer product
+#: there (n * n, d * (n + d)) is exact in a float and in an int64, so the
+#: array arithmetic rounds as Python-int arithmetic does.
+MAX_SUMMANDS = 1 << 26
 
 
 class NoRoot(ArithmeticError):
@@ -113,8 +125,18 @@ def solve_tilts(ratios, gamma: float) -> np.ndarray:
     tilt is bit-equal to a scalar bisection on the math-module residual:
     every residual within TILT_SIGN_MARGIN of 0 is recomputed that way.
     A ratio whose bracket shows no sign change gets nan.
+
+    The last four solves are memoized on (ratios, gamma): both bound
+    variants need the same tilts at an SNR point.  The array returned is
+    read-only.
     """
-    ratios = np.asarray(ratios, dtype=float)
+    ratios = np.ascontiguousarray(ratios, dtype=float)
+    return _solve_tilts(ratios.tobytes(), gamma).reshape(ratios.shape)
+
+
+@lru_cache(maxsize=4)
+def _solve_tilts(ratio_bytes: bytes, gamma: float) -> np.ndarray:
+    ratios = np.frombuffer(ratio_bytes)
     offsets = (1.0 - ratios) / SQRT_2PI
     slopes = ratios * math.exp(gamma) * std_normal_cdf(math.sqrt(2.0 * gamma))
 
@@ -127,7 +149,9 @@ def solve_tilts(ratios, gamma: float) -> np.ndarray:
         return r
 
     hi = math.sqrt(2.0 * gamma) - 1e-9
-    return bisect_root(residual, np.zeros(ratios.shape), np.full(ratios.shape, hi))
+    lams = bisect_root(residual, np.zeros(ratios.shape), np.full(ratios.shape, hi))
+    lams.flags.writeable = False
+    return lams
 
 
 def solve_tilt(d: int, total: int, gamma: float) -> float:
@@ -145,47 +169,67 @@ def solve_tilt(d: int, total: int, gamma: float) -> float:
     return lam
 
 
-def subexponential_factor(d: int, clipped: int, gamma: float, lam: float,
-                          variant: BoundVariant) -> float:
-    """Prefactor multiplying the exponential part of the mixed-sum bound.
+def subexponential_factor(d, clipped, gamma: float, lam, variant: BoundVariant):
+    """Prefactor multiplying the exponential part of the mixed-sum bound;
+    elementwise over int arrays d and clipped and float array lam
+    (broadcast together), a float for scalars.
 
     Evaluates the tilted mean/variance/third moment of the clipped
     marginal in closed form (valid at the tilt returned by solve_tilt)
     and assembles the normal-approximation prefactor; 1 whenever that
     analysis cannot help (non-positive variance estimate, non-positive
-    margin a, or the Chernoff variant).
+    margin a, or the Chernoff variant).  Needs clipped >= 1 and
+    d + clipped < MAX_SUMMANDS.
     """
-    if clipped < 1:
+    d, clipped, lam = np.broadcast_arrays(np.asarray(d, dtype=np.int64),
+                                          np.asarray(clipped, dtype=np.int64),
+                                          np.asarray(lam, dtype=float))
+    if np.any(clipped < 1):
         raise DomainError("need at least one clipped summand")
-    if variant.is_chernoff:
-        return 1.0
-    n = d + clipped
+    if np.any(d + clipped >= MAX_SUMMANDS):
+        raise DomainError(f"need d + clipped < {MAX_SUMMANDS}")
+    value = np.ones(d.shape)
+    if not variant.is_chernoff:
+        value[...] = _prefactors(d.ravel(), clipped.ravel(), gamma, lam.ravel()).reshape(d.shape)
+    return value if value.ndim else float(value)
+
+
+def _prefactors(d, c, gamma: float, lam) -> np.ndarray:
+    """The normal-approximation prefactor of each pair, 1-D arrays; each
+    step runs on the pairs that reach it in the scalar formula."""
+    n = d + c
     s = math.sqrt(2.0 * gamma)
-    q = 1.0 + SQRT_2PI * lam * math.exp(gamma) * std_normal_cdf(s)
-    mean_t = -d * lam / clipped
-    var_t = (-d / clipped - n * d * lam * lam / (clipped * clipped)
-             + (n / clipped) / q)
-    if var_t <= 0.0:
-        log.debug("non-positive tilted variance at d=%d clipped=%d gamma=%g", d, clipped, gamma)
-        return 1.0
-    c2 = clipped * clipped
-    rho_t = (n / clipped) * (lam / q) * (
+    e_gamma, phi_s = math.exp(gamma), std_normal_cdf(s)
+    value = np.ones(len(d))
+    q = 1.0 + SQRT_2PI * lam * e_gamma * phi_s
+    mean_t = -d * lam / c
+    var_t = (-d / c - n * d * lam * lam / (c * c) + (n / c) / q)
+    flat = var_t <= 0.0
+    if flat.any():
+        log.debug("non-positive tilted variance in %d of %d pairs at gamma=%g",
+                  np.count_nonzero(flat), len(d), gamma)
+    live = np.flatnonzero(~flat)
+    d, c, n, lam, q, mean_t, var_t = (x[live] for x in (d, c, n, lam, q, mean_t, var_t))
+    c2 = c * c
+    tilts, inverse = np.unique(lam, return_inverse=True)
+    exp_half_lam2 = math_map(math.exp, 0.5 * tilts * tilts)[inverse]
+    rho_t = (n / c) * (lam / q) * (
         1.0
         - d * (n + d) * lam * lam / c2
         + 2.0 * ((n * n / c2) * lam * lam + 2.0)
-        * math.exp(-d * (2.0 * n - d) * lam * lam / (2.0 * c2))
-        - (d / clipped) * (((n + d) / clipped) * lam * lam + 3.0)
-        * SQRT_2PI * lam * math.exp(gamma) * std_normal_cdf(s)
-        - (2.0 * n / clipped) * ((n * n / c2) * lam * lam + 3.0)
-        * SQRT_2PI * lam * math.exp(0.5 * lam * lam) * std_normal_cdf(-n * lam / clipped))
+        * math_map(math.exp, -d * (2.0 * n - d) * lam * lam / (2.0 * c2))
+        - (d / c) * (((n + d) / c) * lam * lam + 3.0)
+        * SQRT_2PI * lam * e_gamma * phi_s
+        - (2.0 * n / c) * ((n * n / c2) * lam * lam + 3.0)
+        * SQRT_2PI * lam * exp_half_lam2 * std_normal_cdf(-n * lam / c))
     a = -clipped_gaussian_mean(gamma) + (s - lam) * var_t + mean_t
-    if a <= 0.0:
-        return 1.0
-    sig_t = math.sqrt(var_t)
-    value = (sig_t / (a * math.sqrt(2.0 * math.pi * clipped))
-             + 2.0 * IID_NORMAL_APPROX_CONSTANT * rho_t
-             / (var_t * sig_t * math.sqrt(clipped)))
-    return min(value, 1.0)
+    margin = ~(a <= 0.0)
+    live, c, a, rho_t, var_t = live[margin], c[margin], a[margin], rho_t[margin], var_t[margin]
+    sig_t = np.sqrt(var_t)
+    value[live] = np.minimum(sig_t / (a * np.sqrt(2.0 * math.pi * c))
+                             + 2.0 * IID_NORMAL_APPROX_CONSTANT * rho_t
+                             / (var_t * sig_t * np.sqrt(c)), 1.0)
+    return value
 
 
 def _mean_positivity_threshold(gamma: float) -> float:
@@ -193,65 +237,76 @@ def _mean_positivity_threshold(gamma: float) -> float:
     return 1.0 - t / (1.0 + t * std_normal_cdf(math.sqrt(2.0 * gamma)))
 
 
-def _log_bounds(pairs, gamma: float, variant: BoundVariant) -> list:
-    """ln of the extension-probability bound for each (d, clipped) pair
-    at one gamma (see extension_probability_bound).  The tilts of all
-    pairs are solved in one solve_tilts call, one per distinct d/total;
-    the rest of each bound is scalar."""
+def _log_bounds(pairs, gamma: float, variant: BoundVariant) -> np.ndarray:
+    """ln of the extension-probability bound for each (d, clipped) row of
+    the int array pairs at one gamma (see extension_probability_bound).
+
+    d = 0 gives 0 (the event is certain), clipped = 0 the plain Gaussian
+    tail, and a ratio d/total below the mean-positivity threshold or
+    without a tilt root gives 0.  The other pairs take the tilted bound,
+    with their tilts from one solve_tilts call over the distinct ratios.
+    """
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
-    logs = []
-    tilted = {}  # d/total -> its position in the batch of tilts
-    threshold = None
-    for d, clipped in pairs:
-        if d < 0 or clipped < 0 or d + clipped < 1:
-            raise DomainError("need d, clipped >= 0 with d + clipped >= 1")
-        if d == 0:
-            # every clipped summand is <= 0, so the event is certain
-            logs.append(0.0)
-        elif clipped == 0:
-            logs.append(log_std_normal_cdf(-math.sqrt(2.0 * gamma * d)))
-        else:
-            if threshold is None:
-                threshold = _mean_positivity_threshold(gamma)
-            if d / (d + clipped) < threshold:
-                logs.append(0.0)
-            else:
-                logs.append(None)
-                tilted.setdefault(d / (d + clipped), len(tilted))
-    if not tilted:
-        return logs
-    lams = solve_tilts(list(tilted), gamma).tolist()
-    for i, (d, clipped) in enumerate(pairs):
-        if logs[i] is None:
-            lam = lams[tilted[d / (d + clipped)]]
-            logs[i] = 0.0 if math.isnan(lam) else _log_tilted_bound(d, clipped, gamma, lam, variant)
+    d, clipped = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    if np.any((d < 0) | (clipped < 0) | (d + clipped < 1)):
+        raise DomainError("need d, clipped >= 0 with d + clipped >= 1")
+    logs = np.zeros(len(d))
+    gauss = np.flatnonzero(clipped == 0)
+    logs[gauss] = log_std_normal_cdf(-np.sqrt(2.0 * gamma * d[gauss]))
+    tilted = np.flatnonzero((d > 0) & (clipped > 0))
+    if tilted.size:
+        ratios = d[tilted] / (d[tilted] + clipped[tilted])
+        keep = ratios >= _mean_positivity_threshold(gamma)
+        tilted, ratios = tilted[keep], ratios[keep]
+        distinct, inverse = np.unique(ratios, return_inverse=True)
+        lams = solve_tilts(distinct, gamma)
+        rooted = ~np.isnan(lams[inverse])
+        tilted, inverse = tilted[rooted], inverse[rooted]
+        logs[tilted] = _log_tilted_bounds(d[tilted], clipped[tilted], gamma, lams, inverse,
+                                          variant)
     return logs
 
 
-def _log_tilted_bound(d: int, clipped: int, gamma: float, lam: float,
-                      variant: BoundVariant) -> float:
+def _log_tilted_bounds(d, clipped, gamma: float, lams, inverse, variant: BoundVariant):
+    """ln of the tilted bound of each pair (d, clipped >= 1) at tilt
+    lams[inverse]; the terms that depend on the tilt alone are computed
+    once per entry of lams (a nan entry just gives nan terms)."""
     s = math.sqrt(2.0 * gamma)
     mh = clipped_gaussian_mean(gamma)
-    prefactor = subexponential_factor(d, clipped, gamma, lam, variant)
-    log_mgf = _logaddexp(log_std_normal_cdf(-lam) - gamma + 0.5 * lam * lam,
-                         log_std_normal_cdf(s))
-    sqrt_d = math.sqrt(d)
+    half_lam2 = 0.5 * lams * lams
+    log_mgf = _logaddexp(log_std_normal_cdf(-lams) - gamma + half_lam2,
+                         log_std_normal_cdf(s))[inverse]
+    lam = lams[inverse]
+    log_prefactor = (0.0 if variant.is_chernoff else
+                     math_map(math.log, subexponential_factor(d, clipped, gamma, lam, variant)))
+    sqrt_d = np.sqrt(d)
     gauss_tail = log_std_normal_cdf(-(clipped * mh + d * s) / sqrt_d)
-    tilted = (math.log(prefactor) + clipped * log_mgf
-              + d * (-gamma + 0.5 * lam * lam)
+    tilted = (log_prefactor + clipped * log_mgf
+              + d * (-gamma + half_lam2)[inverse]
               + log_std_normal_cdf((clipped * mh + lam * d) / sqrt_d))
-    return min(_logaddexp(gauss_tail, tilted), 0.0)
+    return np.minimum(_logaddexp(gauss_tail, tilted), 0.0)
+
+
+def _logaddexp(a, b):
+    """ln(e^a + e^b) elementwise, as the larger plus log1p(exp(smaller
+    - larger))."""
+    swap = a < b
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    return a + math_map(math.log1p, math_map(math.exp, b - a))
+
+
+def extension_probability_bounds(d, clipped, gamma: float,
+                                 variant: BoundVariant = BERRY_ESSEEN) -> np.ndarray:
+    """extension_probability_bound elementwise over int arrays d and
+    clipped (broadcast together) at one gamma, with one tilt solve for
+    all of them."""
+    d, clipped = np.broadcast_arrays(d, clipped)
+    logs = _log_bounds(np.stack((d, clipped), axis=-1), gamma, variant)
+    return math_map(math.exp, logs).reshape(d.shape)
 
 
 @lru_cache(maxsize=1 << 18)
-def log_extension_probability_bound(d: int, clipped: int, gamma: float,
-                                    variant: BoundVariant) -> float:
-    """ln of the upper bound on Pr{sum of d Gaussians + clipped
-    min-clipped Gaussians <= 0}; see extension_probability_bound."""
-    return _log_bounds([(d, clipped)], gamma, variant)[0]
-
-
 def extension_probability_bound(d: int, clipped: int, gamma: float,
                                 variant: BoundVariant = BERRY_ESSEEN) -> float:
     """Upper bound on the probability that a search node is extended.
@@ -261,15 +316,10 @@ def extension_probability_bound(d: int, clipped: int, gamma: float,
     d counts the disagreement positions accumulated so far and clipped
     the not-yet-decoded positions.  Result is in [0, 1]; it is exactly 1
     when d = 0 and whenever the mean-positivity condition fails or the
-    tilt equation has no usable root.
+    tilt equation has no usable root.  Callers with many (d, clipped)
+    at one gamma take extension_probability_bounds instead.
     """
-    return math.exp(log_extension_probability_bound(d, clipped, gamma, variant))
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
+    return float(extension_probability_bounds(d, clipped, gamma, variant))
 
 
 def gda_complexity_bound(code, gamma_b_db: float,
@@ -279,17 +329,14 @@ def gda_complexity_bound(code, gamma_b_db: float,
     Sums 2 C(l, d) B(d, n - l, gamma) over levels l < k and weights
     d <= l at the channel SNR gamma of ChannelConfig.for_block_code.
     The level-0 term (value 1) counts the start-node extension; the
-    result is at least 2k.
+    result is at least 2k.  Terms below e^-700 are left out, and the
+    others are added one by one in ascending (l, d) order.
     """
     gamma = ChannelConfig.for_block_code(code, gamma_b_db).gamma
-    pairs = [(level, d) for level in range(code.k) for d in range(level + 1)]
-    logs = _log_bounds([(d, code.n - level) for level, d in pairs], gamma, variant)
-    total = 0.0
-    for (level, d), log_bound in zip(pairs, logs):
-        log_term = log_binomial(level, d) + log_bound
-        if log_term > -700.0:
-            total += math.exp(log_term)
-    return 2.0 * total
+    level, d = np.tril_indices(code.k)
+    logs = log_binomial(level, d) + _log_bounds(np.column_stack((d, code.n - level)),
+                                                gamma, variant)
+    return 2.0 * float(np.cumsum(math_map(math.exp, logs[logs > -700.0]))[-1])
 
 
 def mlsda_complexity_bound(trellis, gamma_b_db: float,
@@ -300,34 +347,30 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
     present at level l, at the channel SNR gamma of
     ChannelConfig.for_conv_code.  Absent states contribute nothing.
 
-    B is evaluated once per distinct d* of a level, and the tilts of all
-    levels are solved in one batched bisection (see _log_bounds).  A
-    level whose states are all present reads its d* row as it is; other
-    levels gather the present states.  The terms are then added one by
-    one in ascending (level, state) order, with a sequential cumulative
-    sum, so the result does not depend on how many states share a d*
-    value; a pairwise or count-weighted sum would move it in the last
+    B is evaluated once per distinct d* of a level (dstar_levels), all
+    levels in one _log_bounds call.  The terms are then added one by one
+    in ascending (level, state) order: each level gathers its terms into
+    one buffer after the running total and takes a sequential cumulative
+    sum there, so the result does not depend on how many states share a
+    d* value; a pairwise or count-weighted sum would move it in the last
     digits.
     """
     code = trellis.code
     n_out = code.n_out
     N = n_out * (trellis.L + code.m)
     gamma = ChannelConfig.for_conv_code(code, trellis.L, gamma_b_db).gamma
-    dstar = compute_dstar(trellis)
-
-    def present(level):
-        row, mask = dstar[level], trellis.reachable[level]
-        return row if mask.all() else row[mask]
-
-    distinct = [np.flatnonzero(np.bincount(present(level))).tolist()
-                for level in range(trellis.L)]
-    pairs = [(v, N - level * n_out) for level, vs in enumerate(distinct) for v in vs]
-    bounds = iter(_log_bounds(pairs, gamma, variant))
+    levels = dstar_levels(trellis)
+    d = np.concatenate([vs for _, vs in levels])
+    level = np.repeat(np.arange(trellis.L), [len(vs) for _, vs in levels])
+    lut = np.empty((trellis.L, d.max() + 1))  # [level, d*] -> term
+    lut[level, d] = math_map(math.exp, _log_bounds(np.column_stack((d, N - level * n_out)),
+                                                   gamma, variant))
+    buf = np.empty(max(len(row) for row, _ in levels) + 1)
     total = 0.0
-    for level, vs in enumerate(distinct):
-        d = present(level)
-        lut = np.zeros(vs[-1] + 1)
-        for v in vs:
-            lut[v] = math.exp(next(bounds))
-        total = float(np.cumsum(np.concatenate(([total], lut[d])))[-1])
-    return 2 * total
+    for terms, (row, _) in zip(lut, levels):
+        sums = buf[:len(row) + 1]
+        sums[0] = total
+        terms.take(row, out=sums[1:], mode="clip")
+        sums.cumsum(out=sums)
+        total = sums[-1]
+    return 2 * float(total)

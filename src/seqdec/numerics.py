@@ -1,9 +1,16 @@
 """Numerics shared by every other module.
 
 Gaussian cdf evaluation (linear and log domain), a deterministic
-bracketing root solver (scalar, or elementwise over arrays),
-log-binomials, and a seeded bit and Gaussian stream whose bit and
+bracketing root solver and log-binomials, each scalar or elementwise
+over arrays, and a seeded bit and Gaussian stream whose bit and
 Box-Muller rules also apply to stacked rows of uniforms.
+
+Elementwise code runs + - * / and sqrt in numpy, which rounds them as
+Python floats do, but maps the math module's exp, log, log1p, erfc and
+lgamma over the elements (math_map): numpy's and scipy's own versions
+of these differ from the math module's in the last ulp for some
+arguments.  So an element of an array call equals the scalar call bit
+for bit.
 """
 
 import math
@@ -25,24 +32,41 @@ class NoSignChange(ArithmeticError):
     """Bracket endpoints do not straddle a root."""
 
 
-def std_normal_cdf(x: float) -> float:
-    """Unit Gaussian cdf via the complementary error function.
+def math_map(f, x) -> np.ndarray:
+    """The math-module function f applied to each element of x, as a
+    float array of x's shape.  It raises what f raises on an element
+    (OverflowError from math.exp, ValueError from math.log of 0)."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def std_normal_cdf(x):
+    """Unit Gaussian cdf via the complementary error function;
+    elementwise on arrays.
 
     Saturates cleanly at 0.0 / 1.0 in the extreme tails.
     """
+    if np.ndim(x):
+        return 0.5 * math_map(math.erfc, -np.asarray(x) / SQRT2)
     return 0.5 * math.erfc(-x / SQRT2)
 
 
-def log_std_normal_cdf(x: float) -> float:
-    """Natural log of the unit Gaussian cdf, finite far into the left tail.
+def log_std_normal_cdf(x):
+    """Natural log of the unit Gaussian cdf, finite far into the left
+    tail; elementwise on arrays, a float for a scalar.
 
     For x < -5 the scaled complementary error function is used, so the
     result stays finite (about -804.6 at x = -40) where the linear-domain
-    cdf has long underflowed.
+    cdf has long underflowed.  scipy's erfcx runs the same code on an
+    array as on a scalar, so it is called on arrays directly.
     """
-    if x >= -5.0:
-        return math.log(std_normal_cdf(x))
-    return math.log(0.5) + math.log(erfcx(-x / SQRT2)) - 0.5 * x * x
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    near = x >= -5.0
+    out[near] = math_map(math.log, std_normal_cdf(x[near]))
+    far = x[~near]
+    out[~near] = math.log(0.5) + math_map(math.log, erfcx(-far / SQRT2)) - 0.5 * far * far
+    return out if out.ndim else float(out)
 
 
 def bisect_root(f, lo, hi):
@@ -88,11 +112,15 @@ def bisect_root(f, lo, hi):
     return np.where(active, 0.5 * (lo + hi), root)
 
 
-def log_binomial(n: int, d: int) -> float:
-    """ln C(n, d) via log-gamma."""
-    if d < 0 or n < 0 or d > n:
+def log_binomial(n, d):
+    """ln C(n, d) via log-gamma; elementwise on int arrays, a float for
+    scalars."""
+    n, d = np.asarray(n), np.asarray(d)
+    if np.any((d < 0) | (n < 0) | (d > n)):
         raise DomainError(f"C({n}, {d}) undefined")
-    return math.lgamma(n + 1) - math.lgamma(d + 1) - math.lgamma(n - d + 1)
+    value = (math_map(math.lgamma, n + 1) - math_map(math.lgamma, d + 1)
+             - math_map(math.lgamma, n - d + 1))
+    return value if value.ndim else float(value)
 
 
 def bits_from_uniforms(u) -> np.ndarray:

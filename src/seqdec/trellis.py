@@ -30,6 +30,7 @@ class Trellis:
     output_weight: np.ndarray
     reachable: np.ndarray
     _dstar: np.ndarray = field(default=None, repr=False)
+    _dstar_levels: list = field(default=None, repr=False)
     _lists: tuple = field(default=None, repr=False)
 
     @property
@@ -105,3 +106,21 @@ def compute_dstar(trellis: Trellis) -> np.ndarray:
     table[table >= big] = ABSENT
     trellis._dstar = table
     return table
+
+
+def dstar_levels(trellis: Trellis) -> list:
+    """(row, distinct) for each level l < L, the levels whose nodes
+    branch: row holds the d* of the states present at level l in
+    ascending state order (the compute_dstar row itself where every
+    state is present), distinct its distinct values in ascending order.
+    Built once and cached on the trellis."""
+    if trellis._dstar_levels is None:
+        dstar = compute_dstar(trellis)
+        levels = []
+        for level in range(trellis.L):
+            row, mask = dstar[level], trellis.reachable[level]
+            if not mask.all():
+                row = row[mask]
+            levels.append((row, np.flatnonzero(np.bincount(row))))
+        trellis._dstar_levels = levels
+    return trellis._dstar_levels

@@ -294,3 +294,19 @@ def scalar_log_bound():
     """The per-pair log bound that every element of an array evaluation
     must match bit for bit (see scalar_log_extension_bound)."""
     return scalar_log_extension_bound
+
+
+@pytest.fixture(scope="session")
+def scalar_prefactor():
+    """The scalar prefactor that every element of an array call of
+    bounds.subexponential_factor must match (see
+    scalar_subexponential_factor)."""
+    return scalar_subexponential_factor
+
+
+@pytest.fixture(scope="session")
+def scalar_log_cdf():
+    """The scalar ln Phi that every element of an array call of
+    numerics.log_std_normal_cdf must match (see
+    scalar_log_std_normal_cdf)."""
+    return scalar_log_std_normal_cdf

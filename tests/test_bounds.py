@@ -1,4 +1,6 @@
+import logging
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,15 +9,18 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
+from seqdec import bounds
 from seqdec.bounds import (
     BERRY_ESSEEN,
     CHERNOFF,
     IID_NORMAL_APPROX_CONSTANT,
+    MAX_SUMMANDS,
     TILT_SIGN_MARGIN,
     BoundVariant,
     NoRoot,
     clipped_gaussian_mean,
     extension_probability_bound,
+    extension_probability_bounds,
     gda_complexity_bound,
     mlsda_complexity_bound,
     _tilt_residual,
@@ -23,7 +28,7 @@ from seqdec.bounds import (
     solve_tilts,
     subexponential_factor,
 )
-from seqdec.harness import extension_event_hits
+from seqdec.harness import ExperimentConfig, extension_event_hits, run_bound_curve
 from seqdec.numerics import SQRT_2PI, DomainError, std_normal_cdf
 from seqdec.trellis import build_trellis
 
@@ -135,7 +140,83 @@ class TestSolveTilts:
         assert worst <= TILT_SIGN_MARGIN / 100
 
 
+class TestSharedSolve:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The (ratios, gamma) of every tilt solve that misses the memo,
+        on a fresh memo of the same size."""
+        calls = []
+        solve = bounds._solve_tilts.__wrapped__
+
+        def counted(ratio_bytes, gamma):
+            calls.append((ratio_bytes, gamma))
+            return solve(ratio_bytes, gamma)
+
+        monkeypatch.setattr(bounds, "_solve_tilts", lru_cache(maxsize=4)(counted))
+        return calls
+
+    def test_both_variants_share_one_solve(self, solves):
+        cfg = ExperimentConfig(code={"type": "conv", "m": 2, "octal": ["6", "5", "7"]}, L=8,
+                               snr_db=(1.0, 4.0, 7.0), variant="both", mode="bound")
+        points = run_bound_curve(cfg)
+        assert len(solves) == 3
+        assert [p.bound_be for p in points] == [GOLDEN_BOUNDS["657-L8", "be", db]
+                                                for db in (1.0, 4.0, 7.0)]
+
+    def test_variant_order_does_not_matter(self, solves):
+        # cells where the Berry-Esseen prefactor is below 1, so that the
+        # two variants differ
+        d, clipped, gamma = np.array([40, 60, 3, 0]), np.array([160, 240, 9, 5]), 10.0 ** 0.1
+        be_first = [extension_probability_bounds(d, clipped, gamma, v).tolist()
+                    for v in (BERRY_ESSEEN, CHERNOFF)]
+        bounds._solve_tilts.cache_clear()
+        chernoff_first = [extension_probability_bounds(d, clipped, gamma, v).tolist()
+                          for v in (CHERNOFF, BERRY_ESSEEN)]
+        assert be_first == chernoff_first[::-1]
+        assert be_first[0][0] < be_first[1][0]
+        assert len(solves) == 2
+
+    def test_memoized_tilts_are_read_only(self):
+        lams = solve_tilts([0.2, 0.5], 1.0)
+        with pytest.raises(ValueError):
+            lams[0] = 0.0
+        assert solve_tilts([0.2, 0.5], 1.0).tolist() == lams.tolist()
+
+
 class TestSubexponentialFactor:
+    def test_elementwise_equals_scalar_reference(self, scalar_prefactor):
+        # every branch: clamped at 1, below 1, non-positive tilted
+        # variance and non-positive margin a
+        cells = [(1, 1, 1.2589), (40, 160, 10.0 ** 0.1), (2, 1, 25.795), (1, 1, 14.57),
+                 (3, 7, 14.979), (20, 80, 0.5), (7, 300, 2.0)]
+        for gamma in sorted({g for _, _, g in cells}):
+            d = np.array([c[0] for c in cells if c[2] == gamma] * 2)
+            clipped = np.array([c[1] for c in cells if c[2] == gamma] * 2)
+            lam = np.array([solve_tilt(a, a + b, gamma) for a, b in zip(d, clipped)])
+            for variant in (BERRY_ESSEEN, CHERNOFF):
+                got = subexponential_factor(d, clipped, gamma, lam, variant)
+                want = [scalar_prefactor(int(a), int(b), gamma, float(x), variant)
+                        for a, b, x in zip(d, clipped, lam)]
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        assert isinstance(subexponential_factor(40, 160, 1.2589, 0.1, BERRY_ESSEEN), float)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            subexponential_factor(3, 0, 1.0, 0.1, BERRY_ESSEEN)
+        with pytest.raises(DomainError):
+            subexponential_factor([3, 3], [2, 0], 1.0, 0.1, CHERNOFF)
+        with pytest.raises(DomainError):
+            subexponential_factor(1, MAX_SUMMANDS - 1, 1.0, 0.1, BERRY_ESSEEN)
+
+    def test_non_positive_variance_logged_once(self, caplog):
+        # (1, 1) at gamma 14.57 has a non-positive tilted variance
+        gamma = 14.57
+        lam = [solve_tilt(1, 2, gamma), solve_tilt(1, 2, gamma), solve_tilt(20, 100, gamma)]
+        with caplog.at_level(logging.DEBUG, logger="seqdec.bounds"):
+            subexponential_factor([1, 1, 20], [1, 1, 80], gamma, lam, BERRY_ESSEEN)
+        assert [r.getMessage() for r in caplog.records] == [
+            "non-positive tilted variance in 2 of 3 pairs at gamma=14.57"]
+
     def test_chernoff_always_one(self):
         lam = solve_tilt(40, 200, 1.2589)
         assert subexponential_factor(40, 160, 1.2589, lam, CHERNOFF) == 1.0
@@ -227,9 +308,21 @@ class TestExtensionProbabilityBound:
                     assert be <= ch + 1e-15
                     assert 0.0 <= be <= 1.0 and 0.0 <= ch <= 1.0
 
+    def test_batched_equals_one_cell_calls(self):
+        d, clipped = np.meshgrid(range(0, 11, 2), range(0, 31, 6), indexing="ij")
+        for gamma in (0.25, 1.0):
+            for variant in (BERRY_ESSEEN, CHERNOFF):
+                got = extension_probability_bounds(d[1:], clipped[1:], gamma, variant)
+                assert got.shape == d[1:].shape
+                want = [[extension_probability_bound(int(a), int(b), gamma, variant)
+                         for a, b in zip(ra, rb)] for ra, rb in zip(d[1:], clipped[1:])]
+                assert got.tolist() == want
+
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             extension_probability_bound(0, 0, 1.0)
+        with pytest.raises(DomainError):
+            extension_probability_bounds([1, 0], [1, 0], 1.0)
         with pytest.raises(DomainError):
             extension_probability_bound(2, 2, 0.0)
 

@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from seqdec import cli, harness
+from seqdec import bounds, cli, harness
 from seqdec.channel import NonFiniteLLR
 from seqdec.codes import BlockCode, ConvCode
 from seqdec.harness import (
@@ -186,6 +186,29 @@ class TestAtilde:
         rows = [v for _, v in run_atilde_table(0.2, -1.0, list(range(40, 401, 20)))]
         departed = [v for v in rows if v < 1.0]
         assert all(a >= b for a, b in zip(departed, departed[1:]))
+
+    def test_equals_one_ratio_at_a_time(self):
+        # ratio 0.3 at -10 dB has a tilt root at n = 5 only (prefactor 1
+        # without one)
+        for ratio, db in ((0.2, 1.0), (0.3, -10.0), (0.3, 6.0)):
+            grid = [5, 40, 200, 1000, 3000]
+            gamma = 10.0 ** (db / 10.0)
+            want = []
+            for n in grid:
+                d = round(ratio * n)
+                try:
+                    lam = bounds.solve_tilt(d, n, gamma)
+                except bounds.NoRoot:
+                    want.append((n, 1.0))
+                else:
+                    want.append((n, bounds.subexponential_factor(d, n - d, gamma, lam,
+                                                                 bounds.BERRY_ESSEEN)))
+            assert run_atilde_table(ratio, db, grid) == want
+        assert run_atilde_table(0.2, 1.0, []) == []
+
+    def test_sample_count_limit(self):
+        with pytest.raises(ConfigError):
+            run_atilde_table(0.2, 1.0, [100, bounds.MAX_SUMMANDS])
 
     def test_bad_ratio(self):
         with pytest.raises(ConfigError):

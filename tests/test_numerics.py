@@ -13,6 +13,7 @@ from seqdec.numerics import (
     bisect_root,
     log_binomial,
     log_std_normal_cdf,
+    math_map,
     std_normal_cdf,
 )
 
@@ -143,6 +144,39 @@ class TestBisectRoot:
         want = scalar_bisect(f, 1e6, 1e6 + 1.0)
         assert bisect_root(f, np.array([1e6]), np.array([1e6 + 1.0]))[0] == want
         assert abs(want - 1e6) <= 2.0 ** -33
+
+
+class TestElementwise:
+    GRID = np.concatenate((np.linspace(-40.0, 10.0, 2001),
+                           [-5.0, -5.0 - 1e-15, -5.0 + 1e-15, np.inf, np.nan]))
+
+    def test_math_map(self):
+        x = np.array([[0.0, 1.0], [2.0, -1.0]])
+        assert math_map(math.exp, x).tolist() == [[math.exp(v) for v in row] for row in x.tolist()]
+        with pytest.raises(OverflowError):
+            math_map(math.exp, [1000.0])
+
+    def test_cdf_equals_scalar_calls(self):
+        got = std_normal_cdf(self.GRID).tolist()
+        assert [v.hex() for v in got] == [std_normal_cdf(x).hex() for x in self.GRID.tolist()]
+
+    def test_log_cdf_equals_scalar_reference(self, scalar_log_cdf):
+        got = log_std_normal_cdf(self.GRID).tolist()
+        assert [v.hex() for v in got] == [scalar_log_cdf(x).hex() for x in self.GRID.tolist()]
+        assert isinstance(log_std_normal_cdf(-6.0), float)
+        # ln 0 raises in both, as math.log does
+        with pytest.raises(ValueError):
+            scalar_log_cdf(-math.inf)
+        with pytest.raises(ValueError):
+            log_std_normal_cdf(np.array([0.0, -math.inf]))
+
+    def test_log_binomial_equals_lgamma_formula(self):
+        n, d = np.tril_indices(60)
+        want = [math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+                for a, b in zip(n.tolist(), d.tolist())]
+        assert log_binomial(n, d).tolist() == want
+        with pytest.raises(DomainError):
+            log_binomial(np.array([3, 4]), np.array([1, 5]))
 
 
 class TestLogBinomial:

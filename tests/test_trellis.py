@@ -3,7 +3,7 @@ import pytest
 
 from seqdec.codes import encode_conv
 from seqdec.harness import dstar_by_enumeration, extension_event_hits
-from seqdec.trellis import ABSENT, build_trellis, compute_dstar
+from seqdec.trellis import ABSENT, build_trellis, compute_dstar, dstar_levels
 
 
 def states(trellis, level):
@@ -116,3 +116,18 @@ class TestComputeDstar:
                     incoming.setdefault(ns, []).append(table[level, s] + w)
             for ns, cands in incoming.items():
                 assert table[level + 1, ns] == min(cands)
+
+
+class TestDstarLevels:
+    def test_rows_and_distinct_values(self, conv_634_564):
+        trellis = build_trellis(conv_634_564, 12)
+        table = compute_dstar(trellis)
+        levels = dstar_levels(trellis)
+        assert len(levels) == trellis.L
+        for level, (row, distinct) in enumerate(levels):
+            present = np.flatnonzero(trellis.reachable[level])
+            assert row.tolist() == table[level, present].tolist()
+            assert distinct.tolist() == sorted(set(row.tolist()))
+            # a level with every state present reads the table's own row
+            assert np.shares_memory(row, table) == (len(present) == trellis.num_states)
+        assert dstar_levels(trellis) is levels
