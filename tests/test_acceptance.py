@@ -17,7 +17,7 @@ from seqdec.bounds import (
     BERRY_ESSEEN,
     CHERNOFF,
     NoRoot,
-    extension_probability_bound,
+    extension_probability_bounds,
     gda_complexity_bound,
     mlsda_complexity_bound,
     solve_tilt,
@@ -138,18 +138,21 @@ def test_criterion_6_bound_dominance_grid():
         gen = np.random.Generator(np.random.PCG64(1000 + gi))
         hits = sum(extension_event_hits(gen, gamma, range(11), range(31), chunk)
                    for _ in range(samples // chunk))
-        for d in range(11):
-            for nd in range(31):
-                if d + nd == 0:
-                    continue
-                p = hits[d, nd] / samples
-                se = math.sqrt(max(p * (1.0 - p), 1e-12) / samples)
-                floor = p - 4.0 * se
-                for variant in (BERRY_ESSEEN, CHERNOFF):
-                    margin = extension_probability_bound(d, nd, gamma, variant) - floor
-                    if -margin > worst:
-                        worst = -margin
-                        worst_cell = (d, nd, gamma, variant.kind)
+        d, nd = np.meshgrid(range(11), range(31), indexing="ij")
+        cells = d + nd > 0
+        p = hits[cells] / samples
+        se = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / samples)
+        floor = p - 4.0 * se
+        # [cell, variant] in (d, nd, variant) order; argmax takes the
+        # first cell of the largest violation
+        violation = floor[:, None] - np.stack(
+            [extension_probability_bounds(d[cells], nd[cells], gamma, variant)
+             for variant in (BERRY_ESSEEN, CHERNOFF)], axis=1)
+        cell, v = np.unravel_index(np.argmax(violation), violation.shape)
+        if violation[cell, v] > worst:
+            worst = float(violation[cell, v])
+            worst_cell = (int(d[cells][cell]), int(nd[cells][cell]), gamma,
+                          (BERRY_ESSEEN, CHERNOFF)[v].kind)
     detail = f"worst violation={worst:.3g} at {worst_cell} (want <= 0)"
     report(6, worst <= 0.0, detail)
     assert worst <= 0.0
