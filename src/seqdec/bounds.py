@@ -194,41 +194,43 @@ def subexponential_factor(d, clipped, gamma: float, lam, variant: BoundVariant):
     return value if value.ndim else float(value)
 
 
-def _prefactors(d, c, gamma: float, lam) -> np.ndarray:
+def _prefactors(d, clipped, gamma: float, lam) -> np.ndarray:
     """The normal-approximation prefactor of each pair, 1-D arrays; each
     step runs on the pairs that reach it in the scalar formula."""
-    n = d + c
+    n = d + clipped
     s = math.sqrt(2.0 * gamma)
     e_gamma, phi_s = math.exp(gamma), std_normal_cdf(s)
     value = np.ones(len(d))
     q = 1.0 + SQRT_2PI * lam * e_gamma * phi_s
-    mean_t = -d * lam / c
-    var_t = (-d / c - n * d * lam * lam / (c * c) + (n / c) / q)
+    mean_t = -d * lam / clipped
+    var_t = (-d / clipped - n * d * lam * lam / (clipped * clipped)
+             + (n / clipped) / q)
     flat = var_t <= 0.0
     if flat.any():
         log.debug("non-positive tilted variance in %d of %d pairs at gamma=%g",
                   np.count_nonzero(flat), len(d), gamma)
     live = np.flatnonzero(~flat)
-    d, c, n, lam, q, mean_t, var_t = (x[live] for x in (d, c, n, lam, q, mean_t, var_t))
-    c2 = c * c
+    d, clipped, n, lam, q, mean_t, var_t = (x[live] for x in
+                                            (d, clipped, n, lam, q, mean_t, var_t))
+    c2 = clipped * clipped
     tilts, inverse = np.unique(lam, return_inverse=True)
     exp_half_lam2 = math_map(math.exp, 0.5 * tilts * tilts)[inverse]
-    rho_t = (n / c) * (lam / q) * (
+    rho_t = (n / clipped) * (lam / q) * (
         1.0
         - d * (n + d) * lam * lam / c2
         + 2.0 * ((n * n / c2) * lam * lam + 2.0)
         * math_map(math.exp, -d * (2.0 * n - d) * lam * lam / (2.0 * c2))
-        - (d / c) * (((n + d) / c) * lam * lam + 3.0)
+        - (d / clipped) * (((n + d) / clipped) * lam * lam + 3.0)
         * SQRT_2PI * lam * e_gamma * phi_s
-        - (2.0 * n / c) * ((n * n / c2) * lam * lam + 3.0)
-        * SQRT_2PI * lam * exp_half_lam2 * std_normal_cdf(-n * lam / c))
+        - (2.0 * n / clipped) * ((n * n / c2) * lam * lam + 3.0)
+        * SQRT_2PI * lam * exp_half_lam2 * std_normal_cdf(-n * lam / clipped))
     a = -clipped_gaussian_mean(gamma) + (s - lam) * var_t + mean_t
     margin = ~(a <= 0.0)
-    live, c, a, rho_t, var_t = live[margin], c[margin], a[margin], rho_t[margin], var_t[margin]
+    live, clipped, a, rho_t, var_t = (x[margin] for x in (live, clipped, a, rho_t, var_t))
     sig_t = np.sqrt(var_t)
-    value[live] = np.minimum(sig_t / (a * np.sqrt(2.0 * math.pi * c))
+    value[live] = np.minimum(sig_t / (a * np.sqrt(2.0 * math.pi * clipped))
                              + 2.0 * IID_NORMAL_APPROX_CONSTANT * rho_t
-                             / (var_t * sig_t * np.sqrt(c)), 1.0)
+                             / (var_t * sig_t * np.sqrt(clipped)), 1.0)
     return value
 
 
