@@ -106,6 +106,15 @@ def clipped_gaussian_mean(gamma: float) -> float:
 TILT_SIGN_MARGIN = 1e-13
 
 
+def _exp_gamma(gamma: float) -> float:
+    """e^gamma, the one factor of a bound that overflows: DomainError past
+    gamma of about 709.78, where it exceeds the largest float."""
+    try:
+        return math.exp(gamma)
+    except OverflowError:
+        raise DomainError(f"gamma = {gamma:g} is too large: e^gamma overflows a float") from None
+
+
 def _tilt_residual(lam, offset, slope, exp=math.exp, erfc=math.erfc):
     """lam e^(lam^2/2) Phi(-lam) - offset + slope lam, for offset =
     (1 - d/total)/sqrt(2 pi) and slope = (d/total) e^gamma
@@ -138,7 +147,7 @@ def solve_tilts(ratios, gamma: float) -> np.ndarray:
 def _solve_tilts(ratio_bytes: bytes, gamma: float) -> np.ndarray:
     ratios = np.frombuffer(ratio_bytes)
     offsets = (1.0 - ratios) / SQRT_2PI
-    slopes = ratios * math.exp(gamma) * std_normal_cdf(math.sqrt(2.0 * gamma))
+    slopes = ratios * _exp_gamma(gamma) * std_normal_cdf(math.sqrt(2.0 * gamma))
 
     def residual(lam):
         r = _tilt_residual(lam, offsets, slopes, np.exp, special.erfc)
@@ -199,7 +208,7 @@ def _prefactors(d, clipped, gamma: float, lam) -> np.ndarray:
     step runs on the pairs that reach it in the scalar formula."""
     n = d + clipped
     s = math.sqrt(2.0 * gamma)
-    e_gamma, phi_s = math.exp(gamma), std_normal_cdf(s)
+    e_gamma, phi_s = _exp_gamma(gamma), std_normal_cdf(s)
     value = np.ones(len(d))
     q = 1.0 + SQRT_2PI * lam * e_gamma * phi_s
     mean_t = -d * lam / clipped
@@ -235,7 +244,7 @@ def _prefactors(d, clipped, gamma: float, lam) -> np.ndarray:
 
 
 def _mean_positivity_threshold(gamma: float) -> float:
-    t = math.sqrt(4.0 * math.pi * gamma) * math.exp(gamma)
+    t = math.sqrt(4.0 * math.pi * gamma) * _exp_gamma(gamma)
     return 1.0 - t / (1.0 + t * std_normal_cdf(math.sqrt(2.0 * gamma)))
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: bound-gda, bound-mlsda, simulate-gda, simulate-mlsda,
 atilde, dstar, validate.  Exit codes: 0 success, 1 validation failure,
-2 configuration error or invalid input (NaN/infinite LLR or SNR).
+2 configuration error or invalid input (NaN/infinite LLR or SNR, or an
+SNR so high that the bound's e^gamma overflows).
 """
 
 import argparse
@@ -15,6 +16,7 @@ from seqdec import harness
 from seqdec.channel import InvalidSnr, NonFiniteLLR
 from seqdec.codes import BlockCode, ConvCode
 from seqdec.harness import ConfigError, ExperimentConfig
+from seqdec.numerics import DomainError
 from seqdec.trellis import build_trellis
 
 
@@ -236,7 +238,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidSnr, NonFiniteLLR) as exc:
+    except (InvalidSnr, NonFiniteLLR, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -144,6 +144,11 @@ class BlockCode:
         return tuple(tables)
 
     @cached_property
+    def parity_arrays(self) -> tuple:
+        """parity_tables as uint64 arrays, to look up many words at once."""
+        return tuple(np.array(t, dtype=np.uint64) for t in self.parity_tables)
+
+    @cached_property
     def generator_bits(self) -> np.ndarray:
         """The generator matrix as a [k, n] uint8 array of bits."""
         return np.array([[(row >> j) & 1 for j in range(self.n)] for row in self.rows],

@@ -32,6 +32,25 @@ steps would have written.
 Each search checks its extension budget once per turn of its loop, before
 the goal test, so it raises exactly when its final count exceeds the budget.
 
+Counting a heavy tree trial.  Branch metrics are nonnegative, so the tree
+search extends a path only if its metric f is at most the winner's,
+zeta*; its counts are those of the tree nodes with f <= zeta*, which
+numpy can count level by level without a stack.  Every tree decode
+(gda_decode and the harness's trials, through _gda_tree) runs the search
+first, under SEARCH_BUDGET extensions; most trials end there.  Past it,
+the path the search stopped at gives a lower bound on zeta*, and
+threshold sweeps take over (_gda_count): rounds at a threshold T growing
+1.5x keep the prefixes with f <= T, adding each path's metrics in the
+search's own order, so every f is bit-equal, until a leaf lies at or
+below T; the least such leaf is the winner.  Three rules keep the count
+exact.  A node other than the winner's prefixes at exactly zeta* (two
+winning leaves, or a tie off the winner's path) would be settled by the
+stack's insertion order, so that trial is searched again without a
+budget.  The trial overflows exactly when its count exceeds the caller's
+budget, and a round that finds no leaf but more nodes than the budget
+proves it early.  No sweep array holds more than SWEEP_BLOCK nodes: the
+sweeps run depth first over blocks of paths.
+
 Counting conventions.  Extending a tree path below level k, or a
 trellis node below level L, evaluates two branch metrics; those are the
 headline `branch_computations`.  Extensions in the single-branch tail
@@ -57,7 +76,15 @@ class SizeError(ValueError):
 
 
 class ExtensionLimitExceeded(RuntimeError):
-    """Search exceeded the caller-supplied extension budget."""
+    """Search exceeded the caller-supplied extension budget.
+
+    metric: the value of the path the tree search was about to extend
+    when it stopped, which is at most the winning path's (None where
+    not known)."""
+
+    def __init__(self, message: str, metric: float | None = None):
+        super().__init__(message)
+        self.metric = metric
 
 
 @dataclass(frozen=True)
@@ -101,9 +128,11 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     the heap, whose disagreeing children below level k all add enough to
     exceed it, follows the hard decisions to level k in one step.  Its
     siblings enter the heap one at a time, in the order a pop takes them.
+    A decode that outgrows SEARCH_BUDGET extensions is counted in numpy
+    (see the module docstring), with the same result.
     """
     offset, bm0, bm1 = _gda_tables(check_lengths(phi, code.n))
-    *counts, f, bits = _gda_search(code, bm0.tolist(), bm1.tolist(), extension_limit)
+    *counts, f, bits = _gda_tree(code, bm0.tolist(), bm1.tolist(), extension_limit)
     decoded = np.array([(bits >> j) & 1 for j in range(code.n)], dtype=np.uint8)
     return DecodeOutcome(decoded, *counts, metric=f + float(offset))
 
@@ -139,7 +168,7 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
     low_extensions = 0
     while True:
         if extensions > limit:
-            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
+            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions", f)
         if fan is not None:  # put the fan's next member on the heap
             fan_f, base, dive_bits, order, size, pos = fan
             j = order[pos]
@@ -207,6 +236,173 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
             entry = heapreplace(heap, (f, best_seq, level, bits, None))
             heappush(heap, sibling)
         f, _, level, bits, fan = entry
+
+
+SEARCH_BUDGET = 2000  # extensions the tree search takes before the count takes over
+SWEEP_BLOCK = 1 << 14  # the most nodes an array of the count holds
+
+
+def _gda_tree(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple:
+    """The tree search's result on branch-metric lists, as _gda_search
+    returns it: the search itself for up to SEARCH_BUDGET extensions,
+    and past them the count (_gda_count) from the metric the search
+    stopped at.  The count holds information bits in floats and path
+    bits in 64-bit words, so larger codes are searched only."""
+    budget = extension_limit
+    if code.k <= 53 and code.n <= 64 and (budget is None or budget > SEARCH_BUDGET):
+        budget = SEARCH_BUDGET
+    try:
+        return _gda_search(code, bm0, bm1, budget)
+    except ExtensionLimitExceeded as stop:
+        if budget == extension_limit:
+            raise
+        return _gda_count(code, bm0, bm1, extension_limit, stop.metric)
+
+
+def _gda_count(code: BlockCode, bm0: list, bm1: list, extension_limit, bound: float) -> tuple:
+    """The tree search's result (see _gda_search) from threshold sweeps,
+    given a lower bound on the winning path's metric zeta*.
+
+    The search extends every path below level n with f < zeta*, and
+    those with f == zeta* that it pops before the winner.  When no node
+    but the winner's prefixes has f == zeta*, it pops all of those, so
+    its counts are those of the nodes with f <= zeta*.  Rounds at
+    thresholds T, from 1.5 * bound up 1.5x a round but never above the
+    hard-decision leaf's metric, find zeta*, the least leaf metric; a
+    round that finds no leaf but more than extension_limit nodes proves
+    the overflow.  A tie with a node off the winner's path reruns the
+    search.
+
+    Every node below level k has a descendant at level k with the same
+    f (hard-decision children add 0.0), so a sweep keeps only the level-k
+    nodes: one whose last departure from the hard decision is at level
+    j - 1 stands for its k - j prefixes at levels j..k-1.  A round keeps
+    the metrics it finds while they fit in a block, and the count at
+    zeta* reads them; otherwise a last sweep at zeta* counts.
+    """
+    k, n = code.k, code.n
+    limit = sys.maxsize if extension_limit is None else extension_limit
+    hard = sum(1 << j for j in range(k) if bm1[j] < bm0[j])
+    flip = [bm0[j] if (hard >> j) & 1 else bm1[j] for j in range(k)]  # the other child's metric
+    powers = [float(1 << j) for j in range(k)]
+    step = np.array([flip, powers]).T.reshape(k, 2, 1)  # what leaving the hard decision adds
+    tables = code.parity_arrays
+    tail_bm = np.array([bm0[k:], bm1[k:]]).T.ravel()  # entry 2 (level - k) + bit
+    shifts = np.arange(k, n, dtype=np.uint64)[:, None]
+    offsets = np.arange(0, 2 * (n - k), 2, dtype=np.uint64)[:, None]
+    half = SWEEP_BLOCK // 2
+
+    def level_k(threshold: float):
+        """Chunks [2, m] of the level-k nodes with f <= threshold, depth
+        first, none longer than SWEEP_BLOCK: row 0 holds f, and row 1 the
+        flips, whose bit j is set where the path leaves the hard decision
+        at level j."""
+        stack = [(0, np.zeros((2, 1)))]
+        while stack:
+            level, nodes = stack.pop()
+            least = float(nodes[0].min())  # hard children keep f, so no level raises it
+            for j in range(level, k):
+                if least + flip[j] <= threshold:
+                    if nodes.shape[1] > half:  # the children must fit in one block
+                        stack.append((j, nodes[:, half:]))
+                        nodes = nodes[:, :half]
+                    children = nodes.take((nodes[0] + flip[j] <= threshold).nonzero()[0], axis=1)
+                    children += step[j]
+                    nodes = np.concatenate((nodes, children), axis=1)
+            yield nodes
+
+    def path_bits(flips) -> np.ndarray:
+        """The codeword bits, information then parity, of the paths with
+        these flips."""
+        info = flips.astype(np.uint64) ^ np.uint64(hard)
+        word = info
+        for t, table in enumerate(tables):
+            word = word ^ table[(info >> np.uint64(8 * t)) & np.uint64(0xFF)]
+        return word
+
+    def tails(nodes, threshold: float) -> tuple:
+        """(nodes at levels k..n-1 with f <= threshold below the level-k
+        nodes [2, m], nodes at levels k..n with f == threshold, the
+        metrics of the former while they fit in a block or else None,
+        the leaf metrics <= threshold, those leaves' path bits).  The
+        metrics are the search's sequential adds, taken for as many
+        levels at a time as fit a block."""
+        count = ties = 0
+        values, leaves, words = [np.empty(0)], [], []
+        for first in range(0, nodes.shape[1], half):
+            f = nodes[0, first:first + half]
+            word = path_bits(nodes[1, first:first + half])
+            level = k
+            while level < n and len(f):
+                width = min(n - level, max(1, SWEEP_BLOCK // len(f) - 1))
+                levels = slice(level - k, level - k + width)
+                rows = np.empty((width + 1, len(f)))
+                rows[0] = f
+                tail_bm.take(((word >> shifts[levels]) & np.uint64(1)) + offsets[levels],
+                             out=rows[1:])
+                for i in range(width):
+                    np.add(rows[i], rows[i + 1], out=rows[i + 1])
+                below = rows[:width][rows[:width] <= threshold]
+                count += len(below)
+                ties += int(np.count_nonzero(below == threshold))
+                if values is not None:
+                    values = values + [below] if count <= SWEEP_BLOCK else None
+                alive = (rows[width] <= threshold).nonzero()[0]
+                f, word = rows[width].take(alive), word.take(alive)
+                level += width
+            ties += int(np.count_nonzero(f == threshold))
+            leaves.append(f)
+            words.append(word)
+        if values is not None:
+            values = np.concatenate(values)
+        return count, ties, values, np.concatenate(leaves), np.concatenate(words)
+
+    def low_count(flips) -> int:
+        """Nodes below level k that the level-k nodes with these flips
+        stand for: at level j, those with no flip at j or above."""
+        return int(np.searchsorted(np.sort(flips), powers).sum())
+
+    # the hard-decision leaf's metric: zeta* lies at or below it
+    word, hard_leaf = int(path_bits(np.zeros(1))[0]), 0.0
+    for j in range(k, n):
+        hard_leaf += bm1[j] if (word >> j) & 1 else bm0[j]
+    threshold = min(1.5 * bound, hard_leaf)
+    while True:
+        found, zeta, bits = 0, math.inf, None
+        kept, held = [], 0  # what the count at zeta* needs, while it fits in a block
+        for nodes in level_k(threshold):
+            tail, _, values, leaves, words = tails(nodes, threshold)
+            found += low_count(nodes[1]) + tail
+            if len(leaves) and leaves.min() < zeta:
+                i = int(leaves.argmin())
+                zeta, bits = float(leaves[i]), int(words[i])
+            if kept is not None and values is not None:
+                nodes = nodes.take((nodes[0] <= zeta).nonzero()[0], axis=1)
+                kept.append((nodes, values[values <= zeta], leaves[leaves <= zeta]))
+                held += nodes.shape[1] + len(kept[-1][1])
+            if values is None or held > SWEEP_BLOCK:
+                kept = None
+        if bits is not None:
+            break
+        if found > limit:  # every node found lies below zeta*
+            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions", threshold)
+        threshold = min(1.5 * threshold if threshold > 0.0 else hard_leaf, hard_leaf)
+    if kept is None:  # sweep again at zeta*
+        counts = ((low_count(nodes[1]), *tails(nodes, zeta)[:2]) for nodes in level_k(zeta))
+    else:
+        counts = ((low_count(nodes[1, nodes[0] <= zeta]), int(np.count_nonzero(values <= zeta)),
+                   int(np.count_nonzero(values == zeta)) + int(np.count_nonzero(leaves == zeta)))
+                  for nodes, values, leaves in kept)
+    low, tail, ties = map(sum, zip(*counts))
+    f, own = 0.0, 0  # the winner's own nodes at levels k..n with f == zeta*
+    for j in range(n):
+        f += bm1[j] if (bits >> j) & 1 else bm0[j]
+        own += j + 1 >= k and f == zeta
+    if ties != own:  # a node off the winner's path ties with it
+        return _gda_search(code, bm0, bm1, extension_limit)
+    if low + tail > limit:
+        raise ExtensionLimitExceeded(f"more than {extension_limit} extensions", zeta)
+    return 2 * low, 2 * low + tail, low + tail, zeta, bits
 
 
 def _metric_table(trellis: Trellis, phi) -> np.ndarray:

@@ -42,8 +42,8 @@ from seqdec.codes import (
 )
 from seqdec.decoders import (
     ExtensionLimitExceeded,
-    _gda_search,
     _gda_tables,
+    _gda_tree,
     _metric_table,
     _mlsda_search,
     brute_force_ml_block,
@@ -201,8 +201,11 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
     symbol for the noise.  The rows of TRIAL_BATCH trials are stacked, and
     the bits, codewords, channel outputs, LLRs and metric tables are built
     as arrays with a leading trial axis, by the functions a single trial
-    uses, so every float is that of a trial built alone.  Each trial's
-    search then runs on the Python lists of its row.
+    uses, so every float is that of a trial built alone.  Each trial is
+    then decoded from its row, as the one-trial decoders decode it: a
+    trellis trial by the search on the row's Python list, a tree trial by
+    decoders._gda_tree, which searches the row's lists and hands a trial
+    that outgrows a small search budget to its numpy count.
     """
     if isinstance(target, BlockCode):
         channel = ChannelConfig.for_block_code(target, gamma_b_db)
@@ -226,7 +229,7 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
         phi = check_lengths(phi, len(batch), n)
         if isinstance(target, BlockCode):
             _, bm0, bm1 = _gda_tables(phi)
-            searches = (partial(_gda_search, target, a.tolist(), b.tolist())
+            searches = (partial(_gda_tree, target, a.tolist(), b.tolist())
                         for a, b in zip(bm0, bm1))
         else:
             searches = (partial(_mlsda_search, target, inc.tolist())
@@ -251,6 +254,14 @@ def _worker_trials(gamma_b_db: float, trials: range) -> list:
     return _run_trials(*_worker_job, gamma_b_db, trials)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
     """Monte Carlo complexity per SNR point.
 
@@ -259,11 +270,11 @@ def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
     counted in overflow_trials.  With several workers, one process pool
     serves the whole grid; its workers receive the built target once,
     through the pool initializer, and each runs one contiguous block of
-    trials per point.  The pool has no more processes than there are
-    CPUs or trials, and none at all when that leaves one.
+    trials per point.  The pool has no more processes than trials or
+    CPUs this process may run on, and none at all when that leaves one.
     """
     target = _built_target(json.dumps(cfg.code, sort_keys=True), cfg.L)
-    workers = min(cfg.workers, os.cpu_count() or 1, cfg.trials)
+    workers = min(cfg.workers, _usable_cpus(), cfg.trials)
     parallel = workers > 1
     pool = (ProcessPoolExecutor(workers, initializer=_init_worker,
                                 initargs=(target, cfg))

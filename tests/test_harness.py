@@ -129,11 +129,28 @@ class TestCurves:
                 return map(fn, items)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        if cpus is None:  # neither an affinity set nor a CPU count
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(harness.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
         grid = dict(mode="simulate", trials=trials)
         got = curve_csv_text(run_simulation_curve(small_cfg(**grid, workers=10**6)))
         assert opened == ([] if pool is None else [pool])
         assert got == curve_csv_text(run_simulation_curve(small_cfg(**grid)))
+
+    def test_pool_follows_cpu_affinity(self, monkeypatch):
+        # a process pinned to one CPU of a larger host runs its trials
+        # in process, with the CSV of one worker
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was opened")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        got = curve_csv_text(run_simulation_curve(small_cfg(mode="simulate", workers=2)))
+        assert got == curve_csv_text(run_simulation_curve(small_cfg(mode="simulate")))
 
     def test_seed_changes_sim_not_bound(self):
         a = run_experiment(small_cfg())
@@ -360,6 +377,24 @@ class TestCli:
         rc = cli.main(["bound-gda", "--code", "golay24", "--snr", "nan"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_overflowing_bound_snr_exit_code(self, capsys, tmp_path):
+        # e^gamma overflows past gamma of about 709.78: golay24 at 35 dB
+        # (gamma about 1581), the (3,1,2) code at 40 dB and gamma = 30 dB
+        cfg = tmp_path / "conv.json"
+        cfg.write_text(json.dumps({**CONV_CFG, "snr_db": [40.0]}))
+        for argv in (["bound-gda", "--code", "golay24", "--snr", "35"],
+                     ["bound-mlsda", "--config", str(cfg)],
+                     ["atilde", "--ratio", "0.5", "--gamma-db", "30", "--n-grid", "10,20"]):
+            rc = cli.main(argv)
+            assert rc == 2
+            assert "e^gamma overflows" in capsys.readouterr().err
+
+    def test_high_snr_bound_reaches_floor(self, capsys):
+        # just below the overflow the golay24 bound is its 2k floor
+        rc = cli.main(["bound-gda", "--code", "golay24", "--snr", "29"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1] == "29,24,24,,,"
 
     def test_overflowing_llr_exit_code(self, capsys):
         # at 1540 dB the LLRs are finite but their squares overflow; at

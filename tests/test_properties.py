@@ -1,17 +1,20 @@
 """Properties over random small codes, each checked against a scalar or
 per-trial reference kept here: the trellis layer on convolutional codes
-(memory <= 4, 2-3 outputs, L <= 8), the tree search on systematic block
-codes (k <= 10) and the Golay code, the trellis search against a plain
-two-stack search, the harness's batched trial pipeline on both, and the
-per-pair bound of a whole evaluation against the scalar one."""
+(memory <= 4, 2-3 outputs, L <= 8), the tree search and its entry point
+(with the count taking over early) on systematic block codes (k <= 10)
+and the Golay code, the trellis search against a plain two-stack search,
+the harness's batched trial pipeline on both, and the per-pair bound of
+a whole evaluation against the scalar one."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqdec import decoders
 from seqdec.bounds import (
     BERRY_ESSEEN,
     CHERNOFF,
@@ -25,6 +28,7 @@ from seqdec.decoders import (
     ExtensionLimitExceeded,
     _gda_search,
     _gda_tables,
+    _gda_tree,
     _metric_table,
     _mlsda_search,
     brute_force_ml_block,
@@ -222,6 +226,57 @@ def test_gda_search_matches_textbook(textbook_gda, inputs, limit):
         return
     *got, got_metric, got_bits = _gda_search(code, bm0, bm1, limit)
     assert (got, got_metric.hex(), got_bits) == (counts, metric.hex(), bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_search_inputs(), st.sampled_from([5, 50, None]))
+# two codewords tie at zeta*: the count must hand the trial back to the search
+@example((build_extended_golay(),
+          np.array([-1, 0, -1, 1, 0, -1, -1, -1, 0, 2, -2, 1,
+                    2, 0, -1, 2, 2, -1, -2, 1, 0, -2, -1, -2], dtype=float)), None)
+# one leaf at zeta* = 4 (information bits 0, 1), but the level-k nodes of
+# information bits 0, 0 and 1, 1 have f = 4 too: again the search decides
+@example((BlockCode(n=6, k=2, rows=(53, 18)), np.array([1.0, -1.0, 0.0, -1.0, -2.0, 2.0])),
+         None)
+# from a search budget of 0 or 1, a threshold round finds no leaf but more
+# than 5 nodes below it, which proves the overflow before zeta* is known
+@example((BlockCode(n=5, k=4, rows=(1, 18, 4, 24)), np.array([0.0, 2.0, 1.0, 1.0, -2.0])), 5)
+# from a budget of 0, a round finds no leaf and exactly the 5 nodes that
+# the search extends: 5 extensions do not exceed a limit of 5
+@example((BlockCode(n=5, k=3, rows=(9, 2, 4)), np.array([-3.0, 2.5, -2.5, -1.2, -0.1])), 5)
+def test_gda_tree_matches_textbook(textbook_gda, inputs, limit):
+    # the entry point, with the count taking over after 0, 1 or 5
+    # extensions, gives every count, the metric's bits and the path bits
+    # of the plain search, and overflows exactly when it does; blocks of
+    # 64 nodes make the count split its sweeps and sweep again at zeta*
+    code, phi = inputs
+    _, bm0, bm1 = _gda_tables(phi)
+    bm0, bm1 = bm0.tolist(), bm1.tolist()
+    *counts, metric, bits, _ = textbook_gda(code, bm0, bm1)
+    full = decoders.SWEEP_BLOCK
+    for budget, block in ((0, 64), (0, full), (1, full), (5, full)):
+        with mock.patch.multiple(decoders, SEARCH_BUDGET=budget, SWEEP_BLOCK=block):
+            if limit is not None and counts[2] > limit:
+                with pytest.raises(ExtensionLimitExceeded):
+                    _gda_tree(code, bm0, bm1, limit)
+                continue
+            *got, got_metric, got_bits = _gda_tree(code, bm0, bm1, limit)
+        assert (got, got_metric.hex(), got_bits) == (counts, metric.hex(), bits)
+
+
+@PROPERTY_SETTINGS
+@given(tree_search_inputs(), st.integers(0, 60))
+def test_search_stop_metric_bounds_winner(textbook_gda, inputs, budget):
+    # the search extends only paths with f <= zeta*, so the metric it
+    # stops at is a lower bound for the count to start from
+    code, phi = inputs
+    _, bm0, bm1 = _gda_tables(phi)
+    bm0, bm1 = bm0.tolist(), bm1.tolist()
+    zeta = textbook_gda(code, bm0, bm1)[3]
+    try:
+        _gda_search(code, bm0, bm1, budget)
+    except ExtensionLimitExceeded as stop:
+        assert stop.metric <= zeta
 
 
 @st.composite
