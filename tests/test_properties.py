@@ -3,8 +3,9 @@ per-trial reference kept here: the trellis layer on convolutional codes
 (memory <= 4, 2-3 outputs, L <= 8), the tree search and its entry point
 (with the count taking over early) on systematic block codes (k <= 10)
 and the Golay code, the trellis search against a plain two-stack search,
-the harness's batched trial pipeline on both, and the per-pair bound of
-a whole evaluation against the scalar one."""
+the Viterbi oracle against all 2^L inputs, the harness's batched trial
+pipeline on both, and the per-pair bound of a whole evaluation against
+the scalar one."""
 
 import math
 from unittest import mock
@@ -312,6 +313,20 @@ def test_mlsda_search_matches_textbook(textbook_mlsda, inputs, limit):
         return
     *got, got_metric, got_info = _mlsda_search(trellis, inc, limit)
     assert (got, got_metric.hex(), got_info) == (counts, metric.hex(), info)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trellis_search_inputs())
+def test_viterbi_attains_least_metric(inputs):
+    # the oracle's word is a codeword of the trellis whose disagreement
+    # metric is the least over the encodings of all 2^L inputs
+    trellis, phi = inputs
+    L = trellis.L
+    words = encode_conv(trellis.code, (np.arange(1 << L)[:, None] >> np.arange(L)) & 1)
+    metrics = ((hard_decision(phi) ^ words) * np.abs(phi)).sum(axis=1)
+    got = viterbi_ml(trellis, phi)
+    assert (words == got).all(axis=1).any()
+    assert disagreement_metric(phi, got) == pytest.approx(metrics.min(), abs=1e-9)
 
 
 def per_trial_counts(target, cfg, gamma_b_db, trials) -> list:
