@@ -171,11 +171,11 @@ def _cmd_dstar(args) -> int:
     if not isinstance(code, ConvCode):
         raise ConfigError("dstar expects a convolutional code")
     L = args.length if args.length is not None else raw.get("L")
-    if not L:
+    if L is None:
         raise ConfigError("dstar needs L (use --length)")
-    if int(L) < 1:
-        raise ConfigError("L must be >= 1")
-    trellis = build_trellis(code, int(L))
+    if not _all_numbers((L,), int) or L < 1:
+        raise ConfigError(f"L must be an integer >= 1, got {L!r}")
+    trellis = build_trellis(code, L)
     with _open_out(args) as out:
         harness.write_dstar_csv(trellis, out)
     return 0

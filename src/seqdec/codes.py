@@ -272,6 +272,8 @@ class ConvCode:
         for tap in self.taps:
             if len(tap) != self.m + 1:
                 raise ValueError("tap vectors must have length m+1")
+            if any(bit not in (0, 1) for bit in tap):
+                raise ValueError(f"tap entries must be 0 or 1, got {tap!r}")
         if not any(tap[0] for tap in self.taps):
             raise ValueError("no output taps the current input (pure delay)")
 

@@ -68,7 +68,7 @@ import numpy as np
 
 from seqdec.channel import NonFiniteLLR, check_lengths, hard_decision
 from seqdec.codes import BlockCode, encode_conv
-from seqdec.trellis import Trellis
+from seqdec.trellis import Trellis, min_path_costs, min_path_inputs
 
 
 class SizeError(ValueError):
@@ -629,22 +629,9 @@ def brute_force_ml_block(code: BlockCode, phi) -> np.ndarray:
 
 
 def viterbi_ml(trellis: Trellis, phi) -> np.ndarray:
-    """Forward DP minimizing the disagreement metric; ML oracle for the
-    trellis decoder."""
+    """ML oracle for the trellis decoder: the min-plus pass over the
+    metrics of _metric_table, traced back from the goal node."""
     phi = check_lengths(phi, trellis.code.n_out * trellis.levels)
-    inc = _metric_table(trellis, phi).tolist()
-    next_state, outputs = trellis.table_lists()
-    n_out = trellis.code.n_out
-    INF = float("inf")
-    metric = {0: (0.0, 0)}  # state -> (metric, info bits so far)
-    for level in range(trellis.levels):
-        nxt: dict = {}
-        for state, (m, info) in metric.items():
-            for b in trellis.branch_inputs(level):
-                ns = next_state[state][b]
-                cand = m + inc[(level << n_out) + outputs[state][b]]
-                if cand < nxt.get(ns, (INF, 0))[0]:
-                    nxt[ns] = (cand, info | (b << level))
-        metric = nxt
-    _, info = metric[0]
-    return encode_conv(trellis.code, [(info >> t) & 1 for t in range(trellis.L)])
+    inc = _metric_table(trellis, phi).reshape(trellis.levels, -1)
+    table = min_path_costs(trellis, inc, math.inf)
+    return encode_conv(trellis.code, min_path_inputs(trellis, inc, table))

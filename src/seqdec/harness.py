@@ -28,6 +28,7 @@ from seqdec.channel import (
     channel_output,
     check_lengths,
     db_to_linear,
+    hard_decision,
     llr,
     transmit,
 )
@@ -48,6 +49,8 @@ from seqdec.decoders import (
     _mlsda_search,
     brute_force_ml_block,
     gda_decode,
+    mlsda_decode,
+    viterbi_ml,
 )
 from seqdec.numerics import RngStream, bits_from_uniforms, gaussians_from_uniforms
 from seqdec.trellis import ABSENT, build_trellis, compute_dstar
@@ -448,19 +451,34 @@ def check_dstar_oracle(trellis=None) -> CheckResult:
     return _check("dstar-oracle", mismatches == 0, f"{mismatches} mismatching entries")
 
 
-def check_ml_equivalence() -> CheckResult:
-    code = build_extended_golay()
-    cfg = ChannelConfig.for_block_code(code, 2.0)
+def _worst_metric_gap(cfg, encode, info_len, decode, oracle_metric) -> float:
+    """Largest gap between a decoder's metric and its oracle's over 100
+    trials, trial t drawing its bits and then its noise from RngStream(7 ^ t)."""
     worst = 0.0
     for t in range(100):
         rng = RngStream(7 ^ t)
-        info = rng.bits(code.k)
-        phi = llr(transmit(encode_block(code, info), cfg, rng), cfg)
-        got = gda_decode(code, phi)
-        want = brute_force_ml_block(code, phi)
-        m_want = float(np.sum((phi - (1.0 - 2.0 * want.astype(float))) ** 2))
-        worst = max(worst, abs(got.metric - m_want))
-    return _check("ml-equivalence", worst <= 1e-6, f"max metric gap {worst:.3g}")
+        phi = llr(transmit(encode(rng.bits(info_len)), cfg, rng), cfg)
+        worst = max(worst, abs(decode(phi).metric - oracle_metric(phi)))
+    return worst
+
+
+def check_ml_equivalence() -> CheckResult:
+    """Each decoder against its ML oracle at 2 dB: the tree search on
+    the Golay code against brute force, and the trellis search on the
+    (2,1,6) code at L = 20 against viterbi_ml."""
+    code = build_extended_golay()
+    block = _worst_metric_gap(
+        ChannelConfig.for_block_code(code, 2.0), partial(encode_block, code), code.k,
+        partial(gda_decode, code),
+        lambda phi: float(np.sum((phi - (1.0 - 2.0 * brute_force_ml_block(code, phi))) ** 2)))
+    trellis = build_trellis(parse_octal_generators(["634", "564"], m=6), L=20)
+    conv = _worst_metric_gap(
+        ChannelConfig.for_conv_code(trellis.code, trellis.L, 2.0),
+        partial(encode_conv, trellis.code), trellis.L, partial(mlsda_decode, trellis),
+        lambda phi: float(np.sum((hard_decision(phi) ^ viterbi_ml(trellis, phi)) * np.abs(phi))))
+    return _check("ml-equivalence", max(block, conv) <= 1e-6,
+                  f"max metric gap {block:.3g} (golay24 vs brute force), "
+                  f"{conv:.3g} ((2,1,6) L=20 trellis vs viterbi_ml)")
 
 
 def extension_event_hits(gen: np.random.Generator, gamma: float, ds, clipped,

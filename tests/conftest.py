@@ -116,7 +116,7 @@ def textbook_mlsda_search(trellis, inc: list) -> tuple:
             low += 1
         else:
             tail += 1
-        for b in trellis.branch_inputs(level):
+        for b in (0, 1) if level < trellis.L else (0,):
             ns = next_state[state][b]
             child = ((level + 1) << m) | ns
             child_zeta = zeta + inc[(level << n_out) | outputs[state][b]]

@@ -160,3 +160,10 @@ class TestConvCodeValidation:
     def test_needs_current_input(self):
         with pytest.raises(ValueError):
             ConvCode(n_out=1, m=1, taps=((0, 1),))
+
+    @pytest.mark.parametrize("taps", [((1, 2), (1, 1)), ((1, 0), (-1, 1)), ((1, 0), (1, 3))])
+    def test_taps_are_bits(self, taps):
+        # an entry other than 0 or 1 would make the trellis's tap mask
+        # (which shifts the entry itself) disagree with the encoder
+        with pytest.raises(ValueError, match="0 or 1"):
+            ConvCode(n_out=2, m=1, taps=taps)

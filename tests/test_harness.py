@@ -440,6 +440,14 @@ class TestCli:
         (["simulate-mlsda", "--config", "{seed-text}"], "config"),
         (["simulate-mlsda", "--config", "{trials-float}"], "config"),
         (["simulate-mlsda", "--config", "{snr-text}"], "config"),
+        (["simulate-mlsda", "--config", "{L-text}"], "config"),
+        (["simulate-mlsda", "--config", "{L-float}"], "config"),
+        (["simulate-mlsda", "--config", "{L-bool}"], "config"),
+        (["dstar", "--config", "{L-text}"], "config"),
+        (["dstar", "--config", "{L-float}"], "config"),
+        (["dstar", "--config", "{L-bool}"], "config"),
+        (["simulate-mlsda", "--config", "{taps}"], "config"),
+        (["dstar", "--config", "{taps}"], "config"),
     ])
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
         configs = {
@@ -452,6 +460,11 @@ class TestCli:
             "{seed-text}": {**CONV_CFG, "seed": "7"},
             "{trials-float}": {**CONV_CFG, "trials": 2.5},
             "{snr-text}": {**CONV_CFG, "snr_db": "2.0"},
+            "{L-text}": {**CONV_CFG, "L": "x"},
+            "{L-float}": {**CONV_CFG, "L": 2.7},
+            "{L-bool}": {**CONV_CFG, "L": True},
+            # tap digits other than 0 and 1 are rejected, not read as taps
+            "{taps}": {**CONV_CFG, "code": {"type": "conv", "m": 1, "taps": ["12", "11"]}},
         }
         paths = {"{conv}": str(_write_cfg(tmp_path))}
         for key, raw in configs.items():

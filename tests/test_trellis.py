@@ -28,9 +28,11 @@ class TestBuildTrellis:
         assert fig_trellis.outputs[0][1] == 0b111
 
     def test_termination_forces_zero_inputs(self, fig_trellis):
-        assert fig_trellis.branch_inputs(4) == (0, 1)
-        assert fig_trellis.branch_inputs(5) == (0,)
-        assert fig_trellis.branch_inputs(6) == (0,)
+        # from level L = 5 on only input 0 branches, which shifts a zero
+        # into the state: half the states at level 6, the goal at level 7
+        assert states(fig_trellis, 5) == (0, 1, 2, 3)
+        assert states(fig_trellis, 6) == (0, 2)
+        assert states(fig_trellis, 7) == (0,)
 
     def test_path_count_at_level_l(self, fig_trellis):
         # number of distinct paths reaching level L equals 2^L
@@ -38,7 +40,7 @@ class TestBuildTrellis:
         for level in range(fig_trellis.L):
             nxt = {}
             for s, c in counts.items():
-                for b in fig_trellis.branch_inputs(level):
+                for b in (0, 1):
                     ns = fig_trellis.next_state[s][b]
                     nxt[ns] = nxt.get(ns, 0) + c
             counts = nxt
@@ -109,9 +111,9 @@ class TestComputeDstar:
         for level in range(trellis.levels):
             incoming = {}
             for s in states(trellis, level):
-                for b in trellis.branch_inputs(level):
+                for b in (0, 1) if level < trellis.L else (0,):
                     ns = trellis.next_state[s][b]
-                    w = trellis.output_weight[s][b]
+                    w = int(trellis.outputs[s][b]).bit_count()
                     assert table[level + 1, ns] <= table[level, s] + w
                     incoming.setdefault(ns, []).append(table[level, s] + w)
             for ns, cands in incoming.items():
