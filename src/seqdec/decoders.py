@@ -463,6 +463,18 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     return DecodeOutcome(decoded, *counts, metric=zeta)
 
 
+def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
+    """_mlsda_search's result on each metric row of inc [B, levels << n_out]
+    (see _metric_table), or None where the search exceeds the budget."""
+    results = []
+    for row in inc:
+        try:
+            results.append(_mlsda_search(trellis, row.tolist(), extension_limit))
+        except ExtensionLimitExceeded:
+            results.append(None)
+    return results
+
+
 def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
     """The trellis search on a prebuilt metric row (a flat list indexed
     (level << n_out) + output pattern, see _metric_table).

@@ -46,7 +46,7 @@ from seqdec.decoders import (
     _gda_tables,
     _gda_tree,
     _metric_table,
-    _mlsda_search,
+    _mlsda_batch,
     brute_force_ml_block,
     gda_decode,
     mlsda_decode,
@@ -205,10 +205,11 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
     the bits, codewords, channel outputs, LLRs and metric tables are built
     as arrays with a leading trial axis, by the functions a single trial
     uses, so every float is that of a trial built alone.  Each trial is
-    then decoded from its row, as the one-trial decoders decode it: a
-    trellis trial by the search on the row's Python list, a tree trial by
-    decoders._gda_tree, which searches the row's lists and hands a trial
-    that outgrows a small search budget to its numpy count.
+    then decoded from its row, as the one-trial decoders decode it: the
+    trellis trials of a batch by decoders._mlsda_batch, which gives each
+    row the search's result, a tree trial by decoders._gda_tree, which
+    searches the row's lists and hands a trial that outgrows a small
+    search budget to its numpy count.
     """
     if isinstance(target, BlockCode):
         channel = ChannelConfig.for_block_code(target, gamma_b_db)
@@ -232,16 +233,15 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
         phi = check_lengths(phi, len(batch), n)
         if isinstance(target, BlockCode):
             _, bm0, bm1 = _gda_tables(phi)
-            searches = (partial(_gda_tree, target, a.tolist(), b.tolist())
-                        for a, b in zip(bm0, bm1))
+            for a, b in zip(bm0, bm1):
+                try:
+                    results.append(_gda_tree(target, a.tolist(), b.tolist(),
+                                             cfg.extension_limit)[0])
+                except ExtensionLimitExceeded:
+                    results.append(None)
         else:
-            searches = (partial(_mlsda_search, target, inc.tolist())
-                        for inc in _metric_table(target, phi))
-        for search in searches:
-            try:
-                results.append(search(cfg.extension_limit)[0])
-            except ExtensionLimitExceeded:
-                results.append(None)
+            results += [None if r is None else r[0] for r in
+                        _mlsda_batch(target, _metric_table(target, phi), cfg.extension_limit)]
     return results
 
 

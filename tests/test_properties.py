@@ -3,9 +3,9 @@ per-trial reference kept here: the trellis layer on convolutional codes
 (memory <= 4, 2-3 outputs, L <= 8), the tree search and its entry point
 (with the count taking over early) on systematic block codes (k <= 10)
 and the Golay code, the trellis search against a plain two-stack search,
-the Viterbi oracle against all 2^L inputs, the harness's batched trial
-pipeline on both, and the per-pair bound of a whole evaluation against
-the scalar one."""
+its batch entry point against the search row by row, the Viterbi oracle
+against all 2^L inputs, the harness's batched trial pipeline on both,
+and the per-pair bound of a whole evaluation against the scalar one."""
 
 import math
 from unittest import mock
@@ -31,6 +31,7 @@ from seqdec.decoders import (
     _gda_tables,
     _gda_tree,
     _metric_table,
+    _mlsda_batch,
     _mlsda_search,
     brute_force_ml_block,
     gda_decode,
@@ -280,17 +281,43 @@ def test_search_stop_metric_bounds_winner(textbook_gda, inputs, budget):
         assert stop.metric <= zeta
 
 
+def trellis_llrs(draw, N: int) -> np.ndarray:
+    """N LLRs of one of two kinds: continuous, or integer-valued in
+    {0, +-1, +-2}, so that many paths and merges tie."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=N, max_size=N)))
+    return np.array(draw(st.lists(st.integers(-2, 2), min_size=N, max_size=N)), dtype=float)
+
+
 @st.composite
 def trellis_search_inputs(draw):
-    """A trellis (memory 0-4) and LLRs of one of two kinds: continuous, or
-    integer-valued in {0, +-1, +-2}, so that many paths and merges tie."""
+    """A trellis (memory 0-4) and LLRs (see trellis_llrs)."""
+    trellis = draw(trellises())
+    return trellis, trellis_llrs(draw, trellis.code.n_out * trellis.levels)
+
+
+def codeword_llrs(draw, trellis) -> np.ndarray:
+    """LLRs whose signs spell a random codeword but for up to three flips,
+    so that the search's first dive often reaches the goal."""
+    word = encode_conv(trellis.code, draw(st.lists(st.integers(0, 1), min_size=trellis.L,
+                                                   max_size=trellis.L)))
+    N = len(word)
+    signs = 1.0 - 2.0 * word
+    signs[draw(st.lists(st.integers(0, N - 1), max_size=3))] *= -1.0
+    return signs * np.array(draw(st.lists(st.floats(0.0, 6.0), min_size=N, max_size=N)))
+
+
+@st.composite
+def trellis_batch_inputs(draw):
+    """A trellis (memory 0-4), a batch of 1-6 LLR rows (see trellis_llrs
+    and codeword_llrs) and an extension budget: 5, 50, one short of a
+    straight dive to the goal (L + m extensions), exactly that, or none."""
     trellis = draw(trellises())
     N = trellis.code.n_out * trellis.levels
-    if draw(st.booleans()):
-        return trellis, np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=N,
-                                               max_size=N)))
-    return trellis, np.array(draw(st.lists(st.integers(-2, 2), min_size=N, max_size=N)),
-                             dtype=float)
+    rows = [codeword_llrs(draw, trellis) if draw(st.booleans()) else trellis_llrs(draw, N)
+            for _ in range(draw(st.integers(1, 6)))]
+    limit = draw(st.sampled_from([5, 50, trellis.levels - 1, trellis.levels, None]))
+    return trellis, np.array(rows), limit
 
 
 @settings(max_examples=300, deadline=None)
@@ -313,6 +340,57 @@ def test_mlsda_search_matches_textbook(textbook_mlsda, inputs, limit):
         return
     *got, got_metric, got_info = _mlsda_search(trellis, inc, limit)
     assert (got, got_metric.hex(), got_info) == (counts, metric.hex(), info)
+
+
+def searched_rows(trellis, inc, limit) -> list:
+    """_mlsda_search on each metric row alone, None where it overflows."""
+    results = []
+    for row in inc:
+        try:
+            results.append(_mlsda_search(trellis, row.tolist(), limit))
+        except ExtensionLimitExceeded:
+            results.append(None)
+    return results
+
+
+# the (2,1,2) code with generators 7, 5 at L = 4: a straight dive to the
+# goal takes L + m = 6 extensions
+FIG_M2 = build_trellis(ConvCode(n_out=2, m=2, taps=((1, 1, 1), (1, 0, 1))), 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trellis_batch_inputs())
+# the tie at 8e307 of test_mlsda_search_matches_textbook, as a batch of one:
+# the dive must stop at the root's tied sibling and leave the row to the search
+@example((build_trellis(ConvCode(n_out=3, m=1, taps=((1, 0), (0, 1), (0, 1))), 3),
+          np.array([[1.0, -4e307, -4e307] + [1.0] * 9]), None))
+# one batch, three kinds of row: the all-zero word received cleanly dives
+# straight to the goal; a flipped symbol at level 1 ties the children there,
+# so the dive stops at level 2 on its sibling's metric; two at level 3 send
+# the dive along a 1-branch, and its tail climbs to the earlier siblings
+@example((FIG_M2, np.array([[1.0] * 12,
+                            [1.0, 1.0, -1.0, 1.0] + [1.0] * 8,
+                            [1.0] * 6 + [-2.0, -2.0] + [1.0] * 4]), None))
+# the same batch at a budget one short of a straight dive: every row overflows
+@example((FIG_M2, np.array([[1.0] * 12,
+                            [1.0, 1.0, -1.0, 1.0] + [1.0] * 8,
+                            [1.0] * 6 + [-2.0, -2.0] + [1.0] * 4]), 5))
+def test_mlsda_batch_matches_search(inputs):
+    # every row's result from the batch entry point, counts, the metric's
+    # bits and the information bits, is that of the search on the row
+    # alone, and the row overflows exactly when the search does
+    trellis, phi, limit = inputs
+    inc = _metric_table(trellis, phi)
+    got = _mlsda_batch(trellis, inc, limit)
+    want = searched_rows(trellis, inc, limit)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g is not None
+            assert (*g[:3], g[3].hex(), g[4]) == (*w[:3], w[3].hex(), w[4])
+            assert type(g[3]) is float and type(g[4]) is int
 
 
 @settings(max_examples=200, deadline=None)
