@@ -51,6 +51,18 @@ budget, and a round that finds no leaf but more nodes than the budget
 proves it early.  No sweep array holds more than SWEEP_BLOCK nodes: the
 sweeps run depth first over blocks of paths.
 
+Settling first dives per batch.  The trellis search starts with a dive
+from the root, and at high SNR that dive mostly runs straight to the
+goal; its result is then fixed: L + m extensions, L of them branching,
+and the dive's metric and inputs.  The harness decodes its trellis
+trials a batch at a time through _mlsda_batch, which follows the first
+dive of every row at once, one level per step of [B]-wide numpy
+operations with the dive's own rules and float adds (_first_dives), and
+settles each row whose dive reaches the goal with no Python list and no
+search.  Every other row runs the search.  mlsda_decode keeps the search
+alone: for a batch of one, a dozen numpy calls per level cost more than
+the dive.
+
 Counting conventions.  Extending a tree path below level k, or a
 trellis node below level L, evaluates two branch metrics; those are the
 headline `branch_computations`.  Extensions in the single-branch tail
@@ -463,11 +475,71 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     return DecodeOutcome(decoded, *counts, metric=zeta)
 
 
+def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
+    """The search's first dive (memory m >= 1) on every metric row of inc
+    [B, levels << n_out] at once: (reached [B], the dive's metric [B], its
+    input bits [ceil(L / 8), B] packed little-endian by level), where
+    reached marks the rows whose dive ends at the goal.
+
+    Level by level, with the dive's own rules: f0 and f1 add the branch
+    metrics to the path's, the 1-child is taken only when f1 < f0, and a
+    row stops diving at zeta >= the least sibling of the levels before.
+    A path's metric only grows and that least sibling only falls, so a
+    row that stopped stays stopped; the pass ends once every row has.
+    The next state is the register (state << 1) | input bit, masked to m
+    bits (see build_trellis)."""
+    n_out, L, levels = trellis.code.n_out, trellis.L, trellis.levels
+    batch = len(inc)
+    # level-major: metrics[level] holds the 2^n_out metrics of every row in turn
+    metrics = inc.reshape(batch, levels, 1 << n_out).transpose(1, 0, 2).reshape(levels, -1)
+    offsets = np.tile(np.arange(batch) << n_out, (2, 1))
+    outputs = trellis.output_rows()
+    mask = trellis.num_states - 1
+    state = np.zeros(batch, dtype=np.int64)
+    zeta = np.zeros(batch)
+    top = np.full(batch, math.inf)  # the least sibling passed
+    bits = np.zeros((L, batch), dtype=bool)
+    at = np.empty((2, batch), dtype=np.int64)
+    for level in range(levels):
+        if level < L:
+            f = metrics[level].take(np.add(outputs.take(state, axis=1), offsets, out=at))
+            f += zeta
+            f0, f1 = f
+            one = np.less(f1, f0, out=bits[level])
+            zeta = np.minimum(f0, f1)
+        else:
+            zeta = zeta + metrics[level].take(np.add(outputs[0].take(state), offsets[0],
+                                                     out=at[0]))
+        if not (zeta < top).any():
+            return np.zeros(batch, dtype=bool), zeta, None
+        state <<= 1
+        if level < L:
+            np.minimum(top, np.maximum(f0, f1), out=top)
+            state |= one
+        state &= mask
+    return zeta < top, zeta, np.packbits(bits, axis=0, bitorder="little")
+
+
 def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     """_mlsda_search's result on each metric row of inc [B, levels << n_out]
-    (see _metric_table), or None where the search exceeds the budget."""
+    (see _metric_table), or None where the search exceeds the budget.
+
+    A row whose first dive reaches the goal (see _first_dives) is settled
+    without the search, after L + m extensions of which L branch: None
+    when they exceed the budget.  Every other row, and every row of a
+    memory-0 code, which never dives, is searched."""
+    L, m = trellis.L, trellis.code.m
+    reached = np.zeros(len(inc), dtype=bool)
+    if m:
+        reached, zeta, info = _first_dives(trellis, inc)
+    over = extension_limit is not None and extension_limit < L + m
     results = []
-    for row in inc:
+    for i, row in enumerate(inc):
+        if reached[i]:
+            results.append(None if over else
+                           (2 * L, 2 * L + m, L + m, float(zeta[i]),
+                            int.from_bytes(info[:, i].tobytes(), "little")))
+            continue
         try:
             results.append(_mlsda_search(trellis, row.tolist(), extension_limit))
         except ExtensionLimitExceeded:

@@ -29,6 +29,7 @@ class Trellis:
     _dstar: np.ndarray = field(default=None, repr=False)
     _dstar_levels: list = field(default=None, repr=False)
     _lists: tuple = field(default=None, repr=False)
+    _output_rows: np.ndarray = field(default=None, repr=False)
 
     @property
     def levels(self) -> int:
@@ -49,6 +50,15 @@ class Trellis:
         if self._lists is None:
             self._lists = (self.next_state.tolist(), self.outputs.tolist())
         return self._lists
+
+    def output_rows(self) -> np.ndarray:
+        """outputs as [2, S] rows indexed [input bit, state], in the
+        narrowest unsigned dtype that holds an n_out-bit pattern, built
+        once, for passes that gather the outputs of a batch of states."""
+        if self._output_rows is None:
+            dtype = np.min_scalar_type((1 << self.code.n_out) - 1)
+            self._output_rows = np.ascontiguousarray(self.outputs.T, dtype=dtype)
+        return self._output_rows
 
 
 def build_trellis(code: ConvCode, L: int) -> Trellis:
