@@ -421,7 +421,10 @@ def _metric_table(trellis: Trellis, phi) -> np.ndarray:
     """Branch metric of every n_out-bit output pattern p at every level,
     for LLRs [..., N], as a flat row [..., levels << n_out] with entry
     (level << n_out) + p: the sum of |phi_j| over the positions of the
-    level where p disagrees with the hard decision.
+    level where p disagrees with the hard decision, added in position
+    order.  Each level's table is built as the subset sums of its |phi|
+    (the sum of pattern q adds |phi_i| for each set bit i of q, lowest
+    first), gathered at p XOR the level's hard-decision pattern.
 
     Raises NonFiniteLLR unless every row's sum of |phi| is at most half
     the largest float.  A path metric adds a subset of those magnitudes
@@ -431,16 +434,19 @@ def _metric_table(trellis: Trellis, phi) -> np.ndarray:
     """
     n_out = trellis.code.n_out
     lead = phi.shape[:-1]
-    y = hard_decision(phi).reshape(lead + (-1, n_out))
     a = np.abs(phi)
     with np.errstate(over="ignore"):
         sums = a.sum(axis=-1)
     if not (sums <= 0.5 * sys.float_info.max).all():
         raise NonFiniteLLR("LLR magnitudes sum past half the largest float: "
                            "the path metrics could overflow")
-    a = a.reshape(lead + (-1, n_out))
-    patterns = (np.arange(1 << n_out)[:, None] >> np.arange(n_out)) & 1
-    return ((patterns != y[..., None, :]) * a[..., None, :]).sum(-1).reshape(lead + (-1,))
+    a = a.reshape(-1, n_out)  # one row per (trial, level)
+    subsets = np.zeros((len(a), 1 << n_out))
+    for i in range(n_out):
+        np.add(subsets[:, :1 << i], a[:, i, None], out=subsets[:, 1 << i:2 << i])
+    hard = hard_decision(phi).reshape(-1, n_out) @ (1 << np.arange(n_out))
+    at = (np.arange(1 << n_out) ^ hard[:, None]) + (np.arange(len(a)) << n_out)[:, None]
+    return subsets.take(at).reshape(lead + (-1,))
 
 
 _CLOSED = (-math.inf, -1)  # a closed node: loses every merge test; seq -1 matches no entry

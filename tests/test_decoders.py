@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from seqdec.channel import ChannelConfig, hard_decision, llr, transmit
-from seqdec.codes import encode_block, encode_conv
+from seqdec.codes import ConvCode, encode_block, encode_conv
 from seqdec.decoders import (
     ExtensionLimitExceeded,
     SizeError,
     _gda_tables,
+    _metric_table,
     brute_force_ml_block,
     gda_decode,
     mlsda_decode,
@@ -174,6 +175,35 @@ class TestMlsdaDecode:
         _, phi = conv_trial(trellis, -3.0, 31)
         with pytest.raises(ExtensionLimitExceeded):
             mlsda_decode(trellis, phi, extension_limit=10)
+
+
+def elementwise_metric_table(trellis, phi) -> np.ndarray:
+    """The metric table as one masked sum per (level, pattern): |phi| times
+    the disagreement of each pattern bit with the hard decision, summed
+    over the level's positions by numpy."""
+    n_out = trellis.code.n_out
+    lead = phi.shape[:-1]
+    y = hard_decision(phi).reshape(lead + (-1, n_out))
+    a = np.abs(phi).reshape(lead + (-1, n_out))
+    patterns = (np.arange(1 << n_out)[:, None] >> np.arange(n_out)) & 1
+    return ((patterns != y[..., None, :]) * a[..., None, :]).sum(-1).reshape(lead + (-1,))
+
+
+class TestMetricTable:
+    @pytest.mark.parametrize("n_out", [1, 2, 3])
+    def test_subset_sums_equal_masked_sums(self, n_out):
+        # bit for bit, on continuous, heavy-tailed and small-integer LLRs,
+        # for one LLR vector and for a batch
+        trellis = build_trellis(ConvCode(n_out=n_out, m=2, taps=((1, 1, 1),) * n_out), 12)
+        N = n_out * trellis.levels
+        gen = np.random.default_rng(n_out)
+        for phi in (gen.normal(1.0, 1.0, (40, N)), gen.standard_cauchy((40, N)),
+                    gen.integers(-2, 3, (40, N)).astype(float),
+                    gen.normal(0.0, 1.0, N) * 10.0 ** gen.integers(-6, 6, N)):
+            got = _metric_table(trellis, phi)
+            assert got.shape == phi.shape[:-1] + (trellis.levels << n_out,)
+            assert np.array_equal(got.view(np.int64),
+                                  elementwise_metric_table(trellis, phi).view(np.int64))
 
 
 class TestBruteForce:
