@@ -18,6 +18,7 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -390,12 +391,14 @@ def write_atilde_csv(rows, stream) -> None:
 
 
 def write_dstar_csv(trellis, stream) -> None:
-    """One row per present node, in ascending (level, state) order."""
-    table = compute_dstar(trellis)
-    levels, states = np.nonzero(trellis.reachable)
+    """One row per present node, in ascending (level, state) order,
+    written a level at a time, so memory grows with a level's states,
+    not the table's."""
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(["level", "state", "dstar"])
-    w.writerows(zip(levels.tolist(), states.tolist(), table[levels, states].tolist()))
+    for level, row in enumerate(compute_dstar(trellis)):
+        states = np.flatnonzero(row != ABSENT)
+        w.writerows(zip(repeat(level), states.tolist(), row[states].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from importlib import resources
 
@@ -20,7 +21,7 @@ from seqdec.harness import (
     run_simulation_curve,
     run_validation_suite,
 )
-from seqdec.trellis import build_trellis, compute_dstar
+from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
 SMALL_CONV = {"type": "conv", "m": 2, "octal": ["6", "5", "7"], "name": "conv-657"}
 
@@ -365,6 +366,19 @@ class TestCli:
                       for level in range(2, 7))
             + "7,0,0\n7,2,5\n"
             "8,0,0\n")
+
+    def test_dstar_csv_equals_whole_table_dump(self, conv_634_564):
+        # the level-by-level writer gives the bytes of one dump of every
+        # present (level, state) of the table at once
+        trellis = build_trellis(conv_634_564, 100)
+        table = compute_dstar(trellis)
+        levels, states = np.nonzero(table != ABSENT)
+        want = "level,state,dstar\n" + "".join(
+            f"{lv},{st},{d}\n" for lv, st, d in zip(levels.tolist(), states.tolist(),
+                                                   table[levels, states].tolist()))
+        out = io.StringIO()
+        harness.write_dstar_csv(trellis, out)
+        assert out.getvalue() == want
 
     def test_invalid_snr_exit_code(self, capsys):
         # -4000 dB underflows to a linear SNR of 0, which the channel rejects
