@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from seqdec import bounds, cli, harness
+from seqdec import bounds, cli, decoders, harness
 from seqdec.channel import NonFiniteLLR
 from seqdec.codes import BlockCode, ConvCode
 from seqdec.harness import (
@@ -174,6 +174,32 @@ class TestCurves:
         assert pts[0].overflow_trials == 10
         assert pts[0].sim_mean is None
         assert pts[0].trials == 0
+
+    @pytest.mark.parametrize("limit, counts", [(105, (0, 3000)), (106, (3000, 0))])
+    def test_budget_at_a_straight_dive(self, monkeypatch, limit, counts):
+        # at 11 dB the first dive of every (2,1,6) L=100 trial runs straight
+        # to the goal in L + m = 106 extensions: a budget one short of that
+        # overflows every trial, a budget of exactly that none, and the CSV
+        # is the one the search alone gives
+        cfg = ExperimentConfig(code={"type": "conv", "m": 6, "octal": ["634", "564"]}, L=100,
+                               snr_db=(11.0,), trials=3000, seed=23, mode="simulate",
+                               extension_limit=limit)
+        points = run_simulation_curve(cfg)
+        assert (points[0].trials, points[0].overflow_trials) == counts
+        monkeypatch.setattr(decoders, "_first_dives",
+                            lambda trellis, inc: (np.zeros(len(inc), dtype=bool), None, None))
+        assert curve_csv_text(points) == curve_csv_text(run_simulation_curve(cfg))
+
+    @pytest.mark.parametrize("limit, rows", [(29, "0,,,,,0\n4,,,,,0\n"),
+                                             (30, "0,,,60,0,200\n4,,,60,0,200\n")])
+    def test_memory_zero_csv(self, limit, rows):
+        # a memory-0 code never dives, so every trial is searched: its L
+        # extensions fit a budget of L, and none fits L - 1
+        cfg = ExperimentConfig(code={"type": "conv", "m": 0, "taps": ["1", "1"]}, L=30,
+                               snr_db=(0.0, 4.0), trials=200, seed=21, mode="simulate",
+                               extension_limit=limit)
+        assert curve_csv_text(run_simulation_curve(cfg)) == (
+            "gamma_b_db,bound_be,bound_chernoff,sim_mean,sim_ci95_half,trials\n" + rows)
 
     def test_bound_curve_monotone(self):
         cfg = small_cfg(mode="bound", snr_db=tuple(np.arange(1.0, 9.0, 1.0)))
