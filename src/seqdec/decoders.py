@@ -491,16 +491,17 @@ def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
     metrics to the path's, the 1-child is taken only when f1 < f0, and a
     row stops diving at zeta >= the least sibling of the levels before.
     A path's metric only grows and that least sibling only falls, so a
-    row that stopped stays stopped; the pass ends once every row has.
-    The next state is the register (state << 1) | input bit, masked to m
-    bits (see build_trellis)."""
+    row that stopped stays stopped, and a test at any level tells whether
+    it has stopped by then; the pass tests every eighth level and ends
+    once every row has stopped.  The next state is the register
+    (state << 1) | input bit, masked to m bits (see build_trellis)."""
     n_out, L, levels = trellis.code.n_out, trellis.L, trellis.levels
     batch = len(inc)
     # level-major: metrics[level] holds the 2^n_out metrics of every row in turn
     metrics = inc.reshape(batch, levels, 1 << n_out).transpose(1, 0, 2).reshape(levels, -1)
     offsets = np.tile(np.arange(batch) << n_out, (2, 1))
     outputs = trellis.output_rows()
-    mask = trellis.num_states - 1
+    mask = np.int64(trellis.num_states - 1)
     state = np.zeros(batch, dtype=np.int64)
     zeta = np.zeros(batch)
     top = np.full(batch, math.inf)  # the least sibling passed
@@ -516,7 +517,7 @@ def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
         else:
             zeta = zeta + metrics[level].take(np.add(outputs[0].take(state), offsets[0],
                                                      out=at[0]))
-        if not (zeta < top).any():
+        if level % 8 == 7 and not (zeta < top).any():
             return np.zeros(batch, dtype=bool), zeta, None
         state <<= 1
         if level < L:
