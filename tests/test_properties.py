@@ -355,7 +355,7 @@ def searched_rows(trellis, inc, limit) -> list:
 
 # the (2,1,2) code with generators 7, 5 at L = 4: a straight dive to the
 # goal takes L + m = 6 extensions
-FIG_M2 = build_trellis(ConvCode(n_out=2, m=2, taps=((1, 1, 1), (1, 0, 1))), 4)
+CONV_75_L4 = build_trellis(ConvCode(n_out=2, m=2, taps=((1, 1, 1), (1, 0, 1))), 4)
 
 
 @settings(max_examples=300, deadline=None)
@@ -368,11 +368,11 @@ FIG_M2 = build_trellis(ConvCode(n_out=2, m=2, taps=((1, 1, 1), (1, 0, 1))), 4)
 # straight to the goal; a flipped symbol at level 1 ties the children there,
 # so the dive stops at level 2 on its sibling's metric; two at level 3 send
 # the dive along a 1-branch, and its tail climbs to the earlier siblings
-@example((FIG_M2, np.array([[1.0] * 12,
+@example((CONV_75_L4, np.array([[1.0] * 12,
                             [1.0, 1.0, -1.0, 1.0] + [1.0] * 8,
                             [1.0] * 6 + [-2.0, -2.0] + [1.0] * 4]), None))
 # the same batch at a budget one short of a straight dive: every row overflows
-@example((FIG_M2, np.array([[1.0] * 12,
+@example((CONV_75_L4, np.array([[1.0] * 12,
                             [1.0, 1.0, -1.0, 1.0] + [1.0] * 8,
                             [1.0] * 6 + [-2.0, -2.0] + [1.0] * 4]), 5))
 def test_mlsda_batch_matches_search(inputs):
