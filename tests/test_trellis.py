@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from seqdec.codes import encode_conv
+from seqdec.codes import ConvCode, encode_conv
 from seqdec.harness import dstar_by_enumeration, extension_event_hits
 from seqdec.trellis import ABSENT, build_trellis, compute_dstar, dstar_levels
 
@@ -133,3 +135,28 @@ class TestDstarLevels:
             # a level with every state present reads the table's own row
             assert np.shares_memory(row, table) == (len(present) == trellis.num_states)
         assert dstar_levels(trellis) is levels
+
+
+# sha256 of compute_dstar(...).tobytes() (int32, C order) per (code, L)
+GOLDEN_DSTAR = {
+    "m0-L30": ((31, 1), "7b8ec8dd836b564f0c85ad088fc744de820345204e154bc1503e04e9d6fdd9f1"),
+    "m1-L12": ((14, 2), "f951887961aa90dd404e0f68f15590f52335c914174fb048fb67bed745df2daa"),
+    "657-L5": ((8, 4), "1d907a1d18931b52f2656ca45d5b8dc4a8c981f7b7e6f0295044d6e19890be2d"),
+    "634-L100": ((107, 64), "681b96f02dea21411f5bb12b2331567eca31e4be25b804dcaf39935ae42d121d"),
+    "m16-L100": ((117, 65536), "a451d8808722069401dc8f6444cbc1a191fae1df013673339d46b02c7746378b"),
+}
+
+
+def test_golden_dstar(fig_trellis_code, conv_634_564, conv_m16):
+    targets = {
+        "m0-L30": (ConvCode(n_out=2, m=0, taps=((1,), (1,))), 30),
+        "m1-L12": (ConvCode(n_out=3, m=1, taps=((1, 0), (0, 1), (0, 1))), 12),
+        "657-L5": (fig_trellis_code, 5),
+        "634-L100": (conv_634_564, 100),
+        "m16-L100": (conv_m16, 100),
+    }
+    for name, (shape, digest) in GOLDEN_DSTAR.items():
+        table = compute_dstar(build_trellis(*targets[name]))
+        assert table.dtype == np.int32, name
+        assert table.shape == shape, name
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest, name
