@@ -74,7 +74,7 @@ def _split_equal_degree(h: int, r: int) -> int:
         if 0 < _pdeg(g) < _pdeg(h):
             other = _pquo(h, g)
             return min(g, other)
-    raise ArithmeticError("trace-map split failed")  # unreachable for our inputs
+    raise ArithmeticError("trace-map split failed")  # never raised for our inputs
 
 
 def _pquo(a: int, b: int) -> int:
@@ -267,6 +267,8 @@ class ConvCode:
     name: str = ""
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"memory m must be >= 0, got {self.m}")
         if len(self.taps) != self.n_out:
             raise ValueError("need one tap vector per output")
         for tap in self.taps:

@@ -493,14 +493,14 @@ def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
     A path's metric only grows and that least sibling only falls, so a
     row that stopped stays stopped, and a test at any level tells whether
     it has stopped by then; the pass tests every eighth level and ends
-    once every row has stopped.  The next state is the register
-    (state << 1) | input bit, masked to m bits (see build_trellis)."""
+    once every row has stopped.  The next state is the register rule
+    (state << 1) | input bit, masked to m bits (see Trellis)."""
     n_out, L, levels = trellis.code.n_out, trellis.L, trellis.levels
     batch = len(inc)
     # level-major: metrics[level] holds the 2^n_out metrics of every row in turn
     metrics = inc.reshape(batch, levels, 1 << n_out).transpose(1, 0, 2).reshape(levels, -1)
     offsets = np.tile(np.arange(batch) << n_out, (2, 1))
-    outputs = trellis.output_rows()
+    outputs = trellis.outputs
     mask = np.int64(trellis.num_states - 1)
     state = np.zeros(batch, dtype=np.int64)
     zeta = np.zeros(batch)
@@ -563,8 +563,8 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
     the goal node.
     """
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    next_state, outputs = trellis.table_lists()
-    n_out, m, L = trellis.code.n_out, trellis.code.m, trellis.L
+    outputs = trellis.outputs_by_state
+    n_out, m, L, mask = trellis.code.n_out, trellis.code.m, trellis.L, trellis.num_states - 1
     levels = trellis.levels
     goal = levels << m
     limit = sys.maxsize if extension_limit is None else extension_limit
@@ -596,14 +596,15 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
             path, pending = [], []  # extended states; their siblings' metrics
             while level < levels:
                 path.append(state)
-                s0, s1 = next_state[state]
+                s0 = (state << 1) & mask  # the 0-child's state; m >= 1, so s0 | 1 is the 1-child's
                 if level < L:
                     o0, o1 = outputs[state]
                     row = level << n_out
                     f0 = zeta + inc[row + o0]
                     f1 = zeta + inc[row + o1]
                     if f1 < f0:  # the 1-child is best; on a tie the 0-child (lower seq) is
-                        zeta, sib, best_seq, state, info = f1, f0, seq + 1, s1, info | (1 << level)
+                        zeta, sib, best_seq, info = f1, f0, seq + 1, info | (1 << level)
+                        state = s0 | 1
                     else:
                         zeta, sib, best_seq, state = f0, f1, seq, s0
                     seq += 2
@@ -631,7 +632,7 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
                 nodes[(j << m) | s] = _CLOSED
                 if j < L:
                     b = 1 - ((info >> j) & 1)  # the input that leads to the sibling
-                    ns = next_state[s][b]
+                    ns = ((s << 1) | b) & mask
                     f = pending[i]
                     nodes[((j + 1) << m) | ns] = (f, first_seq + 2 * i + b)
                     heappush(heap, (f, first_seq + 2 * i + b, j + 1, ns,
@@ -649,11 +650,11 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
                 tail_metrics += 1
                 inputs = (0,)
             best = sibling = None
-            row, to_state, to_output = level << n_out, next_state[state], outputs[state]
+            row, reg, to_output = level << n_out, state << 1, outputs[state]
             child_level = level + 1
             base = child_level << m
             for b in inputs:
-                ns = to_state[b]
+                ns = (reg | b) & mask
                 child = base | ns
                 child_zeta = zeta + inc[row + to_output[b]]
                 incumbent = nodes.get(child)

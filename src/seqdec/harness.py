@@ -130,6 +130,12 @@ def code_from_config(spec: dict):
     """
     if not isinstance(spec, dict):
         raise ConfigError("code spec must be an object")
+    for key, value in spec.items():  # JSON types only: no rounding, no reading digit by digit
+        if key in ("m", "n", "k") and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if key in ("octal", "taps", "generator_rows") and not (
+                isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise ConfigError(f"{key} must be a list of strings, got {value!r}")
     name = spec.get("name", "")
     if set(spec) <= {"name"}:
         try:
@@ -142,12 +148,12 @@ def code_from_config(spec: dict):
             return _NAMED_CODES[name]()
         try:
             rows = tuple(int(r, 16) for r in spec["generator_rows"])
-            return BlockCode(n=int(spec["n"]), k=int(spec["k"]), rows=rows, name=name)
+            return BlockCode(n=spec["n"], k=spec["k"], rows=rows, name=name)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad block code spec: {exc}") from exc
     if kind == "conv":
         try:
-            m = int(spec["m"])
+            m = spec["m"]
             if "taps" in spec:
                 taps = tuple(tuple(int(c) for c in t) for t in spec["taps"])
                 return ConvCode(n_out=len(taps), m=m, taps=taps, name=name)

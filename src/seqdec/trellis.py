@@ -1,8 +1,10 @@
-"""Trellis construction for convolutional codes and the one min-plus pass
-over it (d* and the Viterbi path metrics), held as numpy tables.
+"""Trellis construction for convolutional codes, held as one transition
+table of branch outputs, and the one min-plus pass over it (d* and the
+Viterbi path metrics).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,20 +18,18 @@ class Trellis:
     """Unrolled (L+m)-section state graph of a ConvCode.
 
     Level 0 holds only state 0; inputs are forced to 0 from level L on,
-    so level L+m again holds only state 0 (the goal node).  next_state
-    and outputs are int64 arrays of shape [S, 2] indexed [state, input
-    bit]; outputs are n_out-bit patterns (bit i = output line i, matching
-    codeword order).
+    so level L+m again holds only state 0 (the goal node).  Input bit b
+    moves state s to ((s << 1) | b) & (S - 1), the register rule, which
+    no table stores.  outputs, the one transition table, is [2, S]
+    indexed [input bit, state] in the narrowest unsigned dtype: n_out-bit
+    patterns, bit i = output line i, matching codeword order.
     """
 
     code: ConvCode
     L: int
-    next_state: np.ndarray
     outputs: np.ndarray
-    _dstar: np.ndarray = field(default=None, repr=False)
-    _dstar_levels: list = field(default=None, repr=False)
-    _lists: tuple = field(default=None, repr=False)
-    _output_rows: np.ndarray = field(default=None, repr=False)
+    _dstar: np.ndarray = field(default=None, init=False, repr=False)
+    _dstar_levels: list = field(default=None, init=False, repr=False)
 
     @property
     def levels(self) -> int:
@@ -39,30 +39,15 @@ class Trellis:
     def num_states(self) -> int:
         return 1 << self.code.m
 
-    @property
-    def reachable(self) -> np.ndarray:
-        """[levels + 1, S] mask of the present states: d* not ABSENT."""
-        return compute_dstar(self) != ABSENT
-
-    def table_lists(self) -> tuple:
-        """(next_state, outputs) as nested lists of Python ints, built
-        once, for per-node search loops that index them scalar by scalar."""
-        if self._lists is None:
-            self._lists = (self.next_state.tolist(), self.outputs.tolist())
-        return self._lists
-
-    def output_rows(self) -> np.ndarray:
-        """outputs as [2, S] rows indexed [input bit, state], in the
-        narrowest unsigned dtype that holds an n_out-bit pattern, built
-        once, for passes that gather the outputs of a batch of states."""
-        if self._output_rows is None:
-            dtype = np.min_scalar_type((1 << self.code.n_out) - 1)
-            self._output_rows = np.ascontiguousarray(self.outputs.T, dtype=dtype)
-        return self._output_rows
+    @cached_property
+    def outputs_by_state(self) -> list:
+        """outputs as a per-state list of (out0, out1) pairs of Python
+        ints, built once, for search loops that index it scalar by scalar."""
+        return self.outputs.T.tolist()
 
 
 def build_trellis(code: ConvCode, L: int) -> Trellis:
-    """Transition tables by array parity.
+    """Transition table by array parity.
 
     The shift register of a branch holds the input bit in bit 0 and the
     state (previous inputs, most recent lowest) above it, so output i is
@@ -70,13 +55,12 @@ def build_trellis(code: ConvCode, L: int) -> Trellis:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    nst = 1 << code.m
-    reg = (np.arange(nst, dtype=np.int64)[:, None] << 1) | np.array([0, 1])
-    outputs = np.zeros((nst, 2), dtype=np.int64)
+    reg = (np.arange(1 << code.m, dtype=np.int64) << 1) | np.array([[0], [1]])
+    outputs = np.zeros(reg.shape, dtype=np.min_scalar_type((1 << code.n_out) - 1))
     for i, tap in enumerate(code.taps):
         tapmask = sum(bit << j for j, bit in enumerate(tap))
-        outputs |= (np.bitwise_count(reg & tapmask).astype(np.int64) & 1) << i
-    return Trellis(code=code, L=L, next_state=reg & (nst - 1), outputs=outputs)
+        outputs |= (np.bitwise_count(reg & tapmask) & 1).astype(outputs.dtype) << i
+    return Trellis(code=code, L=L, outputs=outputs)
 
 
 def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached) -> np.ndarray:
@@ -88,7 +72,8 @@ def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached) -> np.ndarray
     where no path passes."""
     nst = trellis.num_states
     reg = np.array([[0], [nst]]) | np.arange(nst)
-    src, out, blocked = reg >> 1, trellis.outputs.ravel()[reg], (reg & 1) == 1
+    src, blocked = reg >> 1, (reg & 1) == 1
+    out = trellis.outputs[reg & 1, src].astype(np.intp)  # np.take indexes by intp
     table = np.full((trellis.levels + 1, nst), unreached, dtype=costs.dtype)
     table[0, 0] = 0
     for level in range(trellis.levels):
@@ -103,19 +88,19 @@ def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached) -> np.ndarray
 def min_path_inputs(trellis: Trellis, costs: np.ndarray, table: np.ndarray) -> list:
     """The L input bits of a least-cost path into the goal node, traced
     back: at each level the first branch whose sum gives the node's entry."""
-    out, state, inputs = trellis.outputs.ravel(), 0, []
+    out, state, inputs = trellis.outputs, 0, []
     for level in reversed(range(trellis.levels)):
         want = table[level + 1, state]
         state, bit = next(divmod(r, 2) for r in (state, state + trellis.num_states)
                           if (level < trellis.L or r % 2 == 0)
-                          and table[level, r >> 1] + costs[level, out[r]] == want)
+                          and table[level, r >> 1] + costs[level, out[r & 1, r >> 1]] == want)
         inputs.append(bit)
     return inputs[::-1][:trellis.L]
 
 
 def compute_dstar(trellis: Trellis) -> np.ndarray:
     """Minimum Hamming weight over all paths into each (level, state):
-    min_path_costs on the output weights, ABSENT for unreachable nodes.
+    min_path_costs on the output weights, ABSENT for nodes no path enters.
 
     The table is int32, which holds every path weight (at most n_out *
     levels) and every sum on an unreached node (less than twice the

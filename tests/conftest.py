@@ -96,8 +96,8 @@ def textbook_mlsda_search(trellis, inc: list) -> tuple:
     Returns (branch_computations, branch_computations_total, extensions,
     metric, information bits as an int).
     """
-    next_state, outputs = trellis.table_lists()
-    n_out, m = trellis.code.n_out, trellis.code.m
+    outputs = trellis.outputs.tolist()
+    n_out, m, mask = trellis.code.n_out, trellis.code.m, trellis.num_states - 1
     goal = trellis.levels << m
     closed = set()
     live = {0: 0}  # node -> insertion number of its open entry
@@ -117,9 +117,9 @@ def textbook_mlsda_search(trellis, inc: list) -> tuple:
         else:
             tail += 1
         for b in (0, 1) if level < trellis.L else (0,):
-            ns = next_state[state][b]
+            ns = ((state << 1) | b) & mask
             child = ((level + 1) << m) | ns
-            child_zeta = zeta + inc[(level << n_out) | outputs[state][b]]
+            child_zeta = zeta + inc[(level << n_out) | outputs[b][state]]
             incumbent = best.get(child)
             if child in closed or (incumbent is not None and incumbent <= child_zeta):
                 continue

@@ -98,8 +98,8 @@ class TestParseOctalGenerators:
         trellis = build_trellis(code, L=3)
         for state, bit, out, nxt in ((0, 1, 0b111, 1), (1, 0, 0b101, 2),
                                      (2, 0, 0b110, 0)):  # 011 read as bits 0,1,2
-            assert trellis.outputs[state, bit] == out
-            assert trellis.next_state[state, bit] == nxt
+            assert trellis.outputs[bit, state] == out
+            assert ((state << 1) | bit) & (trellis.num_states - 1) == nxt
 
     def test_memory_16_pair_overflows(self):
         with pytest.raises(TapLengthError):

@@ -488,6 +488,16 @@ class TestCli:
         (["dstar", "--config", "{L-bool}"], "config"),
         (["simulate-mlsda", "--config", "{taps}"], "config"),
         (["dstar", "--config", "{taps}"], "config"),
+        (["dstar", "--config", "{octal-text}"], "config"),
+        (["simulate-mlsda", "--config", "{octal-text}"], "config"),
+        (["dstar", "--config", "{taps-text}"], "config"),
+        (["dstar", "--config", "{m-float}"], "config"),
+        (["dstar", "--config", "{m-text}"], "config"),
+        (["dstar", "--config", "{m-bool}"], "config"),
+        (["dstar", "--config", "{m-negative}"], "config"),
+        (["simulate-mlsda", "--config", "{m-negative}"], "config"),
+        (["bound-gda", "--config", "{n-float}", "--snr", "1"], "config"),
+        (["bound-gda", "--config", "{rows-text}", "--snr", "1"], "config"),
     ])
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
         configs = {
@@ -505,6 +515,18 @@ class TestCli:
             "{L-bool}": {**CONV_CFG, "L": True},
             # tap digits other than 0 and 1 are rejected, not read as taps
             "{taps}": {**CONV_CFG, "code": {"type": "conv", "m": 1, "taps": ["12", "11"]}},
+            # a string of generators or taps is not read digit by digit
+            "{octal-text}": {**CONV_CFG, "code": {"type": "conv", "m": 6, "octal": "634"}},
+            "{taps-text}": {**CONV_CFG, "code": {"type": "conv", "m": 0, "taps": "11"}},
+            # a memory that is not a JSON integer is not rounded or parsed
+            "{m-float}": {**CONV_CFG, "code": {**SMALL_CONV, "m": 2.5}},
+            "{m-text}": {**CONV_CFG, "code": {**SMALL_CONV, "m": "2"}},
+            "{m-bool}": {**CONV_CFG, "code": {"type": "conv", "m": True, "taps": ["11"]}},
+            "{m-negative}": {**CONV_CFG, "code": {"type": "conv", "m": -1, "taps": [""]}},
+            "{n-float}": {**CONV_CFG, "code": {"type": "block", "n": 3.0, "k": 1,
+                                               "generator_rows": ["7"]}},
+            "{rows-text}": {**CONV_CFG, "code": {"type": "block", "n": 3, "k": 1,
+                                                 "generator_rows": "7"}},
         }
         paths = {"{conv}": str(_write_cfg(tmp_path))}
         for key, raw in configs.items():

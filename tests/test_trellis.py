@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdec.codes import ConvCode, encode_conv
 from seqdec.harness import dstar_by_enumeration, extension_event_hits
@@ -10,7 +12,7 @@ from seqdec.trellis import ABSENT, build_trellis, compute_dstar, dstar_levels
 
 def states(trellis, level):
     """The states present at a level, ascending."""
-    return tuple(np.flatnonzero(trellis.reachable[level]).tolist())
+    return tuple(np.flatnonzero(compute_dstar(trellis)[level] != ABSENT).tolist())
 
 
 class TestBuildTrellis:
@@ -18,7 +20,7 @@ class TestBuildTrellis:
         # 8 levels of nodes (0..7); single state at both ends, all four
         # states through the middle
         assert fig_trellis.levels == 7
-        assert fig_trellis.reachable.shape == (8, 4)
+        assert compute_dstar(fig_trellis).shape == (8, 4)
         assert states(fig_trellis, 0) == (0,)
         assert states(fig_trellis, 1) == (0, 1)
         for level in (3, 4, 5):
@@ -26,8 +28,8 @@ class TestBuildTrellis:
         assert states(fig_trellis, 7) == (0,)
 
     def test_first_transition(self, fig_trellis):
-        assert fig_trellis.next_state[0][1] == 1
-        assert fig_trellis.outputs[0][1] == 0b111
+        assert ((0 << 1) | 1) & (fig_trellis.num_states - 1) == 1
+        assert fig_trellis.outputs[1, 0] == 0b111
 
     def test_termination_forces_zero_inputs(self, fig_trellis):
         # from level L = 5 on only input 0 branches, which shifts a zero
@@ -43,7 +45,7 @@ class TestBuildTrellis:
             nxt = {}
             for s, c in counts.items():
                 for b in (0, 1):
-                    ns = fig_trellis.next_state[s][b]
+                    ns = ((s << 1) | b) & (fig_trellis.num_states - 1)
                     nxt[ns] = nxt.get(ns, 0) + c
             counts = nxt
         assert sum(counts.values()) == 2 ** fig_trellis.L
@@ -51,6 +53,37 @@ class TestBuildTrellis:
     def test_rejects_bad_length(self, fig_trellis_code):
         with pytest.raises(ValueError):
             build_trellis(fig_trellis_code, 0)
+
+
+@st.composite
+def conv_codes(draw):
+    """Random (n_out, 1, m) codes, m 0-4 and n_out 1-3."""
+    m = draw(st.integers(0, 4))
+    n_out = draw(st.integers(1, 3))
+    tap = st.tuples(*[st.integers(0, 1)] * (m + 1))
+    taps = draw(st.tuples(*[tap] * n_out).filter(lambda t: any(v[0] for v in t)))
+    return ConvCode(n_out=n_out, m=m, taps=taps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_codes())
+def test_outputs_match_encoder(code):
+    # from state s (its m previous inputs, most recent lowest), input b
+    # emits outputs[b, s] and moves to the register rule's state: every
+    # next input c then emits outputs[c, that state]
+    trellis = build_trellis(code, 1)
+    nst, m = trellis.num_states, code.m
+    assert trellis.outputs.shape == (2, nst)
+    for s in range(nst):
+        history = [(s >> (m - 1 - t)) & 1 for t in range(m)]  # oldest input first
+        for b in (0, 1):
+            ns = ((s << 1) | b) & (nst - 1)
+            assert ns == sum(bit << j for j, bit in enumerate(reversed((history + [b])[1:])))
+            for c in (0, 1):
+                blocks = encode_conv(code, history + [b, c]).reshape(-1, code.n_out)
+                patterns = blocks @ (1 << np.arange(code.n_out))
+                assert patterns[m] == trellis.outputs[b, s]
+                assert patterns[m + 1] == trellis.outputs[c, ns]
 
 
 class TestComputeDstar:
@@ -114,8 +147,8 @@ class TestComputeDstar:
             incoming = {}
             for s in states(trellis, level):
                 for b in (0, 1) if level < trellis.L else (0,):
-                    ns = trellis.next_state[s][b]
-                    w = int(trellis.outputs[s][b]).bit_count()
+                    ns = ((s << 1) | b) & (trellis.num_states - 1)
+                    w = int(trellis.outputs[b, s]).bit_count()
                     assert table[level + 1, ns] <= table[level, s] + w
                     incoming.setdefault(ns, []).append(table[level, s] + w)
             for ns, cands in incoming.items():
@@ -129,7 +162,7 @@ class TestDstarLevels:
         levels = dstar_levels(trellis)
         assert len(levels) == trellis.L
         for level, (row, distinct) in enumerate(levels):
-            present = np.flatnonzero(trellis.reachable[level])
+            present = np.flatnonzero(table[level] != ABSENT)
             assert row.tolist() == table[level, present].tolist()
             assert distinct.tolist() == sorted(set(row.tolist()))
             # a level with every state present reads the table's own row
