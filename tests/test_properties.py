@@ -3,9 +3,10 @@ per-trial reference kept here: the trellis layer on convolutional codes
 (memory <= 4, 2-3 outputs, L <= 8), the tree search and its entry point
 (with the count taking over early) on systematic block codes (k <= 10)
 and the Golay code, the trellis search against a plain two-stack search,
-its batch entry point against the search row by row, the Viterbi oracle
-against all 2^L inputs, the harness's batched trial pipeline on both,
-and the per-pair bound of a whole evaluation against the scalar one."""
+its batch entry point and its count against the search row by row, the
+Viterbi oracle against all 2^L inputs, the harness's batched trial
+pipeline on both, and the per-pair bound of a whole evaluation against
+the scalar one."""
 
 import math
 from unittest import mock
@@ -382,6 +383,53 @@ def test_mlsda_batch_matches_search(inputs):
     trellis, phi, limit = inputs
     inc = _metric_table(trellis, phi)
     got = _mlsda_batch(trellis, inc, limit)
+    want = searched_rows(trellis, inc, limit)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g is not None
+            assert (*g[:3], g[3].hex(), g[4]) == (*w[:3], w[3].hex(), w[4])
+            assert type(g[3]) is float and type(g[4]) is int
+
+
+def counted_rows(trellis, inc, limit) -> list:
+    """_mlsda_batch with no row settled by its first dive, so that every
+    row of a code with memory >= 1 goes to the count."""
+    with mock.patch.object(decoders, "_first_dives",
+                           lambda trellis, inc: (np.zeros(len(inc), dtype=bool), None, None)):
+        return _mlsda_batch(trellis, inc, limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trellis_batch_inputs())
+# three nodes off the winner's path lie at exactly zeta* = 3, and the
+# search extends only some of them: 12 extensions, where 13 nodes lie at
+# or below zeta*
+@example((CONV_75_L4, np.array([[-1.0, 1.0, -2.0, -1.0, 1.0, 2.0,
+                                 0.0, 2.0, -1.0, -2.0, 1.0, -1.0]]), None))
+# both branches into a node of the winner's path give its metric
+@example((CONV_75_L4, np.array([[-2.0, 2.0, 0.0, 0.0, 1.0, -1.0,
+                                 1.0, 2.0, 2.0, -2.0, 2.0, 1.0]]), None))
+# both branches into the goal give zeta*
+@example((CONV_75_L4, np.array([[1.0, 2.0, -2.0, 1.0, -1.0, 0.0,
+                                 2.0, -1.0, 1.0, -2.0, -1.0, 2.0]]), None))
+# the winner reaches zeta* = 1 at level 2 and its branches add 0 from there:
+# the search extends its four nodes at zeta*, and no other node lies there
+@example((CONV_75_L4, np.array([[-2.0, -1.0, -1.0, -2.0, 0.0, 1.0,
+                                 2.0, -1.0, -1.0, 0.0, 0.0, 2.0]]), None))
+# a memory-0 code never dives, and is searched
+@example((build_trellis(ConvCode(n_out=2, m=0, taps=((1,), (1,))), 3),
+          np.array([[1.0, -1.0, 0.0, 2.0, -2.0, 1.0], [0.0] * 6]), 2))
+def test_mlsda_count_matches_search(inputs):
+    # with no row settled by its first dive, every row's result from the
+    # batch entry point (the count, where the code has memory), counts,
+    # the metric's bits and the information bits, is that of the search
+    # on the row alone, and the row overflows exactly when the search does
+    trellis, phi, limit = inputs
+    inc = _metric_table(trellis, phi)
+    got = counted_rows(trellis, inc, limit)
     want = searched_rows(trellis, inc, limit)
     assert len(got) == len(want)
     for g, w in zip(got, want):
