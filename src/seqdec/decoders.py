@@ -59,9 +59,32 @@ trials a batch at a time through _mlsda_batch, which follows the first
 dive of every row at once, one level per step of [B]-wide numpy
 operations with the dive's own rules and float adds (_first_dives), and
 settles each row whose dive reaches the goal with no Python list and no
-search.  Every other row runs the search.  mlsda_decode keeps the search
-alone: for a batch of one, a dozen numpy calls per level cost more than
-the dive.
+search.  The other rows are counted or searched (below).  mlsda_decode
+keeps the search alone: for a batch of one, a dozen numpy calls per level
+cost more than the dive.
+
+Counting the trellis search.  The trellis search is Dijkstra's algorithm
+on nonnegative branch metrics, so it extends every node below level
+L + m whose Viterbi metric V (its least path metric, with the search's
+own float adds) lies below zeta*, the goal's, and no node above it.  One
+min-plus pass (trellis.min_path_costs) gives V at every node of a batch
+of rows at once, and its counts are those of the nodes with V <= zeta*:
+extensions all of them, low those below level L, branch_computations
+2 low and branch_computations_total low + extensions; a row overflows
+exactly when its extensions exceed the budget.  Its information bits are
+those of the winner traced back from the goal (trellis.min_path_inputs).
+Two rules keep the count exact; a row that breaks one is searched.  Both
+branches into a node of the traced winner's path must not give the
+node's V, or the search's insertion order picks the path.  And the nodes
+at exactly zeta* must be the winner's own (its zero-metric suffix, which
+the search extends too), since any other one is extended or not by
+insertion order.  _mlsda_batch chooses per batch: when at least half its
+rows are left by their first dives, it counts them all in one pass, and
+otherwise it searches them.  At 5-6 dB most rows are left, and at 5 dB a
+counted (2,1,6) L=100 row costs about a third of a searched one; at high
+SNR few rows are left, too few to pay for a pass.  The pass holds a table
+[levels + 1, rows, S] of at most COUNT_BLOCK entries, so a memory-16 row
+(7.7 M entries) is searched, as is every row of a memory-0 code.
 
 Counting conventions.  Extending a tree path below level k, or a
 trellis node below level L, evaluates two branch metrics; those are the
@@ -492,11 +515,14 @@ def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
     row stops diving at zeta >= the least sibling of the levels before.
     A path's metric only grows and that least sibling only falls, so a
     row that stopped stays stopped, and a test at any level tells whether
-    it has stopped by then; the pass tests every eighth level and ends
-    once every row has stopped.  The next state is the register rule
-    (state << 1) | input bit, masked to m bits (see Trellis)."""
+    it has stopped by then.  The pass tests every eighth level and ends,
+    with no row reached, once every row has stopped, or once half of them
+    have where the count can take the batch (see _mlsda_batch).  The next
+    state is the register rule (state << 1) | input bit, masked to m bits
+    (see Trellis)."""
     n_out, L, levels = trellis.code.n_out, trellis.L, trellis.levels
     batch = len(inc)
+    diving = batch // 8 if _count_rows(trellis) else 0  # the most diving rows at an end
     # level-major: metrics[level] holds the 2^n_out metrics of every row in turn
     metrics = inc.reshape(batch, levels, 1 << n_out).transpose(1, 0, 2).reshape(levels, -1)
     offsets = np.tile(np.arange(batch) << n_out, (2, 1))
@@ -517,7 +543,7 @@ def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
         else:
             zeta = zeta + metrics[level].take(np.add(outputs[0].take(state), offsets[0],
                                                      out=at[0]))
-        if level % 8 == 7 and not (zeta < top).any():
+        if level % 8 == 7 and np.count_nonzero(zeta < top) <= diving:
             return np.zeros(batch, dtype=bool), zeta, None
         state <<= 1
         if level < L:
@@ -527,30 +553,94 @@ def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
     return zeta < top, zeta, np.packbits(bits, axis=0, bitorder="little")
 
 
+COUNT_BLOCK = 1 << 19  # the most entries a table of the trellis count holds
+
+
+def _count_rows(trellis: Trellis) -> int:
+    """Rows whose min-plus tables [levels + 1, S] fit one COUNT_BLOCK
+    together: 0 where none does, or where the code has memory 0."""
+    if not trellis.code.m:
+        return 0
+    return COUNT_BLOCK // ((trellis.levels + 1) * trellis.num_states)
+
+
+def _search_row(trellis: Trellis, row: np.ndarray, extension_limit):
+    """_mlsda_search on one metric row, or None where it exceeds the budget."""
+    try:
+        return _mlsda_search(trellis, row.tolist(), extension_limit)
+    except ExtensionLimitExceeded:
+        return None
+
+
 def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     """_mlsda_search's result on each metric row of inc [B, levels << n_out]
     (see _metric_table), or None where the search exceeds the budget.
 
     A row whose first dive reaches the goal (see _first_dives) is settled
     without the search, after L + m extensions of which L branch: None
-    when they exceed the budget.  Every other row, and every row of a
-    memory-0 code, which never dives, is searched."""
+    when they exceed the budget.  When at least half the rows are left,
+    and their tables fit (see _count_rows), they are counted (see
+    _mlsda_count); otherwise they, and every row of a memory-0 code, which
+    never dives, are searched."""
     L, m = trellis.L, trellis.code.m
     reached = np.zeros(len(inc), dtype=bool)
     if m:
         reached, zeta, info = _first_dives(trellis, inc)
-    over = extension_limit is not None and extension_limit < L + m
+    left = np.flatnonzero(~reached)
+    if _count_rows(trellis) and 2 * len(left) >= len(inc):
+        settled = _mlsda_count(trellis, inc[left], extension_limit)
+    else:
+        settled = [_search_row(trellis, inc[i], extension_limit) for i in left]
+    results = [None] * len(inc)
+    for i, result in zip(left.tolist(), settled):
+        results[i] = result
+    if extension_limit is None or extension_limit >= L + m:
+        for i in np.flatnonzero(reached).tolist():
+            results[i] = (2 * L, 2 * L + m, L + m, float(zeta[i]),
+                          int.from_bytes(info[:, i].tobytes(), "little"))
+    return results
+
+
+def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
+    """_mlsda_batch's result on each metric row of inc [R, levels << n_out]
+    (memory m >= 1) from the Viterbi metric V of every node, by one
+    min-plus pass (min_path_costs) over as many rows at a time as
+    _count_rows allows.
+
+    The search extends every node below level L + m with V < zeta*, the
+    goal's V, and no node with V > zeta*; its counts are those of the
+    nodes with V <= zeta* when the only nodes at exactly zeta* are the
+    winner's own, and its inputs are those of the traced winner
+    (min_path_inputs) when no node of that path has tied branches.  A
+    row that breaks either rule is searched."""
+    L, levels = trellis.L, trellis.levels
+    limit = sys.maxsize if extension_limit is None else extension_limit
+    step = _count_rows(trellis)
     results = []
-    for i, row in enumerate(inc):
-        if reached[i]:
-            results.append(None if over else
-                           (2 * L, 2 * L + m, L + m, float(zeta[i]),
-                            int.from_bytes(info[:, i].tobytes(), "little")))
-            continue
-        try:
-            results.append(_mlsda_search(trellis, row.tolist(), extension_limit))
-        except ExtensionLimitExceeded:
-            results.append(None)
+    for first in range(0, len(inc), step):
+        rows = inc[first:first + step]
+        costs = rows.reshape(len(rows), levels, -1).transpose(1, 0, 2)
+        table = min_path_costs(trellis, costs, math.inf)
+        inputs, tied, path = min_path_inputs(trellis, costs, table)
+        zeta = path[levels]
+        inner = table[:levels]
+        # nodes per (row, state) at or below zeta*, below level L and above it;
+        # summing levels first keeps each reduction contiguous
+        below = inner <= zeta[:, None]
+        low = below[:L].sum(axis=0, dtype=np.int32).sum(axis=1)
+        extensions = (low + below[L:].sum(axis=0, dtype=np.int32).sum(axis=1)).tolist()
+        low = low.tolist()
+        ties = np.equal(inner, zeta[:, None]).sum(axis=0, dtype=np.int32).sum(axis=1)
+        searched = tied | (ties != np.count_nonzero(path[:levels] == zeta, axis=0))
+        info = np.packbits(inputs, axis=0, bitorder="little")
+        for i in range(len(rows)):
+            if searched[i]:
+                results.append(_search_row(trellis, rows[i], extension_limit))
+            elif extensions[i] > limit:
+                results.append(None)
+            else:
+                results.append((2 * low[i], low[i] + extensions[i], extensions[i],
+                                float(zeta[i]), int.from_bytes(info[:, i].tobytes(), "little")))
     return results
 
 
@@ -724,6 +814,6 @@ def viterbi_ml(trellis: Trellis, phi) -> np.ndarray:
     """ML oracle for the trellis decoder: the min-plus pass over the
     metrics of _metric_table, traced back from the goal node."""
     phi = check_lengths(phi, trellis.code.n_out * trellis.levels)
-    inc = _metric_table(trellis, phi).reshape(trellis.levels, -1)
-    table = min_path_costs(trellis, inc, math.inf)
-    return encode_conv(trellis.code, min_path_inputs(trellis, inc, table))
+    inc = _metric_table(trellis, phi).reshape(trellis.levels, 1, -1)
+    inputs = min_path_inputs(trellis, inc, min_path_costs(trellis, inc, math.inf))[0]
+    return encode_conv(trellis.code, inputs[:, 0])

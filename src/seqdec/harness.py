@@ -460,34 +460,42 @@ def check_dstar_oracle(trellis=None) -> CheckResult:
     return _check("dstar-oracle", mismatches == 0, f"{mismatches} mismatching entries")
 
 
-def _worst_metric_gap(cfg, encode, info_len, decode, oracle_metric) -> float:
-    """Largest gap between a decoder's metric and its oracle's over 100
-    trials, trial t drawing its bits and then its noise from RngStream(7 ^ t)."""
-    worst = 0.0
+def _trial_llrs(cfg, encode, info_len) -> np.ndarray:
+    """LLRs [100, N] of 100 trials, trial t drawing its bits and then its
+    noise from RngStream(7 ^ t)."""
+    rows = []
     for t in range(100):
         rng = RngStream(7 ^ t)
-        phi = llr(transmit(encode(rng.bits(info_len)), cfg, rng), cfg)
-        worst = max(worst, abs(decode(phi).metric - oracle_metric(phi)))
-    return worst
+        rows.append(llr(transmit(encode(rng.bits(info_len)), cfg, rng), cfg))
+    return np.array(rows)
 
 
 def check_ml_equivalence() -> CheckResult:
     """Each decoder against its ML oracle at 2 dB: the tree search on
     the Golay code against brute force, and the trellis search on the
-    (2,1,6) code at L = 20 against viterbi_ml."""
+    (2,1,6) code at L = 20 against viterbi_ml.  The trellis trials also
+    go through decoders._mlsda_batch as one batch, which counts most of
+    them, and each row must give the search's counts and metric."""
     code = build_extended_golay()
-    block = _worst_metric_gap(
-        ChannelConfig.for_block_code(code, 2.0), partial(encode_block, code), code.k,
-        partial(gda_decode, code),
-        lambda phi: float(np.sum((phi - (1.0 - 2.0 * brute_force_ml_block(code, phi))) ** 2)))
+    phis = _trial_llrs(ChannelConfig.for_block_code(code, 2.0), partial(encode_block, code),
+                       code.k)
+    block = max(abs(gda_decode(code, phi).metric - float(
+        np.sum((phi - (1.0 - 2.0 * brute_force_ml_block(code, phi))) ** 2))) for phi in phis)
     trellis = build_trellis(parse_octal_generators(["634", "564"], m=6), L=20)
-    conv = _worst_metric_gap(
-        ChannelConfig.for_conv_code(trellis.code, trellis.L, 2.0),
-        partial(encode_conv, trellis.code), trellis.L, partial(mlsda_decode, trellis),
-        lambda phi: float(np.sum((hard_decision(phi) ^ viterbi_ml(trellis, phi)) * np.abs(phi))))
-    return _check("ml-equivalence", max(block, conv) <= 1e-6,
+    phis = _trial_llrs(ChannelConfig.for_conv_code(trellis.code, trellis.L, 2.0),
+                       partial(encode_conv, trellis.code), trellis.L)
+    searched = [mlsda_decode(trellis, phi) for phi in phis]
+    conv = max(abs(out.metric - float(
+        np.sum((hard_decision(phi) ^ viterbi_ml(trellis, phi)) * np.abs(phi))))
+        for out, phi in zip(searched, phis))
+    differ = sum(row is None or row[:4] != (out.branch_computations, out.branch_computations_total,
+                                            out.extensions, out.metric)
+                 for row, out in zip(_mlsda_batch(trellis, _metric_table(trellis, phis), None),
+                                     searched))
+    return _check("ml-equivalence", max(block, conv) <= 1e-6 and differ == 0,
                   f"max metric gap {block:.3g} (golay24 vs brute force), "
-                  f"{conv:.3g} ((2,1,6) L=20 trellis vs viterbi_ml)")
+                  f"{conv:.3g} ((2,1,6) L=20 trellis vs viterbi_ml); "
+                  f"{differ} of 100 trellis batch rows differ from the search")
 
 
 def extension_event_hits(gen: np.random.Generator, gamma: float, ds, clipped,

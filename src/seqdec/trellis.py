@@ -3,8 +3,9 @@ table of branch outputs, and the one min-plus pass over it (d* and the
 Viterbi path metrics).
 """
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -64,38 +65,67 @@ def build_trellis(code: ConvCode, L: int) -> Trellis:
 
 
 def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached) -> np.ndarray:
-    """Least path cost into every (level, state) by one forward min-plus
-    pass over costs[level, output pattern] ([levels, 2^n_out]): each level
-    gathers the two branches into each state s, the registers s and s + S
-    (see build_trellis), input-1 branches blocked from level L on.  The
-    result [levels + 1, S] is at least `unreached` (above every path cost)
+    """Least path cost into every (level, row, state) by one forward
+    min-plus pass over costs[level, row, output pattern] ([levels, R,
+    2^n_out], level-major: an unbatched call is a batch of R = 1).  Each
+    level adds to every state s its two branches, the registers 2s and
+    2s + 1 (see build_trellis), input-1 branches blocked from level L on;
+    register r enters state r mod S, so the first S registers hold the
+    one branch into each state and the last S the other.  The result
+    [levels + 1, R, S] is at least `unreached` (above every path cost)
     where no path passes."""
     nst = trellis.num_states
-    reg = np.array([[0], [nst]]) | np.arange(nst)
-    src, blocked = reg >> 1, (reg & 1) == 1
-    out = trellis.outputs[reg & 1, src].astype(np.intp)  # np.take indexes by intp
-    table = np.full((trellis.levels + 1, nst), unreached, dtype=costs.dtype)
-    table[0, 0] = 0
+    src = np.arange(2 * nst, dtype=np.intp) >> 1  # np.take indexes by intp
+    out = trellis.outputs.T.ravel().astype(np.intp)  # by register 2s + b
+    table = np.full((trellis.levels + 1, costs.shape[1], nst), unreached, dtype=costs.dtype)
+    table[0, :, 0] = 0
+    # fancy indexing gathers short rows faster than np.take, long ones slower
+    gather = (lambda a, idx: a[:, idx]) if nst <= 256 else partial(np.take, axis=1)
     for level in range(trellis.levels):
-        cand = np.take(table[level], src)
-        cand += np.take(costs[level], out)
+        cand = gather(table[level], src)  # [R, 2S]
+        cand += gather(costs[level], out)
         if level >= trellis.L:
-            cand[blocked] = unreached
-        np.minimum(cand[0], cand[1], out=table[level + 1])
+            cand[:, 1::2] = unreached
+        pairs = cand.reshape(-1, 2, nst)
+        np.minimum(pairs[:, 0], pairs[:, 1], out=table[level + 1])
     return table
 
 
-def min_path_inputs(trellis: Trellis, costs: np.ndarray, table: np.ndarray) -> list:
-    """The L input bits of a least-cost path into the goal node, traced
-    back: at each level the first branch whose sum gives the node's entry."""
-    out, state, inputs = trellis.outputs, 0, []
-    for level in reversed(range(trellis.levels)):
-        want = table[level + 1, state]
-        state, bit = next(divmod(r, 2) for r in (state, state + trellis.num_states)
-                          if (level < trellis.L or r % 2 == 0)
-                          and table[level, r >> 1] + costs[level, out[r & 1, r >> 1]] == want)
-        inputs.append(bit)
-    return inputs[::-1][:trellis.L]
+def min_path_inputs(trellis: Trellis, costs: np.ndarray, table: np.ndarray) -> tuple:
+    """A least-cost path into the goal node of every row of a float table
+    [levels + 1, R, S] of min_path_costs, traced back in [R]-wide steps:
+    into each node the first of its registers s and s + S whose sum gives
+    the node's entry, that is the lower sum (the pass added the same two).
+    Returns (its L input bits [L, R] as uint8, tied [R], the table entries
+    of its nodes [levels + 1, R]), where tied marks the rows in which both
+    registers into a node of the path give its entry.
+
+    Steps run on global indices: node (row, s) is row * S + s and its
+    register r is row * 2S + r, so a register's source node is its index
+    >> 1 and its input bit the index's lowest bit."""
+    nst, L, levels = trellis.num_states, trellis.L, trellis.levels
+    rows = np.arange(table.shape[1])
+    flat = table.reshape(levels + 1, -1)
+    flat_costs = np.ascontiguousarray(costs).reshape(levels, -1)
+    # the costs entry of every register: its row's patterns, then its output
+    at_cost = (rows[:, None] * costs.shape[2] + trellis.outputs.T.ravel()).ravel()
+    into = rows * nst + np.array([[0], [nst]])  # node (row, s) + this: its two registers
+    cand = np.empty((levels, 2, len(rows)), dtype=table.dtype)
+    chosen = np.empty((levels, len(rows)), dtype=np.intp)
+    node = rows * nst  # the goal of every row
+    for level in reversed(range(levels)):
+        reg = node + into
+        np.add(flat[level].take(reg >> 1), flat_costs[level].take(at_cost.take(reg)),
+               out=cand[level])
+        if level >= L:
+            cand[level][(reg & 1) == 1] = math.inf
+        chosen[level] = np.where(cand[level, 1] < cand[level, 0], reg[1], reg[0])
+        node = chosen[level] >> 1
+    path = np.empty((levels + 1, len(rows)), dtype=table.dtype)
+    path[0] = table[0, :, 0]
+    np.minimum(cand[:, 0], cand[:, 1], out=path[1:])
+    tied = (cand[:, 0] == cand[:, 1]).any(axis=0)
+    return (chosen[:L] & 1).astype(np.uint8), tied, path
 
 
 def compute_dstar(trellis: Trellis) -> np.ndarray:
@@ -110,7 +140,8 @@ def compute_dstar(trellis: Trellis) -> np.ndarray:
         return trellis._dstar
     big = trellis.code.n_out * trellis.levels + 1
     weight = np.bitwise_count(np.arange(1 << trellis.code.n_out)).astype(np.int32)
-    table = min_path_costs(trellis, np.broadcast_to(weight, (trellis.levels, weight.size)), big)
+    table = min_path_costs(trellis, np.broadcast_to(weight, (trellis.levels, 1, weight.size)),
+                           big)[:, 0]
     table[table >= big] = ABSENT
     trellis._dstar = table
     return table

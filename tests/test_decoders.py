@@ -2,9 +2,12 @@ import hashlib
 import json
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from seqdec import decoders
 from seqdec.channel import ChannelConfig, hard_decision, llr, transmit
 from seqdec.codes import ConvCode, encode_block, encode_conv
 from seqdec.decoders import (
@@ -175,6 +178,43 @@ class TestMlsdaDecode:
         _, phi = conv_trial(trellis, -3.0, 31)
         with pytest.raises(ExtensionLimitExceeded):
             mlsda_decode(trellis, phi, extension_limit=10)
+
+
+class TestMlsdaCount:
+    # the (2,1,2) code with generators 7, 5 at L = 4 and four rows for it:
+    # three nodes off the winner's path at zeta*; tied branches into a node
+    # of the winner's path; tied branches into the goal; and a winner whose
+    # last four nodes lie at zeta*, with no other node there
+    TRELLIS = build_trellis(ConvCode(n_out=2, m=2, taps=((1, 1, 1), (1, 0, 1))), 4)
+    ROWS = np.array([[-1, 1, -2, -1, 1, 2, 0, 2, -1, -2, 1, -1],
+                     [-2, 2, 0, 0, 1, -1, 1, 2, 2, -2, 2, 1],
+                     [1, 2, -2, 1, -1, 0, 2, -1, 1, -2, -1, 2],
+                     [-2, -1, -1, -2, 0, 1, 2, -1, -1, 0, 0, 2]], dtype=float)
+
+    def test_ties_go_to_the_search(self):
+        inc = _metric_table(self.TRELLIS, self.ROWS)
+        with mock.patch.object(decoders, "_mlsda_search", wraps=decoders._mlsda_search) as spy:
+            got = decoders._mlsda_count(self.TRELLIS, inc, None)
+        assert [call.args[1] for call in spy.call_args_list] == inc[:3].tolist()
+        assert got == [decoders._mlsda_search(self.TRELLIS, row.tolist(), None) for row in inc]
+
+    def test_low_snr_batch_is_counted(self, conv_634_564):
+        # at 5 dB most first dives stop within eight levels, so the pass ends
+        # there and the count takes the whole batch, searching no row
+        trellis = build_trellis(conv_634_564, 100)
+        inc = _metric_table(trellis, np.array([conv_trial(trellis, 5.0, seed)[1]
+                                               for seed in range(64)]))
+        assert decoders._first_dives(trellis, inc)[2] is None
+        with mock.patch.object(decoders, "_mlsda_search", wraps=decoders._mlsda_search) as spy:
+            got = decoders._mlsda_batch(trellis, inc, None)
+        assert spy.call_count == 0
+        assert got == [decoders._mlsda_search(trellis, row.tolist(), None) for row in inc]
+
+    def test_block_bounds_the_table(self, conv_634_564, conv_m16):
+        # a 64-row (2,1,6) L=100 batch fits one table; one memory-16 row does
+        # not, so that code keeps the search
+        assert decoders._count_rows(build_trellis(conv_634_564, 100)) >= 64
+        assert decoders._count_rows(build_trellis(conv_m16, 100)) == 0
 
 
 def elementwise_metric_table(trellis, phi) -> np.ndarray:
