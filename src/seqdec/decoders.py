@@ -273,7 +273,7 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
         f, _, level, bits, fan = entry
 
 
-SEARCH_BUDGET = 2000  # extensions the tree search takes before the count takes over
+SEARCH_BUDGET = 1000  # extensions the tree search takes before the count takes over
 SWEEP_BLOCK = 1 << 14  # the most nodes an array of the count holds
 
 
@@ -516,10 +516,11 @@ def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
     A path's metric only grows and that least sibling only falls, so a
     row that stopped stays stopped, and a test at any level tells whether
     it has stopped by then.  The pass tests every eighth level and ends,
-    with no row reached, once every row has stopped, or once half of them
-    have where the count can take the batch (see _mlsda_batch).  The next
-    state is the register rule (state << 1) | input bit, masked to m bits
-    (see Trellis)."""
+    with no row reached, once every row has stopped, or, where the count
+    can take the batch (see _mlsda_batch), once at most an eighth of them
+    still dive: the levels left would then cost more than counting the
+    few rows that might reach the goal.  The next state is the register
+    rule (state << 1) | input bit, masked to m bits (see Trellis)."""
     n_out, L, levels = trellis.code.n_out, trellis.L, trellis.levels
     batch = len(inc)
     diving = batch // 8 if _count_rows(trellis) else 0  # the most diving rows at an end

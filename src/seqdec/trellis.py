@@ -68,10 +68,11 @@ def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached) -> np.ndarray
     """Least path cost into every (level, row, state) by one forward
     min-plus pass over costs[level, row, output pattern] ([levels, R,
     2^n_out], level-major: an unbatched call is a batch of R = 1).  Each
-    level adds to every state s its two branches, the registers 2s and
-    2s + 1 (see build_trellis), input-1 branches blocked from level L on;
-    register r enters state r mod S, so the first S registers hold the
-    one branch into each state and the last S the other.  The result
+    level adds every branch's cost to its source's entry: the branch from
+    state s on input b is the register r = 2s + b (see build_trellis),
+    which enters state r mod S, so the first S registers hold one branch
+    into each state and the last S the other, and each state keeps the
+    lesser; input-1 branches are blocked from level L on.  The result
     [levels + 1, R, S] is at least `unreached` (above every path cost)
     where no path passes."""
     nst = trellis.num_states
