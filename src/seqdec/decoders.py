@@ -603,8 +603,9 @@ def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
 
 
 def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
-    """_mlsda_batch's result on each metric row of inc [R, levels << n_out]
-    (memory m >= 1) from the Viterbi metric V of every node, by one
+    """_mlsda_search's result on each metric row of inc [R, levels << n_out]
+    (memory m >= 1), or None where the search exceeds the budget, from
+    the Viterbi metric V of every node, by one
     min-plus pass (min_path_costs) over as many rows at a time as
     _count_rows allows.
 
@@ -628,20 +629,20 @@ def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
         # nodes per (row, state) at or below zeta*, below level L and above it;
         # summing levels first keeps each reduction contiguous
         below = inner <= zeta[:, None]
-        low = below[:L].sum(axis=0, dtype=np.int32).sum(axis=1)
-        extensions = (low + below[L:].sum(axis=0, dtype=np.int32).sum(axis=1)).tolist()
-        low = low.tolist()
+        low = below[:L].sum(axis=0, dtype=np.int32).sum(axis=1).tolist()
+        tail = below[L:].sum(axis=0, dtype=np.int32).sum(axis=1).tolist()
         ties = np.equal(inner, zeta[:, None]).sum(axis=0, dtype=np.int32).sum(axis=1)
         searched = tied | (ties != np.count_nonzero(path[:levels] == zeta, axis=0))
         info = np.packbits(inputs, axis=0, bitorder="little")
         for i in range(len(rows)):
+            extensions = low[i] + tail[i]
             if searched[i]:
                 results.append(_search_row(trellis, rows[i], extension_limit))
-            elif extensions[i] > limit:
+            elif extensions > limit:
                 results.append(None)
             else:
-                results.append((2 * low[i], low[i] + extensions[i], extensions[i],
-                                float(zeta[i]), int.from_bytes(info[:, i].tobytes(), "little")))
+                results.append((2 * low[i], low[i] + extensions, extensions, float(zeta[i]),
+                                int.from_bytes(info[:, i].tobytes(), "little")))
     return results
 
 
