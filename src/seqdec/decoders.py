@@ -294,6 +294,18 @@ def _gda_tree(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple:
         return _gda_count(code, bm0, bm1, extension_limit, stop.metric)
 
 
+def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limit) -> list:
+    """_gda_search's result on each row of bm0, bm1 [B, n] (see
+    _gda_tables), or None where the search exceeds the budget."""
+    results = []
+    for a, b in zip(bm0.tolist(), bm1.tolist()):
+        try:
+            results.append(_gda_tree(code, a, b, extension_limit))
+        except ExtensionLimitExceeded:
+            results.append(None)
+    return results
+
+
 def _gda_count(code: BlockCode, bm0: list, bm1: list, extension_limit, bound: float) -> tuple:
     """The tree search's result (see _gda_search) from threshold sweeps,
     given a lower bound on the winning path's metric zeta*.

@@ -43,9 +43,8 @@ from seqdec.codes import (
     parse_octal_generators,
 )
 from seqdec.decoders import (
-    ExtensionLimitExceeded,
+    _gda_batch,
     _gda_tables,
-    _gda_tree,
     _metric_table,
     _mlsda_batch,
     brute_force_ml_block,
@@ -239,16 +238,10 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
         phi = llr(channel_output(encode(info), noise), channel)
         phi = check_lengths(phi, len(batch), n)
         if isinstance(target, BlockCode):
-            _, bm0, bm1 = _gda_tables(phi)
-            for a, b in zip(bm0, bm1):
-                try:
-                    results.append(_gda_tree(target, a.tolist(), b.tolist(),
-                                             cfg.extension_limit)[0])
-                except ExtensionLimitExceeded:
-                    results.append(None)
+            settled = _gda_batch(target, *_gda_tables(phi)[1:], cfg.extension_limit)
         else:
-            results += [None if r is None else r[0] for r in
-                        _mlsda_batch(target, _metric_table(target, phi), cfg.extension_limit)]
+            settled = _mlsda_batch(target, _metric_table(target, phi), cfg.extension_limit)
+        results += [None if r is None else r[0] for r in settled]
     return results
 
 

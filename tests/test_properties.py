@@ -2,13 +2,15 @@
 per-trial reference kept here: the trellis layer on convolutional codes
 (memory <= 4, 2-3 outputs, L <= 8), the tree search and its entry point
 (with the count taking over early) on systematic block codes (k <= 10)
-and the Golay code, the trellis search against a plain two-stack search,
-its batch entry point and its count against the search row by row, the
-Viterbi oracle against all 2^L inputs, the harness's batched trial
-pipeline on both, and the per-pair bound of a whole evaluation against
-the scalar one."""
+and the Golay code, its batch entry point against the search row by
+row, the trellis search against a plain two-stack search, its batch
+entry point and its count against the search row by row, the Viterbi
+oracle against all 2^L inputs, the harness's batched trial pipeline on
+both (with the tree count taking over early too), and the per-pair
+bound of a whole evaluation against the scalar one."""
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,7 @@ from seqdec.channel import ChannelConfig, db_to_linear, hard_decision, llr, tran
 from seqdec.codes import BlockCode, ConvCode, build_extended_golay, encode_block, encode_conv
 from seqdec.decoders import (
     ExtensionLimitExceeded,
+    _gda_batch,
     _gda_search,
     _gda_tables,
     _gda_tree,
@@ -194,14 +197,29 @@ def tree_search_inputs(draw):
     of three kinds: continuous, integer-valued in {0, +-1, +-2} (so that
     many paths tie), or near ties (see near_tie_llrs)."""
     code = draw(st.one_of(block_codes(), st.builds(build_extended_golay)))
-    n = code.n
+    return code, tree_llrs(draw, code.n)
+
+
+def tree_llrs(draw, n: int) -> np.ndarray:
+    """n LLRs of one of three kinds: continuous, integer-valued in
+    {0, +-1, +-2} (so that many paths tie), or near ties (see
+    near_tie_llrs)."""
     kind = draw(st.sampled_from(["continuous", "integer", "near-ties"]))
     if kind == "continuous":
-        return code, np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n)))
+        return np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n)))
     if kind == "integer":
-        return code, np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
-                              dtype=float)
-    return code, near_tie_llrs(draw(st.integers(0, 2**32 - 1)), n)
+        return np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
+    return near_tie_llrs(draw(st.integers(0, 2**32 - 1)), n)
+
+
+@st.composite
+def tree_batch_inputs(draw):
+    """A code (random systematic with k <= 10, or Golay), a batch of 1-6
+    LLR rows for it (see tree_llrs) and an extension budget: 5, 50 or
+    none."""
+    code = draw(st.one_of(block_codes(), st.builds(build_extended_golay)))
+    rows = [tree_llrs(draw, code.n) for _ in range(draw(st.integers(1, 6)))]
+    return code, np.array(rows), draw(st.sampled_from([5, 50, None]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,6 +283,60 @@ def test_gda_tree_matches_textbook(textbook_gda, inputs, limit):
                 continue
             *got, got_metric, got_bits = _gda_tree(code, bm0, bm1, limit)
         assert (got, got_metric.hex(), got_bits) == (counts, metric.hex(), bits)
+
+
+def searched_tree_rows(code, bm0, bm1, limit) -> list:
+    """_gda_search on each branch-metric row alone, None where it overflows."""
+    results = []
+    for a, b in zip(bm0.tolist(), bm1.tolist()):
+        try:
+            results.append(_gda_search(code, a, b, limit))
+        except ExtensionLimitExceeded:
+            results.append(None)
+    return results
+
+
+# the four pinned examples of test_gda_tree_matches_textbook, each in a batch
+GOLAY_TIE = np.array([-1, 0, -1, 1, 0, -1, -1, -1, 0, 2, -2, 1,
+                      2, 0, -1, 2, 2, -1, -2, 1, 0, -2, -1, -2], dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_batch_inputs())
+# two codewords tie at zeta*, beside a row of near ties and a clean one
+@example((build_extended_golay(), np.array([GOLAY_TIE, near_tie_llrs(5, 24), [1.0] * 24]),
+          None))
+# a level-k node off the winner's path at zeta*, beside a row that is a
+# codeword's signs
+@example((BlockCode(n=6, k=2, rows=(53, 18)), np.array([[1.0, -1.0, 0.0, -1.0, -2.0, 2.0],
+                                                        [2.0, -2.0, 2.0, 2.0, -2.0, 2.0]]),
+          None))
+# a round proves the overflow, beside a row that needs no count
+@example((BlockCode(n=5, k=4, rows=(1, 18, 4, 24)), np.array([[0.0, 2.0, 1.0, 1.0, -2.0],
+                                                               [3.0] * 5]), 5))
+# a round counts exactly the limit, twice over
+@example((BlockCode(n=5, k=3, rows=(9, 2, 4)), np.array([[-3.0, 2.5, -2.5, -1.2, -0.1]] * 2),
+          5))
+def test_gda_batch_matches_search(inputs):
+    # every row's result from the batch entry point, with the count taking
+    # over after 0, 1 or 5 extensions and blocks of 64 nodes or full ones,
+    # counts, the metric's bits and the path bits, is that of the search on
+    # the row alone, and the row overflows exactly when the search does
+    code, phi, limit = inputs
+    _, bm0, bm1 = _gda_tables(phi)
+    want = searched_tree_rows(code, bm0, bm1, limit)
+    full = decoders.SWEEP_BLOCK
+    for budget, block in ((0, 64), (0, full), (1, full), (5, full)):
+        with mock.patch.multiple(decoders, SEARCH_BUDGET=budget, SWEEP_BLOCK=block):
+            got = _gda_batch(code, bm0, bm1, limit)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g is not None
+                assert (*g[:3], g[3].hex(), g[4]) == (*w[:3], w[3].hex(), w[4])
+                assert type(g[3]) is float and type(g[4]) is int
 
 
 @PROPERTY_SETTINGS
@@ -488,3 +560,24 @@ def test_batched_trials_match_per_trial_path(target, seed, all_zero, limit, gamm
     trials = range(first, first + count)
     assert (_run_trials(target, cfg, gamma_b_db, trials)
             == per_trial_counts(target, cfg, gamma_b_db, trials))
+
+
+@PROPERTY_SETTINGS
+@given(block_codes(), st.integers(0, 2**64 - 1), st.booleans(),
+       st.one_of(st.none(), st.integers(1, 40)), st.floats(-3.0, 9.0), st.integers(0, 1000),
+       st.integers(1, 300))
+def test_counted_trials_match_searched_trials(code, seed, all_zero, limit, gamma_b_db, first,
+                                              count):
+    # with the count taking over after 0, 1 or 5 extensions, and blocks of
+    # 64 nodes or full ones, the batched pipeline gives every trial the
+    # count of the per-trial path run with the search alone
+    cfg = ExperimentConfig(code={}, snr_db=(gamma_b_db,), seed=seed, all_zero=all_zero,
+                           extension_limit=limit)
+    trials = range(first, first + count)
+    with mock.patch.object(decoders, "SEARCH_BUDGET", sys.maxsize):
+        want = per_trial_counts(code, cfg, gamma_b_db, trials)
+    full = decoders.SWEEP_BLOCK
+    for budget in (0, 1, 5):
+        for block in (64, full):
+            with mock.patch.multiple(decoders, SEARCH_BUDGET=budget, SWEEP_BLOCK=block):
+                assert _run_trials(code, cfg, gamma_b_db, trials) == want
