@@ -120,6 +120,8 @@ class BlockCode:
     name: str = ""
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"a block code needs k >= 1 information bits, got {self.k}")
         if len(self.rows) != self.k:
             raise ValueError("generator must have k rows")
         for i, row in enumerate(self.rows):

@@ -36,20 +36,23 @@ Counting a heavy tree trial.  Branch metrics are nonnegative, so the tree
 search extends a path only if its metric f is at most the winner's,
 zeta*; its counts are those of the tree nodes with f <= zeta*, which
 numpy can count level by level without a stack.  Every tree decode
-(gda_decode and the harness's trials, through _gda_tree) runs the search
-first, under SEARCH_BUDGET extensions; most trials end there.  Past it,
-the path the search stopped at gives a lower bound on zeta*, and
-threshold sweeps take over (_gda_count): rounds at a threshold T growing
-1.5x keep the prefixes with f <= T, adding each path's metrics in the
-search's own order, so every f is bit-equal, until a leaf lies at or
-below T; the least such leaf is the winner.  Three rules keep the count
-exact.  A node other than the winner's prefixes at exactly zeta* (two
-winning leaves, or a tie off the winner's path) would be settled by the
-stack's insertion order, so that trial is searched again without a
-budget.  The trial overflows exactly when its count exceeds the caller's
-budget, and a round that finds no leaf but more nodes than the budget
-proves it early.  No sweep array holds more than SWEEP_BLOCK nodes: the
-sweeps run depth first over blocks of paths.
+(gda_decode as a batch of one, and the harness's trials a batch at a
+time, through _gda_batch) runs the search first, under SEARCH_BUDGET
+extensions; most trials end there.  Past it, the path the search
+stopped at gives a lower bound on zeta*, and threshold sweeps count all
+the rows the search stopped at once (_gda_count): rounds at a threshold
+T growing 1.5x per row keep each row's prefixes with f <= T in arrays
+that carry the row's index, adding each path's metrics in the search's
+own order, so every f is bit-equal, and a row leaves the rounds once a
+leaf lies at or below its T; the least such leaf is the winner.  Three
+rules keep the count exact.  A node other than the winner's prefixes at
+exactly zeta* (two winning leaves, or a tie off the winner's path) would
+be settled by the stack's insertion order, so that row is searched again
+without a budget.  A row overflows exactly when its count exceeds the
+caller's budget, and a round that finds no leaf of the row but more of
+its nodes than the budget proves it early.  No sweep array holds more
+than SWEEP_BLOCK nodes of all the rows together: the sweeps run depth
+first over blocks of paths.
 
 Settling first dives per batch.  The trellis search starts with a dive
 from the root, and at high SNR that dive mostly runs straight to the
@@ -273,183 +276,256 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
         f, _, level, bits, fan = entry
 
 
-SEARCH_BUDGET = 1000  # extensions the tree search takes before the count takes over
+SEARCH_BUDGET = 200  # extensions the tree search takes before the count takes over
 SWEEP_BLOCK = 1 << 14  # the most nodes an array of the count holds
 
 
-def _gda_tree(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple:
-    """The tree search's result on branch-metric lists, as _gda_search
-    returns it: the search itself for up to SEARCH_BUDGET extensions,
-    and past them the count (_gda_count) from the metric the search
-    stopped at.  The count holds information bits in floats and path
-    bits in 64-bit words, so larger codes are searched only."""
-    budget = extension_limit
-    if code.k <= 53 and code.n <= 64 and (budget is None or budget > SEARCH_BUDGET):
-        budget = SEARCH_BUDGET
-    try:
-        return _gda_search(code, bm0, bm1, budget)
-    except ExtensionLimitExceeded as stop:
-        if budget == extension_limit:
-            raise
-        return _gda_count(code, bm0, bm1, extension_limit, stop.metric)
+def _gda_tree(code: BlockCode, bm0, bm1, extension_limit) -> tuple:
+    """The tree search's result on one row of branch metrics [n], as
+    _gda_search returns it: _gda_batch on a batch of one.  Raises
+    ExtensionLimitExceeded where the search exceeds the budget."""
+    result = _gda_batch(code, np.array([bm0]), np.array([bm1]), extension_limit)[0]
+    if result is None:
+        raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
+    return result
 
 
 def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limit) -> list:
     """_gda_search's result on each row of bm0, bm1 [B, n] (see
-    _gda_tables), or None where the search exceeds the budget."""
-    results = []
-    for a, b in zip(bm0.tolist(), bm1.tolist()):
+    _gda_tables), or None where the search exceeds the budget: the
+    search itself for up to SEARCH_BUDGET extensions, and past them one
+    count (_gda_count) of all the rows it stopped, each from the metric
+    it stopped at.  The count holds information bits in floats and path
+    bits in 64-bit words, so larger codes are searched only."""
+    budget = extension_limit
+    if code.k <= 53 and code.n <= 64 and (budget is None or budget > SEARCH_BUDGET):
+        budget = SEARCH_BUDGET
+    results, stopped, bounds = [], [], []
+    for i, (a, b) in enumerate(zip(bm0.tolist(), bm1.tolist())):
         try:
-            results.append(_gda_tree(code, a, b, extension_limit))
-        except ExtensionLimitExceeded:
+            results.append(_gda_search(code, a, b, budget))
+        except ExtensionLimitExceeded as stop:
             results.append(None)
+            if budget != extension_limit:
+                stopped.append(i)
+                bounds.append(stop.metric)
+    if stopped:
+        counted = _gda_count(code, bm0[stopped], bm1[stopped], extension_limit, np.array(bounds))
+        for i, result in zip(stopped, counted):
+            results[i] = result
     return results
 
 
-def _gda_count(code: BlockCode, bm0: list, bm1: list, extension_limit, bound: float) -> tuple:
-    """The tree search's result (see _gda_search) from threshold sweeps,
-    given a lower bound on the winning path's metric zeta*.
+def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limit,
+               bounds: np.ndarray) -> list:
+    """The tree search's result (see _gda_search) on each row of bm0, bm1
+    [R, n], or None where it exceeds the budget, from threshold sweeps
+    over all the rows at once, given lower bounds [R] on the winning
+    paths' metrics zeta*.
 
     The search extends every path below level n with f < zeta*, and
     those with f == zeta* that it pops before the winner.  When no node
     but the winner's prefixes has f == zeta*, it pops all of those, so
     its counts are those of the nodes with f <= zeta*.  Rounds at
     thresholds T, from 1.5 * bound up 1.5x a round but never above the
-    hard-decision leaf's metric, find zeta*, the least leaf metric; a
-    round that finds no leaf but more than extension_limit nodes proves
-    the overflow.  A tie with a node off the winner's path reruns the
-    search.
+    hard-decision leaf's metric, find a row's zeta*, its least leaf
+    metric, and the row then leaves the rounds; a round that finds no
+    leaf of a row but more than extension_limit of its nodes proves the
+    row's overflow.  A tie with a node off the winner's path reruns the
+    row's search, and so does a round at T == zeta* that finds more
+    nodes at T than the winner's path has at levels k..n.
 
     Every node below level k has a descendant at level k with the same
     f (hard-decision children add 0.0), so a sweep keeps only the level-k
     nodes: one whose last departure from the hard decision is at level
-    j - 1 stands for its k - j prefixes at levels j..k-1.  A round keeps
-    the metrics it finds while they fit in a block, and the count at
-    zeta* reads them; otherwise a last sweep at zeta* counts.
+    j - 1 stands for its k - j prefixes at levels j..k-1.  The nodes of
+    all the rows share the sweep's arrays, each with its row's index.
+    Once a round finds a leaf of a row, the row's T falls to its least
+    leaf so far for the rest of the round.  A round keeps the level-k
+    nodes at or below each row's least leaf while they fit in a block;
+    past it, it drops the rows that hold the most until half a block is
+    left.  The count at zeta* follows the tails of the nodes kept, and a
+    dropped row takes one more round, at T = zeta*, whose own counts are
+    then the row's.
     """
-    k, n = code.k, code.n
+    rows, k, n = len(bm0), code.k, code.n
     limit = sys.maxsize if extension_limit is None else extension_limit
-    hard = sum(1 << j for j in range(k) if bm1[j] < bm0[j])
-    flip = [bm0[j] if (hard >> j) & 1 else bm1[j] for j in range(k)]  # the other child's metric
-    powers = [float(1 << j) for j in range(k)]
-    step = np.array([flip, powers]).T.reshape(k, 2, 1)  # what leaving the hard decision adds
+    is_hard = bm1[:, :k] < bm0[:, :k]
+    hard = (is_hard.astype(np.uint64) << np.arange(k, dtype=np.uint64)).sum(axis=1,
+                                                                           dtype=np.uint64)
+    flips = np.where(is_hard, bm0[:, :k], bm1[:, :k]).T.copy()  # [k, R]: the other child's metric
     tables = code.parity_arrays
-    tail_bm = np.array([bm0[k:], bm1[k:]]).T.ravel()  # entry 2 (level - k) + bit
+    # tail metrics of all rows, entry bases[row] + 2 (level - k) + bit
+    tail_bm = np.stack((bm0[:, k:], bm1[:, k:]), axis=-1).ravel()
+    bases = np.arange(rows, dtype=np.uint64) * np.uint64(2 * (n - k))
     shifts = np.arange(k, n, dtype=np.uint64)[:, None]
     offsets = np.arange(0, 2 * (n - k), 2, dtype=np.uint64)[:, None]
     half = SWEEP_BLOCK // 2
 
-    def level_k(threshold: float):
-        """Chunks [2, m] of the level-k nodes with f <= threshold, depth
-        first, none longer than SWEEP_BLOCK: row 0 holds f, and row 1 the
+    def level_k(active, thresholds):
+        """Chunks (nodes [2, m], their rows [m]) of the level-k nodes of
+        the active rows with f <= the row's threshold, depth first, none
+        longer than SWEEP_BLOCK: row 0 of nodes holds f, and row 1 the
         flips, whose bit j is set where the path leaves the hard decision
         at level j."""
-        stack = [(0, np.zeros((2, 1)))]
+        stack = [(0, np.zeros((2, len(active))), active)]
         while stack:
-            level, nodes = stack.pop()
-            least = float(nodes[0].min())  # hard children keep f, so no level raises it
+            level, nodes, who = stack.pop()
             for j in range(level, k):
-                if least + flip[j] <= threshold:
-                    if nodes.shape[1] > half:  # the children must fit in one block
-                        stack.append((j, nodes[:, half:]))
-                        nodes = nodes[:, :half]
-                    children = nodes.take((nodes[0] + flip[j] <= threshold).nonzero()[0], axis=1)
-                    children += step[j]
+                f = flips[j].take(who)
+                f += nodes[0]
+                kept = (f <= thresholds.take(who)).nonzero()[0]
+                if len(kept) and len(who) > half:  # the children must fit in one block
+                    stack.append((j, nodes[:, half:], who[half:]))
+                    nodes, who = nodes[:, :half], who[:half]
+                    kept = kept[:np.searchsorted(kept, half)]
+                if len(kept):
+                    children = nodes.take(kept, axis=1)
+                    children[0] = f.take(kept)
+                    children[1] += float(1 << j)
                     nodes = np.concatenate((nodes, children), axis=1)
-            yield nodes
+                    who = np.concatenate((who, who.take(kept)))
+            yield nodes, who
 
-    def path_bits(flips) -> np.ndarray:
-        """The codeword bits, information then parity, of the paths with
-        these flips."""
-        info = flips.astype(np.uint64) ^ np.uint64(hard)
+    def path_bits(flipped, who) -> np.ndarray:
+        """The codeword bits, information then parity, of the paths of
+        these rows with these flips."""
+        info = flipped.astype(np.uint64) ^ hard.take(who)
         word = info
         for t, table in enumerate(tables):
             word = word ^ table[(info >> np.uint64(8 * t)) & np.uint64(0xFF)]
         return word
 
-    def tails(nodes, threshold: float) -> tuple:
-        """(nodes at levels k..n-1 with f <= threshold below the level-k
-        nodes [2, m], nodes at levels k..n with f == threshold, the
-        metrics of the former while they fit in a block or else None,
-        the leaf metrics <= threshold, those leaves' path bits).  The
-        metrics are the search's sequential adds, taken for as many
-        levels at a time as fit a block."""
-        count = ties = 0
-        values, leaves, words = [np.empty(0)], [], []
-        for first in range(0, nodes.shape[1], half):
-            f = nodes[0, first:first + half]
-            word = path_bits(nodes[1, first:first + half])
+    def tails(nodes, who, thresholds) -> tuple:
+        """(per row [R]: nodes at levels k..n-1 with f <= the row's
+        threshold below the level-k nodes [2, m] of rows who, and nodes at
+        levels k..n with f == it; the leaf metrics <= it, their path bits
+        and rows).  The metrics are the search's sequential adds, taken
+        for as many levels at a time as fit a block."""
+        count, ties = np.zeros(rows), np.zeros(rows)
+        leaves = [np.empty(0)], [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.intp)]
+        for first in range(0, len(who), half):
+            f, w = nodes[0, first:first + half], who[first:first + half]
+            word = path_bits(nodes[1, first:first + half], w)
+            threshold = thresholds.take(w)
             level = k
             while level < n and len(f):
                 width = min(n - level, max(1, SWEEP_BLOCK // len(f) - 1))
                 levels = slice(level - k, level - k + width)
-                rows = np.empty((width + 1, len(f)))
-                rows[0] = f
-                tail_bm.take(((word >> shifts[levels]) & np.uint64(1)) + offsets[levels],
-                             out=rows[1:])
+                path = np.empty((width + 1, len(f)))
+                path[0] = f
+                tail_bm.take(((word >> shifts[levels]) & np.uint64(1)) + offsets[levels]
+                             + bases.take(w), out=path[1:])
                 for i in range(width):
-                    np.add(rows[i], rows[i + 1], out=rows[i + 1])
-                below = rows[:width][rows[:width] <= threshold]
-                count += len(below)
-                ties += int(np.count_nonzero(below == threshold))
-                if values is not None:
-                    values = values + [below] if count <= SWEEP_BLOCK else None
-                alive = (rows[width] <= threshold).nonzero()[0]
-                f, word = rows[width].take(alive), word.take(alive)
+                    np.add(path[i], path[i + 1], out=path[i + 1])
+                count += np.bincount(w, np.count_nonzero(path[:width] <= threshold, axis=0), rows)
+                tied = path[:width] == threshold
+                if tied.any():
+                    ties += np.bincount(w, np.count_nonzero(tied, axis=0), rows)
+                alive = (path[width] <= threshold).nonzero()[0]
+                f, word, w = path[width].take(alive), word.take(alive), w.take(alive)
+                threshold = threshold.take(alive)
                 level += width
-            ties += int(np.count_nonzero(f == threshold))
-            leaves.append(f)
-            words.append(word)
-        if values is not None:
-            values = np.concatenate(values)
-        return count, ties, values, np.concatenate(leaves), np.concatenate(words)
+            ties += np.bincount(w, f == threshold, rows)
+            for kept, part in zip(leaves, (f, word, w)):
+                kept.append(part)
+        return count, ties, *map(np.concatenate, leaves)
 
-    def low_count(flips) -> int:
-        """Nodes below level k that the level-k nodes with these flips
-        stand for: at level j, those with no flip at j or above."""
-        return int(np.searchsorted(np.sort(flips), powers).sum())
+    def low_count(nodes, who) -> np.ndarray:
+        """Nodes below level k, per row [R], that the level-k nodes of
+        rows who stand for: at level j, those with no flip at j or above,
+        so k less the bit length of the flips."""
+        return np.bincount(who, k - np.frexp(nodes[1])[1], rows)
 
-    # the hard-decision leaf's metric: zeta* lies at or below it
-    word, hard_leaf = int(path_bits(np.zeros(1))[0]), 0.0
+    def own_ties(finished, zeta, bits) -> np.ndarray:
+        """The winners' own nodes at levels k..n with f == zeta*, per
+        finished row: their metrics are the same sequential adds."""
+        taken = (bits[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+        f = np.where(taken == 1, bm1[finished], bm0[finished]).cumsum(axis=1)
+        return np.count_nonzero(f[:, k - 1:] == zeta[:, None], axis=1)
+
+    # the hard-decision leaves' metrics: zeta* lies at or below them
+    word = path_bits(np.zeros(rows), np.arange(rows))
+    hard_leaf = np.zeros(rows)
     for j in range(k, n):
-        hard_leaf += bm1[j] if (word >> j) & 1 else bm0[j]
-    threshold = min(1.5 * bound, hard_leaf)
-    while True:
-        found, zeta, bits = 0, math.inf, None
-        kept, held = [], 0  # what the count at zeta* needs, while it fits in a block
-        for nodes in level_k(threshold):
-            tail, _, values, leaves, words = tails(nodes, threshold)
-            found += low_count(nodes[1]) + tail
-            if len(leaves) and leaves.min() < zeta:
-                i = int(leaves.argmin())
-                zeta, bits = float(leaves[i]), int(words[i])
-            if kept is not None and values is not None:
-                nodes = nodes.take((nodes[0] <= zeta).nonzero()[0], axis=1)
-                kept.append((nodes, values[values <= zeta], leaves[leaves <= zeta]))
-                held += nodes.shape[1] + len(kept[-1][1])
-            if values is None or held > SWEEP_BLOCK:
-                kept = None
-        if bits is not None:
-            break
-        if found > limit:  # every node found lies below zeta*
-            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions", threshold)
-        threshold = min(1.5 * threshold if threshold > 0.0 else hard_leaf, hard_leaf)
-    if kept is None:  # sweep again at zeta*
-        counts = ((low_count(nodes[1]), *tails(nodes, zeta)[:2]) for nodes in level_k(zeta))
-    else:
-        counts = ((low_count(nodes[1, nodes[0] <= zeta]), int(np.count_nonzero(values <= zeta)),
-                   int(np.count_nonzero(values == zeta)) + int(np.count_nonzero(leaves == zeta)))
-                  for nodes, values, leaves in kept)
-    low, tail, ties = map(sum, zip(*counts))
-    f, own = 0.0, 0  # the winner's own nodes at levels k..n with f == zeta*
-    for j in range(n):
-        f += bm1[j] if (bits >> j) & 1 else bm0[j]
-        own += j + 1 >= k and f == zeta
-    if ties != own:  # a node off the winner's path ties with it
-        return _gda_search(code, bm0, bm1, extension_limit)
-    if low + tail > limit:
-        raise ExtensionLimitExceeded(f"more than {extension_limit} extensions", zeta)
-    return 2 * low, 2 * low + tail, low + tail, zeta, bits
+        hard_leaf += np.where((word >> np.uint64(j)) & np.uint64(1) == 1, bm1[:, j], bm0[:, j])
+    threshold = np.minimum(1.5 * bounds, hard_leaf)
+    zeta, bits = np.full(rows, math.inf), np.zeros(rows, dtype=np.uint64)  # least leaf so far
+    low, tail, ties = np.zeros(rows), np.zeros(rows), np.zeros(rows)  # the counts at zeta*
+    searched = np.zeros(rows, dtype=bool)  # the rows whose ties the search settles
+    active = np.arange(rows)
+    while len(active):
+        found = np.zeros((3, rows))  # low, tail, and ties at the threshold since it was set
+        lowered = np.zeros(rows, dtype=bool)
+        kept, dropped = [], np.zeros(rows, dtype=bool)  # level-k nodes at or below zeta
+        for nodes, who in level_k(active, threshold):
+            *counts, f, word, w = tails(nodes, who, threshold)
+            found += (low_count(nodes, who), *counts)
+            np.minimum.at(zeta, w, f)
+            least = (f == zeta.take(w)).nonzero()[0]
+            bits[w.take(least)] = word.take(least)
+            # the rest of the round needs only the nodes at or below the least leaf
+            lower = zeta < threshold
+            if lower.any():
+                threshold[lower] = zeta[lower]
+                lowered |= lower
+                found[2, lower] = 0.0
+            # more nodes at zeta* than the winner has at levels k..n: stop sweeping the row
+            tied = (found[2] > n - k + 1) & (threshold == zeta)
+            if tied.any():
+                searched |= tied
+                threshold[tied] = -1.0
+            keep = ((nodes[0] <= zeta.take(who)) & ~dropped.take(who)).nonzero()[0]
+            kept.append((nodes.take(keep, axis=1), who.take(keep)))
+            if sum(len(who) for _, who in kept) > SWEEP_BLOCK:
+                kept = [(nodes[:, keep], who[keep]) for nodes, who in kept
+                        for keep in [(nodes[0] <= zeta.take(who)) & ~dropped.take(who)]]
+                held = sum(np.bincount(who, minlength=rows) for _, who in kept)
+                excess = held.sum() - half  # room for the next chunks
+                for r in np.argsort(-held, kind="stable").tolist():  # the heaviest rows first
+                    if excess <= 0:
+                        break
+                    dropped[r] = True
+                    excess -= held[r]
+                kept = [(nodes[:, keep], who[keep]) for nodes, who in kept
+                        for keep in [~dropped.take(who)]]
+        active = active[~searched.take(active)]
+        leaf = np.isfinite(zeta.take(active))
+        exact = leaf & ~lowered.take(active)  # T was zeta* from the start of the round
+        done = active[exact]
+        low[done], tail[done], ties[done] = found[:, done]
+        read = active[leaf & ~exact & ~dropped.take(active)]
+        if len(read):  # count at zeta* from the nodes the round kept
+            reading = np.zeros(rows, dtype=bool)
+            reading[read] = True
+            nodes = np.concatenate([nodes for nodes, _ in kept], axis=1)
+            who = np.concatenate([who for _, who in kept])
+            keep = ((nodes[0] <= zeta.take(who)) & reading.take(who)).nonzero()[0]
+            nodes, who = nodes.take(keep, axis=1), who.take(keep)
+            counts = tails(nodes, who, zeta)[:2]
+            low[read], tail[read], ties[read] = (c.take(read)
+                                                 for c in (low_count(nodes, who), *counts))
+        again = active[leaf & ~exact & dropped.take(active)]  # one more round, at T = zeta*
+        left = active[~leaf]
+        left = left[found[0].take(left) + found[1].take(left) <= limit]  # else all lie below zeta*
+        grown = threshold.take(left)
+        threshold[left] = np.minimum(np.where(grown > 0.0, 1.5 * grown, hard_leaf.take(left)),
+                                     hard_leaf.take(left))
+        active = np.sort(np.concatenate((again, left)))
+    results = [None] * rows  # None: proved past the limit
+    settled = np.isfinite(zeta).nonzero()[0]
+    searched[settled] |= ties.take(settled) != own_ties(settled, zeta.take(settled),
+                                                         bits.take(settled))
+    for r in settled.tolist():
+        a, b = int(low[r]), int(tail[r])
+        if searched[r]:  # a node off the winner's path ties with it
+            try:
+                results[r] = _gda_search(code, bm0[r].tolist(), bm1[r].tolist(), extension_limit)
+            except ExtensionLimitExceeded:
+                pass
+        elif a + b <= limit:
+            results[r] = (2 * a, 2 * a + b, a + b, float(zeta[r]), int(bits[r]))
+    return results
 
 
 def _metric_table(trellis: Trellis, phi) -> np.ndarray:

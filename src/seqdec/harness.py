@@ -43,6 +43,7 @@ from seqdec.codes import (
     parse_octal_generators,
 )
 from seqdec.decoders import (
+    SEARCH_BUDGET,
     _gda_batch,
     _gda_tables,
     _metric_table,
@@ -212,10 +213,10 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
     as arrays with a leading trial axis, by the functions a single trial
     uses, so every float is that of a trial built alone.  Each trial is
     then decoded from its row, as the one-trial decoders decode it: the
-    trellis trials of a batch by decoders._mlsda_batch, which gives each
-    row the search's result, a tree trial by decoders._gda_tree, which
-    searches the row's lists and hands a trial that outgrows a small
-    search budget to its numpy count.
+    trellis trials of a batch by decoders._mlsda_batch and the tree
+    trials by decoders._gda_batch, each of which gives every row the
+    search's result.  _gda_batch searches each row's lists and counts the
+    rows that outgrow a small search budget together, in numpy.
     """
     if isinstance(target, BlockCode):
         channel = ChannelConfig.for_block_code(target, gamma_b_db)
@@ -466,14 +467,25 @@ def _trial_llrs(cfg, encode, info_len) -> np.ndarray:
 def check_ml_equivalence() -> CheckResult:
     """Each decoder against its ML oracle at 2 dB: the tree search on
     the Golay code against brute force, and the trellis search on the
-    (2,1,6) code at L = 20 against viterbi_ml.  The trellis trials also
-    go through decoders._mlsda_batch as one batch, which counts most of
-    them, and each row must give the search's counts and metric."""
+    (2,1,6) code at L = 20 against viterbi_ml.  The trials of each code
+    also go through its batch entry point as one batch, and each row must
+    give the one-trial decoder's counts and metric: decoders._gda_batch
+    counts the Golay trials past its search budget (about a third of
+    them) together, and decoders._mlsda_batch counts most trellis
+    trials."""
     code = build_extended_golay()
     phis = _trial_llrs(ChannelConfig.for_block_code(code, 2.0), partial(encode_block, code),
                        code.k)
-    block = max(abs(gda_decode(code, phi).metric - float(
-        np.sum((phi - (1.0 - 2.0 * brute_force_ml_block(code, phi))) ** 2))) for phi in phis)
+    decoded = [gda_decode(code, phi) for phi in phis]
+    block = max(abs(out.metric - float(
+        np.sum((phi - (1.0 - 2.0 * brute_force_ml_block(code, phi))) ** 2)))
+        for out, phi in zip(decoded, phis))
+    offset, bm0, bm1 = _gda_tables(phis)
+    rows = _gda_batch(code, bm0, bm1, None)
+    tree_differ = sum(row is None or (*row[:3], row[3] + off) != (
+        out.branch_computations, out.branch_computations_total, out.extensions, out.metric)
+        for row, off, out in zip(rows, offset.tolist(), decoded))
+    counted = sum(row is not None and row[2] > SEARCH_BUDGET for row in rows)
     trellis = build_trellis(parse_octal_generators(["634", "564"], m=6), L=20)
     phis = _trial_llrs(ChannelConfig.for_conv_code(trellis.code, trellis.L, 2.0),
                        partial(encode_conv, trellis.code), trellis.L)
@@ -485,10 +497,11 @@ def check_ml_equivalence() -> CheckResult:
                                             out.extensions, out.metric)
                  for row, out in zip(_mlsda_batch(trellis, _metric_table(trellis, phis), None),
                                      searched))
-    return _check("ml-equivalence", max(block, conv) <= 1e-6 and differ == 0,
+    return _check("ml-equivalence", max(block, conv) <= 1e-6 and differ == tree_differ == 0,
                   f"max metric gap {block:.3g} (golay24 vs brute force), "
                   f"{conv:.3g} ((2,1,6) L=20 trellis vs viterbi_ml); "
-                  f"{differ} of 100 trellis batch rows differ from the search")
+                  f"{tree_differ} of 100 golay24 batch rows ({counted} counted) differ from "
+                  f"gda_decode, {differ} of 100 trellis batch rows from the search")
 
 
 def extension_event_hits(gen: np.random.Generator, gamma: float, ds, clipped,

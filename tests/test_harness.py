@@ -498,6 +498,9 @@ class TestCli:
         (["simulate-mlsda", "--config", "{m-negative}"], "config"),
         (["bound-gda", "--config", "{n-float}", "--snr", "1"], "config"),
         (["bound-gda", "--config", "{rows-text}", "--snr", "1"], "config"),
+        # a block code with no information bits is rejected, not divided by
+        (["simulate-gda", "--config", "{k-zero-empty}", "--snr", "1", "--trials", "3"], "config"),
+        (["simulate-gda", "--config", "{k-zero}", "--snr", "1", "--trials", "3"], "config"),
     ])
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
         configs = {
@@ -527,6 +530,10 @@ class TestCli:
                                                "generator_rows": ["7"]}},
             "{rows-text}": {**CONV_CFG, "code": {"type": "block", "n": 3, "k": 1,
                                                  "generator_rows": "7"}},
+            "{k-zero-empty}": {**CONV_CFG, "code": {"type": "block", "n": 0, "k": 0,
+                                                    "generator_rows": []}},
+            "{k-zero}": {**CONV_CFG, "code": {"type": "block", "n": 3, "k": 0,
+                                              "generator_rows": []}},
         }
         paths = {"{conv}": str(_write_cfg(tmp_path))}
         for key, raw in configs.items():
