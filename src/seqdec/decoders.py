@@ -368,10 +368,14 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
         longer than SWEEP_BLOCK: row 0 of nodes holds f, and row 1 the
         flips, whose bit j is set where the path leaves the hard decision
         at level j."""
+        # the levels where some row can leave the hard decision at all
+        reach = (flips[:, active] <= thresholds.take(active)).any(axis=1).tolist()
         stack = [(0, np.zeros((2, len(active))), active)]
         while stack:
             level, nodes, who = stack.pop()
             for j in range(level, k):
+                if not reach[j]:
+                    continue
                 f = flips[j].take(who)
                 f += nodes[0]
                 kept = (f <= thresholds.take(who)).nonzero()[0]
@@ -437,23 +441,20 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
         so k less the bit length of the flips."""
         return np.bincount(who, k - np.frexp(nodes[1])[1], rows)
 
-    def own_ties(finished, zeta, bits) -> np.ndarray:
-        """The winners' own nodes at levels k..n with f == zeta*, per
-        finished row: their metrics are the same sequential adds."""
-        taken = (bits[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-        f = np.where(taken == 1, bm1[finished], bm0[finished]).cumsum(axis=1)
-        return np.count_nonzero(f[:, k - 1:] == zeta[:, None], axis=1)
+    def path_metrics(which, words) -> np.ndarray:
+        """The metrics [len(which), n] at levels 1..n of the paths with
+        these codeword bits in these rows: the search's sequential adds."""
+        taken = (words[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+        return np.where(taken == 1, bm1[which], bm0[which]).cumsum(axis=1)
 
+    everyone = np.arange(rows)
     # the hard-decision leaves' metrics: zeta* lies at or below them
-    word = path_bits(np.zeros(rows), np.arange(rows))
-    hard_leaf = np.zeros(rows)
-    for j in range(k, n):
-        hard_leaf += np.where((word >> np.uint64(j)) & np.uint64(1) == 1, bm1[:, j], bm0[:, j])
+    hard_leaf = path_metrics(everyone, path_bits(np.zeros(rows), everyone))[:, -1]
     threshold = np.minimum(1.5 * bounds, hard_leaf)
     zeta, bits = np.full(rows, math.inf), np.zeros(rows, dtype=np.uint64)  # least leaf so far
     low, tail, ties = np.zeros(rows), np.zeros(rows), np.zeros(rows)  # the counts at zeta*
     searched = np.zeros(rows, dtype=bool)  # the rows whose ties the search settles
-    active = np.arange(rows)
+    active = everyone
     while len(active):
         found = np.zeros((3, rows))  # low, tail, and ties at the threshold since it was set
         lowered = np.zeros(rows, dtype=bool)
@@ -514,11 +515,12 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
         active = np.sort(np.concatenate((again, left)))
     results = [None] * rows  # None: proved past the limit
     settled = np.isfinite(zeta).nonzero()[0]
-    searched[settled] |= ties.take(settled) != own_ties(settled, zeta.take(settled),
-                                                         bits.take(settled))
+    # a tie off the winner's path: more nodes at zeta* than the winner's own at levels k..n
+    own = path_metrics(settled, bits.take(settled))[:, k - 1:] == zeta.take(settled)[:, None]
+    searched[settled] |= ties.take(settled) != np.count_nonzero(own, axis=1)
     for r in settled.tolist():
         a, b = int(low[r]), int(tail[r])
-        if searched[r]:  # a node off the winner's path ties with it
+        if searched[r]:
             try:
                 results[r] = _gda_search(code, bm0[r].tolist(), bm1[r].tolist(), extension_limit)
             except ExtensionLimitExceeded:
