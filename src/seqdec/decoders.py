@@ -447,12 +447,18 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
         taken = (words[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
         return np.where(taken == 1, bm1[which], bm0[which]).cumsum(axis=1)
 
+    def keepable(nodes, who) -> tuple:
+        """The level-k nodes [2, m] of rows who, and their rows, at or
+        below their row's least leaf so far, but for dropped rows."""
+        keep = ((nodes[0] <= zeta.take(who)) & ~dropped.take(who)).nonzero()[0]
+        return nodes.take(keep, axis=1), who.take(keep)
+
     everyone = np.arange(rows)
     # the hard-decision leaves' metrics: zeta* lies at or below them
     hard_leaf = path_metrics(everyone, path_bits(np.zeros(rows), everyone))[:, -1]
     threshold = np.minimum(1.5 * bounds, hard_leaf)
     zeta, bits = np.full(rows, math.inf), np.zeros(rows, dtype=np.uint64)  # least leaf so far
-    low, tail, ties = np.zeros(rows), np.zeros(rows), np.zeros(rows)  # the counts at zeta*
+    counts = np.zeros((3, rows))  # low, tail and ties at zeta*
     searched = np.zeros(rows, dtype=bool)  # the rows whose ties the search settles
     active = everyone
     while len(active):
@@ -460,8 +466,8 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
         lowered = np.zeros(rows, dtype=bool)
         kept, dropped = [], np.zeros(rows, dtype=bool)  # level-k nodes at or below zeta
         for nodes, who in level_k(active, threshold):
-            *counts, f, word, w = tails(nodes, who, threshold)
-            found += (low_count(nodes, who), *counts)
+            *tail, f, word, w = tails(nodes, who, threshold)
+            found += (low_count(nodes, who), *tail)
             np.minimum.at(zeta, w, f)
             least = (f == zeta.take(w)).nonzero()[0]
             bits[w.take(least)] = word.take(least)
@@ -476,11 +482,9 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
             if tied.any():
                 searched |= tied
                 threshold[tied] = -1.0
-            keep = ((nodes[0] <= zeta.take(who)) & ~dropped.take(who)).nonzero()[0]
-            kept.append((nodes.take(keep, axis=1), who.take(keep)))
+            kept.append(keepable(nodes, who))
             if sum(len(who) for _, who in kept) > SWEEP_BLOCK:
-                kept = [(nodes[:, keep], who[keep]) for nodes, who in kept
-                        for keep in [(nodes[0] <= zeta.take(who)) & ~dropped.take(who)]]
+                kept = [keepable(*entry) for entry in kept]
                 held = sum(np.bincount(who, minlength=rows) for _, who in kept)
                 excess = held.sum() - half  # room for the next chunks
                 for r in np.argsort(-held, kind="stable").tolist():  # the heaviest rows first
@@ -488,13 +492,12 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
                         break
                     dropped[r] = True
                     excess -= held[r]
-                kept = [(nodes[:, keep], who[keep]) for nodes, who in kept
-                        for keep in [~dropped.take(who)]]
+                kept = [keepable(*entry) for entry in kept]
         active = active[~searched.take(active)]
         leaf = np.isfinite(zeta.take(active))
         exact = leaf & ~lowered.take(active)  # T was zeta* from the start of the round
         done = active[exact]
-        low[done], tail[done], ties[done] = found[:, done]
+        counts[:, done] = found[:, done]
         read = active[leaf & ~exact & ~dropped.take(active)]
         if len(read):  # count at zeta* from the nodes the round kept
             reading = np.zeros(rows, dtype=bool)
@@ -503,9 +506,8 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
             who = np.concatenate([who for _, who in kept])
             keep = ((nodes[0] <= zeta.take(who)) & reading.take(who)).nonzero()[0]
             nodes, who = nodes.take(keep, axis=1), who.take(keep)
-            counts = tails(nodes, who, zeta)[:2]
-            low[read], tail[read], ties[read] = (c.take(read)
-                                                 for c in (low_count(nodes, who), *counts))
+            counts[:, read] = np.take((low_count(nodes, who), *tails(nodes, who, zeta)[:2]),
+                                      read, axis=1)
         again = active[leaf & ~exact & dropped.take(active)]  # one more round, at T = zeta*
         left = active[~leaf]
         left = left[found[0].take(left) + found[1].take(left) <= limit]  # else all lie below zeta*
@@ -517,9 +519,9 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     settled = np.isfinite(zeta).nonzero()[0]
     # a tie off the winner's path: more nodes at zeta* than the winner's own at levels k..n
     own = path_metrics(settled, bits.take(settled))[:, k - 1:] == zeta.take(settled)[:, None]
-    searched[settled] |= ties.take(settled) != np.count_nonzero(own, axis=1)
+    searched[settled] |= counts[2, settled] != np.count_nonzero(own, axis=1)
     for r in settled.tolist():
-        a, b = int(low[r]), int(tail[r])
+        a, b = int(counts[0, r]), int(counts[1, r])
         if searched[r]:
             try:
                 results[r] = _gda_search(code, bm0[r].tolist(), bm1[r].tolist(), extension_limit)
