@@ -118,11 +118,13 @@ class ExtensionLimitExceeded(RuntimeError):
 
     metric: the value of the path the tree search was about to extend
     when it stopped, which is at most the winning path's (None where
-    not known)."""
+    not known); state: what _gda_search takes to go on from there (None
+    where not known)."""
 
-    def __init__(self, message: str, metric: float | None = None):
+    def __init__(self, message: str, metric: float | None = None, state: tuple | None = None):
         super().__init__(message)
         self.metric = metric
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -170,13 +172,18 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     (see the module docstring), with the same result.
     """
     offset, bm0, bm1 = _gda_tables(check_lengths(phi, code.n))
-    *counts, f, bits = _gda_tree(code, bm0.tolist(), bm1.tolist(), extension_limit)
+    result = _gda_batch(code, bm0[None], bm1[None], extension_limit)[0]
+    if result is None:
+        raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
+    *counts, f, bits = result
     decoded = np.array([(bits >> j) & 1 for j in range(code.n)], dtype=np.uint8)
     return DecodeOutcome(decoded, *counts, metric=f + float(offset))
 
 
-def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple:
-    """The tree search on prebuilt branch-metric lists (see _gda_tables).
+def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit, state=None) -> tuple:
+    """The tree search on prebuilt branch-metric lists (see _gda_tables),
+    from the start or from the state of an ExtensionLimitExceeded it
+    raised on the same lists.
 
     Returns (branch_computations, branch_computations_total, extensions,
     path value, path bits as an int) of the path that reached level n.
@@ -191,22 +198,22 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
     c = [x if x > 0.0 else 0.0 for x in map(operator.add, bm0[:k], bm1[:k])]
     hard = sum(1 << j for j in range(k) if bm1[j] < bm0[j])
     orders = [None] * k  # orders[l]: levels l..k-1 by (c[j], j), built on first use
-    heap = []  # open entries (f, insertion seq, level, path bits as int, fan or None)
+    # heap: open entries (f, insertion seq, level, path bits as int, fan or None)
     # A fan [f, base, dive bits, orders[l], k - l, position] holds the k - l
     # siblings of a whole dive from level l with metric f.  Member j is
     # (f + c[j], base + 2j - hard bit j, j + 1, the dive's bits below level
     # j + 1 with bit j flipped).  Only the member at position is on the
     # heap, and only while strictly below the next member.
-    fan = None  # a fan whose member at position goes on the heap next
+    # fan: a fan whose member at position goes on the heap next, or None
 
     # The start path has insertion number 0 and each extension numbers its
     # children in turn, so the next number is 1 + extensions + low_extensions.
-    f, level, bits = 0.0, 0, 0  # the path being extended
-    extensions = 0
-    low_extensions = 0
+    # f, level, bits: the path being extended
+    heap, fan, f, level, bits, extensions, low_extensions = state or ([], None, 0.0, 0, 0, 0, 0)
     while True:
         if extensions > limit:
-            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions", f)
+            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions", f,
+                                         (heap, fan, f, level, bits, extensions, low_extensions))
         if fan is not None:  # put the fan's next member on the heap
             fan_f, base, dive_bits, order, size, pos = fan
             j = order[pos]
@@ -276,13 +283,13 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
         f, _, level, bits, fan = entry
 
 
-SEARCH_BUDGET = 200  # extensions the tree search takes before the count takes over
+SEARCH_BUDGET = 1600  # extensions the tree search takes on a lone row before the count takes over
 SWEEP_BLOCK = 1 << 14  # the most nodes an array of the count holds
 
 
-def _gda_tree(code: BlockCode, bm0, bm1, extension_limit) -> tuple:
-    """The tree search's result on one row of branch metrics [n], as
-    _gda_search returns it: _gda_batch on a batch of one.  Raises
+def _gda_tree(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple:
+    """The tree search's result on one row of branch-metric lists [n],
+    as _gda_search returns it: _gda_batch on a batch of one.  Raises
     ExtensionLimitExceeded where the search exceeds the budget."""
     result = _gda_batch(code, np.array([bm0]), np.array([bm1]), extension_limit)[0]
     if result is None:
@@ -290,27 +297,46 @@ def _gda_tree(code: BlockCode, bm0, bm1, extension_limit) -> tuple:
     return result
 
 
+def _search_budget(rows: int) -> int:
+    """Extensions the tree search takes on each of rows rows before the
+    count takes over: SEARCH_BUDGET / sqrt(rows).  Most of a count's cost
+    is fixed per level and round, and the rows it holds share it, so the
+    more rows a batch has, the sooner the count pays."""
+    return SEARCH_BUDGET // max(1, math.isqrt(rows))
+
+
 def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limit) -> list:
     """_gda_search's result on each row of bm0, bm1 [B, n] (see
     _gda_tables), or None where the search exceeds the budget: the
-    search itself for up to SEARCH_BUDGET extensions, and past them one
-    count (_gda_count) of all the rows it stopped, each from the metric
-    it stopped at.  The count holds information bits in floats and path
-    bits in 64-bit words, so larger codes are searched only."""
-    budget = extension_limit
-    if code.k <= 53 and code.n <= 64 and (budget is None or budget > SEARCH_BUDGET):
+    search itself for up to _search_budget(B) extensions, and past them
+    one count (_gda_count) of all the rows it stopped, each from the
+    metric it stopped at.  Rows it stopped that are too few to share a
+    count go on as a lone row's batch, to SEARCH_BUDGET.  The count holds
+    information bits in floats and path bits in 64-bit words, so larger
+    codes are searched only."""
+    lists = list(zip(bm0.tolist(), bm1.tolist()))
+    results, states, bounds = [None] * len(lists), [None] * len(lists), [0.0] * len(lists)
+    stopped, budget = list(range(len(lists))), _search_budget(len(lists))
+    while True:
+        if not (code.k <= 53 and code.n <= 64) or (extension_limit is not None
+                                                   and extension_limit <= budget):
+            budget = extension_limit
+        left = []
+        for i in stopped:
+            try:
+                results[i] = _gda_search(code, *lists[i], budget, states[i])
+            except ExtensionLimitExceeded as stop:
+                states[i], bounds[i] = stop.state, stop.metric
+                left.append(i)
+        if budget == extension_limit:
+            return results
+        stopped = left
+        if not (stopped and budget < _search_budget(len(stopped)) == SEARCH_BUDGET):
+            break
         budget = SEARCH_BUDGET
-    results, stopped, bounds = [], [], []
-    for i, (a, b) in enumerate(zip(bm0.tolist(), bm1.tolist())):
-        try:
-            results.append(_gda_search(code, a, b, budget))
-        except ExtensionLimitExceeded as stop:
-            results.append(None)
-            if budget != extension_limit:
-                stopped.append(i)
-                bounds.append(stop.metric)
     if stopped:
-        counted = _gda_count(code, bm0[stopped], bm1[stopped], extension_limit, np.array(bounds))
+        counted = _gda_count(code, bm0[stopped], bm1[stopped], extension_limit,
+                             np.array([bounds[i] for i in stopped]))
         for i, result in zip(stopped, counted):
             results[i] = result
     return results

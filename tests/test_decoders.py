@@ -180,6 +180,37 @@ class TestMlsdaDecode:
             mlsda_decode(trellis, phi, extension_limit=10)
 
 
+class TestGdaBatch:
+    def test_budget_falls_with_the_batch(self):
+        # a lone row searches SEARCH_BUDGET extensions, a batch of 64 an
+        # eighth of them per row
+        assert decoders._search_budget(1) == decoders.SEARCH_BUDGET
+        assert decoders._search_budget(64) == decoders.SEARCH_BUDGET // 8
+
+    def spied_batch(self, golay, rows):
+        _, bm0, bm1 = _gda_tables(np.array(rows))
+        with mock.patch.object(decoders, "_gda_count", wraps=decoders._gda_count) as spy:
+            got = decoders._gda_batch(golay, bm0, bm1, None)
+        assert got == [decoders._gda_search(golay, a, b, None)
+                       for a, b in zip(bm0.tolist(), bm1.tolist())]
+        return [len(call.args[1]) for call in spy.call_args_list]
+
+    def test_few_stopped_rows_are_searched_on(self, golay):
+        # two Golay rows at 0 dB that take 636 and 706 extensions, among 8
+        # dB rows that take at most 36: the search stops both, and they go
+        # on as a lone row's batch and end within its budget, with no count
+        rows = [golay_trial(golay, 8.0, seed)[1] for seed in range(62)]
+        rows += [golay_trial(golay, 0.0, seed)[1] for seed in (8, 17)]
+        assert self.spied_batch(golay, rows) == []
+
+    def test_many_stopped_rows_are_counted(self, golay):
+        # at -4 dB most of a 64-row batch goes past the budget, and the rows
+        # left at the budget their number calls for are counted at once
+        counted = self.spied_batch(golay, [golay_trial(golay, -4.0, seed)[1]
+                                           for seed in range(64)])
+        assert len(counted) == 1 and counted[0] >= 4
+
+
 class TestMlsdaCount:
     # the (2,1,2) code with generators 7, 5 at L = 4 and four rows for it:
     # three nodes off the winner's path at zeta*; tied branches into a node

@@ -319,9 +319,11 @@ GOLAY_TIE = np.array([-1, 0, -1, 1, 0, -1, -1, -1, 0, 2, -2, 1,
           5))
 def test_gda_batch_matches_search(inputs):
     # every row's result from the batch entry point, with the count taking
-    # over after 0, 1 or 5 extensions and blocks of 64 nodes or full ones,
-    # counts, the metric's bits and the path bits, is that of the search on
-    # the row alone, and the row overflows exactly when the search does
+    # over after 0, 1 or 5 extensions on a lone row (at most half as many per
+    # row in batches of 4-6, and a lone stopped row going on alone) and
+    # blocks of 64 nodes or full ones, counts, the metric's bits and the
+    # path bits, is that of the search on the row alone, and the row
+    # overflows exactly when the search does
     code, phi, limit = inputs
     _, bm0, bm1 = _gda_tables(phi)
     want = searched_tree_rows(code, bm0, bm1, limit)
@@ -568,16 +570,17 @@ def test_batched_trials_match_per_trial_path(target, seed, all_zero, limit, gamm
        st.integers(1, 300))
 def test_counted_trials_match_searched_trials(code, seed, all_zero, limit, gamma_b_db, first,
                                               count):
-    # with the count taking over after 0, 1 or 5 extensions, and blocks of
-    # 64 nodes or full ones, the batched pipeline gives every trial the
-    # count of the per-trial path run with the search alone
+    # with the count taking over after 0, 1 or 5 extensions per row of a
+    # full batch of 64 (0, 8 or 40 on a lone row), and blocks of 64 nodes
+    # or full ones, the batched pipeline gives every trial the count of the
+    # per-trial path run with the search alone
     cfg = ExperimentConfig(code={}, snr_db=(gamma_b_db,), seed=seed, all_zero=all_zero,
                            extension_limit=limit)
     trials = range(first, first + count)
     with mock.patch.object(decoders, "SEARCH_BUDGET", sys.maxsize):
         want = per_trial_counts(code, cfg, gamma_b_db, trials)
     full = decoders.SWEEP_BLOCK
-    for budget in (0, 1, 5):
+    for budget in (0, 8, 40):
         for block in (64, full):
             with mock.patch.multiple(decoders, SEARCH_BUDGET=budget, SWEEP_BLOCK=block):
                 assert _run_trials(code, cfg, gamma_b_db, trials) == want
