@@ -38,9 +38,14 @@ zeta*; its counts are those of the tree nodes with f <= zeta*, which
 numpy can count level by level without a stack.  Every tree decode
 (gda_decode as a batch of one, and the harness's trials a batch at a
 time, through _gda_batch) runs the search first, under SEARCH_BUDGET
-extensions; most trials end there.  Past it, the path the search
-stopped at gives a lower bound on zeta*, and threshold sweeps count all
-the rows the search stopped at once (_gda_count): rounds at a threshold
+extensions on a lone row and SEARCH_BUDGET / sqrt(B) on each row of a
+batch of B (_search_budget), since the rows a count holds share its
+fixed cost; most trials end there.  Where it stops fewer than four rows
+of a batch, they go on from where they stopped (ExtensionLimitExceeded
+carries the search's state) to a lone row's budget.  Past the budget,
+the path the search stopped at gives a lower bound on zeta*, and
+threshold sweeps count all the rows the search stopped at once
+(_gda_count): rounds at a threshold
 T growing 1.5x per row keep each row's prefixes with f <= T in arrays
 that carry the row's index, adding each path's metrics in the search's
 own order, so every f is bit-equal, and a row leaves the rounds once a
@@ -310,10 +315,10 @@ def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     _gda_tables), or None where the search exceeds the budget: the
     search itself for up to _search_budget(B) extensions, and past them
     one count (_gda_count) of all the rows it stopped, each from the
-    metric it stopped at.  Rows it stopped that are too few to share a
-    count go on as a lone row's batch, to SEARCH_BUDGET.  The count holds
-    information bits in floats and path bits in 64-bit words, so larger
-    codes are searched only."""
+    metric it stopped at.  Fewer than four rows it stopped are too few to
+    share a count, and go on from where they stopped to SEARCH_BUDGET, a
+    lone row's budget.  The count holds information bits in floats and
+    path bits in 64-bit words, so larger codes are searched only."""
     lists = list(zip(bm0.tolist(), bm1.tolist()))
     results, states, bounds = [None] * len(lists), [None] * len(lists), [0.0] * len(lists)
     stopped, budget = list(range(len(lists))), _search_budget(len(lists))

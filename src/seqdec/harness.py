@@ -216,7 +216,8 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
     trellis trials of a batch by decoders._mlsda_batch and the tree
     trials by decoders._gda_batch, each of which gives every row the
     search's result.  _gda_batch searches each row's lists and counts the
-    rows that outgrow a small search budget together, in numpy.
+    rows that outgrow a search budget, an eighth of a lone row's in a
+    batch of 64, together in numpy.
     """
     if isinstance(target, BlockCode):
         channel = ChannelConfig.for_block_code(target, gamma_b_db)
