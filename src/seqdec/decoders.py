@@ -319,31 +319,35 @@ def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     share a count, and go on from where they stopped to SEARCH_BUDGET, a
     lone row's budget.  The count holds information bits in floats and
     path bits in 64-bit words, so larger codes are searched only."""
-    lists = list(zip(bm0.tolist(), bm1.tolist()))
-    results, states, bounds = [None] * len(lists), [None] * len(lists), [0.0] * len(lists)
-    stopped, budget = list(range(len(lists))), _search_budget(len(lists))
-    while True:
-        if not (code.k <= 53 and code.n <= 64) or (extension_limit is not None
-                                                   and extension_limit <= budget):
-            budget = extension_limit
-        left = []
-        for i in stopped:
-            try:
-                results[i] = _gda_search(code, *lists[i], budget, states[i])
-            except ExtensionLimitExceeded as stop:
-                states[i], bounds[i] = stop.state, stop.metric
-                left.append(i)
-        if budget == extension_limit:
-            return results
-        stopped = left
-        if not (stopped and budget < _search_budget(len(stopped)) == SEARCH_BUDGET):
+    budget = _search_budget(len(bm0))
+    if not (code.k <= 53 and code.n <= 64) or (extension_limit is not None
+                                               and extension_limit <= budget):
+        budget = extension_limit
+    rows = list(zip(bm0.tolist(), bm1.tolist()))
+    results, stops = [], {}  # stops: the ExtensionLimitExceeded of each row stopped
+    for i, (a, b) in enumerate(rows):
+        try:
+            results.append(_gda_search(code, a, b, budget))
+        except ExtensionLimitExceeded as stop:
+            results.append(None)
+            stops[i] = stop
+    while stops and budget != extension_limit:
+        if not budget < _search_budget(len(stops)) == SEARCH_BUDGET:
+            counted = _gda_count(code, bm0[list(stops)], bm1[list(stops)], extension_limit,
+                                 np.array([stop.metric for stop in stops.values()]))
+            for i, result in zip(stops, counted):
+                results[i] = result
             break
+        # too few rows to share a count: they go on to a lone row's budget
         budget = SEARCH_BUDGET
-    if stopped:
-        counted = _gda_count(code, bm0[stopped], bm1[stopped], extension_limit,
-                             np.array([bounds[i] for i in stopped]))
-        for i, result in zip(stopped, counted):
-            results[i] = result
+        if extension_limit is not None and extension_limit <= budget:
+            budget = extension_limit
+        for i, stop in list(stops.items()):
+            try:
+                results[i] = _gda_search(code, *rows[i], budget, stop.state)
+                del stops[i]
+            except ExtensionLimitExceeded as again:
+                stops[i] = again
     return results
 
 
