@@ -50,14 +50,14 @@ def _load_config(path) -> dict:
 
 
 def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
-    raw = _load_config(args.config) if args.config else {}
+    raw = _load_config(args.config) if args.config is not None else {}
     code = raw.get("code")
-    if args.code_name:
+    if args.code_name is not None:
         code = {"name": args.code_name}
     if code is None:
         raise ConfigError("no code given (use --config or --code)")
     snr = raw.get("snr_db")
-    if args.snr:
+    if args.snr is not None:
         snr = _parse_snr(args.snr)
     if snr is None:
         raise ConfigError("no SNR grid given (use --config or --snr)")
@@ -87,13 +87,14 @@ def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
     return cfg
 
 
-@contextlib.contextmanager
 def _open_out(args):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+    """The CSV output, a context manager: stdout unless --out is given."""
+    if args.out is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out!r}: {exc}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser, simulate: bool):
@@ -133,7 +134,7 @@ def _all_numbers(values, kind) -> bool:
 
 
 def _cmd_atilde(args) -> int:
-    raw = _load_config(args.config) if args.config else {}
+    raw = _load_config(args.config) if args.config is not None else {}
     curves = raw.get("curves", [])
     if not isinstance(curves, list) or not all(isinstance(c, dict) for c in curves):
         raise ConfigError("atilde config curves must be a list of JSON objects")
@@ -147,7 +148,7 @@ def _cmd_atilde(args) -> int:
     if not _all_numbers((d_over_n, gamma_db), (int, float)):
         raise ConfigError("atilde d_over_n and gamma_db must be numbers")
     n_grid = raw.get("n_grid", list(range(40, 401, 10)))
-    if args.n_grid:
+    if args.n_grid is not None:
         try:
             n_grid = [int(v) for v in args.n_grid.split(",")]
         except ValueError as exc:
@@ -161,9 +162,9 @@ def _cmd_atilde(args) -> int:
 
 
 def _cmd_dstar(args) -> int:
-    raw = _load_config(args.config) if args.config else {}
+    raw = _load_config(args.config) if args.config is not None else {}
     code_spec = raw.get("code")
-    if args.octal:
+    if args.octal is not None:
         code_spec = {"type": "conv", "m": args.memory, "octal": args.octal.split(",")}
     if code_spec is None:
         raise ConfigError("dstar needs --octal/--memory or a config with a conv code")

@@ -32,44 +32,44 @@ steps would have written.
 Each search checks its extension budget once per turn of its loop, before
 the goal test, so it raises exactly when its final count exceeds the budget.
 
-Counting a heavy tree trial.  Branch metrics are nonnegative, so the tree
-search extends a path only if its metric f is at most the winner's,
+Counting a heavy tree trial.  Branch metrics are nonnegative, so the
+tree search extends a path only if its metric f is at most the winner's,
 zeta*; its counts are those of the tree nodes with f <= zeta*, which
 numpy can count level by level without a stack.  Every tree decode
-(gda_decode as a batch of one, and the harness's trials a batch at a
-time, through _gda_batch) runs the search first, under SEARCH_BUDGET
-extensions on a lone row and SEARCH_BUDGET / sqrt(B) on each row of a
-batch of B (_search_budget), since the rows a count holds share its
-fixed cost; most trials end there.  Where it stops fewer than four rows
-of a batch, they go on from where they stopped (ExtensionLimitExceeded
-carries the search's state) to a lone row's budget.  Past the budget,
-the path the search stopped at gives a lower bound on zeta*, and
-threshold sweeps count all the rows the search stopped at once
-(_gda_count): rounds at a threshold
-T growing 1.5x per row keep each row's prefixes with f <= T in arrays
-that carry the row's index, adding each path's metrics in the search's
-own order, so every f is bit-equal, and a row leaves the rounds once a
-leaf lies at or below its T; the least such leaf is the winner.  Three
-rules keep the count exact.  A node other than the winner's prefixes at
-exactly zeta* (two winning leaves, or a tie off the winner's path) would
-be settled by the stack's insertion order, so that row is searched again
-without a budget.  A row overflows exactly when its count exceeds the
-caller's budget, and a round that finds no leaf of the row but more of
-its nodes than the budget proves it early.  No sweep array holds more
-than SWEEP_BLOCK nodes of all the rows together: the sweeps run depth
-first over blocks of paths.
+(gda_decode as a batch of one through _gda_tree, and decode_batch a
+batch at a time, both through _gda_batch) runs the search first, under
+SEARCH_BUDGET extensions on a lone row and SEARCH_BUDGET / sqrt(B) on
+each row of a batch of B (_search_budget), since the rows a count holds
+share its fixed cost; most trials end there.  Where it stops fewer than
+four rows of a batch, they go on from where they stopped
+(ExtensionLimitExceeded carries the search's state) to a lone row's
+budget.  Past the budget, the path the search stopped at gives a lower
+bound on zeta*, and threshold sweeps count all the rows the search
+stopped at once (_gda_count): rounds at a threshold T growing 1.5x per
+row keep each row's prefixes with f <= T in arrays that carry the row's
+index, adding each path's metrics in the search's own order, so every f
+is bit-equal, and a row leaves the rounds once a leaf lies at or below
+its T; the least such leaf is the winner.  Three rules keep the count
+exact.  A node other than the winner's prefixes at exactly zeta* (two
+winning leaves, or a tie off the winner's path) would be settled by the
+stack's insertion order, so that row is searched again without a budget.
+A row overflows exactly when its count exceeds the caller's budget, and
+a round that finds no leaf of the row but more of its nodes than the
+budget proves it early.  No sweep array holds more than SWEEP_BLOCK
+nodes of all the rows together: the sweeps run depth first over blocks
+of paths.
 
 Settling first dives per batch.  The trellis search starts with a dive
 from the root, and at high SNR that dive mostly runs straight to the
 goal; its result is then fixed: L + m extensions, L of them branching,
-and the dive's metric and inputs.  The harness decodes its trellis
-trials a batch at a time through _mlsda_batch, which follows the first
-dive of every row at once, one level per step of [B]-wide numpy
-operations with the dive's own rules and float adds (_first_dives), and
-settles each row whose dive reaches the goal with no Python list and no
-search.  The other rows are counted or searched (below).  mlsda_decode
-keeps the search alone: for a batch of one, a dozen numpy calls per level
-cost more than the dive.
+and the dive's metric and inputs.  decode_batch hands a batch of
+trellis rows to _mlsda_batch, which follows the first dive of every row
+at once, one level per step of [B]-wide numpy operations with the
+dive's own rules and float adds (_first_dives), and settles each row
+whose dive reaches the goal with no Python list and no search.  The
+other rows are counted or searched (below).  mlsda_decode keeps the
+search alone: for a batch of one, a dozen numpy calls per level cost
+more than the dive.
 
 Counting the trellis search.  The trellis search is Dijkstra's algorithm
 on nonnegative branch metrics, so it extends every node below level
@@ -177,10 +177,7 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     (see the module docstring), with the same result.
     """
     offset, bm0, bm1 = _gda_tables(check_lengths(phi, code.n))
-    result = _gda_batch(code, bm0[None], bm1[None], extension_limit)[0]
-    if result is None:
-        raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
-    *counts, f, bits = result
+    *counts, f, bits = _gda_tree(code, bm0, bm1, extension_limit)
     decoded = np.array([(bits >> j) & 1 for j in range(code.n)], dtype=np.uint8)
     return DecodeOutcome(decoded, *counts, metric=f + float(offset))
 
@@ -292,10 +289,10 @@ SEARCH_BUDGET = 1600  # extensions the tree search takes on a lone row before th
 SWEEP_BLOCK = 1 << 14  # the most nodes an array of the count holds
 
 
-def _gda_tree(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple:
-    """The tree search's result on one row of branch-metric lists [n],
-    as _gda_search returns it: _gda_batch on a batch of one.  Raises
-    ExtensionLimitExceeded where the search exceeds the budget."""
+def _gda_tree(code: BlockCode, bm0, bm1, extension_limit) -> tuple:
+    """gda_decode's search on one row of branch metrics [n] (see
+    _gda_tables), with _gda_search's result: _gda_batch on a batch of one.
+    Raises ExtensionLimitExceeded where the search exceeds the budget."""
     result = _gda_batch(code, np.array([bm0]), np.array([bm1]), extension_limit)[0]
     if result is None:
         raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
@@ -631,6 +628,22 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     return DecodeOutcome(decoded, *counts, metric=zeta)
 
 
+def decode_batch(target, phi, extension_limit: int | None = None) -> list:
+    """gda_decode's (BlockCode) or mlsda_decode's (Trellis) result on each
+    row of LLRs phi [B, N], through _gda_batch or _mlsda_batch: a tuple
+    (branch_computations, branch_computations_total, extensions, metric,
+    bits), bits being the codeword (tree) or the information bits
+    (trellis) as an int, bit j at position j; None where the decode
+    exceeds extension_limit."""
+    if isinstance(target, BlockCode):
+        offset, bm0, bm1 = _gda_tables(check_lengths(phi, len(phi), target.n))
+        rows = _gda_batch(target, bm0, bm1, extension_limit)
+        return [None if row is None else (*row[:3], row[3] + off, row[4])
+                for row, off in zip(rows, offset.tolist())]
+    phi = check_lengths(phi, len(phi), target.code.n_out * target.levels)
+    return _mlsda_batch(target, _metric_table(target, phi), extension_limit)
+
+
 def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
     """The search's first dive (memory m >= 1) on every metric row of inc
     [B, levels << n_out] at once: (reached [B], the dive's metric [B], its
@@ -797,15 +810,13 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
     seq = 1
     extensions = 0
     low_extensions = 0
-    tail_metrics = 0
 
     while True:
         if extensions > limit:
             raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
         node = (level << m) | state
         if node == goal:
-            return (2 * low_extensions, 2 * low_extensions + tail_metrics, extensions,
-                    zeta, info)
+            return 2 * low_extensions, low_extensions + extensions, extensions, zeta, info
         if level >= deepest:
             # Fresh-level dive: follow the best child while it lies strictly
             # below the stack and the dive's own siblings.  Its lookups could
@@ -842,7 +853,6 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
                         break
             extensions += level - first
             low_extensions += len(pending)
-            tail_metrics += level - first - len(pending)
             if not zeta >= top:
                 continue  # at the goal, below every open entry
             # stopped: write what single steps would have written
@@ -862,12 +872,8 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
         else:
             nodes[node] = _CLOSED
             extensions += 1
-            if level < L:
-                low_extensions += 1
-                inputs = (0, 1)
-            else:
-                tail_metrics += 1
-                inputs = (0,)
+            inputs = (0, 1) if level < L else (0,)
+            low_extensions += level < L
             best = sibling = None
             row, reg, to_output = level << n_out, state << 1, outputs[state]
             child_level = level + 1

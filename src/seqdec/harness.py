@@ -31,7 +31,6 @@ from seqdec.channel import (
     db_to_linear,
     hard_decision,
     llr,
-    transmit,
 )
 from seqdec.codes import (
     BlockCode,
@@ -43,12 +42,9 @@ from seqdec.codes import (
     parse_octal_generators,
 )
 from seqdec.decoders import (
-    _gda_batch,
-    _gda_tables,
-    _metric_table,
-    _mlsda_batch,
     _search_budget,
     brute_force_ml_block,
+    decode_batch,
     gda_decode,
     mlsda_decode,
     viterbi_ml,
@@ -86,6 +82,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if not 0 <= self.seed < 1 << 64:  # RngStream keeps 64 bits: others would alias
+            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
         if not isinstance(self.all_zero, bool):
             raise ConfigError(f"all_zero must be true or false, got {self.all_zero!r}")
         if self.variant not in ("be", "chernoff", "both"):
@@ -202,22 +200,15 @@ def run_bound_curve(cfg: ExperimentConfig) -> list:
 TRIAL_BATCH = 64  # trials whose arrays are built together; bounds peak memory
 
 
-def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range) -> list:
-    """branch_computations of each trial, or None where the trial blew the
-    extension budget, in trial order.
+def trial_llrs(target, gamma_b_db: float, seed: int, trials, all_zero: bool = False) -> np.ndarray:
+    """LLRs [len(trials), N] of these trials on a BlockCode or a Trellis.
 
     Trial t draws one row of uniforms from RngStream(seed XOR t): its
-    information bits first (none in all-zero mode), then two per channel
-    symbol for the noise.  The rows of TRIAL_BATCH trials are stacked, and
-    the bits, codewords, channel outputs, LLRs and metric tables are built
-    as arrays with a leading trial axis, by the functions a single trial
-    uses, so every float is that of a trial built alone.  Each trial is
-    then decoded from its row, as the one-trial decoders decode it: the
-    trellis trials of a batch by decoders._mlsda_batch and the tree
-    trials by decoders._gda_batch, each of which gives every row the
-    search's result.  _gda_batch searches each row's lists and counts the
-    rows that outgrow a search budget, an eighth of a lone row's in a
-    batch of 64, together in numpy.
+    information bits first (none when all_zero), then two per channel
+    symbol for the noise.  The rows are stacked and built into LLRs as
+    arrays with a leading trial axis, by the functions a single trial
+    uses, so each row is bitwise that of RngStream.bits, encode_block or
+    encode_conv, transmit and llr on the trial alone.
     """
     if isinstance(target, BlockCode):
         channel = ChannelConfig.for_block_code(target, gamma_b_db)
@@ -227,23 +218,30 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
         channel = ChannelConfig.for_conv_code(target.code, target.L, gamma_b_db)
         info_len, n = target.L, target.code.n_out * target.levels
         encode = partial(encode_conv, target.code)
-    drawn = 0 if cfg.all_zero else info_len
+    drawn = 0 if all_zero else info_len
+    u = np.empty((len(trials), drawn + 2 * n))
+    for row, t in zip(u, trials):
+        row[:] = RngStream(seed ^ t).uniforms(drawn + 2 * n)
+    info = (bits_from_uniforms(u[:, :drawn]) if drawn
+            else np.zeros((len(trials), info_len), dtype=np.uint8))
+    noise = gaussians_from_uniforms(u[:, drawn:], channel.noise_stddev)
+    phi = llr(channel_output(encode(info), noise), channel)
+    return check_lengths(phi, len(trials), n)
+
+
+def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range) -> list:
+    """branch_computations of each trial, or None where the trial blew the
+    extension budget, in trial order: trial_llrs and then decode_batch on
+    TRIAL_BATCH trials at a time, which give each trial the counts of the
+    trial built and decoded alone.  A tree batch of 64 counts its rows past
+    an eighth of a lone row's search budget together in numpy (see
+    decoders)."""
     results = []
     for first in range(trials.start, trials.stop, TRIAL_BATCH):
         batch = range(first, min(first + TRIAL_BATCH, trials.stop))
-        u = np.empty((len(batch), drawn + 2 * n))
-        for row, t in zip(u, batch):
-            row[:] = RngStream(cfg.seed ^ t).uniforms(drawn + 2 * n)
-        info = (bits_from_uniforms(u[:, :drawn]) if drawn
-                else np.zeros((len(batch), info_len), dtype=np.uint8))
-        noise = gaussians_from_uniforms(u[:, drawn:], channel.noise_stddev)
-        phi = llr(channel_output(encode(info), noise), channel)
-        phi = check_lengths(phi, len(batch), n)
-        if isinstance(target, BlockCode):
-            settled = _gda_batch(target, *_gda_tables(phi)[1:], cfg.extension_limit)
-        else:
-            settled = _mlsda_batch(target, _metric_table(target, phi), cfg.extension_limit)
-        results += [None if r is None else r[0] for r in settled]
+        phi = trial_llrs(target, gamma_b_db, cfg.seed, batch, cfg.all_zero)
+        results += [None if r is None else r[0]
+                    for r in decode_batch(target, phi, cfg.extension_limit)]
     return results
 
 
@@ -455,55 +453,44 @@ def check_dstar_oracle(trellis=None) -> CheckResult:
     return _check("dstar-oracle", mismatches == 0, f"{mismatches} mismatching entries")
 
 
-def _trial_llrs(cfg, encode, info_len) -> np.ndarray:
-    """LLRs [100, N] of 100 trials, trial t drawing its bits and then its
-    noise from RngStream(7 ^ t)."""
-    rows = []
-    for t in range(100):
-        rng = RngStream(7 ^ t)
-        rows.append(llr(transmit(encode(rng.bits(info_len)), cfg, rng), cfg))
-    return np.array(rows)
-
-
 def check_ml_equivalence() -> CheckResult:
-    """Each decoder against its ML oracle at 2 dB: the tree search on
-    the Golay code against brute force, and the trellis search on the
-    (2,1,6) code at L = 20 against viterbi_ml.  The trials of each code
-    also go through its batch entry point as one batch, and each row must
-    give the one-trial decoder's counts and metric: decoders._gda_batch
-    counts the Golay trials past its search budget (about two in five)
-    together, and decoders._mlsda_batch counts most trellis trials.  The
-    detail line gives the number past the budget, which here are too
+    """Each decoder against its ML oracle on 100 trials at 2 dB (seed 7):
+    the tree search on the Golay code against brute force, and the
+    trellis search on the (2,1,6) code at L = 20 against viterbi_ml.  The
+    trials of each code also go through decode_batch as one batch, and
+    each row must give the one-trial decoder's counts and metric: the
+    tree batch counts the Golay trials past its search budget (about two
+    in five) together, and the trellis batch counts most trellis trials.
+    The detail line gives the number past the budget, which here are too
     many to go on alone, so the count takes them all."""
+
+    def differ(rows, outs) -> int:
+        return sum(row is None or row[:4] != (o.branch_computations, o.branch_computations_total,
+                                              o.extensions, o.metric)
+                   for row, o in zip(rows, outs))
+
     code = build_extended_golay()
-    phis = _trial_llrs(ChannelConfig.for_block_code(code, 2.0), partial(encode_block, code),
-                       code.k)
+    phis = trial_llrs(code, 2.0, 7, range(100))
     decoded = [gda_decode(code, phi) for phi in phis]
     block = max(abs(out.metric - float(
         np.sum((phi - (1.0 - 2.0 * brute_force_ml_block(code, phi))) ** 2)))
         for out, phi in zip(decoded, phis))
-    offset, bm0, bm1 = _gda_tables(phis)
-    rows = _gda_batch(code, bm0, bm1, None)
-    tree_differ = sum(row is None or (*row[:3], row[3] + off) != (
-        out.branch_computations, out.branch_computations_total, out.extensions, out.metric)
-        for row, off, out in zip(rows, offset.tolist(), decoded))
+    rows = decode_batch(code, phis)
+    tree_differ = differ(rows, decoded)
     past = sum(row is not None and row[2] > _search_budget(len(rows)) for row in rows)
     trellis = build_trellis(parse_octal_generators(["634", "564"], m=6), L=20)
-    phis = _trial_llrs(ChannelConfig.for_conv_code(trellis.code, trellis.L, 2.0),
-                       partial(encode_conv, trellis.code), trellis.L)
+    phis = trial_llrs(trellis, 2.0, 7, range(100))
     searched = [mlsda_decode(trellis, phi) for phi in phis]
     conv = max(abs(out.metric - float(
         np.sum((hard_decision(phi) ^ viterbi_ml(trellis, phi)) * np.abs(phi))))
         for out, phi in zip(searched, phis))
-    differ = sum(row is None or row[:4] != (out.branch_computations, out.branch_computations_total,
-                                            out.extensions, out.metric)
-                 for row, out in zip(_mlsda_batch(trellis, _metric_table(trellis, phis), None),
-                                     searched))
-    return _check("ml-equivalence", max(block, conv) <= 1e-6 and differ == tree_differ == 0,
+    trellis_differ = differ(decode_batch(trellis, phis), searched)
+    return _check("ml-equivalence",
+                  max(block, conv) <= 1e-6 and trellis_differ == tree_differ == 0,
                   f"max metric gap {block:.3g} (golay24 vs brute force), "
                   f"{conv:.3g} ((2,1,6) L=20 trellis vs viterbi_ml); "
                   f"{tree_differ} of 100 golay24 batch rows ({past} past the search budget) differ from "
-                  f"gda_decode, {differ} of 100 trellis batch rows from the search")
+                  f"gda_decode, {trellis_differ} of 100 trellis batch rows from the search")
 
 
 def extension_event_hits(gen: np.random.Generator, gamma: float, ds, clipped,

@@ -501,6 +501,21 @@ class TestCli:
         # a block code with no information bits is rejected, not divided by
         (["simulate-gda", "--config", "{k-zero-empty}", "--snr", "1", "--trials", "3"], "config"),
         (["simulate-gda", "--config", "{k-zero}", "--snr", "1", "--trials", "3"], "config"),
+        # an empty flag is an error, not a fall-back to the config or a default
+        (["atilde", "--ratio", "0.2", "--gamma-db", "1", "--n-grid", ""], "config"),
+        (["atilde", "--config", "", "--ratio", "0.2", "--gamma-db", "1"], "config"),
+        (["simulate-mlsda", "--config", "{conv}", "--snr", ""], "config"),
+        (["simulate-mlsda", "--config", "{conv}", "--code", ""], "config"),
+        (["simulate-mlsda", "--config", "{conv}", "--out", ""], "config"),
+        (["bound-gda", "--config", "", "--code", "golay24", "--snr", "1"], "config"),
+        (["dstar", "--config", "", "--octal", "6,5,7", "-m", "2", "-L", "3"], "config"),
+        (["dstar", "--config", "{conv}", "--octal", "", "-m", "2"], "config"),
+        (["dstar", "--octal", "6,5,7", "-m", "2", "-L", "3", "--out", ""], "config"),
+        # an output that cannot be opened is a config error, not a traceback
+        (["simulate-mlsda", "--config", "{conv}", "--out", "{no-dir}"], "config"),
+        # seeds outside [0, 2^64) would alias others modulo 2^64
+        (["simulate-mlsda", "--config", "{conv}", "--seed", "-1"], "config"),
+        (["simulate-mlsda", "--config", "{conv}", "--seed", "18446744073709551616"], "config"),
     ])
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
         configs = {
@@ -535,7 +550,7 @@ class TestCli:
             "{k-zero}": {**CONV_CFG, "code": {"type": "block", "n": 3, "k": 0,
                                               "generator_rows": []}},
         }
-        paths = {"{conv}": str(_write_cfg(tmp_path))}
+        paths = {"{conv}": str(_write_cfg(tmp_path)), "{no-dir}": str(tmp_path / "no" / "x.csv")}
         for key, raw in configs.items():
             path = tmp_path / f"{key[1:-1]}.json"
             path.write_text(json.dumps(raw))

@@ -6,11 +6,13 @@ and the Golay code, its batch entry point against the search row by
 row, the trellis search against a plain two-stack search, its batch
 entry point and its count against the search row by row, the Viterbi
 oracle against all 2^L inputs, the harness's batched trial pipeline on
-both (with the tree count taking over early too), and the per-pair
-bound of a whole evaluation against the scalar one."""
+both (with the tree count taking over early too) and each of its two
+stages, trial_llrs and decode_batch, against the one-trial path, and the
+per-pair bound of a whole evaluation against the scalar one."""
 
 import math
 import sys
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -38,11 +40,12 @@ from seqdec.decoders import (
     _mlsda_batch,
     _mlsda_search,
     brute_force_ml_block,
+    decode_batch,
     gda_decode,
     mlsda_decode,
     viterbi_ml,
 )
-from seqdec.harness import ExperimentConfig, _run_trials, dstar_by_enumeration
+from seqdec.harness import ExperimentConfig, _run_trials, dstar_by_enumeration, trial_llrs
 from seqdec.numerics import RngStream
 from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
@@ -584,3 +587,64 @@ def test_counted_trials_match_searched_trials(code, seed, all_zero, limit, gamma
         for block in (64, full):
             with mock.patch.multiple(decoders, SEARCH_BUDGET=budget, SWEEP_BLOCK=block):
                 assert _run_trials(code, cfg, gamma_b_db, trials) == want
+
+
+def one_trial_llrs(target, gamma_b_db, seed, t, all_zero) -> np.ndarray:
+    """Trial t's LLRs built alone through the public one-trial functions:
+    its bits from RngStream(seed ^ t), then its noise."""
+    rng = RngStream(seed ^ t)
+    if isinstance(target, BlockCode):
+        channel = ChannelConfig.for_block_code(target, gamma_b_db)
+        info_len, encode = target.k, partial(encode_block, target)
+    else:
+        channel = ChannelConfig.for_conv_code(target.code, target.L, gamma_b_db)
+        info_len, encode = target.L, partial(encode_conv, target.code)
+    info = np.zeros(info_len, dtype=np.uint8) if all_zero else rng.bits(info_len)
+    return llr(transmit(encode(info), channel, rng), channel)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(block_codes(), trellises()), st.integers(0, 2**64 - 1), st.booleans(),
+       st.floats(-3.0, 9.0), st.integers(0, 1000), st.integers(1, 100))
+def test_trial_llrs_match_one_trial_path(target, seed, all_zero, gamma_b_db, first, count):
+    # every row of the LLR stage is bitwise the LLRs of its trial built alone
+    trials = range(first, first + count)
+    got = trial_llrs(target, gamma_b_db, seed, trials, all_zero)
+    assert len(got) == count
+    for row, t in zip(got, trials):
+        assert row.tobytes() == one_trial_llrs(target, gamma_b_db, seed, t, all_zero).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tree_batch_inputs(), trellis_batch_inputs()))
+# a tie at zeta* that the tree count hands back to the search, beside near ties
+@example((build_extended_golay(), np.array([GOLAY_TIE, near_tie_llrs(5, 24), [1.0] * 24]),
+          None))
+# a trellis batch one extension short of a straight dive: every row overflows
+@example((CONV_75_L4, np.array([[1.0] * 12,
+                            [1.0, 1.0, -1.0, 1.0] + [1.0] * 8,
+                            [1.0] * 6 + [-2.0, -2.0] + [1.0] * 4]), 5))
+def test_decode_batch_matches_one_trial_decoders(inputs):
+    # every row of the decode stage, with the tree count taking over at
+    # once or after a batch's own budget, has the counts, the metric's
+    # bits and the decoded word of gda_decode or mlsda_decode on the row
+    # alone, and is None exactly where that decoder raises
+    target, phi, limit = inputs
+    if isinstance(target, BlockCode):
+        decode, word = gda_decode, lambda bits: [(bits >> j) & 1 for j in range(target.n)]
+    else:
+        decode = mlsda_decode
+        word = lambda info: encode_conv(target.code, [(info >> t) & 1
+                                                      for t in range(target.L)]).tolist()
+    want = []
+    for row in phi:
+        try:
+            out = decode(target, row, limit)
+            want.append((out.branch_computations, out.branch_computations_total,
+                         out.extensions, out.metric.hex(), out.decoded.tolist()))
+        except ExtensionLimitExceeded:
+            want.append(None)
+    for budget in (0, decoders.SEARCH_BUDGET):
+        with mock.patch.object(decoders, "SEARCH_BUDGET", budget):
+            got = decode_batch(target, phi, limit)
+        assert [None if g is None else (*g[:3], g[3].hex(), word(g[4])) for g in got] == want
