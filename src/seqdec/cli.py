@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 from seqdec import harness
@@ -118,6 +119,9 @@ def _add_common(p: argparse.ArgumentParser, simulate: bool):
 
 def _cmd_curve(args, kind: str, mode: str) -> int:
     cfg = _experiment_config(args, kind, mode)
+    # a missing --out directory fails before the run, not after it
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigError(f"cannot write {args.out!r}: no such directory")
     points = harness.run_experiment(cfg)
     overflow = sum(p.overflow_trials for p in points)
     with _open_out(args) as out:

@@ -2,10 +2,10 @@
 
 Block codes are kept as packed generator rows (one int per row, bit j =
 column j) in systematic [I | P] form.  The two named constructions are
-quadratic-residue codes extended by an overall parity bit; their
-generator polynomials are obtained by splitting (x^p + 1)/(x + 1) over
-GF(2), and both builds self-check their minimum distance by exhaustive
-weight enumeration the first time they run in a process.
+quadratic-residue codes extended by an overall parity bit, each built
+from its tabulated generator polynomial; both builds self-check their
+minimum distance by exhaustive weight enumeration the first time they
+run in a process.
 """
 
 from dataclasses import dataclass
@@ -23,82 +23,6 @@ class LengthMismatch(ValueError):
 
 class TapLengthError(ValueError):
     """Octal pattern has more significant bits than the encoder has taps."""
-
-
-# ---------------------------------------------------------------------------
-# GF(2) polynomial arithmetic on ints (bit i = coefficient of x^i)
-
-def _pdeg(a: int) -> int:
-    return a.bit_length() - 1
-
-
-def _pmul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-def _pmod(a: int, m: int) -> int:
-    dm = _pdeg(m)
-    while _pdeg(a) >= dm:
-        a ^= m << (_pdeg(a) - dm)
-    return a
-
-
-def _pgcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _pmod(a, b)
-    return a
-
-
-def _split_equal_degree(h: int, r: int) -> int:
-    """One irreducible factor of h, where h is a product of two distinct
-    irreducibles of equal degree r over GF(2).
-
-    Uses the trace map Tr(u) = u + u^2 + ... + u^(2^(r-1)) mod h, which
-    splits h through gcd for about half of all u.  The candidate u's are
-    tried in a fixed order, so the returned factor is deterministic.
-    """
-    for k in range(1, 2 * r + 2):
-        u = 1 << k  # u(x) = x^k
-        tr = 0
-        sq = u
-        for _ in range(r):
-            tr ^= sq
-            sq = _pmod(_pmul(sq, sq), h)
-        g = _pgcd(h, tr)
-        if 0 < _pdeg(g) < _pdeg(h):
-            other = _pquo(h, g)
-            return min(g, other)
-    raise ArithmeticError("trace-map split failed")  # never raised for our inputs
-
-
-def _pquo(a: int, b: int) -> int:
-    q = 0
-    db = _pdeg(b)
-    while _pdeg(a) >= db:
-        shift = _pdeg(a) - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q
-
-
-def quadratic_residue_generator(p: int) -> int:
-    """Generator polynomial of the binary quadratic-residue code of prime
-    length p, as a packed int of degree (p-1)/2.
-
-    Valid for p with 2 a quadratic residue mod p and (p-1)/2 the order of
-    2, e.g. p = 23 and p = 47: then (x^p + 1)/(x + 1) is the product of
-    exactly two irreducibles of degree (p-1)/2 (reciprocals of each
-    other), and either generates a quadratic-residue code.  The smaller
-    factor is returned for determinism.
-    """
-    h = (1 << p) - 1  # 1 + x + ... + x^(p-1)
-    return _split_equal_degree(h, (p - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +140,11 @@ def _extend_parity(rows: list, n: int) -> list:
     return out
 
 
-def _build_extended_qr(p: int, name: str, expected_dmin: int) -> BlockCode:
+def _build_extended_qr(poly: int, p: int, name: str, expected_dmin: int) -> BlockCode:
+    """The length-(p+1) extension of the cyclic code of prime length p
+    generated by poly (bit i = coefficient of x^i), in systematic form.
+    Raises AssertionError unless its minimum distance is expected_dmin."""
     k = (p + 1) // 2
-    poly = quadratic_residue_generator(p)
     rows = _extend_parity(_systematic_rows(poly, p, k), p)
     code = BlockCode(n=p + 1, k=k, rows=tuple(rows), name=name)
     dmin = code.minimum_distance()
@@ -227,18 +153,29 @@ def _build_extended_qr(p: int, name: str, expected_dmin: int) -> BlockCode:
     return code
 
 
+# The generator polynomials of the binary quadratic-residue codes of
+# lengths 23 and 47 (MacWilliams and Sloane, The Theory of
+# Error-Correcting Codes, ch. 16): for these p, (x^p + 1)/(x + 1) is the
+# product of two reciprocal irreducibles of degree (p - 1)/2, and either
+# generates the code; the smaller one as an int is used.
+#   p = 23: 0xAE3    = 1 + x + x^5 + x^6 + x^7 + x^9 + x^11
+#   p = 47: 0x8C76EF = 1 + x + x^2 + x^3 + x^5 + x^6 + x^7 + x^9 + x^10
+#                      + x^12 + x^13 + x^14 + x^18 + x^19 + x^23
+
 @lru_cache(maxsize=None)
 def build_extended_golay() -> BlockCode:
-    """(24, 12) extended Golay code, systematic, minimum distance 8."""
-    return _build_extended_qr(23, "golay24", 8)
+    """(24, 12) extended Golay code, systematic, minimum distance 8: the
+    quadratic-residue code of length 23 plus an overall parity bit."""
+    return _build_extended_qr(0xAE3, 23, "golay24", 8)
 
 
 @lru_cache(maxsize=None)
 def build_extended_qr48() -> BlockCode:
     """(48, 24) extended quadratic-residue code, systematic, minimum
-    distance 12.  The distance self-check enumerates all 2^24 codewords;
+    distance 12: the quadratic-residue code of length 47 plus an overall
+    parity bit.  The distance self-check enumerates all 2^24 codewords;
     it runs once per process and takes about a tenth of a second."""
-    return _build_extended_qr(47, "qr48", 12)
+    return _build_extended_qr(0x8C76EF, 47, "qr48", 12)
 
 
 def encode_block(code: BlockCode, info) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Numerics shared by every other module.
 
-Gaussian cdf evaluation (linear and log domain), a deterministic
-bracketing root solver and log-binomials, each scalar or elementwise
-over arrays, and a seeded bit and Gaussian stream whose bit and
-Box-Muller rules also apply to stacked rows of uniforms.
+Gaussian cdf evaluation (linear and log domain) and log-binomials,
+each scalar or elementwise over arrays, a deterministic elementwise
+bracketing root solver, and a seeded bit and Gaussian stream whose bit
+and Box-Muller rules also apply to stacked rows of uniforms.
 
 Elementwise code runs + - * / and sqrt in numpy, which rounds them as
 Python floats do, but maps the math module's exp, log, log1p, erfc and
@@ -26,10 +26,6 @@ _MASK64 = (1 << 64) - 1
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the operation."""
-
-
-class NoSignChange(ArithmeticError):
-    """Bracket endpoints do not straddle a root."""
 
 
 def math_map(f, x) -> np.ndarray:
@@ -70,26 +66,15 @@ def log_std_normal_cdf(x):
 
 
 def bisect_root(f, lo, hi):
-    """Bisection on [lo, hi]; requires a sign change over the bracket.
+    """Elementwise bisection on the brackets [lo, hi] of two arrays; f
+    maps an array of points to the array of their values.
 
-    Deterministic: always returns the midpoint of the final bracket,
-    after the bracket width has shrunk below 1e-12, or the first point
-    tried where f is exactly 0.
-
-    Raises NoSignChange when f(lo) * f(hi) > 0; the caller decides what
-    a missing root means.
-
-    Elementwise when lo and hi are arrays: f then maps an array of points
-    to the array of their values, each element takes exactly the steps
-    of a scalar call on its own bracket, and an element whose bracket
-    shows no sign change comes out nan instead of raising.
+    Deterministic: each element comes out as the midpoint of its final
+    bracket, after the bracket width has shrunk below 1e-12 (or after
+    200 halvings), or the first point tried where f is exactly 0.  An
+    element whose bracket shows no sign change comes out nan; the caller
+    decides what a missing root means.
     """
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        root = float(bisect_root(lambda x: np.array([f(float(x[0]))]),
-                                 np.array([lo], dtype=float), np.array([hi], dtype=float))[0])
-        if math.isnan(root):
-            raise NoSignChange(f"no sign change on [{lo}, {hi}]")
-        return root
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     flo = f(lo)
     fhi = f(hi)

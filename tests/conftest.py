@@ -6,7 +6,7 @@ from scipy.special import erfcx
 
 from seqdec.bounds import IID_NORMAL_APPROX_CONSTANT, NoRoot, clipped_gaussian_mean
 from seqdec.codes import ConvCode, build_extended_golay, build_extended_qr48, parse_octal_generators
-from seqdec.numerics import SQRT2, SQRT_2PI, DomainError, NoSignChange, std_normal_cdf
+from seqdec.numerics import SQRT2, SQRT_2PI, DomainError, std_normal_cdf
 from seqdec.trellis import build_trellis
 
 
@@ -133,6 +133,10 @@ def textbook_mlsda():
     """The reference trellis search that the decoder's search must match
     step for step (see textbook_mlsda_search)."""
     return textbook_mlsda_search
+
+
+class NoSignChange(ArithmeticError):
+    """Bracket endpoints do not straddle a root."""
 
 
 def scalar_bisect_root(f, lo: float, hi: float) -> float:

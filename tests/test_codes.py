@@ -7,6 +7,7 @@ from seqdec.codes import (
     ConvCode,
     LengthMismatch,
     TapLengthError,
+    _build_extended_qr,
     encode_block,
     encode_conv,
     parse_octal_generators,
@@ -24,6 +25,17 @@ class TestExtendedGolay:
 
     def test_weight_enumerator_a8(self, golay):
         assert golay.weight_count(8) == 759
+
+    def test_weight_enumerator(self, golay):
+        hist = golay.weight_histogram
+        assert {w: int(hist[w]) for w in np.flatnonzero(hist)} == {
+            0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+
+    def test_corrupted_polynomial_fails_self_check(self):
+        # one flipped coefficient of the length-23 generator leaves a
+        # code of minimum distance 4
+        with pytest.raises(AssertionError, match="minimum distance 4, expected 8"):
+            _build_extended_qr(0xAE3 ^ 0b100, 23, "golay24", 8)
 
     def test_zero_word(self, golay):
         assert not encode_block(golay, np.zeros(12, dtype=np.uint8)).any()
@@ -49,6 +61,12 @@ class TestExtendedQr48:
         # compiled-speed exhaustive enumeration of all 2^24 words,
         # computed once per process and cached on the code
         assert qr48.minimum_distance() == 12
+
+    def test_weight_enumerator(self, qr48):
+        hist = qr48.weight_histogram
+        assert {w: int(hist[w]) for w in np.flatnonzero(hist)} == {
+            0: 1, 12: 17296, 16: 535095, 20: 3995376, 24: 7681680,
+            28: 3995376, 32: 535095, 36: 17296, 48: 1}
 
     def test_even_weights(self, qr48):
         rng = np.random.default_rng(9)

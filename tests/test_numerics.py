@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from seqdec.numerics import (
     DomainError,
-    NoSignChange,
     RngStream,
     bisect_root,
     log_binomial,
@@ -73,16 +72,20 @@ class TestLogStdNormalCdf:
 
 
 class TestBisectRoot:
+    @staticmethod
+    def one(f, lo, hi):
+        """bisect_root on the one-element brackets [lo] and [hi]."""
+        return bisect_root(f, np.array([lo]), np.array([hi]))[0]
+
     def test_linear(self):
-        assert bisect_root(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert self.one(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_sqrt2(self):
-        root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0)
+        root = self.one(lambda x: x * x - 2.0, 0.0, 2.0)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
     def test_no_sign_change(self):
-        with pytest.raises(NoSignChange):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        assert math.isnan(self.one(lambda x: x * x + 1.0, -1.0, 1.0))
 
     def test_tilt_equation_instance(self, scalar_residual):
         # the root solver's main customer: grid-scan oracle shows exactly
@@ -97,7 +100,7 @@ class TestBisectRoot:
         vals = np.array([resid(x) for x in grid])
         changes = np.sum(np.sign(vals[:-1]) != np.sign(vals[1:]))
         assert changes == 1
-        root = bisect_root(resid, 0.0, s - 1e-9)
+        root = self.one(lambda x: np.array([resid(v) for v in x.tolist()]), 0.0, s - 1e-9)
         lo = grid[np.flatnonzero(np.diff(np.sign(vals)))[0]]
         assert lo <= root <= lo + grid[1]
 
@@ -105,9 +108,8 @@ class TestBisectRoot:
     @settings(max_examples=30)
     def test_monotone_bracket_property(self, shift):
         f = lambda x: (x - shift) ** 3 + (x - shift)
-        root = bisect_root(f, shift - 4.0, shift + 5.0)
+        root = self.one(f, shift - 4.0, shift + 5.0)
         assert f(root - 1e-10) * f(root + 1e-10) <= 0.0
-
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 4.0),
@@ -129,7 +131,7 @@ class TestBisectRoot:
         for lam, a, b, root in zip(got, lo.tolist(), hi.tolist(), c.tolist()):
             try:
                 want = scalar_bisect(lambda x: x - root, a, b)
-            except NoSignChange:
+            except ArithmeticError:  # the reference's NoSignChange
                 assert math.isnan(lam)
             else:
                 assert lam.hex() == want.hex()
