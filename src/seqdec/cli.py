@@ -119,7 +119,9 @@ def _add_common(p: argparse.ArgumentParser, simulate: bool):
 
 def _cmd_curve(args, kind: str, mode: str) -> int:
     cfg = _experiment_config(args, kind, mode)
-    # a missing --out directory fails before the run, not after it
+    # an --out that names a directory, or lies in a missing one, fails before the run
+    if args.out is not None and os.path.isdir(args.out):
+        raise ConfigError(f"cannot write {args.out!r}: it is a directory")
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ConfigError(f"cannot write {args.out!r}: no such directory")
     points = harness.run_experiment(cfg)

@@ -43,21 +43,22 @@ each row of a batch of B (_search_budget), since the rows a count holds
 share its fixed cost; most trials end there.  Where it stops fewer than
 four rows of a batch, they go on from where they stopped
 (ExtensionLimitExceeded carries the search's state) to a lone row's
-budget.  Past the budget, the path the search stopped at gives a lower
-bound on zeta*, and threshold sweeps count all the rows the search
-stopped at once (_gda_count): rounds at a threshold T growing 1.5x per
-row keep each row's prefixes with f <= T in arrays that carry the row's
-index, adding each path's metrics in the search's own order, so every f
-is bit-equal, and a row leaves the rounds once a leaf lies at or below
-its T; the least such leaf is the winner.  Three rules keep the count
-exact.  A node other than the winner's prefixes at exactly zeta* (two
-winning leaves, or a tie off the winner's path) would be settled by the
-stack's insertion order, so that row is searched again without a budget.
-A row overflows exactly when its count exceeds the caller's budget, and
-a round that finds no leaf of the row but more of its nodes than the
-budget proves it early.  No sweep array holds more than SWEEP_BLOCK
-nodes of all the rows together: the sweeps run depth first over blocks
-of paths.
+budget.  Past the budget, threshold sweeps count all the rows the
+search stopped at once (_gda_count): a round at a threshold T keeps each
+row's prefixes with f <= T in arrays that carry the row's index, adding
+each path's metrics in the search's own order, so every f is bit-equal.
+T starts at U, the metric of a codeword that agrees with the hard
+decisions on the row's most reliable positions (ordered-statistics
+decoding of order 1, _osd_bound), so the first round finds a leaf at or
+below U, and the least such leaf is the winner; U is zeta* itself on
+nearly every row, and a row whose winner lies below U takes a second
+round at T = zeta*.  Three rules keep the count exact.  A node other
+than the winner's prefixes at exactly zeta* (two winning leaves, or a
+tie off the winner's path) would be settled by the stack's insertion
+order, so that row is searched again without a budget.  A row overflows
+exactly when its count at zeta* exceeds the caller's budget.  No sweep
+array holds more than SWEEP_BLOCK nodes of all the rows together: the
+sweeps run depth first over blocks of paths.
 
 Settling first dives per batch.  The trellis search starts with a dive
 from the root, and at high SNR that dive mostly runs straight to the
@@ -311,10 +312,9 @@ def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     """_gda_search's result on each row of bm0, bm1 [B, n] (see
     _gda_tables), or None where the search exceeds the budget: the
     search itself for up to _search_budget(B) extensions, and past them
-    one count (_gda_count) of all the rows it stopped, each from the
-    metric it stopped at.  Fewer than four rows it stopped are too few to
-    share a count, and go on from where they stopped to SEARCH_BUDGET, a
-    lone row's budget.  The count holds information bits in floats and
+    one count (_gda_count) of all the rows it stopped.  Fewer than four
+    rows it stopped are too few to share a count, and go on from where
+    they stopped to SEARCH_BUDGET, a lone row's budget.  The count holds information bits in floats and
     path bits in 64-bit words, so larger codes are searched only."""
     budget = _search_budget(len(bm0))
     if not (code.k <= 53 and code.n <= 64) or (extension_limit is not None
@@ -330,8 +330,7 @@ def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
             stops[i] = stop
     while stops and budget != extension_limit:
         if not budget < _search_budget(len(stops)) == SEARCH_BUDGET:
-            counted = _gda_count(code, bm0[list(stops)], bm1[list(stops)], extension_limit,
-                                 np.array([stop.metric for stop in stops.values()]))
+            counted = _gda_count(code, bm0[list(stops)], bm1[list(stops)], extension_limit)
             for i, result in zip(stops, counted):
                 results[i] = result
             break
@@ -348,37 +347,122 @@ def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     return results
 
 
-def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limit,
-               bounds: np.ndarray) -> list:
+def _path_metrics(bm0: np.ndarray, bm1: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The metrics [R, m, n] at levels 1..n of the paths with codeword bits
+    words [R, m] in the rows of bm0, bm1 [R, n]: the search's sequential
+    adds."""
+    taken = (words[..., None] >> np.arange(bm0.shape[1], dtype=np.uint64)) & np.uint64(1)
+    return np.where(taken == 1, bm1[:, None], bm0[:, None]).cumsum(axis=-1)
+
+
+def _osd_bound(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
+    """(U [R], a codeword [R] with metric U) for each row of bm0, bm1
+    [R, n]: the least of the _path_metrics of the row's hard-decision leaf
+    and of its best order-1 ordered-statistics codeword, so U >= zeta*.
+
+    Those codewords agree with the hard decisions on the k most reliable
+    independent positions (reliability bm0 + bm1, the metric of leaving
+    the hard decision, in a stable sort), or on all but one of them.  The
+    generator is row-reduced over each row's positions in that order, all
+    rows at once, with each column held as a word of k row bits, and the
+    best of the k + 1 codewords is chosen by their metrics as dot
+    products."""
+    rows, k, n = len(bm0), code.k, code.n
+    everyone = np.arange(rows)
+    cost = bm0 + bm1
+    hard = bm1 < bm0
+    order = np.argsort(-cost, axis=1, kind="stable")
+    columns = (code.generator_bits.astype(np.uint64)
+               << np.arange(k, dtype=np.uint64)[:, None]).sum(axis=0, dtype=np.uint64)
+    reduced = np.tile(columns, (rows, 1))  # [R, n]: bit i of column j is row i's
+    free = np.full(rows, (1 << k) - 1, dtype=np.uint64)  # the rows with no pivot yet
+    info = np.zeros(rows, dtype=np.uint64)  # the hard decisions at the pivots, by pivot row
+    # [n, R]: all ones where the hard decision at a step's column is 1
+    ones = np.where(np.take_along_axis(hard, order, axis=1).T, ~np.uint64(0), 0)
+    for step, column in enumerate(order.T):
+        v = reduced[everyone, column]
+        pivot = v & free
+        pivot &= -pivot  # the first free row with a 1 in the column, or none
+        # add the pivot row to the column's other rows: flip them where it has a 1
+        reduced ^= np.where(reduced & pivot[:, None], (v ^ pivot)[:, None], 0)
+        free ^= pivot
+        info |= pivot & ones[step]
+        if step >= k - 1 and not free.any():
+            break
+    base = (np.bitwise_count(reduced & info[:, None]) & 1).astype(bool)  # [R, n]
+    # rows' bits [R, n, k]; flipping pivot i moves the metric by gain[i]
+    row_bits = np.unpackbits(reduced.astype("<u8").view(np.uint8).reshape(rows, n, 8),
+                             axis=-1, count=k, bitorder="little")
+    gain = np.matmul(np.where(base != hard, -cost, cost)[:, None], row_bits)[:, 0]
+    flip = gain.argmin(axis=1)
+    info ^= np.where(gain[everyone, flip] < 0.0, np.uint64(1) << flip.astype(np.uint64), 0)
+    osd = ((np.bitwise_count(reduced & info[:, None]) & 1).astype(np.uint64)
+           << np.arange(n, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    leaf = np.bitwise_xor.reduce(np.where(hard[:, :k], np.array(code.rows, dtype=np.uint64), 0),
+                                 axis=1)
+    words = np.stack((osd, leaf), axis=1)
+    metrics = _path_metrics(bm0, bm1, words)[..., -1]
+    best = metrics.argmin(axis=1)
+    return metrics[everyone, best], words[everyone, best]
+
+
+def _sweep(flips: np.ndarray, thresholds: np.ndarray, active: np.ndarray):
+    """Chunks (nodes [2, m], their rows [m]) of the level-k tree nodes of
+    the active rows with f <= the row's threshold, depth first, none
+    longer than SWEEP_BLOCK, given flips [k, R], the metric of the child
+    that leaves the hard decision at each level of each row: row 0 of
+    nodes holds f, and row 1 the flips, whose bit j is set where the path
+    leaves the hard decision at level j.  Every node below level k has a
+    descendant at level k with the same f (hard-decision children add
+    0.0), so a level-k node whose last flip is at level j - 1 stands for
+    its k - j prefixes at levels j..k-1."""
+    half = SWEEP_BLOCK // 2
+    # the levels where some row can leave the hard decision at all
+    reach = (flips[:, active] <= thresholds.take(active)).any(axis=1).tolist()
+    stack = [(0, np.zeros((2, len(active))), active)]
+    while stack:
+        level, nodes, who = stack.pop()
+        for j in range(level, len(flips)):
+            if not reach[j]:
+                continue
+            f = flips[j].take(who)
+            f += nodes[0]
+            kept = (f <= thresholds.take(who)).nonzero()[0]
+            if len(kept) and len(who) > half:  # the children must fit in one block
+                stack.append((j, nodes[:, half:], who[half:]))
+                nodes, who = nodes[:, :half], who[:half]
+                kept = kept[:np.searchsorted(kept, half)]
+            if len(kept):
+                children = nodes.take(kept, axis=1)
+                children[0] = f.take(kept)
+                children[1] += float(1 << j)
+                nodes = np.concatenate((nodes, children), axis=1)
+                who = np.concatenate((who, who.take(kept)))
+        yield nodes, who
+
+
+def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limit) -> list:
     """The tree search's result (see _gda_search) on each row of bm0, bm1
     [R, n], or None where it exceeds the budget, from threshold sweeps
-    over all the rows at once, given lower bounds [R] on the winning
-    paths' metrics zeta*.
+    over all the rows at once.
 
     The search extends every path below level n with f < zeta*, and
     those with f == zeta* that it pops before the winner.  When no node
     but the winner's prefixes has f == zeta*, it pops all of those, so
-    its counts are those of the nodes with f <= zeta*.  Rounds at
-    thresholds T, from 1.5 * bound up 1.5x a round but never above the
-    hard-decision leaf's metric, find a row's zeta*, its least leaf
-    metric, and the row then leaves the rounds; a round that finds no
-    leaf of a row but more than extension_limit of its nodes proves the
-    row's overflow.  A tie with a node off the winner's path reruns the
-    row's search, and so does a round at T == zeta* that finds more
-    nodes at T than the winner's path has at levels k..n.
+    its counts are those of the nodes with f <= zeta*.  The first round
+    sweeps each row at T = U, the metric of a codeword (_osd_bound), so
+    zeta* <= U and the round finds a leaf at or below U; the least is the
+    winner.  Once the round finds a leaf below a row's T, T falls to it
+    for the rest of the round, and the row takes a second round at
+    T = zeta*.  Where T stays U, as it does on nearly every row, U is
+    zeta* and the round's counts are the row's.  The row overflows
+    exactly when they exceed extension_limit.  A tie with a node off the
+    winner's path reruns the row's search, and so does a round at
+    T == zeta* that finds more nodes at T than the winner's path has at
+    levels k..n.
 
-    Every node below level k has a descendant at level k with the same
-    f (hard-decision children add 0.0), so a sweep keeps only the level-k
-    nodes: one whose last departure from the hard decision is at level
-    j - 1 stands for its k - j prefixes at levels j..k-1.  The nodes of
-    all the rows share the sweep's arrays, each with its row's index.
-    Once a round finds a leaf of a row, the row's T falls to its least
-    leaf so far for the rest of the round.  A round keeps the level-k
-    nodes at or below each row's least leaf while they fit in a block;
-    past it, it drops the rows that hold the most until half a block is
-    left.  The count at zeta* follows the tails of the nodes kept, and a
-    dropped row takes one more round, at T = zeta*, whose own counts are
-    then the row's.
+    A sweep (_sweep) keeps only the level-k nodes of the rows, each with
+    its row's index, and follows their tails to level n.
     """
     rows, k, n = len(bm0), code.k, code.n
     limit = sys.maxsize if extension_limit is None else extension_limit
@@ -393,35 +477,6 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     shifts = np.arange(k, n, dtype=np.uint64)[:, None]
     offsets = np.arange(0, 2 * (n - k), 2, dtype=np.uint64)[:, None]
     half = SWEEP_BLOCK // 2
-
-    def level_k(active, thresholds):
-        """Chunks (nodes [2, m], their rows [m]) of the level-k nodes of
-        the active rows with f <= the row's threshold, depth first, none
-        longer than SWEEP_BLOCK: row 0 of nodes holds f, and row 1 the
-        flips, whose bit j is set where the path leaves the hard decision
-        at level j."""
-        # the levels where some row can leave the hard decision at all
-        reach = (flips[:, active] <= thresholds.take(active)).any(axis=1).tolist()
-        stack = [(0, np.zeros((2, len(active))), active)]
-        while stack:
-            level, nodes, who = stack.pop()
-            for j in range(level, k):
-                if not reach[j]:
-                    continue
-                f = flips[j].take(who)
-                f += nodes[0]
-                kept = (f <= thresholds.take(who)).nonzero()[0]
-                if len(kept) and len(who) > half:  # the children must fit in one block
-                    stack.append((j, nodes[:, half:], who[half:]))
-                    nodes, who = nodes[:, :half], who[:half]
-                    kept = kept[:np.searchsorted(kept, half)]
-                if len(kept):
-                    children = nodes.take(kept, axis=1)
-                    children[0] = f.take(kept)
-                    children[1] += float(1 << j)
-                    nodes = np.concatenate((nodes, children), axis=1)
-                    who = np.concatenate((who, who.take(kept)))
-            yield nodes, who
 
     def path_bits(flipped, who) -> np.ndarray:
         """The codeword bits, information then parity, of the paths of
@@ -467,39 +522,18 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
                 kept.append(part)
         return count, ties, *map(np.concatenate, leaves)
 
-    def low_count(nodes, who) -> np.ndarray:
-        """Nodes below level k, per row [R], that the level-k nodes of
-        rows who stand for: at level j, those with no flip at j or above,
-        so k less the bit length of the flips."""
-        return np.bincount(who, k - np.frexp(nodes[1])[1], rows)
-
-    def path_metrics(which, words) -> np.ndarray:
-        """The metrics [len(which), n] at levels 1..n of the paths with
-        these codeword bits in these rows: the search's sequential adds."""
-        taken = (words[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-        return np.where(taken == 1, bm1[which], bm0[which]).cumsum(axis=1)
-
-    def keepable(nodes, who) -> tuple:
-        """The level-k nodes [2, m] of rows who, and their rows, at or
-        below their row's least leaf so far, but for dropped rows."""
-        keep = ((nodes[0] <= zeta.take(who)) & ~dropped.take(who)).nonzero()[0]
-        return nodes.take(keep, axis=1), who.take(keep)
-
-    everyone = np.arange(rows)
-    # the hard-decision leaves' metrics: zeta* lies at or below them
-    hard_leaf = path_metrics(everyone, path_bits(np.zeros(rows), everyone))[:, -1]
-    threshold = np.minimum(1.5 * bounds, hard_leaf)
+    threshold = _osd_bound(code, bm0, bm1)[0]
     zeta, bits = np.full(rows, math.inf), np.zeros(rows, dtype=np.uint64)  # least leaf so far
     counts = np.zeros((3, rows))  # low, tail and ties at zeta*
     searched = np.zeros(rows, dtype=bool)  # the rows whose ties the search settles
-    active = everyone
+    active = np.arange(rows)
     while len(active):
         found = np.zeros((3, rows))  # low, tail, and ties at the threshold since it was set
         lowered = np.zeros(rows, dtype=bool)
-        kept, dropped = [], np.zeros(rows, dtype=bool)  # level-k nodes at or below zeta
-        for nodes, who in level_k(active, threshold):
+        for nodes, who in _sweep(flips, threshold, active):
             *tail, f, word, w = tails(nodes, who, threshold)
-            found += (low_count(nodes, who), *tail)
+            # nodes below level k: at level j, those with no flip at j or above
+            found += (np.bincount(who, k - np.frexp(nodes[1])[1], rows), *tail)
             np.minimum.at(zeta, w, f)
             least = (f == zeta.take(w)).nonzero()[0]
             bits[w.take(least)] = word.take(least)
@@ -514,45 +548,16 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
             if tied.any():
                 searched |= tied
                 threshold[tied] = -1.0
-            kept.append(keepable(nodes, who))
-            if sum(len(who) for _, who in kept) > SWEEP_BLOCK:
-                kept = [keepable(*entry) for entry in kept]
-                held = sum(np.bincount(who, minlength=rows) for _, who in kept)
-                excess = held.sum() - half  # room for the next chunks
-                for r in np.argsort(-held, kind="stable").tolist():  # the heaviest rows first
-                    if excess <= 0:
-                        break
-                    dropped[r] = True
-                    excess -= held[r]
-                kept = [keepable(*entry) for entry in kept]
         active = active[~searched.take(active)]
-        leaf = np.isfinite(zeta.take(active))
-        exact = leaf & ~lowered.take(active)  # T was zeta* from the start of the round
-        done = active[exact]
+        done = active[~lowered.take(active)]  # T was zeta* from the start of the round
         counts[:, done] = found[:, done]
-        read = active[leaf & ~exact & ~dropped.take(active)]
-        if len(read):  # count at zeta* from the nodes the round kept
-            reading = np.zeros(rows, dtype=bool)
-            reading[read] = True
-            nodes = np.concatenate([nodes for nodes, _ in kept], axis=1)
-            who = np.concatenate([who for _, who in kept])
-            keep = ((nodes[0] <= zeta.take(who)) & reading.take(who)).nonzero()[0]
-            nodes, who = nodes.take(keep, axis=1), who.take(keep)
-            counts[:, read] = np.take((low_count(nodes, who), *tails(nodes, who, zeta)[:2]),
-                                      read, axis=1)
-        again = active[leaf & ~exact & dropped.take(active)]  # one more round, at T = zeta*
-        left = active[~leaf]
-        left = left[found[0].take(left) + found[1].take(left) <= limit]  # else all lie below zeta*
-        grown = threshold.take(left)
-        threshold[left] = np.minimum(np.where(grown > 0.0, 1.5 * grown, hard_leaf.take(left)),
-                                     hard_leaf.take(left))
-        active = np.sort(np.concatenate((again, left)))
-    results = [None] * rows  # None: proved past the limit
-    settled = np.isfinite(zeta).nonzero()[0]
+        active = active[lowered.take(active)]  # one more round, at T = zeta*
+    results = [None] * rows  # None: past the limit
+    settled = (~searched).nonzero()[0]
     # a tie off the winner's path: more nodes at zeta* than the winner's own at levels k..n
-    own = path_metrics(settled, bits.take(settled))[:, k - 1:] == zeta.take(settled)[:, None]
-    searched[settled] |= counts[2, settled] != np.count_nonzero(own, axis=1)
-    for r in settled.tolist():
+    own = _path_metrics(bm0[settled], bm1[settled], bits[settled, None])[:, 0, k - 1:]
+    searched[settled] = counts[2, settled] != np.count_nonzero(own == zeta[settled, None], axis=1)
+    for r in range(rows):
         a, b = int(counts[0, r]), int(counts[1, r])
         if searched[r]:
             try:

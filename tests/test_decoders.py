@@ -20,6 +20,7 @@ from seqdec.decoders import (
     mlsda_decode,
     viterbi_ml,
 )
+from seqdec.harness import trial_llrs
 from seqdec.numerics import RngStream
 from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
@@ -209,6 +210,53 @@ class TestGdaBatch:
         counted = self.spied_batch(golay, [golay_trial(golay, -4.0, seed)[1]
                                            for seed in range(64)])
         assert len(counted) == 1 and counted[0] >= 4
+
+
+class TestGdaCount:
+    def counted(self, code, rows, limit) -> tuple:
+        """(the rounds _gda_count sweeps, its results) on these LLR rows,
+        whose results must be those of the search on each row alone."""
+        _, bm0, bm1 = _gda_tables(np.array(rows))
+        with mock.patch.object(decoders, "_sweep", wraps=decoders._sweep) as spy:
+            got = decoders._gda_count(code, bm0, bm1, limit)
+        want = []
+        for a, b in zip(bm0.tolist(), bm1.tolist()):
+            try:
+                want.append(decoders._gda_search(code, a, b, limit))
+            except ExtensionLimitExceeded:
+                want.append(None)
+        assert got == want
+        return spy.call_count, got
+
+    def test_winner_below_the_bound_takes_a_second_round(self, golay):
+        # at -4 dB the best re-encoded codeword of this row has metric 16.28
+        # and the winner 12.38: the first round finds the winner and lowers T
+        # to it, and a second round at T = zeta* counts the row
+        phi = golay_trial(golay, -4.0, 44)[1]
+        _, bm0, bm1 = _gda_tables(phi[None])
+        bound = decoders._osd_bound(golay, bm0, bm1)[0][0]
+        assert bound > decoders._gda_search(golay, bm0[0].tolist(), bm1[0].tolist(), None)[3]
+        assert self.counted(golay, [phi], None)[0] == 2
+
+    def test_overflow_is_read_at_the_winner(self, golay):
+        # eight rows at -4 dB that take 192 to 2,674 extensions: against a
+        # limit of 600 the three past it overflow, and the one at 595 does not
+        rows = [golay_trial(golay, -4.0, seed)[1] for seed in range(8)]
+        got = self.counted(golay, rows, 600)[1]
+        assert [result is None for result in got] == [False, False, False, True,
+                                                      False, True, True, False]
+
+    def test_qr48_batch_is_counted_in_one_round(self, qr48):
+        # at 4.5 dB the search stops 22 rows of this 64-trial batch at its
+        # budget; every one's bound is its winner, so one round counts them all
+        _, bm0, bm1 = _gda_tables(trial_llrs(qr48, 4.5, 1, range(64)))
+        with mock.patch.object(decoders, "_sweep", wraps=decoders._sweep) as sweeps, \
+                mock.patch.object(decoders, "_gda_count", wraps=decoders._gda_count) as count:
+            got = decoders._gda_batch(qr48, bm0, bm1, None)
+        assert [len(call.args[1]) for call in count.call_args_list] == [22]
+        assert sweeps.call_count == 1
+        assert got == [decoders._gda_search(qr48, a, b, None)
+                       for a, b in zip(bm0.tolist(), bm1.tolist())]
 
 
 class TestMlsdaCount:

@@ -454,16 +454,18 @@ class TestCli:
         assert rc == 2
         assert "NaN" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("leaf", ["missing/x.csv", "file.txt/x.csv"])
+    @pytest.mark.parametrize("leaf", ["missing/x.csv", "file.txt/x.csv", "directory"])
     def test_out_directory_checked_before_run(self, capsys, monkeypatch, tmp_path, leaf):
         def no_run(cfg):
             raise AssertionError("the run started before --out was checked")
         monkeypatch.setattr(harness, "run_experiment", no_run)
         (tmp_path / "file.txt").write_text("")
+        (tmp_path / "directory").mkdir()
         rc = cli.main(["simulate-gda", "--code", "golay24", "--snr", "2", "--trials", "2000",
                        "--out", str(tmp_path / leaf)])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["directory", "file.txt"]
 
     @pytest.mark.parametrize("argv, kind", [
         (["dstar", "--octal", "6,5,7", "-L", "4"], "config"),

@@ -262,11 +262,11 @@ def test_gda_search_matches_textbook(textbook_gda, inputs, limit):
 # information bits 0, 0 and 1, 1 have f = 4 too: again the search decides
 @example((BlockCode(n=6, k=2, rows=(53, 18)), np.array([1.0, -1.0, 0.0, -1.0, -2.0, 2.0])),
          None)
-# from a search budget of 0 or 1, a threshold round finds no leaf but more
-# than 5 nodes below it, which proves the overflow before zeta* is known
+# from a search budget of 0 or 1, the count finds more than 5 nodes at or
+# below zeta*: the row overflows
 @example((BlockCode(n=5, k=4, rows=(1, 18, 4, 24)), np.array([0.0, 2.0, 1.0, 1.0, -2.0])), 5)
-# from a budget of 0, a round finds no leaf and exactly the 5 nodes that
-# the search extends: 5 extensions do not exceed a limit of 5
+# from a budget of 0, the count finds exactly the 5 nodes that the search
+# extends: 5 extensions do not exceed a limit of 5
 @example((BlockCode(n=5, k=3, rows=(9, 2, 4)), np.array([-3.0, 2.5, -2.5, -1.2, -0.1])), 5)
 def test_gda_tree_matches_textbook(textbook_gda, inputs, limit):
     # the entry point, with the count taking over after 0, 1 or 5
@@ -357,6 +357,28 @@ def test_search_stop_metric_bounds_winner(textbook_gda, inputs, budget):
         _gda_search(code, bm0, bm1, budget)
     except ExtensionLimitExceeded as stop:
         assert stop.metric <= zeta
+
+
+@PROPERTY_SETTINGS
+@given(tree_batch_inputs())
+def test_osd_bound_is_a_codeword_above_winner(textbook_gda, inputs):
+    # the count's first threshold U is the metric of a codeword, taken with
+    # the search's sequential adds, so it bounds zeta* from above, and it is
+    # zeta* bit for bit where that codeword wins
+    code, phi, _ = inputs
+    _, bm0, bm1 = _gda_tables(phi)
+    bounds, words = decoders._osd_bound(code, bm0, bm1)
+    for a, b, bound, word in zip(bm0.tolist(), bm1.tolist(), bounds.tolist(), words.tolist()):
+        bits = [(word >> j) & 1 for j in range(code.n)]
+        assert encode_block(code, bits[:code.k]).tolist() == bits
+        f = 0.0
+        for j, bit in enumerate(bits):
+            f += b[j] if bit else a[j]
+        assert bound.hex() == f.hex()
+        zeta, winner = textbook_gda(code, a, b)[3:5]
+        assert bound >= zeta
+        if word == winner:
+            assert bound.hex() == zeta.hex()
 
 
 def trellis_llrs(draw, N: int) -> np.ndarray:
