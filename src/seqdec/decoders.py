@@ -41,9 +41,9 @@ batch at a time, both through _gda_batch) runs the search first, under
 SEARCH_BUDGET extensions on a lone row and SEARCH_BUDGET / sqrt(B) on
 each row of a batch of B (_search_budget), since the rows a count holds
 share its fixed cost; most trials end there.  Where it stops fewer than
-four rows of a batch, they go on from where they stopped
-(ExtensionLimitExceeded carries the search's state) to a lone row's
-budget.  Past the budget, threshold sweeps count all the rows the
+four rows of a batch, they are searched again from the root under a lone
+row's budget (a stop keeps no search state).  Past the budget,
+threshold sweeps count all the rows the
 search stopped at once (_gda_count): a round at a threshold T keeps each
 row's prefixes with f <= T in arrays that carry the row's index, adding
 each path's metrics in the search's own order, so every f is bit-equal.
@@ -120,17 +120,9 @@ class SizeError(ValueError):
 
 
 class ExtensionLimitExceeded(RuntimeError):
-    """Search exceeded the caller-supplied extension budget.
-
-    metric: the value of the path the tree search was about to extend
-    when it stopped, which is at most the winning path's (None where
-    not known); state: what _gda_search takes to go on from there (None
-    where not known)."""
-
-    def __init__(self, message: str, metric: float | None = None, state: tuple | None = None):
-        super().__init__(message)
-        self.metric = metric
-        self.state = state
+    """Search exceeded the caller-supplied extension budget.  It carries
+    no search state: a search it stops is freed, and one taken up again
+    starts from the root."""
 
 
 @dataclass(frozen=True)
@@ -183,10 +175,8 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     return DecodeOutcome(decoded, *counts, metric=f + float(offset))
 
 
-def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit, state=None) -> tuple:
-    """The tree search on prebuilt branch-metric lists (see _gda_tables),
-    from the start or from the state of an ExtensionLimitExceeded it
-    raised on the same lists.
+def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple:
+    """The tree search on prebuilt branch-metric lists (see _gda_tables).
 
     Returns (branch_computations, branch_computations_total, extensions,
     path value, path bits as an int) of the path that reached level n.
@@ -212,11 +202,10 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit, state=No
     # The start path has insertion number 0 and each extension numbers its
     # children in turn, so the next number is 1 + extensions + low_extensions.
     # f, level, bits: the path being extended
-    heap, fan, f, level, bits, extensions, low_extensions = state or ([], None, 0.0, 0, 0, 0, 0)
+    heap, fan, f, level, bits, extensions, low_extensions = [], None, 0.0, 0, 0, 0, 0
     while True:
         if extensions > limit:
-            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions", f,
-                                         (heap, fan, f, level, bits, extensions, low_extensions))
+            raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
         if fan is not None:  # put the fan's next member on the heap
             fan_f, base, dive_bits, order, size, pos = fan
             j = order[pos]
@@ -313,38 +302,40 @@ def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     _gda_tables), or None where the search exceeds the budget: the
     search itself for up to _search_budget(B) extensions, and past them
     one count (_gda_count) of all the rows it stopped.  Fewer than four
-    rows it stopped are too few to share a count, and go on from where
-    they stopped to SEARCH_BUDGET, a lone row's budget.  The count holds information bits in floats and
-    path bits in 64-bit words, so larger codes are searched only."""
+    stopped rows are too few to share a count: they are searched again
+    from the start as a batch of their own, whose budget is SEARCH_BUDGET,
+    a lone row's, and the count takes those that stop again.  The count
+    holds information bits in floats and path bits in 64-bit words, so
+    larger codes are searched only."""
     budget = _search_budget(len(bm0))
     if not (code.k <= 53 and code.n <= 64) or (extension_limit is not None
                                                and extension_limit <= budget):
         budget = extension_limit
-    rows = list(zip(bm0.tolist(), bm1.tolist()))
-    results, stops = [], {}  # stops: the ExtensionLimitExceeded of each row stopped
-    for i, (a, b) in enumerate(rows):
+    results, stopped = [], []
+    for i, (a, b) in enumerate(zip(bm0.tolist(), bm1.tolist())):
         try:
             results.append(_gda_search(code, a, b, budget))
-        except ExtensionLimitExceeded as stop:
+        except ExtensionLimitExceeded:
             results.append(None)
-            stops[i] = stop
-    while stops and budget != extension_limit:
-        if not budget < _search_budget(len(stops)) == SEARCH_BUDGET:
-            counted = _gda_count(code, bm0[list(stops)], bm1[list(stops)], extension_limit)
-            for i, result in zip(stops, counted):
-                results[i] = result
-            break
-        # too few rows to share a count: they go on to a lone row's budget
-        budget = SEARCH_BUDGET
-        if extension_limit is not None and extension_limit <= budget:
-            budget = extension_limit
-        for i, stop in list(stops.items()):
-            try:
-                results[i] = _gda_search(code, *rows[i], budget, stop.state)
-                del stops[i]
-            except ExtensionLimitExceeded as again:
-                stops[i] = again
+            stopped.append(i)
+    if not stopped or budget == extension_limit:
+        return results
+    if budget < SEARCH_BUDGET and _search_budget(len(stopped)) == SEARCH_BUDGET:
+        settle = _gda_batch  # too few rows to share a count: search them again
+    else:
+        settle = _gda_count
+    for i, result in zip(stopped, settle(code, bm0[stopped], bm1[stopped], extension_limit)):
+        results[i] = result
     return results
+
+
+def _encode(code: BlockCode, info: np.ndarray) -> np.ndarray:
+    """The codewords, information then parity bits, of the information
+    words info (uint64, bit j information bit j)."""
+    word = info
+    for t, table in enumerate(code.parity_arrays):
+        word = word ^ table[(info >> np.uint64(8 * t)) & np.uint64(0xFF)]
+    return word
 
 
 def _path_metrics(bm0: np.ndarray, bm1: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -398,8 +389,8 @@ def _osd_bound(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
     info ^= np.where(gain[everyone, flip] < 0.0, np.uint64(1) << flip.astype(np.uint64), 0)
     osd = ((np.bitwise_count(reduced & info[:, None]) & 1).astype(np.uint64)
            << np.arange(n, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
-    leaf = np.bitwise_xor.reduce(np.where(hard[:, :k], np.array(code.rows, dtype=np.uint64), 0),
-                                 axis=1)
+    leaf = _encode(code, (hard[:, :k].astype(np.uint64)
+                          << np.arange(k, dtype=np.uint64)).sum(axis=1, dtype=np.uint64))
     words = np.stack((osd, leaf), axis=1)
     metrics = _path_metrics(bm0, bm1, words)[..., -1]
     best = metrics.argmin(axis=1)
@@ -470,22 +461,12 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     hard = (is_hard.astype(np.uint64) << np.arange(k, dtype=np.uint64)).sum(axis=1,
                                                                            dtype=np.uint64)
     flips = np.where(is_hard, bm0[:, :k], bm1[:, :k]).T.copy()  # [k, R]: the other child's metric
-    tables = code.parity_arrays
     # tail metrics of all rows, entry bases[row] + 2 (level - k) + bit
     tail_bm = np.stack((bm0[:, k:], bm1[:, k:]), axis=-1).ravel()
     bases = np.arange(rows, dtype=np.uint64) * np.uint64(2 * (n - k))
     shifts = np.arange(k, n, dtype=np.uint64)[:, None]
     offsets = np.arange(0, 2 * (n - k), 2, dtype=np.uint64)[:, None]
     half = SWEEP_BLOCK // 2
-
-    def path_bits(flipped, who) -> np.ndarray:
-        """The codeword bits, information then parity, of the paths of
-        these rows with these flips."""
-        info = flipped.astype(np.uint64) ^ hard.take(who)
-        word = info
-        for t, table in enumerate(tables):
-            word = word ^ table[(info >> np.uint64(8 * t)) & np.uint64(0xFF)]
-        return word
 
     def tails(nodes, who, thresholds) -> tuple:
         """(per row [R]: nodes at levels k..n-1 with f <= the row's
@@ -497,7 +478,7 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
         leaves = [np.empty(0)], [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.intp)]
         for first in range(0, len(who), half):
             f, w = nodes[0, first:first + half], who[first:first + half]
-            word = path_bits(nodes[1, first:first + half], w)
+            word = _encode(code, nodes[1, first:first + half].astype(np.uint64) ^ hard.take(w))
             threshold = thresholds.take(w)
             level = k
             while level < n and len(f):

@@ -462,7 +462,7 @@ def check_ml_equivalence() -> CheckResult:
     tree batch counts the Golay trials past its search budget (about two
     in five) together, and the trellis batch counts most trellis trials.
     The detail line gives the number past the budget, which here are too
-    many to go on alone, so the count takes them all."""
+    many to be searched again alone, so the count takes them all."""
 
     def differ(rows, outs) -> int:
         return sum(row is None or row[:4] != (o.branch_computations, o.branch_computations_total,

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -189,27 +190,58 @@ class TestGdaBatch:
         assert decoders._search_budget(64) == decoders.SEARCH_BUDGET // 8
 
     def spied_batch(self, golay, rows):
+        """The bm0 rows of each _gda_count call that _gda_batch makes on
+        these LLR rows, whose results must be those of the search on each
+        row alone."""
         _, bm0, bm1 = _gda_tables(np.array(rows))
         with mock.patch.object(decoders, "_gda_count", wraps=decoders._gda_count) as spy:
             got = decoders._gda_batch(golay, bm0, bm1, None)
         assert got == [decoders._gda_search(golay, a, b, None)
                        for a, b in zip(bm0.tolist(), bm1.tolist())]
-        return [len(call.args[1]) for call in spy.call_args_list]
+        return [call.args[1] for call in spy.call_args_list]
 
     def test_few_stopped_rows_are_searched_on(self, golay):
         # two Golay rows at 0 dB that take 636 and 706 extensions, among 8
-        # dB rows that take at most 36: the search stops both, and they go
-        # on as a lone row's batch and end within its budget, with no count
+        # dB rows that take at most 36: the search stops both, and they are
+        # searched again as a batch of two, which ends within a lone row's
+        # budget, with no count
         rows = [golay_trial(golay, 8.0, seed)[1] for seed in range(62)]
         rows += [golay_trial(golay, 0.0, seed)[1] for seed in (8, 17)]
         assert self.spied_batch(golay, rows) == []
+
+    def test_few_rows_that_stop_again_are_counted(self, golay):
+        # two Golay rows at -4 dB that take 2,674 and 2,192 extensions,
+        # among 8 dB rows: searched again under a lone row's budget, both
+        # stop again, and one count takes just those two
+        rows = [golay_trial(golay, 8.0, seed)[1] for seed in range(62)]
+        rows += [golay_trial(golay, -4.0, seed)[1] for seed in (3, 39)]
+        counted = self.spied_batch(golay, rows)
+        assert len(counted) == 1
+        assert np.array_equal(counted[0], _gda_tables(np.array(rows[62:]))[1])
 
     def test_many_stopped_rows_are_counted(self, golay):
         # at -4 dB most of a 64-row batch goes past the budget, and the rows
         # left at the budget their number calls for are counted at once
         counted = self.spied_batch(golay, [golay_trial(golay, -4.0, seed)[1]
                                            for seed in range(64)])
-        assert len(counted) == 1 and counted[0] >= 4
+        assert len(counted) == 1 and len(counted[0]) >= 4
+
+    def test_stopped_searches_leave_no_cyclic_garbage(self, golay):
+        # a search that the budget stops is freed when it raises: nothing
+        # it held is left for the cyclic collector, in a 64-row batch at
+        # 0 dB or in a lone decode past a lone row's budget
+        _, bm0, bm1 = _gda_tables(trial_llrs(golay, 0.0, 1, range(64)))
+        phi = golay_trial(golay, -4.0, 3)[1]  # 2,674 extensions
+        gc.collect()
+        gc.disable()
+        try:
+            decoders._gda_batch(golay, bm0, bm1, None)
+            batch = gc.collect()
+            assert gda_decode(golay, phi).extensions > decoders.SEARCH_BUDGET
+            lone = gc.collect()
+        finally:
+            gc.enable()
+        assert (batch, lone) == (0, 0)
 
 
 class TestGdaCount:

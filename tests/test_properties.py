@@ -345,21 +345,6 @@ def test_gda_batch_matches_search(inputs):
 
 
 @PROPERTY_SETTINGS
-@given(tree_search_inputs(), st.integers(0, 60))
-def test_search_stop_metric_bounds_winner(textbook_gda, inputs, budget):
-    # the search extends only paths with f <= zeta*, so the metric it
-    # stops at is a lower bound for the count to start from
-    code, phi = inputs
-    _, bm0, bm1 = _gda_tables(phi)
-    bm0, bm1 = bm0.tolist(), bm1.tolist()
-    zeta = textbook_gda(code, bm0, bm1)[3]
-    try:
-        _gda_search(code, bm0, bm1, budget)
-    except ExtensionLimitExceeded as stop:
-        assert stop.metric <= zeta
-
-
-@PROPERTY_SETTINGS
 @given(tree_batch_inputs())
 def test_osd_bound_is_a_codeword_above_winner(textbook_gda, inputs):
     # the count's first threshold U is the metric of a codeword, taken with
