@@ -42,11 +42,11 @@ SEARCH_BUDGET extensions on a lone row and SEARCH_BUDGET / sqrt(B) on
 each row of a batch of B (_search_budget), since the rows a count holds
 share its fixed cost; most trials end there.  Where it stops fewer than
 four rows of a batch, they are searched again from the root under a lone
-row's budget (a stop keeps no search state).  Past the budget,
-threshold sweeps count all the rows the
-search stopped at once (_gda_count): a round at a threshold T keeps each
-row's prefixes with f <= T in arrays that carry the row's index, adding
-each path's metrics in the search's own order, so every f is bit-equal.
+row's budget (a stop keeps no search state).  Past the budget, threshold
+sweeps count all the rows the search stopped at once (_gda_count): a
+round at a threshold T keeps each row's prefixes with f <= T in arrays
+that carry the row's index, adding each path's metrics in the search's
+own order, so every f is bit-equal.
 T starts at U, the metric of a codeword that agrees with the hard
 decisions on the row's most reliable positions (ordered-statistics
 decoding of order 1, _osd_bound), so the first round finds a leaf at or
@@ -329,6 +329,12 @@ def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     return results
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Words (uint64) [...] of bits [..., m], bit j of each from bits[..., j]."""
+    return (bits.astype(np.uint64) << np.arange(bits.shape[-1], dtype=np.uint64)).sum(
+        axis=-1, dtype=np.uint64)
+
+
 def _encode(code: BlockCode, info: np.ndarray) -> np.ndarray:
     """The codewords, information then parity bits, of the information
     words info (uint64, bit j information bit j)."""
@@ -363,9 +369,8 @@ def _osd_bound(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
     cost = bm0 + bm1
     hard = bm1 < bm0
     order = np.argsort(-cost, axis=1, kind="stable")
-    columns = (code.generator_bits.astype(np.uint64)
-               << np.arange(k, dtype=np.uint64)[:, None]).sum(axis=0, dtype=np.uint64)
-    reduced = np.tile(columns, (rows, 1))  # [R, n]: bit i of column j is row i's
+    # [R, n]: bit i of column j is row i's
+    reduced = np.tile(_pack(code.generator_bits.T), (rows, 1))
     free = np.full(rows, (1 << k) - 1, dtype=np.uint64)  # the rows with no pivot yet
     info = np.zeros(rows, dtype=np.uint64)  # the hard decisions at the pivots, by pivot row
     # [n, R]: all ones where the hard decision at a step's column is 1
@@ -387,10 +392,8 @@ def _osd_bound(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
     gain = np.matmul(np.where(base != hard, -cost, cost)[:, None], row_bits)[:, 0]
     flip = gain.argmin(axis=1)
     info ^= np.where(gain[everyone, flip] < 0.0, np.uint64(1) << flip.astype(np.uint64), 0)
-    osd = ((np.bitwise_count(reduced & info[:, None]) & 1).astype(np.uint64)
-           << np.arange(n, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
-    leaf = _encode(code, (hard[:, :k].astype(np.uint64)
-                          << np.arange(k, dtype=np.uint64)).sum(axis=1, dtype=np.uint64))
+    osd = _pack(np.bitwise_count(reduced & info[:, None]) & 1)
+    leaf = _encode(code, _pack(hard[:, :k]))
     words = np.stack((osd, leaf), axis=1)
     metrics = _path_metrics(bm0, bm1, words)[..., -1]
     best = metrics.argmin(axis=1)
@@ -458,8 +461,7 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     rows, k, n = len(bm0), code.k, code.n
     limit = sys.maxsize if extension_limit is None else extension_limit
     is_hard = bm1[:, :k] < bm0[:, :k]
-    hard = (is_hard.astype(np.uint64) << np.arange(k, dtype=np.uint64)).sum(axis=1,
-                                                                           dtype=np.uint64)
+    hard = _pack(is_hard)
     flips = np.where(is_hard, bm0[:, :k], bm1[:, :k]).T.copy()  # [k, R]: the other child's metric
     # tail metrics of all rows, entry bases[row] + 2 (level - k) + bit
     tail_bm = np.stack((bm0[:, k:], bm1[:, k:]), axis=-1).ravel()
