@@ -51,40 +51,25 @@ def _load_config(path) -> dict:
 
 
 def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
-    raw = _load_config(args.config) if args.config is not None else {}
-    code = raw.get("code")
-    if args.code_name is not None:
-        code = {"name": args.code_name}
-    if code is None:
-        raise ConfigError("no code given (use --config or --code)")
-    snr = raw.get("snr_db")
-    if args.snr is not None:
-        snr = _parse_snr(args.snr)
-    if snr is None:
-        raise ConfigError("no SNR grid given (use --config or --snr)")
-    if not isinstance(snr, (list, tuple)):
-        raise ConfigError(f"snr_db must be a list of numbers, got {snr!r}")
-    cfg = ExperimentConfig(
-        code=code,
-        snr_db=tuple(snr),
-        trials=args.trials if args.trials is not None else raw.get("trials", 10_000),
-        seed=args.seed if args.seed is not None else raw.get("seed", 1),
-        variant=args.variant or raw.get("variant", "both"),
-        mode=mode,
-        workers=args.workers if args.workers is not None else raw.get("workers", 1),
-        all_zero=args.all_zero or raw.get("all_zero", False),
-        L=args.length if args.length is not None else raw.get("L"),
-        extension_limit=(args.extension_limit if args.extension_limit is not None
-                         else raw.get("extension_limit")),
-    )
+    """The config file's keys with the given flags laid over them; a key
+    ExperimentConfig has no field for is a config error, bar the free-text note."""
+    fields = _load_config(args.config) if args.config is not None else {}
+    fields.pop("note", None)
+    flags = {"code": None if args.code_name is None else {"name": args.code_name},
+             "snr_db": None if args.snr is None else _parse_snr(args.snr),
+             "trials": args.trials, "seed": args.seed, "variant": args.variant,
+             "workers": args.workers, "all_zero": args.all_zero, "L": args.length,
+             "extension_limit": args.extension_limit}
+    fields.update({k: v for k, v in flags.items() if v is not None}, mode=mode)
+    try:
+        cfg = ExperimentConfig(**fields)
+    except TypeError as exc:  # an unknown key, or no code or SNR grid
+        raise ConfigError(str(exc)) from exc
     target = harness.code_from_config(cfg.code)
     if kind == "gda" and not isinstance(target, BlockCode):
         raise ConfigError("this subcommand expects a block code")
-    if kind == "mlsda":
-        if not isinstance(target, ConvCode):
-            raise ConfigError("this subcommand expects a convolutional code")
-        if not cfg.L:
-            raise ConfigError("convolutional experiments need L (use --length)")
+    if kind == "mlsda" and not isinstance(target, ConvCode):
+        raise ConfigError("this subcommand expects a convolutional code")
     return cfg
 
 
@@ -109,17 +94,19 @@ def _add_common(p: argparse.ArgumentParser, simulate: bool):
     if simulate:
         p.add_argument("--trials", type=int)
         p.add_argument("--workers", type=int)
-        p.add_argument("--all-zero", action="store_true",
+        p.add_argument("--all-zero", action="store_true", default=None,
                        help="transmit the all-zero codeword instead of random data")
         p.add_argument("--extension-limit", type=int,
                        help="per-trial search budget; overflowing trials are excluded")
     else:
-        p.set_defaults(trials=None, workers=None, all_zero=False, extension_limit=None)
+        p.set_defaults(trials=None, workers=None, all_zero=None, extension_limit=None)
 
 
 def _cmd_curve(args, kind: str, mode: str) -> int:
     cfg = _experiment_config(args, kind, mode)
-    # an --out that names a directory, or lies in a missing one, fails before the run
+    # an --out that is empty, names a directory, or lies in a missing one fails before the run
+    if args.out == "":
+        raise ConfigError("--out is empty")
     if args.out is not None and os.path.isdir(args.out):
         raise ConfigError(f"cannot write {args.out!r}: it is a directory")
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
@@ -141,6 +128,9 @@ def _all_numbers(values, kind) -> bool:
 
 def _cmd_atilde(args) -> int:
     raw = _load_config(args.config) if args.config is not None else {}
+    unknown = sorted(set(raw) - {"curves", "n_grid", "note"})
+    if unknown:
+        raise ConfigError(f"unknown atilde config key(s) {unknown}")
     curves = raw.get("curves", [])
     if not isinstance(curves, list) or not all(isinstance(c, dict) for c in curves):
         raise ConfigError("atilde config curves must be a list of JSON objects")

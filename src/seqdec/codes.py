@@ -119,7 +119,7 @@ class BlockCode:
         return int(self.weight_histogram[w])
 
 
-def _systematic_rows(poly: int, p: int, k: int) -> list:
+def _systematic_rows(poly: int, k: int) -> list:
     """Row-reduce the cyclic generator matrix [x^i * g(x)] into [I | P]."""
     rows = [poly << i for i in range(k)]
     for col in range(k):
@@ -145,7 +145,7 @@ def _build_extended_qr(poly: int, p: int, name: str, expected_dmin: int) -> Bloc
     generated by poly (bit i = coefficient of x^i), in systematic form.
     Raises AssertionError unless its minimum distance is expected_dmin."""
     k = (p + 1) // 2
-    rows = _extend_parity(_systematic_rows(poly, p, k), p)
+    rows = _extend_parity(_systematic_rows(poly, k), p)
     code = BlockCode(n=p + 1, k=k, rows=tuple(rows), name=name)
     dmin = code.minimum_distance()
     if dmin != expected_dmin:

@@ -90,6 +90,10 @@ class ExperimentConfig:
             raise ConfigError(f"bad variant {self.variant!r}")
         if self.mode not in ("bound", "simulate", "both"):
             raise ConfigError(f"bad mode {self.mode!r}")
+        if isinstance(self.code, dict) and self.code.get("type") == "conv" and self.L is None:
+            raise ConfigError("convolutional experiments need L")
+        if not isinstance(self.snr_db, (list, tuple)):
+            raise ConfigError(f"snr_db must be a list of numbers, got {self.snr_db!r}")
         if len(self.snr_db) == 0:
             raise ConfigError("empty SNR grid")
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
@@ -168,8 +172,6 @@ def _built_target(code_json: str, L: int | None):
     repeated runs on one code build its trellis once."""
     code = code_from_config(json.loads(code_json))
     if isinstance(code, ConvCode):
-        if not L:
-            raise ConfigError("convolutional experiments need L")
         return build_trellis(code, int(L))
     return code
 

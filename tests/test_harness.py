@@ -75,10 +75,16 @@ class TestExperimentConfigValidation:
 
     @pytest.mark.parametrize("field", [
         dict(trials=None), dict(workers=True), dict(L="8"), dict(extension_limit=1.5),
-        dict(all_zero="yes"), dict(snr_db=(False,))])
+        dict(all_zero="yes"), dict(snr_db=(False,)), dict(snr_db=2.0)])
     def test_field_types(self, field):
         with pytest.raises(ConfigError):
             small_cfg(**field)
+
+    def test_conv_code_needs_L(self):
+        with pytest.raises(ConfigError, match="need L"):
+            ExperimentConfig(code=SMALL_CONV, snr_db=(1.0,))
+        ExperimentConfig(code=SMALL_CONV, snr_db=(1.0,), L=8)
+        ExperimentConfig(code={"name": "golay24"}, snr_db=(1.0,))
 
 
 class TestCurves:
@@ -335,6 +341,23 @@ class TestShippedConfigs:
             code = code_from_config(raw["code"])
             assert code.m == 16
 
+    @pytest.mark.parametrize("name, command", [
+        ("fig1", "atilde"), ("fig2", "atilde"),
+        ("fig3", "simulate-gda"), ("fig4", "simulate-gda"),
+        *((f"fig{i}", "simulate-mlsda") for i in range(5, 9))])
+    def test_runs_through_its_subcommand(self, capsys, name, command):
+        # every key of a shipped config is one its subcommand reads
+        path = resources.files("seqdec") / "configs" / f"{name}.json"
+        argv = [command, "--config", str(path)]
+        if command != "atilde":
+            argv += ["--trials", "2", "--snr", str(json.loads(path.read_text())["snr_db"][-1])]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if command == "atilde":
+            assert len(lines) == 38
+        else:
+            assert len(lines) == 2 and lines[1].endswith(",2")
+
 
 class TestCli:
     def test_bound_csv(self, capsys, tmp_path):
@@ -454,18 +477,38 @@ class TestCli:
         assert rc == 2
         assert "NaN" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("leaf", ["missing/x.csv", "file.txt/x.csv", "directory"])
+    @pytest.mark.parametrize("leaf", ["missing/x.csv", "file.txt/x.csv", "directory", None])
     def test_out_directory_checked_before_run(self, capsys, monkeypatch, tmp_path, leaf):
+        # leaf None is an empty --out
         def no_run(cfg):
             raise AssertionError("the run started before --out was checked")
         monkeypatch.setattr(harness, "run_experiment", no_run)
         (tmp_path / "file.txt").write_text("")
         (tmp_path / "directory").mkdir()
         rc = cli.main(["simulate-gda", "--code", "golay24", "--snr", "2", "--trials", "2000",
-                       "--out", str(tmp_path / leaf)])
+                       "--out", "" if leaf is None else str(tmp_path / leaf)])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["directory", "file.txt"]
+
+    @pytest.mark.parametrize("command, name, typo", [
+        ("simulate-gda", "fig4", {"extension_limt": 3, "wrokers": 2}),
+        ("bound-mlsda", "fig7", {"varaint": "be"}),
+        ("atilde", "fig1", {"n_gird": [40]}),
+    ])
+    def test_unknown_config_key_rejected_before_run(self, capsys, monkeypatch, tmp_path,
+                                                    command, name, typo):
+        def no_run(*args):
+            raise AssertionError("the run started before the config was checked")
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        monkeypatch.setattr(harness, "run_atilde_table", no_run)
+        raw = json.loads((resources.files("seqdec") / "configs" / f"{name}.json").read_text())
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({**raw, **typo}))
+        rc = cli.main([command, "--config", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and min(typo) in err
 
     @pytest.mark.parametrize("argv, kind", [
         (["dstar", "--octal", "6,5,7", "-L", "4"], "config"),
@@ -491,6 +534,7 @@ class TestCli:
         (["bound-gda", "--code", "golay24", "--snr", "1:2:1e-300"], "config"),
         (["simulate-mlsda", "--config", "{trials-text}"], "config"),
         (["simulate-mlsda", "--config", "{seed-text}"], "config"),
+        (["bound-mlsda", "--config", "{no-L}"], "config"),
         (["simulate-mlsda", "--config", "{trials-float}"], "config"),
         (["simulate-mlsda", "--config", "{snr-text}"], "config"),
         (["simulate-mlsda", "--config", "{L-text}"], "config"),
@@ -539,6 +583,7 @@ class TestCli:
             "{n-grid}": {"curves": [{"d_over_n": 0.2, "gamma_db": 1}], "n_grid": ["x"]},
             "{trials-text}": {**CONV_CFG, "trials": "100"},
             "{seed-text}": {**CONV_CFG, "seed": "7"},
+            "{no-L}": {k: v for k, v in CONV_CFG.items() if k != "L"},
             "{trials-float}": {**CONV_CFG, "trials": 2.5},
             "{snr-text}": {**CONV_CFG, "snr_db": "2.0"},
             "{L-text}": {**CONV_CFG, "L": "x"},
