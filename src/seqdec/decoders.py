@@ -35,30 +35,21 @@ the goal test, so it raises exactly when its final count exceeds the budget.
 Counting a heavy tree trial.  Branch metrics are nonnegative, so the
 tree search extends a path only if its metric f is at most the winner's,
 zeta*; its counts are those of the tree nodes with f <= zeta*, which
-numpy can count level by level without a stack.  Every tree decode
-(gda_decode as a batch of one through _gda_tree, and decode_batch a
-batch at a time, both through _gda_batch) runs the search first, under
-SEARCH_BUDGET extensions on a lone row and SEARCH_BUDGET / sqrt(B) on
-each row of a batch of B (_search_budget), since the rows a count holds
-share its fixed cost; most trials end there.  Where it stops fewer than
-four rows of a batch, they are searched again from the root under a lone
-row's budget (a stop keeps no search state).  Past the budget, threshold
-sweeps count all the rows the search stopped at once (_gda_count): a
-round at a threshold T keeps each row's prefixes with f <= T in arrays
-that carry the row's index, adding each path's metrics in the search's
-own order, so every f is bit-equal.
-T starts at U, the metric of a codeword that agrees with the hard
-decisions on the row's most reliable positions (ordered-statistics
-decoding of order 1, _osd_bound), so the first round finds a leaf at or
-below U, and the least such leaf is the winner; U is zeta* itself on
-nearly every row, and a row whose winner lies below U takes a second
-round at T = zeta*.  Three rules keep the count exact.  A node other
-than the winner's prefixes at exactly zeta* (two winning leaves, or a
-tie off the winner's path) would be settled by the stack's insertion
-order, so that row is searched again without a budget.  A row overflows
-exactly when its count at zeta* exceeds the caller's budget.  No sweep
-array holds more than SWEEP_BLOCK nodes of all the rows together: the
-sweeps run depth first over blocks of paths.
+numpy can count level by level without a stack.  A batch of B > 1 rows
+(decode_batch, through _gda_batch) first settles in numpy each row whose
+search is a straight dive: the whole dive to level k and a tail whose
+leaf lies strictly below the dive's least flip (_straight_dives).  As in
+the trellis batch, when at least half the rows are left, threshold
+sweeps count them all at once (_gda_count); otherwise, and on a lone row
+(gda_decode, through _gda_tree), each is searched under SEARCH_BUDGET
+extensions, and the sweeps count the rows it stops.  A round at a
+threshold T keeps each row's prefixes with f <= T in arrays that carry
+the row's index, adding each path's metrics in the search's own order,
+so every f is bit-equal.  T starts at U, the metric of an order-1
+ordered-statistics codeword (_osd_bound), which is zeta* on nearly every
+row; a tie at zeta* off the winner's path, which the stack's insertion
+order would settle, sends the row to the search (see _gda_count), and no
+sweep array holds more than SWEEP_BLOCK nodes.
 
 Settling first dives per batch.  The trellis search starts with a dive
 from the root, and at high SNR that dive mostly runs straight to the
@@ -166,8 +157,9 @@ def gda_decode(code: BlockCode, phi, extension_limit: int | None = None) -> Deco
     the heap, whose disagreeing children below level k all add enough to
     exceed it, follows the hard decisions to level k in one step.  Its
     siblings enter the heap one at a time, in the order a pop takes them.
-    A decode that outgrows SEARCH_BUDGET extensions is counted in numpy
-    (see the module docstring), with the same result.
+    A lone decode skips the batch's straight-dive settle (it is searched
+    first), and one that outgrows SEARCH_BUDGET extensions is counted in
+    numpy (see the module docstring), with the same result.
     """
     offset, bm0, bm1 = _gda_tables(check_lengths(phi, code.n))
     *counts, f, bits = _gda_tree(code, bm0, bm1, extension_limit)
@@ -289,43 +281,48 @@ def _gda_tree(code: BlockCode, bm0, bm1, extension_limit) -> tuple:
     return result
 
 
-def _search_budget(rows: int) -> int:
-    """Extensions the tree search takes on each of rows rows before the
-    count takes over: SEARCH_BUDGET / sqrt(rows).  Most of a count's cost
-    is fixed per level and round, and the rows it holds share it, so the
-    more rows a batch has, the sooner the count pays."""
-    return SEARCH_BUDGET // max(1, math.isqrt(rows))
+def _straight_dives(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
+    """(straight [B], leaf metrics [B], leaf words [B]) of bm0, bm1 [B, n]:
+    straight marks the rows whose search is one whole dive to level k,
+    whose least flip c > 0.0 goes on the stack, and one tail to level n,
+    whose hard-decision leaf's metric (the search's adds) lies below c."""
+    k = code.k
+    words = _encode(code, _pack(bm1[:, :k] < bm0[:, :k]))
+    leaf = _path_metrics(bm0, bm1, words[:, None])[:, 0, -1]
+    return leaf < np.maximum(bm0[:, :k] + bm1[:, :k], 0.0).min(axis=1), leaf, words
 
 
 def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limit) -> list:
     """_gda_search's result on each row of bm0, bm1 [B, n] (see
-    _gda_tables), or None where the search exceeds the budget: the
-    search itself for up to _search_budget(B) extensions, and past them
-    one count (_gda_count) of all the rows it stopped.  Fewer than four
-    stopped rows are too few to share a count: they are searched again
-    from the start as a batch of their own, whose budget is SEARCH_BUDGET,
-    a lone row's, and the count takes those that stop again.  The count
-    holds information bits in floats and path bits in 64-bit words, so
-    larger codes are searched only."""
-    budget = _search_budget(len(bm0))
-    if not (code.k <= 53 and code.n <= 64) or (extension_limit is not None
-                                               and extension_limit <= budget):
-        budget = extension_limit
-    results, stopped = [], []
-    for i, (a, b) in enumerate(zip(bm0.tolist(), bm1.tolist())):
-        try:
-            results.append(_gda_search(code, a, b, budget))
-        except ExtensionLimitExceeded:
-            results.append(None)
-            stopped.append(i)
-    if not stopped or budget == extension_limit:
-        return results
-    if budget < SEARCH_BUDGET and _search_budget(len(stopped)) == SEARCH_BUDGET:
-        settle = _gda_batch  # too few rows to share a count: search them again
-    else:
-        settle = _gda_count
-    for i, result in zip(stopped, settle(code, bm0[stopped], bm1[stopped], extension_limit)):
-        results[i] = result
+    _gda_tables), or None where the search exceeds the budget.  Where
+    B > 1, straight dives (_straight_dives) are settled without it, after
+    n extensions, k branching.  When at least half the rows are left, one
+    count (_gda_count) takes them all; otherwise, and on a lone row, each
+    is searched for up to SEARCH_BUDGET extensions and one count takes
+    those it stops.  The count holds information bits in floats and path
+    bits in 64-bit words, so larger codes, and budgets of at most
+    SEARCH_BUDGET, are searched only."""
+    rows, k, n = len(bm0), code.k, code.n
+    results, left = [None] * rows, list(range(rows))
+    countable = k <= 53 and n <= 64
+    if countable and rows > 1:
+        straight, leaf, words = _straight_dives(code, bm0, bm1)
+        if extension_limit is None or extension_limit >= n:
+            for i in np.flatnonzero(straight).tolist():
+                results[i] = (2 * k, k + n, n, float(leaf[i]), int(words[i]))
+        left = np.flatnonzero(~straight).tolist()
+    searched = not countable or (extension_limit is not None and extension_limit <= SEARCH_BUDGET)
+    if searched or rows == 1 or 2 * len(left) < rows:
+        budget, stopped = extension_limit if searched else SEARCH_BUDGET, []
+        for i in left:
+            try:
+                results[i] = _gda_search(code, bm0[i].tolist(), bm1[i].tolist(), budget)
+            except ExtensionLimitExceeded:
+                stopped.append(i)
+        left = [] if searched else stopped
+    if left:
+        for i, result in zip(left, _gda_count(code, bm0[left], bm1[left], extension_limit)):
+            results[i] = result
     return results
 
 
@@ -438,7 +435,7 @@ def _sweep(flips: np.ndarray, thresholds: np.ndarray, active: np.ndarray):
 def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limit) -> list:
     """The tree search's result (see _gda_search) on each row of bm0, bm1
     [R, n], or None where it exceeds the budget, from threshold sweeps
-    over all the rows at once.
+    over all the rows at once, whether a search stopped them or not.
 
     The search extends every path below level n with f < zeta*, and
     those with f == zeta* that it pops before the winner.  When no node

@@ -42,7 +42,7 @@ from seqdec.codes import (
     parse_octal_generators,
 )
 from seqdec.decoders import (
-    _search_budget,
+    SEARCH_BUDGET,
     brute_force_ml_block,
     decode_batch,
     gda_decode,
@@ -235,8 +235,8 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
     """branch_computations of each trial, or None where the trial blew the
     extension budget, in trial order: trial_llrs and then decode_batch on
     TRIAL_BATCH trials at a time, which give each trial the counts of the
-    trial built and decoded alone.  A tree batch of 64 counts its rows past
-    an eighth of a lone row's search budget together in numpy (see
+    trial built and decoded alone.  A tree batch of 64 settles its straight
+    dives and counts the rest of its rows together in numpy (see
     decoders)."""
     results = []
     for first in range(trials.start, trials.stop, TRIAL_BATCH):
@@ -461,10 +461,10 @@ def check_ml_equivalence() -> CheckResult:
     trellis search on the (2,1,6) code at L = 20 against viterbi_ml.  The
     trials of each code also go through decode_batch as one batch, and
     each row must give the one-trial decoder's counts and metric: the
-    tree batch counts the Golay trials past its search budget (about two
-    in five) together, and the trellis batch counts most trellis trials.
-    The detail line gives the number past the budget, which here are too
-    many to be searched again alone, so the count takes them all."""
+    tree batch settles the Golay trials whose search is a straight dive
+    (15 of them) in numpy and counts the rest together, and the trellis
+    batch counts most trellis trials.  The detail line gives the numbers
+    of Golay rows settled by their straight dive and counted."""
 
     def differ(rows, outs) -> int:
         return sum(row is None or row[:4] != (o.branch_computations, o.branch_computations_total,
@@ -479,7 +479,9 @@ def check_ml_equivalence() -> CheckResult:
         for out, phi in zip(decoded, phis))
     rows = decode_batch(code, phis)
     tree_differ = differ(rows, decoded)
-    past = sum(row is not None and row[2] > _search_budget(len(rows)) for row in rows)
+    straight = sum(row is not None and row[2] == code.n for row in rows)  # n: no pop at all
+    counted = (len(rows) - straight if 2 * straight <= len(rows)  # at least half left
+               else sum(row is not None and row[2] > SEARCH_BUDGET for row in rows))
     trellis = build_trellis(parse_octal_generators(["634", "564"], m=6), L=20)
     phis = trial_llrs(trellis, 2.0, 7, range(100))
     searched = [mlsda_decode(trellis, phi) for phi in phis]
@@ -491,7 +493,8 @@ def check_ml_equivalence() -> CheckResult:
                   max(block, conv) <= 1e-6 and trellis_differ == tree_differ == 0,
                   f"max metric gap {block:.3g} (golay24 vs brute force), "
                   f"{conv:.3g} ((2,1,6) L=20 trellis vs viterbi_ml); "
-                  f"{tree_differ} of 100 golay24 batch rows ({past} past the search budget) differ from "
+                  f"{tree_differ} of 100 golay24 batch rows ({straight} settled by their straight "
+                  f"dive, {counted} counted) differ from "
                   f"gda_decode, {trellis_differ} of 100 trellis batch rows from the search")
 
 

@@ -183,11 +183,17 @@ class TestMlsdaDecode:
 
 
 class TestGdaBatch:
-    def test_budget_falls_with_the_batch(self):
-        # a lone row searches SEARCH_BUDGET extensions, a batch of 64 an
-        # eighth of them per row
-        assert decoders._search_budget(1) == decoders.SEARCH_BUDGET
-        assert decoders._search_budget(64) == decoders.SEARCH_BUDGET // 8
+    def test_straight_dives_are_settled_without_search(self, golay):
+        # at 10 dB every row of this 64-trial batch is a straight dive, and
+        # numpy settles them all: no row is searched or counted
+        _, bm0, bm1 = _gda_tables(trial_llrs(golay, 10.0, 1, range(64)))
+        assert decoders._straight_dives(golay, bm0, bm1)[0].all()
+        with mock.patch.object(decoders, "_gda_search", wraps=decoders._gda_search) as search, \
+                mock.patch.object(decoders, "_gda_count", wraps=decoders._gda_count) as count:
+            got = decoders._gda_batch(golay, bm0, bm1, None)
+        assert (search.call_count, count.call_count) == (0, 0)
+        assert got == [decoders._gda_search(golay, a, b, None)
+                       for a, b in zip(bm0.tolist(), bm1.tolist())]
 
     def spied_batch(self, golay, rows):
         """The bm0 rows of each _gda_count call that _gda_batch makes on
@@ -202,17 +208,17 @@ class TestGdaBatch:
 
     def test_few_stopped_rows_are_searched_on(self, golay):
         # two Golay rows at 0 dB that take 636 and 706 extensions, among 8
-        # dB rows that take at most 36: the search stops both, and they are
-        # searched again as a batch of two, which ends within a lone row's
-        # budget, with no count
+        # dB rows that take at most 36: too few rows are left by their
+        # straight dives to share a count, so each is searched under a lone
+        # row's budget, which both end within, with no count
         rows = [golay_trial(golay, 8.0, seed)[1] for seed in range(62)]
         rows += [golay_trial(golay, 0.0, seed)[1] for seed in (8, 17)]
         assert self.spied_batch(golay, rows) == []
 
     def test_few_rows_that_stop_again_are_counted(self, golay):
         # two Golay rows at -4 dB that take 2,674 and 2,192 extensions,
-        # among 8 dB rows: searched again under a lone row's budget, both
-        # stop again, and one count takes just those two
+        # among 8 dB rows: searched under a lone row's budget, both stop,
+        # and one count takes just those two
         rows = [golay_trial(golay, 8.0, seed)[1] for seed in range(62)]
         rows += [golay_trial(golay, -4.0, seed)[1] for seed in (3, 39)]
         counted = self.spied_batch(golay, rows)
@@ -220,8 +226,8 @@ class TestGdaBatch:
         assert np.array_equal(counted[0], _gda_tables(np.array(rows[62:]))[1])
 
     def test_many_stopped_rows_are_counted(self, golay):
-        # at -4 dB most of a 64-row batch goes past the budget, and the rows
-        # left at the budget their number calls for are counted at once
+        # at -4 dB no row of a 64-row batch is a straight dive, and all the
+        # rows left are counted at once
         counted = self.spied_batch(golay, [golay_trial(golay, -4.0, seed)[1]
                                            for seed in range(64)])
         assert len(counted) == 1 and len(counted[0]) >= 4
@@ -229,19 +235,25 @@ class TestGdaBatch:
     def test_stopped_searches_leave_no_cyclic_garbage(self, golay):
         # a search that the budget stops is freed when it raises: nothing
         # it held is left for the cyclic collector, in a 64-row batch at
-        # 0 dB or in a lone decode past a lone row's budget
+        # 0 dB (counted), in one whose two -4 dB rows stop at a lone row's
+        # budget, or in a lone decode past that budget
         _, bm0, bm1 = _gda_tables(trial_llrs(golay, 0.0, 1, range(64)))
+        rows = [golay_trial(golay, 8.0, seed)[1] for seed in range(62)]
+        rows += [golay_trial(golay, -4.0, seed)[1] for seed in (3, 39)]
+        _, mixed0, mixed1 = _gda_tables(np.array(rows))
         phi = golay_trial(golay, -4.0, 3)[1]  # 2,674 extensions
         gc.collect()
         gc.disable()
         try:
             decoders._gda_batch(golay, bm0, bm1, None)
             batch = gc.collect()
+            decoders._gda_batch(golay, mixed0, mixed1, None)
+            mixed = gc.collect()
             assert gda_decode(golay, phi).extensions > decoders.SEARCH_BUDGET
             lone = gc.collect()
         finally:
             gc.enable()
-        assert (batch, lone) == (0, 0)
+        assert (batch, mixed, lone) == (0, 0, 0)
 
 
 class TestGdaCount:
@@ -279,14 +291,18 @@ class TestGdaCount:
                                                       False, True, True, False]
 
     def test_qr48_batch_is_counted_in_one_round(self, qr48):
-        # at 4.5 dB the search stops 22 rows of this 64-trial batch at its
-        # budget; every one's bound is its winner, so one round counts them all
+        # at 4.5 dB 52 rows of this 64-trial batch are not straight dives;
+        # one count takes exactly those, with no search, and every one's
+        # bound is its winner, so one round counts them all
         _, bm0, bm1 = _gda_tables(trial_llrs(qr48, 4.5, 1, range(64)))
+        left = ~decoders._straight_dives(qr48, bm0, bm1)[0]
         with mock.patch.object(decoders, "_sweep", wraps=decoders._sweep) as sweeps, \
-                mock.patch.object(decoders, "_gda_count", wraps=decoders._gda_count) as count:
+                mock.patch.object(decoders, "_gda_count", wraps=decoders._gda_count) as count, \
+                mock.patch.object(decoders, "_gda_search", wraps=decoders._gda_search) as search:
             got = decoders._gda_batch(qr48, bm0, bm1, None)
-        assert [len(call.args[1]) for call in count.call_args_list] == [22]
-        assert sweeps.call_count == 1
+        assert [len(call.args[1]) for call in count.call_args_list] == [52]
+        assert np.array_equal(count.call_args.args[1], bm0[left])
+        assert (sweeps.call_count, search.call_count) == (1, 0)
         assert got == [decoders._gda_search(qr48, a, b, None)
                        for a, b in zip(bm0.tolist(), bm1.tolist())]
 

@@ -2,13 +2,14 @@
 per-trial reference kept here: the trellis layer on convolutional codes
 (memory <= 4, 2-3 outputs, L <= 8), the tree search and its entry point
 (with the count taking over early) on systematic block codes (k <= 10)
-and the Golay code, its batch entry point against the search row by
-row, the trellis search against a plain two-stack search, its batch
-entry point and its count against the search row by row, the Viterbi
-oracle against all 2^L inputs, the harness's batched trial pipeline on
-both (with the tree count taking over early too) and each of its two
-stages, trial_llrs and decode_batch, against the one-trial path, and the
-per-pair bound of a whole evaluation against the scalar one."""
+and the Golay code, its batch entry point (and the rows it settles as
+straight dives) against the search row by row, the trellis search
+against a plain two-stack search, its batch entry point and its count
+against the search row by row, the Viterbi oracle against all 2^L
+inputs, the harness's batched trial pipeline on both (with the tree
+count taking over early too) and each of its two stages, trial_llrs and
+decode_batch, against the one-trial path, and the per-pair bound of a
+whole evaluation against the scalar one."""
 
 import math
 import sys
@@ -340,6 +341,57 @@ def test_gda_batch_matches_search(inputs):
                 assert g is None
             else:
                 assert g is not None
+                assert (*g[:3], g[3].hex(), g[4]) == (*w[:3], w[3].hex(), w[4])
+                assert type(g[3]) is float and type(g[4]) is int
+
+
+@st.composite
+def high_snr_tree_batches(draw):
+    """A code (random systematic with k <= 10, or Golay) and a batch of 2-6
+    LLR rows for it near a codeword's signs, with magnitudes of 1 to 6
+    plus noise in [-2, 2], so that most rows are straight dives.  A row
+    may hold an exact zero (a level whose children tie, where the least
+    flip metric is 0.0 if it lies below level k), or have its parity bits
+    follow its hard leaf but for one, whose magnitude is the least of the
+    information positions', moved by -1, 0 or 1 ulp: its leaf metric then
+    ties or nearly ties the least flip metric."""
+    code = draw(st.one_of(block_codes(), st.builds(build_extended_golay)))
+    k, n = code.k, code.n
+    rows = []
+    for _ in range(draw(st.integers(2, 6))):
+        info = np.array(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)), dtype=np.uint8)
+        noise = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        phi = (1.0 - 2.0 * encode_block(code, info)) * (draw(st.floats(1.0, 6.0)) + noise)
+        kind = draw(st.sampled_from(["plain", "zero", "tie"]))
+        if kind == "zero":
+            phi[draw(st.integers(0, n - 1))] = 0.0
+        elif kind == "tie" and n > k:
+            signs = 1.0 - 2.0 * encode_block(code, hard_decision(phi[:k]))
+            phi[k:] = signs[k:] * np.abs(phi[k:])
+            parity = draw(st.integers(k, n - 1))
+            least = float(np.abs(phi[:k]).min())
+            phi[parity] = -signs[parity] * (least + draw(st.integers(-1, 1)) * math.ulp(least))
+        rows.append(phi)
+    return code, np.array(rows)
+
+
+@PROPERTY_SETTINGS
+@given(high_snr_tree_batches())
+def test_straight_dives_match_search(inputs):
+    # every row that the batch settles as a straight dive has the counts,
+    # the metric's bits and the path bits of the search on the row alone,
+    # and is None exactly where that search raises: under no limit, one
+    # extension short of the dive, and at exactly its n extensions
+    code, phi = inputs
+    _, bm0, bm1 = _gda_tables(phi)
+    straight = decoders._straight_dives(code, bm0, bm1)[0]
+    for limit in (None, code.n - 1, code.n):
+        got = _gda_batch(code, bm0, bm1, limit)
+        want = searched_tree_rows(code, bm0[straight], bm1[straight], limit)
+        for g, w in zip([got[i] for i in np.flatnonzero(straight)], want):
+            if w is None:
+                assert g is None
+            else:
                 assert (*g[:3], g[3].hex(), g[4]) == (*w[:3], w[3].hex(), w[4])
                 assert type(g[3]) is float and type(g[4]) is int
 
