@@ -14,7 +14,6 @@ from seqdec.bounds import (
     BERRY_ESSEEN,
     CHERNOFF,
     BoundVariant,
-    extension_probability_bound,
     extension_probability_bounds,
     gda_complexity_bound,
     mlsda_complexity_bound,
@@ -49,7 +48,6 @@ __all__ = [
     "compute_dstar",
     "encode_block",
     "encode_conv",
-    "extension_probability_bound",
     "extension_probability_bounds",
     "gda_complexity_bound",
     "gda_decode",

@@ -250,7 +250,7 @@ def _mean_positivity_threshold(gamma: float) -> float:
 
 def _log_bounds(pairs, gamma: float, variant: BoundVariant) -> np.ndarray:
     """ln of the extension-probability bound for each (d, clipped) row of
-    the int array pairs at one gamma (see extension_probability_bound).
+    the int array pairs at one gamma (see extension_probability_bounds).
 
     d = 0 gives 0 (the event is certain), clipped = 0 the plain Gaussian
     tail, and a ratio d/total below the mean-positivity threshold or
@@ -309,28 +309,20 @@ def _logaddexp(a, b):
 
 def extension_probability_bounds(d, clipped, gamma: float,
                                  variant: BoundVariant = BERRY_ESSEEN) -> np.ndarray:
-    """extension_probability_bound elementwise over int arrays d and
-    clipped (broadcast together) at one gamma, with one tilt solve for
-    all of them."""
-    d, clipped = np.broadcast_arrays(d, clipped)
-    logs = _log_bounds(np.stack((d, clipped), axis=-1), gamma, variant)
-    return math_map(math.exp, logs).reshape(d.shape)
-
-
-@lru_cache(maxsize=1 << 18)
-def extension_probability_bound(d: int, clipped: int, gamma: float,
-                                variant: BoundVariant = BERRY_ESSEEN) -> float:
-    """Upper bound on the probability that a search node is extended.
+    """Upper bounds on the probability that a search node is extended,
+    elementwise over int arrays d and clipped (broadcast together) at one
+    gamma, with one tilt solve for all of them.
 
     The bounded event is {sum_{i<=d} X_i + sum_{j<=clipped} min(W_j, 0)
     <= 0} with X, W i.i.d. Gaussian of SNR gamma = mu^2/(2 sigma^2):
     d counts the disagreement positions accumulated so far and clipped
-    the not-yet-decoded positions.  Result is in [0, 1]; it is exactly 1
-    when d = 0 and whenever the mean-positivity condition fails or the
-    tilt equation has no usable root.  Callers with many (d, clipped)
-    at one gamma take extension_probability_bounds instead.
+    the not-yet-decoded positions.  Each bound is in [0, 1]; it is exactly
+    1 when d = 0 and whenever the mean-positivity condition fails or the
+    tilt equation has no usable root.
     """
-    return float(extension_probability_bounds(d, clipped, gamma, variant))
+    d, clipped = np.broadcast_arrays(d, clipped)
+    logs = _log_bounds(np.stack((d, clipped), axis=-1), gamma, variant)
+    return math_map(math.exp, logs).reshape(d.shape)
 
 
 def gda_complexity_bound(code, gamma_b_db: float,

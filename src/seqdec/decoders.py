@@ -3,27 +3,28 @@ and dynamic-programming oracles.
 
 Both searches are best-first with FIFO tie-breaking (insertion order),
 which makes every decode deterministic for a fixed LLR vector.  Each
-extension hands out insertion numbers to all its children, then expands
-the best child (lowest metric, lower number on a tie) in place when its
-metric lies strictly below the top of the open stack: a pop would return
-exactly that child.  Otherwise the child goes through the stack
-(heapreplace), so every tie is settled by the stack's FIFO order.  The
+extension hands out insertion numbers to all its children, and the
 extension order, and with it every count, is that of a loop that pops
-each path and pushes every child.
+each path and pushes every child.  Each search takes many extensions in
+one step where that loop's order is certain.
 
-The tree search goes further and takes many extensions in one step
-where that loop's order is certain.  A path strictly below the top of
-the stack whose every sibling to come would lie strictly above it dives
-along the hard decisions to level k at once; the dive's siblings form
-one fan, of which only the least member is on the stack.  In the
-single-child tail a path steps level by level, with its parity bits
-read from per-byte tables, until its metric reaches the top.  Any tie
-falls back to one extension through the stack.
+The tree search dives: a path strictly below the top of the stack whose
+every sibling to come would lie strictly above it follows the hard
+decisions to level k at once; the dive's siblings form one fan, of which
+only the least member is on the stack.  In the single-child tail a path
+steps level by level, with its parity bits read from per-byte tables,
+until its metric reaches the top.  Any other step below level k comes of
+a tie, or of a flip that adds nothing, and is the plain loop's: both
+children go on the stack and the least entry comes off.
 
-The trellis search keeps each node's state (unseen, open with one path,
-or closed) in one node table, so a child costs one lookup.  It dives
-too, over fresh levels: above the deepest level that holds a node of
-the table, no lookup can find anything, so a node there follows its
+The trellis search expands the best child (lowest metric, lower number
+on a tie) in place when its metric lies strictly below the top of the
+open stack: a pop would return exactly that child.  Otherwise the child
+goes through the stack (heapreplace), so every tie is settled by the
+stack's FIFO order.  It keeps each node's state (unseen, open with one
+path, or closed) in one node table, so a child costs one lookup.  It
+dives too, over fresh levels: above the deepest level that holds a node
+of the table, no lookup can find anything, so a node there follows its
 best child level by level with no table work and no push, while that
 child lies strictly below the top of the stack and the dive's own
 siblings.  A dive that stops short of the goal writes once what single
@@ -173,7 +174,7 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
     Returns (branch_computations, branch_computations_total, extensions,
     path value, path bits as an int) of the path that reached level n.
     """
-    heappush, heapreplace = heapq.heappush, heapq.heapreplace
+    heappush, heappushpop, heapreplace = heapq.heappush, heapq.heappushpop, heapq.heapreplace
     k, n = code.k, code.n
     parity_tables = code.parity_tables
     limit = sys.maxsize if extension_limit is None else extension_limit
@@ -247,23 +248,11 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
                 fan = [f, extensions + low_extensions + 2 - 2 * k, bits, order, steps, 0]
                 level = k
                 continue
-            extensions += 1  # one extension, as a plain loop takes it
+            extensions += 1  # no whole dive: one extension, as a plain loop takes it
             low_extensions += 1
-            f0 = f + bm0[level]
-            f1 = f + bm1[level]
             seq = extensions + low_extensions - 1  # the 0-child's number
-            if f1 < f0:  # the 1-child is best; on a tie the 0-child (lower seq) is
-                sibling = (f0, seq, level + 1, bits, None)
-                f, best_seq, bits = f1, seq + 1, bits | (1 << level)
-            else:
-                sibling = (f1, seq + 1, level + 1, bits | (1 << level), None)
-                f, best_seq = f0, seq
-            level += 1
-            if not (heap and f >= heap[0][0]):  # strictly below the top: dive
-                heappush(heap, sibling)
-                continue
-            entry = heapreplace(heap, (f, best_seq, level, bits, None))
-            heappush(heap, sibling)
+            heappush(heap, (f + bm1[level], seq + 1, level + 1, bits | (1 << level), None))
+            entry = heappushpop(heap, (f + bm0[level], seq, level + 1, bits, None))
         f, _, level, bits, fan = entry
 
 

@@ -42,7 +42,6 @@ from seqdec.codes import (
     parse_octal_generators,
 )
 from seqdec.decoders import (
-    SEARCH_BUDGET,
     brute_force_ml_block,
     decode_batch,
     gda_decode,
@@ -236,8 +235,8 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
     extension budget, in trial order: trial_llrs and then decode_batch on
     TRIAL_BATCH trials at a time, which give each trial the counts of the
     trial built and decoded alone.  A tree batch of 64 settles its straight
-    dives and counts the rest of its rows together in numpy (see
-    decoders)."""
+    dives in numpy and counts the rows left together when they are at
+    least half of it, and otherwise searches them (see decoders)."""
     results = []
     for first in range(trials.start, trials.stop, TRIAL_BATCH):
         batch = range(first, min(first + TRIAL_BATCH, trials.stop))
@@ -267,7 +266,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
+def run_simulation_curve(cfg: ExperimentConfig) -> list:
     """Monte Carlo complexity per SNR point.
 
     Mean and a normal-approximation 95% CI half-width over the included
@@ -308,8 +307,6 @@ def run_simulation_curve(cfg: ExperimentConfig, progress=None) -> list:
             points.append(CurvePoint(gamma_b_db=db, sim_mean=mean, sim_ci95_half=half,
                                      trials=len(counts),
                                      overflow_trials=len(results) - len(counts)))
-            if progress is not None:
-                progress(points[-1])
     return points
 
 
@@ -327,10 +324,9 @@ def merge_curves(bound_pts, sim_pts) -> list:
     return [by_db[db] for db in sorted(by_db)]
 
 
-def run_experiment(cfg: ExperimentConfig, progress=None) -> list:
+def run_experiment(cfg: ExperimentConfig) -> list:
     bound_pts = run_bound_curve(cfg) if cfg.mode in ("bound", "both") else []
-    sim_pts = (run_simulation_curve(cfg, progress=progress)
-               if cfg.mode in ("simulate", "both") else [])
+    sim_pts = run_simulation_curve(cfg) if cfg.mode in ("simulate", "both") else []
     if not bound_pts:
         return sim_pts
     if not sim_pts:
@@ -462,9 +458,9 @@ def check_ml_equivalence() -> CheckResult:
     trials of each code also go through decode_batch as one batch, and
     each row must give the one-trial decoder's counts and metric: the
     tree batch settles the Golay trials whose search is a straight dive
-    (15 of them) in numpy and counts the rest together, and the trellis
-    batch counts most trellis trials.  The detail line gives the numbers
-    of Golay rows settled by their straight dive and counted."""
+    in numpy and counts the rest together, and the trellis batch counts
+    most trellis trials.  The detail line gives the number of Golay rows
+    with exactly n extensions, the straight dives (15 of them)."""
 
     def differ(rows, outs) -> int:
         return sum(row is None or row[:4] != (o.branch_computations, o.branch_computations_total,
@@ -480,8 +476,6 @@ def check_ml_equivalence() -> CheckResult:
     rows = decode_batch(code, phis)
     tree_differ = differ(rows, decoded)
     straight = sum(row is not None and row[2] == code.n for row in rows)  # n: no pop at all
-    counted = (len(rows) - straight if 2 * straight <= len(rows)  # at least half left
-               else sum(row is not None and row[2] > SEARCH_BUDGET for row in rows))
     trellis = build_trellis(parse_octal_generators(["634", "564"], m=6), L=20)
     phis = trial_llrs(trellis, 2.0, 7, range(100))
     searched = [mlsda_decode(trellis, phi) for phi in phis]
@@ -493,9 +487,9 @@ def check_ml_equivalence() -> CheckResult:
                   max(block, conv) <= 1e-6 and trellis_differ == tree_differ == 0,
                   f"max metric gap {block:.3g} (golay24 vs brute force), "
                   f"{conv:.3g} ((2,1,6) L=20 trellis vs viterbi_ml); "
-                  f"{tree_differ} of 100 golay24 batch rows ({straight} settled by their straight "
-                  f"dive, {counted} counted) differ from "
-                  f"gda_decode, {trellis_differ} of 100 trellis batch rows from the search")
+                  f"{tree_differ} of 100 golay24 batch rows ({straight} of them straight dives) "
+                  f"differ from gda_decode, {trellis_differ} of 100 trellis batch rows from the "
+                  f"search")
 
 
 def extension_event_hits(gen: np.random.Generator, gamma: float, ds, clipped,

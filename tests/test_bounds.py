@@ -19,7 +19,6 @@ from seqdec.bounds import (
     BoundVariant,
     NoRoot,
     clipped_gaussian_mean,
-    extension_probability_bound,
     extension_probability_bounds,
     gda_complexity_bound,
     mlsda_complexity_bound,
@@ -259,13 +258,13 @@ class TestSubexponentialFactor:
 
 class TestExtensionProbabilityBound:
     def test_no_gaussians_is_certain(self):
-        assert extension_probability_bound(0, 10, 1.0) == 1.0
+        assert extension_probability_bounds(0, 10, 1.0) == 1.0
 
     def test_pure_gaussian_case(self):
         # d = total: plain Gaussian tail
         want = std_normal_cdf(-1.0)
-        assert extension_probability_bound(1, 0, 0.5) == pytest.approx(want, rel=1e-12)
-        assert extension_probability_bound(1, 0, 0.5) == pytest.approx(0.158655, abs=1e-6)
+        assert extension_probability_bounds(1, 0, 0.5) == pytest.approx(want, rel=1e-12)
+        assert extension_probability_bounds(1, 0, 0.5) == pytest.approx(0.158655, abs=1e-6)
 
     def test_upper_bounds_monte_carlo(self):
         # 2,750 hits of the event in 1M draws at seed 17, the count pinned
@@ -274,14 +273,14 @@ class TestExtensionProbabilityBound:
         p = 2750 / samples
         se = standard_error(p, samples)
         for variant in (BERRY_ESSEEN, CHERNOFF):
-            assert extension_probability_bound(5, 15, 1.0, variant) >= p - 4.0 * se
+            assert extension_probability_bounds(5, 15, 1.0, variant) >= p - 4.0 * se
 
     def test_dominance_spot_grid(self):
         samples = 200_000
         for (d, clipped, gamma) in [(1, 5, 0.5), (3, 10, 0.25), (8, 4, 2.0), (2, 30, 1.0)]:
             gen = np.random.Generator(np.random.PCG64(d * 31 + clipped))
             p = extension_event_hits(gen, gamma, [d], [clipped], samples)[0, 0] / samples
-            b = extension_probability_bound(d, clipped, gamma, BERRY_ESSEEN)
+            b = extension_probability_bounds(d, clipped, gamma, BERRY_ESSEEN)
             assert b >= p - 4.0 * standard_error(p, samples)
 
     def test_scale_invariance_of_event(self):
@@ -303,8 +302,8 @@ class TestExtensionProbabilityBound:
         for d in (1, 3, 7):
             for clipped in (2, 11, 29):
                 for gamma in (0.25, 1.0, 2.0):
-                    be = extension_probability_bound(d, clipped, gamma, BERRY_ESSEEN)
-                    ch = extension_probability_bound(d, clipped, gamma, CHERNOFF)
+                    be = extension_probability_bounds(d, clipped, gamma, BERRY_ESSEEN)
+                    ch = extension_probability_bounds(d, clipped, gamma, CHERNOFF)
                     assert be <= ch + 1e-15
                     assert 0.0 <= be <= 1.0 and 0.0 <= ch <= 1.0
 
@@ -314,17 +313,17 @@ class TestExtensionProbabilityBound:
             for variant in (BERRY_ESSEEN, CHERNOFF):
                 got = extension_probability_bounds(d[1:], clipped[1:], gamma, variant)
                 assert got.shape == d[1:].shape
-                want = [[extension_probability_bound(int(a), int(b), gamma, variant)
+                want = [[float(extension_probability_bounds(int(a), int(b), gamma, variant))
                          for a, b in zip(ra, rb)] for ra, rb in zip(d[1:], clipped[1:])]
                 assert got.tolist() == want
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
-            extension_probability_bound(0, 0, 1.0)
+            extension_probability_bounds(0, 0, 1.0)
         with pytest.raises(DomainError):
             extension_probability_bounds([1, 0], [1, 0], 1.0)
         with pytest.raises(DomainError):
-            extension_probability_bound(2, 2, 0.0)
+            extension_probability_bounds(2, 2, 0.0)
 
     def test_monotone_in_gaussian_count_mc(self):
         # the bounded probability itself decreases as Gaussians are added

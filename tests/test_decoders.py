@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import heapq
 import json
 import math
 
@@ -93,6 +94,23 @@ class TestGdaDecode:
         assert out.branch_computations == 2 * (2 ** golay.k - 1)
         again = gda_decode(golay, np.zeros(24))
         assert again.branch_computations == out.branch_computations
+
+    def test_untied_steps_are_whole_dives(self, golay, qr48):
+        # on channel LLRs every step of the search below level k is part of
+        # a whole dive; the plain loop's step (heappushpop) is taken only on
+        # a tie or a flip that adds nothing, as at each of the 4,095 nodes
+        # below level k of the all-zero row, which all tie
+        def pushpops(code, phis) -> int:
+            _, bm0, bm1 = _gda_tables(phis)
+            with mock.patch.object(decoders.heapq, "heappushpop",
+                                   wraps=heapq.heappushpop) as spy:
+                for a, b in zip(bm0.tolist(), bm1.tolist()):
+                    decoders._gda_search(code, a, b, None)
+            return spy.call_count
+
+        assert pushpops(golay, trial_llrs(golay, 0.0, 1, range(200))) == 0
+        assert pushpops(qr48, trial_llrs(qr48, 4.5, 1, range(100))) == 0
+        assert pushpops(golay, np.zeros((1, 24))) == 2 ** golay.k - 1 == 4095
 
     def test_extension_limit(self, golay):
         _, phi = golay_trial(golay, -4.0, 77)

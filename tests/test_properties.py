@@ -26,7 +26,7 @@ from seqdec.bounds import (
     BERRY_ESSEEN,
     CHERNOFF,
     _log_bounds,
-    extension_probability_bound,
+    extension_probability_bounds,
     mlsda_complexity_bound,
 )
 from seqdec.channel import ChannelConfig, db_to_linear, hard_decision, llr, transmit
@@ -91,18 +91,17 @@ def disagreement_metric(phi, word) -> float:
 
 
 def per_state_bound(trellis, gamma_b_db, variant) -> float:
-    """The bound as one scalar term per present (level, state), summed in
-    ascending order."""
+    """The bound as one term per present (level, state), all evaluated in
+    one call and summed one by one in ascending order."""
     code = trellis.code
     N = code.n_out * trellis.levels
     gamma = (trellis.L / N) * db_to_linear(gamma_b_db)
-    dstar = compute_dstar(trellis)
+    dstar = compute_dstar(trellis)[:trellis.L]
+    level, state = np.nonzero(dstar != ABSENT)  # row-major: ascending (level, state)
     total = 0.0
-    for level in range(trellis.L):
-        for state in range(trellis.num_states):
-            if dstar[level, state] != ABSENT:
-                total += extension_probability_bound(
-                    int(dstar[level, state]), N - level * code.n_out, gamma, variant)
+    for term in extension_probability_bounds(dstar[level, state], N - level * code.n_out,
+                                             gamma, variant).tolist():
+        total += term
     return 2 * total
 
 
@@ -322,12 +321,13 @@ GOLAY_TIE = np.array([-1, 0, -1, 1, 0, -1, -1, -1, 0, 2, -2, 1,
 @example((BlockCode(n=5, k=3, rows=(9, 2, 4)), np.array([[-3.0, 2.5, -2.5, -1.2, -0.1]] * 2),
           5))
 def test_gda_batch_matches_search(inputs):
-    # every row's result from the batch entry point, with the count taking
-    # over after 0, 1 or 5 extensions on a lone row (at most half as many per
-    # row in batches of 4-6, and a lone stopped row going on alone) and
-    # blocks of 64 nodes or full ones, counts, the metric's bits and the
-    # path bits, is that of the search on the row alone, and the row
-    # overflows exactly when the search does
+    # every row's result from the batch entry point, with blocks of 64
+    # nodes or full ones and the count taking over after 0, 1 or 5
+    # extensions where rows are searched (a lone row, or a batch that its
+    # straight dives leave less than half of; a batch with at least half
+    # its rows left is counted whatever the budget), counts, the metric's
+    # bits and the path bits, is that of the search on the row alone, and
+    # the row overflows exactly when the search does
     code, phi, limit = inputs
     _, bm0, bm1 = _gda_tables(phi)
     want = searched_tree_rows(code, bm0, bm1, limit)
@@ -632,10 +632,11 @@ def test_batched_trials_match_per_trial_path(target, seed, all_zero, limit, gamm
        st.integers(1, 300))
 def test_counted_trials_match_searched_trials(code, seed, all_zero, limit, gamma_b_db, first,
                                               count):
-    # with the count taking over after 0, 1 or 5 extensions per row of a
-    # full batch of 64 (0, 8 or 40 on a lone row), and blocks of 64 nodes
-    # or full ones, the batched pipeline gives every trial the count of the
-    # per-trial path run with the search alone
+    # with the count taking over after 0, 8 or 40 extensions where rows
+    # are searched (a lone row, or a batch that its straight dives leave
+    # less than half of), and blocks of 64 nodes or full ones, the batched
+    # pipeline gives every trial the count of the per-trial path run with
+    # the search alone
     cfg = ExperimentConfig(code={}, snr_db=(gamma_b_db,), seed=seed, all_zero=all_zero,
                            extension_limit=limit)
     trials = range(first, first + count)
@@ -685,9 +686,10 @@ def test_trial_llrs_match_one_trial_path(target, seed, all_zero, gamma_b_db, fir
                             [1.0] * 6 + [-2.0, -2.0] + [1.0] * 4]), 5))
 def test_decode_batch_matches_one_trial_decoders(inputs):
     # every row of the decode stage, with the tree count taking over at
-    # once or after a batch's own budget, has the counts, the metric's
-    # bits and the decoded word of gda_decode or mlsda_decode on the row
-    # alone, and is None exactly where that decoder raises
+    # once or after the lone-row budget where rows are searched, has the
+    # counts, the metric's bits and the decoded word of gda_decode or
+    # mlsda_decode on the row alone, and is None exactly where that
+    # decoder raises
     target, phi, limit = inputs
     if isinstance(target, BlockCode):
         decode, word = gda_decode, lambda bits: [(bits >> j) & 1 for j in range(target.n)]
