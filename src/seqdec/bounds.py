@@ -355,8 +355,11 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
     in ascending (level, state) order: each level gathers its terms into
     one buffer after the running total and takes a sequential cumulative
     sum there, so the result does not depend on how many states share a
-    d* value; a pairwise or count-weighted sum would move it in the last
-    digits.
+    d* value.  A pairwise, count-weighted or fsum total would move it in
+    the last digits, and the golden bounds pin bound values bit for bit
+    and the benchmark's references to 1e-12, so the order stays fixed.
+    The levels are not joined into one sum, which for memory 16 would
+    hold 5.5 M terms.
     """
     code = trellis.code
     n_out = code.n_out

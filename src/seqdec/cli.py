@@ -3,7 +3,8 @@
 Subcommands: bound-gda, bound-mlsda, simulate-gda, simulate-mlsda,
 atilde, dstar, validate.  Exit codes: 0 success, 1 validation failure,
 2 configuration error or invalid input (NaN/infinite LLR or SNR, or an
-SNR so high that the bound's e^gamma overflows).
+SNR so high that the bound's e^gamma overflows), 141 (128 + SIGPIPE)
+when the reader of stdout goes away, as `seqdec ... | head` does.
 """
 
 import argparse
@@ -52,9 +53,12 @@ def _load_config(path) -> dict:
 
 def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
     """The config file's keys with the given flags laid over them; a key
-    ExperimentConfig has no field for is a config error, bar the free-text note."""
+    ExperimentConfig has no field for is a config error, bar the free-text
+    note, and so is mode, which the subcommand sets."""
     fields = _load_config(args.config) if args.config is not None else {}
     fields.pop("note", None)
+    if "mode" in fields:
+        raise ConfigError("config key 'mode': the subcommand sets mode")
     flags = {"code": None if args.code_name is None else {"name": args.code_name},
              "snr_db": None if args.snr is None else _parse_snr(args.snr),
              "trials": args.trials, "seed": args.seed, "variant": args.variant,
@@ -86,7 +90,8 @@ def _open_out(args):
 def _add_common(p: argparse.ArgumentParser, simulate: bool):
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--code", dest="code_name", help="named code (golay24, qr48)")
-    p.add_argument("--snr", help="gamma_b grid in dB: start:stop:step or list")
+    p.add_argument("--snr", help="gamma_b grid in dB: start:stop:step or list; write "
+                                 "--snr=-8:10:0.5 when it starts with a minus sign")
     p.add_argument("--variant", choices=["be", "chernoff", "both"])
     p.add_argument("--length", "-L", type=int, help="information length (conv codes)")
     p.add_argument("--out", help="CSV output path (default stdout)")
@@ -238,6 +243,13 @@ def main(argv=None) -> int:
     except (InvalidSnr, NonFiniteLLR, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the Python docs' note on SIGPIPE: point stdout at devnull, so that
+        # the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

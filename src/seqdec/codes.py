@@ -197,7 +197,8 @@ class ConvCode:
 
     taps[i] is the length-(m+1) tap vector of output i, current-input
     coefficient first: output bit i at time t is
-    sum_j taps[i][j] * u_(t-j) mod 2.
+    sum_j taps[i][j] * u_(t-j) mod 2.  A memory below 0, a tap entry other
+    than 0 or 1, or no output that taps the current input is rejected.
     """
 
     n_out: int

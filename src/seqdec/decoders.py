@@ -31,65 +31,29 @@ siblings.  A dive that stops short of the goal writes once what single
 steps would have written.
 
 Each search checks its extension budget once per turn of its loop, before
-the goal test, so it raises exactly when its final count exceeds the budget.
+the goal test, so it raises exactly when its final count exceeds the budget;
+a step of many levels may overrun the budget by its own length before the
+check catches it.
 
-Counting a heavy tree trial.  Branch metrics are nonnegative, so the
-tree search extends a path only if its metric f is at most the winner's,
-zeta*; its counts are those of the tree nodes with f <= zeta*, which
-numpy can count level by level without a stack.  A batch of B > 1 rows
-(decode_batch, through _gda_batch) first settles in numpy each row whose
-search is a straight dive: the whole dive to level k and a tail whose
-leaf lies strictly below the dive's least flip (_straight_dives).  As in
-the trellis batch, when at least half the rows are left, threshold
-sweeps count them all at once (_gda_count); otherwise, and on a lone row
-(gda_decode, through _gda_tree), each is searched under SEARCH_BUDGET
-extensions, and the sweeps count the rows it stops.  A round at a
-threshold T keeps each row's prefixes with f <= T in arrays that carry
-the row's index, adding each path's metrics in the search's own order,
-so every f is bit-equal.  T starts at U, the metric of an order-1
-ordered-statistics codeword (_osd_bound), which is zeta* on nearly every
-row; a tie at zeta* off the winner's path, which the stack's insertion
-order would settle, sends the row to the search (see _gda_count), and no
-sweep array holds more than SWEEP_BLOCK nodes.
+Counting instead of searching.  Branch metrics are nonnegative, so each
+search is Dijkstra's algorithm: it extends every node whose metric lies
+below the winner's, zeta*, none above it, and at zeta* those that the
+stack's insertion order pops before the winner.  So numpy can give a
+search's exact result without a stack: the tree count sweeps thresholds
+over the code tree (_gda_count, starting at _osd_bound), and the trellis
+count takes one min-plus pass (_mlsda_count).  A row whose result a tie
+at zeta* would leave to insertion order is searched.  decode_batch hands
+a batch of rows to _gda_batch or _mlsda_batch, which settle in numpy
+each row whose search is one straight dive (_straight_dives,
+_first_dives) and count or search the rest; their docstrings say which.
+gda_decode decodes one row as a batch of one, which searches first;
+mlsda_decode searches it alone, since for one row a dozen numpy calls
+per level cost more than the dive.
 
-Settling first dives per batch.  The trellis search starts with a dive
-from the root, and at high SNR that dive mostly runs straight to the
-goal; its result is then fixed: L + m extensions, L of them branching,
-and the dive's metric and inputs.  decode_batch hands a batch of
-trellis rows to _mlsda_batch, which follows the first dive of every row
-at once, one level per step of [B]-wide numpy operations with the
-dive's own rules and float adds (_first_dives), and settles each row
-whose dive reaches the goal with no Python list and no search.  The
-other rows are counted or searched (below).  mlsda_decode keeps the
-search alone: for a batch of one, a dozen numpy calls per level cost
-more than the dive.
-
-Counting the trellis search.  The trellis search is Dijkstra's algorithm
-on nonnegative branch metrics, so it extends every node below level
-L + m whose Viterbi metric V (its least path metric, with the search's
-own float adds) lies below zeta*, the goal's, and no node above it.  One
-min-plus pass (trellis.min_path_costs) gives V at every node of a batch
-of rows at once, and its counts are those of the nodes with V <= zeta*:
-extensions all of them, low those below level L, branch_computations
-2 low and branch_computations_total low + extensions; a row overflows
-exactly when its extensions exceed the budget.  Its information bits are
-those of the winner traced back from the goal (trellis.min_path_inputs).
-Two rules keep the count exact; a row that breaks one is searched.  Both
-branches into a node of the traced winner's path must not give the
-node's V, or the search's insertion order picks the path.  And the nodes
-at exactly zeta* must be the winner's own (its zero-metric suffix, which
-the search extends too), since any other one is extended or not by
-insertion order.  _mlsda_batch chooses per batch: when at least half its
-rows are left by their first dives, it counts them all in one pass, and
-otherwise it searches them.  At 5-6 dB most rows are left, and at 5 dB a
-counted (2,1,6) L=100 row costs about a third of a searched one; at high
-SNR few rows are left, too few to pay for a pass.  The pass holds a table
-[levels + 1, rows, S] of at most COUNT_BLOCK entries, so a memory-16 row
-(7.7 M entries) is searched, as is every row of a memory-0 code.
-
-Counting conventions.  Extending a tree path below level k, or a
-trellis node below level L, evaluates two branch metrics; those are the
-headline `branch_computations`.  Extensions in the single-branch tail
+Counting conventions, as Han, Chen and Wu count for the MLSDA.
+Extending a tree path below level k, or a trellis node below level L,
+evaluates two branch metrics; those are the headline
+`branch_computations`.  Extensions in the single-branch tail
 (tree levels >= k, trellis levels >= L) cost one metric each and are
 included only in `branch_computations_total`.
 """
@@ -115,6 +79,26 @@ class ExtensionLimitExceeded(RuntimeError):
     """Search exceeded the caller-supplied extension budget.  It carries
     no search state: a search it stops is freed, and one taken up again
     starts from the root."""
+
+
+def _result(low: int, extensions: int, metric: float, bits: int, extension_limit) -> tuple:
+    """A decode's result, (branch_computations, branch_computations_total,
+    extensions, metric, bits), from its extensions, low of them branching
+    (see "Counting conventions" in the module docstring), or None once
+    extensions exceed extension_limit."""
+    if extension_limit is not None and extensions > extension_limit:
+        return None
+    return 2 * low, low + extensions, extensions, metric, bits
+
+
+def _or_none(search, *args):
+    """search(*args), or None where it raises ExtensionLimitExceeded.  The
+    exception is dropped here, so a stopped search's stack is freed at
+    once rather than held in a reference cycle for the cyclic collector."""
+    try:
+        return search(*args)
+    except ExtensionLimitExceeded:
+        return None
 
 
 @dataclass(frozen=True)
@@ -189,7 +173,9 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
     # siblings of a whole dive from level l with metric f.  Member j is
     # (f + c[j], base + 2j - hard bit j, j + 1, the dive's bits below level
     # j + 1 with bit j flipped).  Only the member at position is on the
-    # heap, and only while strictly below the next member.
+    # heap, and only while strictly below the next member, so len(heap)
+    # undercounts the open paths.  Insertion numbers are unique, so entry
+    # comparisons never reach the fan.
     # fan: a fan whose member at position goes on the heap next, or None
 
     # The start path has insertion number 0 and each extension numbers its
@@ -215,7 +201,7 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
                                 fan if pos < size else None))
             fan = None
         if level == n:
-            return 2 * low_extensions, low_extensions + extensions, extensions, f, bits
+            return _result(low_extensions, extensions, f, bits, None)
         if level >= k:  # whole tail: one step per level while below the top
             if level == k:
                 info, parity = bits, 0
@@ -274,7 +260,8 @@ def _straight_dives(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
     """(straight [B], leaf metrics [B], leaf words [B]) of bm0, bm1 [B, n]:
     straight marks the rows whose search is one whole dive to level k,
     whose least flip c > 0.0 goes on the stack, and one tail to level n,
-    whose hard-decision leaf's metric (the search's adds) lies below c."""
+    whose hard-decision leaf's metric (the search's adds) lies strictly
+    below c: at a tie the stack pops the fan's member first."""
     k = code.k
     words = _encode(code, _pack(bm1[:, :k] < bm0[:, :k]))
     leaf = _path_metrics(bm0, bm1, words[:, None])[:, 0, -1]
@@ -288,27 +275,24 @@ def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     n extensions, k branching.  When at least half the rows are left, one
     count (_gda_count) takes them all; otherwise, and on a lone row, each
     is searched for up to SEARCH_BUDGET extensions and one count takes
-    those it stops.  The count holds information bits in floats and path
-    bits in 64-bit words, so larger codes, and budgets of at most
-    SEARCH_BUDGET, are searched only."""
+    those it stops: a count of one row costs more than most of its
+    searches.  The count holds information bits in floats and path bits in
+    64-bit words, so larger codes, and budgets of at most SEARCH_BUDGET,
+    are searched only."""
     rows, k, n = len(bm0), code.k, code.n
     results, left = [None] * rows, list(range(rows))
     countable = k <= 53 and n <= 64
     if countable and rows > 1:
         straight, leaf, words = _straight_dives(code, bm0, bm1)
-        if extension_limit is None or extension_limit >= n:
-            for i in np.flatnonzero(straight).tolist():
-                results[i] = (2 * k, k + n, n, float(leaf[i]), int(words[i]))
+        for i in np.flatnonzero(straight).tolist():
+            results[i] = _result(k, n, float(leaf[i]), int(words[i]), extension_limit)
         left = np.flatnonzero(~straight).tolist()
     searched = not countable or (extension_limit is not None and extension_limit <= SEARCH_BUDGET)
     if searched or rows == 1 or 2 * len(left) < rows:
-        budget, stopped = extension_limit if searched else SEARCH_BUDGET, []
+        budget = extension_limit if searched else SEARCH_BUDGET
         for i in left:
-            try:
-                results[i] = _gda_search(code, bm0[i].tolist(), bm1[i].tolist(), budget)
-            except ExtensionLimitExceeded:
-                stopped.append(i)
-        left = [] if searched else stopped
+            results[i] = _or_none(_gda_search, code, bm0[i].tolist(), bm1[i].tolist(), budget)
+        left = [] if searched else [i for i in left if results[i] is None]
     if left:
         for i, result in zip(left, _gda_count(code, bm0[left], bm1[left], extension_limit)):
             results[i] = result
@@ -343,13 +327,15 @@ def _osd_bound(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
     [R, n]: the least of the _path_metrics of the row's hard-decision leaf
     and of its best order-1 ordered-statistics codeword, so U >= zeta*.
 
-    Those codewords agree with the hard decisions on the k most reliable
-    independent positions (reliability bm0 + bm1, the metric of leaving
-    the hard decision, in a stable sort), or on all but one of them.  The
-    generator is row-reduced over each row's positions in that order, all
-    rows at once, with each column held as a word of k row bits, and the
-    best of the k + 1 codewords is chosen by their metrics as dot
-    products."""
+    Han, Hartmann and Chen bound their priority-first search with such
+    re-encoded codewords; Fossorier and Lin call them ordered-statistics
+    decoding.  Those codewords agree with the hard decisions on the k most
+    reliable independent positions (reliability bm0 + bm1, the metric of
+    leaving the hard decision, in a stable sort), or on all but one of
+    them.  The generator is row-reduced over each row's positions in that
+    order, all rows at once, with each column held as a word of k row
+    bits, and the best of the k + 1 codewords is chosen by their metrics
+    as dot products."""
     rows, k, n = len(bm0), code.k, code.n
     everyone = np.arange(rows)
     cost = bm0 + bm1
@@ -439,13 +425,13 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     exactly when they exceed extension_limit.  A tie with a node off the
     winner's path reruns the row's search, and so does a round at
     T == zeta* that finds more nodes at T than the winner's path has at
-    levels k..n.
+    levels k..n, so that integer LLRs, whose subtrees share one metric,
+    cannot make a round enumerate millions of tied nodes.
 
     A sweep (_sweep) keeps only the level-k nodes of the rows, each with
     its row's index, and follows their tails to level n.
     """
     rows, k, n = len(bm0), code.k, code.n
-    limit = sys.maxsize if extension_limit is None else extension_limit
     is_hard = bm1[:, :k] < bm0[:, :k]
     hard = _pack(is_hard)
     flips = np.where(is_hard, bm0[:, :k], bm1[:, :k]).T.copy()  # [k, R]: the other child's metric
@@ -521,21 +507,15 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
         done = active[~lowered.take(active)]  # T was zeta* from the start of the round
         counts[:, done] = found[:, done]
         active = active[lowered.take(active)]  # one more round, at T = zeta*
-    results = [None] * rows  # None: past the limit
     settled = (~searched).nonzero()[0]
     # a tie off the winner's path: more nodes at zeta* than the winner's own at levels k..n
     own = _path_metrics(bm0[settled], bm1[settled], bits[settled, None])[:, 0, k - 1:]
     searched[settled] = counts[2, settled] != np.count_nonzero(own == zeta[settled, None], axis=1)
-    for r in range(rows):
-        a, b = int(counts[0, r]), int(counts[1, r])
-        if searched[r]:
-            try:
-                results[r] = _gda_search(code, bm0[r].tolist(), bm1[r].tolist(), extension_limit)
-            except ExtensionLimitExceeded:
-                pass
-        elif a + b <= limit:
-            results[r] = (2 * a, 2 * a + b, a + b, float(zeta[r]), int(bits[r]))
-    return results
+    low, tail = counts[:2].astype(np.int64).tolist()
+    return [_or_none(_gda_search, code, bm0[r].tolist(), bm1[r].tolist(), extension_limit)
+            if searched[r] else
+            _result(low[r], low[r] + tail[r], float(zeta[r]), int(bits[r]), extension_limit)
+            for r in range(rows)]
 
 
 def _metric_table(trellis: Trellis, phi) -> np.ndarray:
@@ -591,9 +571,11 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     the stack and every sibling the dive has passed.  When it stops short
     of the goal, the path's nodes are closed, the siblings and the
     stopped child become open, and the stack is popped as after a single
-    step.  Pop order depends only on the set of entries, whose (metric,
-    insertion number) keys are unique, so every count, metric and
-    decoded word is that of single steps.
+    step.  A sibling shares its level with the dive's child but never its
+    state, since the two inputs lead to different next states.  Pop order
+    depends only on the set of entries, whose (metric, insertion number)
+    keys are unique, so every count, metric and decoded word is that of
+    single steps.
     """
     phi = check_lengths(phi, trellis.code.n_out * trellis.levels)
     inc = _metric_table(trellis, phi).tolist()
@@ -673,18 +655,11 @@ COUNT_BLOCK = 1 << 19  # the most entries a table of the trellis count holds
 
 def _count_rows(trellis: Trellis) -> int:
     """Rows whose min-plus tables [levels + 1, S] fit one COUNT_BLOCK
-    together: 0 where none does, or where the code has memory 0."""
+    together: 0 where none does (a memory-16 row at L = 100 has 7.7 M
+    entries), or where the code has memory 0."""
     if not trellis.code.m:
         return 0
     return COUNT_BLOCK // ((trellis.levels + 1) * trellis.num_states)
-
-
-def _search_row(trellis: Trellis, row: np.ndarray, extension_limit):
-    """_mlsda_search on one metric row, or None where it exceeds the budget."""
-    try:
-        return _mlsda_search(trellis, row.tolist(), extension_limit)
-    except ExtensionLimitExceeded:
-        return None
 
 
 def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
@@ -696,7 +671,8 @@ def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     when they exceed the budget.  When at least half the rows are left,
     and their tables fit (see _count_rows), they are counted (see
     _mlsda_count); otherwise they, and every row of a memory-0 code, which
-    never dives, are searched."""
+    never dives, are searched: at high SNR the first dives leave too few
+    rows to pay for a pass."""
     L, m = trellis.L, trellis.code.m
     reached = np.zeros(len(inc), dtype=bool)
     if m:
@@ -705,32 +681,32 @@ def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     if _count_rows(trellis) and 2 * len(left) >= len(inc):
         settled = _mlsda_count(trellis, inc[left], extension_limit)
     else:
-        settled = [_search_row(trellis, inc[i], extension_limit) for i in left]
+        settled = [_or_none(_mlsda_search, trellis, inc[i].tolist(), extension_limit)
+                   for i in left]
     results = [None] * len(inc)
     for i, result in zip(left.tolist(), settled):
         results[i] = result
-    if extension_limit is None or extension_limit >= L + m:
-        for i in np.flatnonzero(reached).tolist():
-            results[i] = (2 * L, 2 * L + m, L + m, float(zeta[i]),
-                          int.from_bytes(info[:, i].tobytes(), "little"))
+    for i in np.flatnonzero(reached).tolist():
+        results[i] = _result(L, L + m, float(zeta[i]),
+                             int.from_bytes(info[:, i].tobytes(), "little"), extension_limit)
     return results
 
 
 def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     """_mlsda_search's result on each metric row of inc [R, levels << n_out]
     (memory m >= 1), or None where the search exceeds the budget, from
-    the Viterbi metric V of every node, by one
-    min-plus pass (min_path_costs) over as many rows at a time as
-    _count_rows allows.
+    the Viterbi metric V of every node (its least path metric, with the
+    search's own float adds), by one min-plus pass (min_path_costs) over
+    as many rows at a time as _count_rows allows.
 
     The search extends every node below level L + m with V < zeta*, the
     goal's V, and no node with V > zeta*; its counts are those of the
     nodes with V <= zeta* when the only nodes at exactly zeta* are the
-    winner's own, and its inputs are those of the traced winner
-    (min_path_inputs) when no node of that path has tied branches.  A
-    row that breaks either rule is searched."""
+    winner's own (its zero-metric suffix, which the search extends too),
+    and its inputs are those of the traced winner (min_path_inputs) when
+    no node of that path has tied branches.  A row that breaks either rule
+    is searched."""
     L, levels = trellis.L, trellis.levels
-    limit = sys.maxsize if extension_limit is None else extension_limit
     step = _count_rows(trellis)
     results = []
     for first in range(0, len(inc), step):
@@ -748,15 +724,11 @@ def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
         ties = np.equal(inner, zeta[:, None]).sum(axis=0, dtype=np.int32).sum(axis=1)
         searched = tied | (ties != np.count_nonzero(path[:levels] == zeta, axis=0))
         info = np.packbits(inputs, axis=0, bitorder="little")
-        for i in range(len(rows)):
-            extensions = low[i] + tail[i]
-            if searched[i]:
-                results.append(_search_row(trellis, rows[i], extension_limit))
-            elif extensions > limit:
-                results.append(None)
-            else:
-                results.append((2 * low[i], low[i] + extensions, extensions, float(zeta[i]),
-                                int.from_bytes(info[:, i].tobytes(), "little")))
+        results += [_or_none(_mlsda_search, trellis, rows[i].tolist(), extension_limit)
+                    if searched[i] else
+                    _result(low[i], low[i] + tail[i], float(zeta[i]),
+                            int.from_bytes(info[:, i].tobytes(), "little"), extension_limit)
+                    for i in range(len(rows))]
     return results
 
 
@@ -790,7 +762,7 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
             raise ExtensionLimitExceeded(f"more than {extension_limit} extensions")
         node = (level << m) | state
         if node == goal:
-            return 2 * low_extensions, low_extensions + extensions, extensions, zeta, info
+            return _result(low_extensions, extensions, zeta, info, None)
         if level >= deepest:
             # Fresh-level dive: follow the best child while it lies strictly
             # below the stack and the dive's own siblings.  Its lookups could

@@ -327,10 +327,6 @@ def merge_curves(bound_pts, sim_pts) -> list:
 def run_experiment(cfg: ExperimentConfig) -> list:
     bound_pts = run_bound_curve(cfg) if cfg.mode in ("bound", "both") else []
     sim_pts = run_simulation_curve(cfg) if cfg.mode in ("simulate", "both") else []
-    if not bound_pts:
-        return sim_pts
-    if not sim_pts:
-        return bound_pts
     return merge_curves(bound_pts, sim_pts)
 
 
@@ -498,9 +494,10 @@ def extension_event_hits(gen: np.random.Generator, gamma: float, ds, clipped,
     Σ_{i≤d} X_i + Σ_{j≤c} min(W_j, 0) ≤ 0 over samples Monte Carlo rows,
     with every X_i and W_j independent N(sqrt(2 gamma), 1).
 
-    Draws max(ds) X's per row from gen, then max(clipped) W's, and
-    tallies S_x[d] + S_w[c] ≤ 0 for the requested cells only, S being
-    each row's running sums after a leading zero.  To bound memory, call
+    Draws max(ds) X's per row from gen, then max(clipped) W's (a width of
+    0 draws nothing and leaves gen where it was), and tallies
+    S_x[d] + S_w[c] ≤ 0 for the requested cells only, S being each row's
+    running sums after a leading zero.  To bound memory, call
     once per chunk of rows on the same generator and add the counts.
     """
     mu = math.sqrt(2.0 * gamma)

@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import os
+import sys
 from importlib import resources
 
 import numpy as np
@@ -495,6 +497,7 @@ class TestCli:
         ("simulate-gda", "fig4", {"extension_limt": 3, "wrokers": 2}),
         ("bound-mlsda", "fig7", {"varaint": "be"}),
         ("atilde", "fig1", {"n_gird": [40]}),
+        ("bound-gda", "fig3", {"mode": "both"}),  # the subcommand sets mode
     ])
     def test_unknown_config_key_rejected_before_run(self, capsys, monkeypatch, tmp_path,
                                                     command, name, typo):
@@ -509,6 +512,26 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and min(typo) in err
+
+    def test_broken_pipe_exits_141(self, capsys, monkeypatch, tmp_path):
+        # seqdec ... | head: the reader of stdout goes away mid-CSV
+        class Gone:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", Gone(fd))
+        try:
+            assert cli.main(["bound-gda", "--code", "golay24", "--snr=-8,-4"]) == 141
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""  # no traceback
 
     @pytest.mark.parametrize("argv, kind", [
         (["dstar", "--octal", "6,5,7", "-L", "4"], "config"),
@@ -634,7 +657,7 @@ class TestCli:
 
 
 CONV_CFG = {"code": SMALL_CONV, "L": 8, "snr_db": [6.0], "trials": 10,
-            "seed": 4, "variant": "both", "mode": "simulate", "workers": 1}
+            "seed": 4, "variant": "both", "workers": 1}
 
 
 def _write_cfg(tmp_path):
