@@ -46,7 +46,6 @@ from seqdec.numerics import (
     math_map,
     std_normal_cdf,
 )
-from seqdec.trellis import dstar_levels
 
 log = logging.getLogger(__name__)
 
@@ -350,22 +349,22 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
     present at level l, at the channel SNR gamma of
     ChannelConfig.for_conv_code.  Absent states contribute nothing.
 
-    B is evaluated once per distinct d* of a level (dstar_levels), all
-    levels in one _log_bounds call.  The terms are then added one by one
-    in ascending (level, state) order: each level gathers its terms into
-    one buffer after the running total and takes a sequential cumulative
-    sum there, so the result does not depend on how many states share a
-    d* value.  A pairwise, count-weighted or fsum total would move it in
-    the last digits, and the golden bounds pin bound values bit for bit
-    and the benchmark's references to 1e-12, so the order stays fixed.
-    The levels are not joined into one sum, which for memory 16 would
-    hold 5.5 M terms.
+    B is evaluated once per distinct d* of a level
+    (Trellis.dstar_levels), all levels in one _log_bounds call.  The
+    terms are then added one by one in ascending (level, state) order:
+    each level gathers its terms into one buffer after the running total
+    and takes a sequential cumulative sum there, so the result does not
+    depend on how many states share a d* value.  A pairwise,
+    count-weighted or fsum total would move it in the last digits, and
+    the golden bounds pin bound values bit for bit and the benchmark's
+    references to 1e-12, so the order stays fixed.  The levels are not
+    joined into one sum, which for memory 16 would hold 5.5 M terms.
     """
     code = trellis.code
     n_out = code.n_out
     N = n_out * (trellis.L + code.m)
     gamma = ChannelConfig.for_conv_code(code, trellis.L, gamma_b_db).gamma
-    levels = dstar_levels(trellis)
+    levels = trellis.dstar_levels
     d = np.concatenate([vs for _, vs in levels])
     level = np.repeat(np.arange(trellis.L), [len(vs) for _, vs in levels])
     lut = np.empty((trellis.L, d.max() + 1))  # [level, d*] -> term

@@ -59,11 +59,11 @@ def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
     fields.pop("note", None)
     if "mode" in fields:
         raise ConfigError("config key 'mode': the subcommand sets mode")
-    flags = {"code": None if args.code_name is None else {"name": args.code_name},
+    code_name = getattr(args, "code_name", None)
+    flags = {"code": None if code_name is None else {"name": code_name},
              "snr_db": None if args.snr is None else _parse_snr(args.snr),
-             "trials": args.trials, "seed": args.seed, "variant": args.variant,
-             "workers": args.workers, "all_zero": args.all_zero, "L": args.length,
-             "extension_limit": args.extension_limit}
+             **{name: getattr(args, name, None) for name in (
+                 "trials", "seed", "variant", "workers", "all_zero", "L", "extension_limit")}}
     fields.update({k: v for k, v in flags.items() if v is not None}, mode=mode)
     try:
         cfg = ExperimentConfig(**fields)
@@ -87,35 +87,43 @@ def _open_out(args):
         raise ConfigError(f"cannot write {args.out!r}: {exc}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser, simulate: bool):
+def _add_curve_flags(p: argparse.ArgumentParser, kind: str, simulate: bool):
+    """The flags a curve run reads: a bound has no seed, a simulation no
+    variant, a block code no length and a convolutional code no name."""
     p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--code", dest="code_name", help="named code (golay24, qr48)")
+    if kind == "gda":
+        p.add_argument("--code", dest="code_name", help="named code (golay24, qr48)")
+    else:
+        p.add_argument("--length", "-L", dest="L", type=int, help="information length")
     p.add_argument("--snr", help="gamma_b grid in dB: start:stop:step or list; write "
                                  "--snr=-8:10:0.5 when it starts with a minus sign")
-    p.add_argument("--variant", choices=["be", "chernoff", "both"])
-    p.add_argument("--length", "-L", type=int, help="information length (conv codes)")
+    if not simulate:
+        p.add_argument("--variant", choices=["be", "chernoff", "both"])
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--seed", type=int)
     if simulate:
+        p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
         p.add_argument("--workers", type=int)
         p.add_argument("--all-zero", action="store_true", default=None,
                        help="transmit the all-zero codeword instead of random data")
         p.add_argument("--extension-limit", type=int,
                        help="per-trial search budget; overflowing trials are excluded")
-    else:
-        p.set_defaults(trials=None, workers=None, all_zero=None, extension_limit=None)
 
 
 def _cmd_curve(args, kind: str, mode: str) -> int:
     cfg = _experiment_config(args, kind, mode)
-    # an --out that is empty, names a directory, or lies in a missing one fails before the run
+    # an --out that is empty, names a directory, lies in a missing one or
+    # cannot be written fails before the run
     if args.out == "":
         raise ConfigError("--out is empty")
-    if args.out is not None and os.path.isdir(args.out):
-        raise ConfigError(f"cannot write {args.out!r}: it is a directory")
-    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise ConfigError(f"cannot write {args.out!r}: no such directory")
+    if args.out is not None:
+        parent = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out):
+            raise ConfigError(f"cannot write {args.out!r}: it is a directory")
+        if not os.path.isdir(parent):
+            raise ConfigError(f"cannot write {args.out!r}: no such directory")
+        if not os.access(args.out if os.path.exists(args.out) else parent, os.W_OK):
+            raise ConfigError(f"cannot write {args.out!r}: permission denied")
     points = harness.run_experiment(cfg)
     overflow = sum(p.overflow_trials for p in points)
     with _open_out(args) as out:
@@ -165,6 +173,8 @@ def _cmd_atilde(args) -> int:
 def _cmd_dstar(args) -> int:
     raw = _load_config(args.config) if args.config is not None else {}
     code_spec = raw.get("code")
+    if args.memory is not None and args.octal is None:
+        raise ConfigError("dstar reads -m/--memory only with --octal")
     if args.octal is not None:
         code_spec = {"type": "conv", "m": args.memory, "octal": args.octal.split(",")}
     if code_spec is None:
@@ -208,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("simulate-gda", "gda", "simulate", True),
             ("simulate-mlsda", "mlsda", "simulate", True)):
         p = sub.add_parser(name, help=f"{mode} curve ({kind})")
-        _add_common(p, simulate)
+        _add_curve_flags(p, kind, simulate)
         p.set_defaults(func=lambda a, k=kind, m=mode: _cmd_curve(a, k, m))
 
     p = sub.add_parser("atilde", help="subexponential prefactor vs sample count")

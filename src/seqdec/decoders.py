@@ -868,27 +868,17 @@ def brute_force_ml_block(code: BlockCode, phi) -> np.ndarray:
         raise SizeError("brute force limited to k <= 24")
     phi = check_lengths(phi, code.n)
     shifts = np.arange(code.n, dtype=np.uint64)
-    lex_weights = 2.0 ** (code.n - 1 - np.arange(code.n))
-    best_corr = -np.inf
-    best_lex = np.inf
-    best_word = 0
+    best = []  # (-correlation, bits) of each chunk's least tied word
     chunk = 1 << 16
     for words in code.codeword_chunks():
         for start in range(0, len(words), chunk):
-            c = words[start:start + chunk]
-            bits = ((c[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
+            bits = ((words[start:start + chunk, None] >> shifts) & np.uint64(1)).astype(np.uint8)
             corr = (1.0 - 2.0 * bits) @ phi
-            cmax = float(np.max(corr))
-            if cmax < best_corr:
-                continue
-            ties = np.flatnonzero(corr == cmax)
-            lex = bits[ties] @ lex_weights  # numeric order = lexicographic bit order
-            j = ties[int(np.argmin(lex))]
-            if cmax > best_corr or float(lex.min()) < best_lex:
-                best_corr = cmax
-                best_lex = float(lex.min())
-                best_word = int(c[j])
-    return np.array([(best_word >> j) & 1 for j in range(code.n)], dtype=np.uint8)
+            top = corr.max()
+            ties = bits[corr == top]
+            least = ties[np.lexsort(ties.T[::-1])[0]]  # bit 0 is the primary key
+            best.append((-float(top), tuple(least.tolist())))
+    return np.array(min(best)[1], dtype=np.uint8)
 
 
 def viterbi_ml(trellis: Trellis, phi) -> np.ndarray:

@@ -145,8 +145,6 @@ def code_from_config(spec: dict):
             raise ConfigError(f"unknown named code {name!r}") from None
     kind = spec.get("type")
     if kind == "block":
-        if name in _NAMED_CODES and "generator_rows" not in spec:
-            return _NAMED_CODES[name]()
         try:
             rows = tuple(int(r, 16) for r in spec["generator_rows"])
             return BlockCode(n=spec["n"], k=spec["k"], rows=rows, name=name)
@@ -234,9 +232,7 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
     """branch_computations of each trial, or None where the trial blew the
     extension budget, in trial order: trial_llrs and then decode_batch on
     TRIAL_BATCH trials at a time, which give each trial the counts of the
-    trial built and decoded alone.  A tree batch of 64 settles its straight
-    dives in numpy and counts the rows left together when they are at
-    least half of it, and otherwise searches them (see decoders)."""
+    trial built and decoded alone (see decoders.decode_batch)."""
     results = []
     for first in range(trials.start, trials.stop, TRIAL_BATCH):
         batch = range(first, min(first + TRIAL_BATCH, trials.stop))

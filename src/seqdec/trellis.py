@@ -4,7 +4,7 @@ Viterbi path metrics).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -14,7 +14,7 @@ from seqdec.codes import ConvCode
 ABSENT = -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trellis:
     """Unrolled (L+m)-section state graph of a ConvCode.
 
@@ -29,8 +29,6 @@ class Trellis:
     code: ConvCode
     L: int
     outputs: np.ndarray
-    _dstar: np.ndarray = field(default=None, init=False, repr=False)
-    _dstar_levels: list = field(default=None, init=False, repr=False)
 
     @property
     def levels(self) -> int:
@@ -45,6 +43,37 @@ class Trellis:
         """outputs as a per-state list of (out0, out1) pairs of Python
         ints, built once, for search loops that index it scalar by scalar."""
         return self.outputs.T.tolist()
+
+    @cached_property
+    def dstar(self) -> np.ndarray:
+        """Minimum Hamming weight over all paths into each (level, state),
+        read-only: min_path_costs on the output weights, ABSENT for nodes
+        no path enters.
+
+        The table is int32, which holds every path weight (at most n_out *
+        levels) and every sum on an unreached node (less than twice the
+        sentinel n_out * levels + 1) alike."""
+        big = self.code.n_out * self.levels + 1
+        weight = np.bitwise_count(np.arange(1 << self.code.n_out)).astype(np.int32)
+        table = min_path_costs(self, np.broadcast_to(weight, (self.levels, 1, weight.size)),
+                               big)[:, 0]
+        table[table >= big] = ABSENT
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def dstar_levels(self) -> list:
+        """(row, distinct) for each level l < L, the levels whose nodes
+        branch: row holds the d* of the states present at level l in
+        ascending state order (the dstar row itself where every state is
+        present), distinct its distinct values in ascending order."""
+        levels = []
+        for row in self.dstar[:self.L]:
+            present = row != ABSENT
+            if not present.all():
+                row = row[present]
+            levels.append((row, np.flatnonzero(np.bincount(row))))
+        return levels
 
 
 def build_trellis(code: ConvCode, L: int) -> Trellis:
@@ -130,36 +159,5 @@ def min_path_inputs(trellis: Trellis, costs: np.ndarray, table: np.ndarray) -> t
 
 
 def compute_dstar(trellis: Trellis) -> np.ndarray:
-    """Minimum Hamming weight over all paths into each (level, state):
-    min_path_costs on the output weights, ABSENT for nodes no path enters.
-
-    The table is int32, which holds every path weight (at most n_out *
-    levels) and every sum on an unreached node (less than twice the
-    sentinel n_out * levels + 1) alike.  The table is cached on the trellis.
-    """
-    if trellis._dstar is not None:
-        return trellis._dstar
-    big = trellis.code.n_out * trellis.levels + 1
-    weight = np.bitwise_count(np.arange(1 << trellis.code.n_out)).astype(np.int32)
-    table = min_path_costs(trellis, np.broadcast_to(weight, (trellis.levels, 1, weight.size)),
-                           big)[:, 0]
-    table[table >= big] = ABSENT
-    trellis._dstar = table
-    return table
-
-
-def dstar_levels(trellis: Trellis) -> list:
-    """(row, distinct) for each level l < L, the levels whose nodes
-    branch: row holds the d* of the states present at level l in
-    ascending state order (the compute_dstar row itself where every
-    state is present), distinct its distinct values in ascending order.
-    Built once and cached on the trellis."""
-    if trellis._dstar_levels is None:
-        levels = []
-        for row in compute_dstar(trellis)[:trellis.L]:
-            present = row != ABSENT
-            if not present.all():
-                row = row[present]
-            levels.append((row, np.flatnonzero(np.bincount(row))))
-        trellis._dstar_levels = levels
-    return trellis._dstar_levels
+    """The d* table of the trellis (Trellis.dstar), built once."""
+    return trellis.dstar

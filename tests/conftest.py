@@ -4,6 +4,7 @@ import math
 import pytest
 from scipy.special import erfcx
 
+from seqdec import cli
 from seqdec.bounds import IID_NORMAL_APPROX_CONSTANT, NoRoot, clipped_gaussian_mean
 from seqdec.codes import ConvCode, build_extended_golay, build_extended_qr48, parse_octal_generators
 from seqdec.numerics import SQRT2, SQRT_2PI, DomainError, std_normal_cdf
@@ -314,3 +315,18 @@ def scalar_log_cdf():
     numerics.log_std_normal_cdf must match (see
     scalar_log_std_normal_cdf)."""
     return scalar_log_std_normal_cdf
+
+
+def curve_option_strings(name: str) -> list:
+    """The option strings of a curve subcommand's parser in the order it
+    registers them, bar -h/--help."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return [flag for action in sub.choices[name]._actions
+            for flag in action.option_strings if flag not in ("-h", "--help")]
+
+
+@pytest.fixture(scope="session")
+def curve_flags():
+    """curve_option_strings, which the CLI tests and the README's flag
+    list are checked against."""
+    return curve_option_strings

@@ -11,7 +11,7 @@ import pytest
 
 from seqdec import decoders
 from seqdec.channel import ChannelConfig, hard_decision, llr, transmit
-from seqdec.codes import ConvCode, encode_block, encode_conv
+from seqdec.codes import BlockCode, ConvCode, encode_block, encode_conv
 from seqdec.decoders import (
     ExtensionLimitExceeded,
     SizeError,
@@ -413,6 +413,16 @@ class TestBruteForce:
     def test_all_zero_llr_gives_lexicographic_minimum(self, golay):
         # every codeword ties; the all-zero word is lexicographically first
         assert not brute_force_ml_block(golay, np.zeros(24)).any()
+
+    def test_tie_past_53_positions(self):
+        # both rows correlate to 10; they differ at positions 0..62 only, so
+        # weights 2^(n-1-j) in float64 round both to 2^63.  The second row
+        # has x_0 = 0 and is the lexicographically smaller.
+        rows = (1 | 1 << 63, sum(1 << j for j in range(1, 64)))
+        phi = np.zeros(64)
+        phi[63] = -10.0
+        got = brute_force_ml_block(BlockCode(n=64, k=2, rows=rows), phi)
+        assert got.tolist() == [(rows[1] >> j) & 1 for j in range(64)]
 
     def test_size_guard(self):
         from seqdec.codes import BlockCode

@@ -290,10 +290,11 @@ class TestValidationSuite:
         results, _ = validation_run
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
-    def test_dstar_fault_injection(self, fig_trellis_code):
+    def test_dstar_fault_injection(self, fig_trellis_code, monkeypatch):
         trellis = build_trellis(fig_trellis_code, 6)
-        table = compute_dstar(trellis)
+        table = compute_dstar(trellis).copy()  # the cached table is read-only
         table[3, 2] += 1  # corrupt one entry
+        monkeypatch.setattr(harness, "compute_dstar", lambda t: table)
         result = check_dstar_oracle(trellis)
         assert not result.passed
 
@@ -384,8 +385,34 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_wrong_code_kind(self, capsys, tmp_path):
-        rc = cli.main(["bound-mlsda", "--code", "golay24", "--snr", "1:2:1"])
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps({"code": {"name": "golay24"}, "snr_db": [1.0, 2.0]}))
+        rc = cli.main(["bound-mlsda", "--config", str(path)])
         assert rc == 2
+        assert "expects a convolutional code" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, flags", [
+        ("bound-gda", ["--config", "--code", "--snr", "--variant", "--out"]),
+        ("bound-mlsda", ["--config", "--length", "-L", "--snr", "--variant", "--out"]),
+        ("simulate-gda", ["--config", "--code", "--snr", "--out", "--seed", "--trials",
+                          "--workers", "--all-zero", "--extension-limit"]),
+        ("simulate-mlsda", ["--config", "--length", "-L", "--snr", "--out", "--seed",
+                            "--trials", "--workers", "--all-zero", "--extension-limit"]),
+    ])
+    def test_curve_flags_are_the_ones_read(self, curve_flags, name, flags):
+        assert curve_flags(name) == flags
+
+    @pytest.mark.parametrize("argv", [
+        ["bound-gda", "--code", "golay24", "--snr", "1", "--seed", "1"],
+        ["simulate-gda", "--code", "golay24", "--snr", "1", "--variant", "be"],
+        ["bound-gda", "--code", "golay24", "--snr", "1", "-L", "5"],
+        ["simulate-mlsda", "--code", "golay24", "--snr", "1"],
+    ])
+    def test_unread_curve_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_atilde_from_fig_config(self, capsys):
         cfg = resources.files("seqdec") / "configs" / "fig1.json"
@@ -493,6 +520,27 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["directory", "file.txt"]
 
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_out_writable_checked_before_run(self, capsys, monkeypatch, tmp_path, existing):
+        # permission bits do not bind root, so the denial is simulated
+        def no_run(cfg):
+            raise AssertionError("the run started before --out was checked")
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        asked = []
+
+        def deny(path, mode):
+            asked.append(path)
+            return False
+        monkeypatch.setattr(cli.os, "access", deny)
+        out = tmp_path / "x.csv"
+        if existing:
+            out.write_text("")
+        rc = cli.main(["simulate-gda", "--code", "golay24", "--snr", "2", "--trials", "2000",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "permission denied" in capsys.readouterr().err
+        assert asked == [str(out) if existing else str(tmp_path)]
+
     @pytest.mark.parametrize("command, name, typo", [
         ("simulate-gda", "fig4", {"extension_limt": 3, "wrokers": 2}),
         ("bound-mlsda", "fig7", {"varaint": "be"}),
@@ -585,7 +633,7 @@ class TestCli:
         (["atilde", "--ratio", "0.2", "--gamma-db", "1", "--n-grid", ""], "config"),
         (["atilde", "--config", "", "--ratio", "0.2", "--gamma-db", "1"], "config"),
         (["simulate-mlsda", "--config", "{conv}", "--snr", ""], "config"),
-        (["simulate-mlsda", "--config", "{conv}", "--code", ""], "config"),
+        (["simulate-gda", "--code", "", "--snr", "1", "--trials", "1"], "config"),
         (["simulate-mlsda", "--config", "{conv}", "--out", ""], "config"),
         (["bound-gda", "--config", "", "--code", "golay24", "--snr", "1"], "config"),
         (["dstar", "--config", "", "--octal", "6,5,7", "-m", "2", "-L", "3"], "config"),
@@ -596,6 +644,10 @@ class TestCli:
         # seeds outside [0, 2^64) would alias others modulo 2^64
         (["simulate-mlsda", "--config", "{conv}", "--seed", "-1"], "config"),
         (["simulate-mlsda", "--config", "{conv}", "--seed", "18446744073709551616"], "config"),
+        # a named code is {"name": ...} alone, not a block spec without rows
+        (["bound-gda", "--config", "{block-named}", "--snr", "1"], "config"),
+        # -m is read only with --octal
+        (["dstar", "--config", "{conv}", "-m", "3"], "config"),
     ])
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
         configs = {
@@ -630,6 +682,7 @@ class TestCli:
                                                     "generator_rows": []}},
             "{k-zero}": {**CONV_CFG, "code": {"type": "block", "n": 3, "k": 0,
                                               "generator_rows": []}},
+            "{block-named}": {**CONV_CFG, "code": {"type": "block", "name": "qr48"}},
         }
         paths = {"{conv}": str(_write_cfg(tmp_path)), "{no-dir}": str(tmp_path / "no" / "x.csv")}
         for key, raw in configs.items():

@@ -1,5 +1,6 @@
 """README.md runs as written: every `seqdec` line of its sh blocks exits 0
-(the simulations at two trials a point), and its library example runs."""
+(the simulations at two trials a point), its library example runs, and
+its list of each curve subcommand's flags is the parser's."""
 
 import re
 import shlex
@@ -34,6 +35,23 @@ def test_command_exits_0(line, monkeypatch, tmp_path):
         argv += ["--trials", "2"]
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
+
+
+def readme_curve_flags() -> dict:
+    """The README's flag list per curve subcommand: the items of the list
+    after "Flags of the curve subcommands", `--length/-L` read as two."""
+    section = README.split("**Flags of the curve subcommands.**", 1)[1]
+    items = re.findall(r"^- `(\S+)`: (.*(?:\n  .*)*)", section.split("\n\n")[1], re.MULTILINE)
+    return {name: [flag for spelling in re.findall(r"`(-[^`]+)`", flags)
+                   for flag in spelling.split("/")]
+            for name, flags in items}
+
+
+def test_curve_flag_list_matches_parsers(curve_flags):
+    listed = readme_curve_flags()
+    assert sorted(listed) == ["bound-gda", "bound-mlsda", "simulate-gda", "simulate-mlsda"]
+    for name, flags in listed.items():
+        assert flags == curve_flags(name), name
 
 
 def test_library_example_runs():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqdec import trellis as trellis_module
 from seqdec.codes import ConvCode, encode_conv
 from seqdec.harness import dstar_by_enumeration, extension_event_hits
-from seqdec.trellis import ABSENT, build_trellis, compute_dstar, dstar_levels
+from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
 
 def states(trellis, level):
@@ -159,7 +160,7 @@ class TestDstarLevels:
     def test_rows_and_distinct_values(self, conv_634_564):
         trellis = build_trellis(conv_634_564, 12)
         table = compute_dstar(trellis)
-        levels = dstar_levels(trellis)
+        levels = trellis.dstar_levels
         assert len(levels) == trellis.L
         for level, (row, distinct) in enumerate(levels):
             present = np.flatnonzero(table[level] != ABSENT)
@@ -167,7 +168,24 @@ class TestDstarLevels:
             assert distinct.tolist() == sorted(set(row.tolist()))
             # a level with every state present reads the table's own row
             assert np.shares_memory(row, table) == (len(present) == trellis.num_states)
-        assert dstar_levels(trellis) is levels
+        assert trellis.dstar_levels is levels
+
+    def test_table_built_once_and_read_only(self, conv_634_564, monkeypatch):
+        real = trellis_module.min_path_costs
+        passes = []
+
+        def counted(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(trellis_module, "min_path_costs", counted)
+        trellis = build_trellis(conv_634_564, 12)
+        table = compute_dstar(trellis)
+        assert compute_dstar(trellis) is table
+        assert len(trellis.dstar_levels) == trellis.L  # reads the cached table
+        assert len(passes) == 1
+        with pytest.raises(ValueError):
+            table[3, 2] += 1
 
 
 # sha256 of compute_dstar(...).tobytes() (int32, C order) per (code, L)
