@@ -54,7 +54,8 @@ def _load_config(path) -> dict:
 def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
     """The config file's keys with the given flags laid over them; a key
     ExperimentConfig has no field for is a config error, bar the free-text
-    note, and so is mode, which the subcommand sets."""
+    note, and so are mode, which the subcommand sets, and L on a block
+    code, which has no information length."""
     fields = _load_config(args.config) if args.config is not None else {}
     fields.pop("note", None)
     if "mode" in fields:
@@ -72,6 +73,8 @@ def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
     target = harness.code_from_config(cfg.code)
     if kind == "gda" and not isinstance(target, BlockCode):
         raise ConfigError("this subcommand expects a block code")
+    if kind == "gda" and cfg.L is not None:
+        raise ConfigError("config key 'L': a block code has no information length")
     if kind == "mlsda" and not isinstance(target, ConvCode):
         raise ConfigError("this subcommand expects a convolutional code")
     return cfg

@@ -48,7 +48,7 @@ from seqdec.decoders import (
     mlsda_decode,
     viterbi_ml,
 )
-from seqdec.numerics import RngStream, bits_from_uniforms, gaussians_from_uniforms
+from seqdec.numerics import bits_from_uniforms, gaussians_from_uniforms, stream_uniforms
 from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
 CSV_HEADER = ["gamma_b_db", "bound_be", "bound_chernoff",
@@ -204,7 +204,9 @@ def trial_llrs(target, gamma_b_db: float, seed: int, trials, all_zero: bool = Fa
 
     Trial t draws one row of uniforms from RngStream(seed XOR t): its
     information bits first (none when all_zero), then two per channel
-    symbol for the noise.  The rows are stacked and built into LLRs as
+    symbol for the noise.  The rows come from numerics.stream_uniforms,
+    which seeds the whole batch's streams at once and equals
+    RngStream(seed XOR t) row for row.  They are built into LLRs as
     arrays with a leading trial axis, by the functions a single trial
     uses, so each row is bitwise that of RngStream.bits, encode_block or
     encode_conv, transmit and llr on the trial alone.
@@ -218,9 +220,7 @@ def trial_llrs(target, gamma_b_db: float, seed: int, trials, all_zero: bool = Fa
         info_len, n = target.L, target.code.n_out * target.levels
         encode = partial(encode_conv, target.code)
     drawn = 0 if all_zero else info_len
-    u = np.empty((len(trials), drawn + 2 * n))
-    for row, t in zip(u, trials):
-        row[:] = RngStream(seed ^ t).uniforms(drawn + 2 * n)
+    u = stream_uniforms([seed ^ t for t in trials], drawn + 2 * n)
     info = (bits_from_uniforms(u[:, :drawn]) if drawn
             else np.zeros((len(trials), info_len), dtype=np.uint8))
     noise = gaussians_from_uniforms(u[:, drawn:], channel.noise_stddev)

@@ -5,6 +5,12 @@ each scalar or elementwise over arrays, a deterministic elementwise
 bracketing root solver, and a seeded bit and Gaussian stream whose bit
 and Box-Muller rules also apply to stacked rows of uniforms.
 
+stream_uniforms draws the uniforms of many seeds at once.  Row i
+equals RngStream(seeds[i]).uniforms(n) bit for bit: it runs numpy's
+SeedSequence hash (O'Neill's seed_seq_fe, whose output NEP 19 keeps
+stable) on every seed together in uint32 arrays and hands each row's
+state words to PCG64, so no SeedSequence object is built per seed.
+
 Elementwise code runs + - * / and sqrt in numpy, which rounds them as
 Python floats do, but maps the math module's exp, log, log1p, erfc and
 lgamma over the elements (math_map): numpy's and scipy's own versions
@@ -22,6 +28,7 @@ SQRT2 = math.sqrt(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 
 class DomainError(ValueError):
@@ -126,6 +133,82 @@ def gaussians_from_uniforms(u, stddev: float = 1.0) -> np.ndarray:
     return stddev * z
 
 
+def _hash_consts(init: int, mult: int, count: int) -> tuple:
+    """The xor and multiply constants [count, 1] of count successive
+    SeedSequence hash steps, as uint32 columns: step i xors with
+    init * mult^i and multiplies by init * mult^(i+1), mod 2^32.  They
+    are built from Python ints, because numpy scalar products of uint32
+    warn on overflow where array products wrap silently."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _hash(value, xor, mult):
+    """One SeedSequence hash step per row of xor and mult, on uint32 rows
+    of value (or one row for all): xor, multiply, xorshift."""
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+# numpy.random.SeedSequence on a pool of 4 uint32 words: a seed's words
+# fill the pool through hashmix calls 0-3 and mix it through calls 4-15,
+# and a 4-word uint64 state is 8 hashes of the pool words, cycled.
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_HASHMIX = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_GENERATE = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_POOL_PAD = _hash(np.zeros(1, np.uint32), _HASHMIX[0][2:4], _HASHMIX[1][2:4])
+
+
+def seed_states(seeds) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) of every seed s, each
+    masked to 64 bits as RngStream masks it, as rows of a [len(seeds), 4]
+    uint64 array computed for all seeds together.
+
+    A 64-bit seed is one or two uint32 entropy words (low word first).
+    The pool pads missing words with hashmix(0), so a zero high word
+    hashes as no word and every seed takes two.  Mixing a source word
+    into the three others hashes it once for each, so one source's three
+    mixes are one step on three rows."""
+    s = np.array([int(x) & _MASK64 for x in seeds], dtype=np.uint64)
+    pool = np.empty((4, len(s)), np.uint32)
+    pool[0], pool[1] = s & _MASK32, s >> 32
+    pool[:2] = _hash(pool[:2], _HASHMIX[0][:2], _HASHMIX[1][:2])
+    pool[2:] = _POOL_PAD
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        calls = slice(4 + 3 * src, 7 + 3 * src)
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], _HASHMIX[0][calls],
+                                                     _HASHMIX[1][calls])
+        pool[dst] = mixed ^ mixed >> 16
+    words = _hash(np.concatenate([pool, pool]), *_GENERATE).astype(np.uint64)
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 the 4 uint64 state words it asks
+    for, computed already (a row of seed_states)."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
+
+
+def stream_uniforms(seeds, n: int) -> np.ndarray:
+    """Uniforms [len(seeds), n] on [0, 1) whose row i equals
+    RngStream(seeds[i]).uniforms(n) bit for bit, with the seeding hash
+    run on all seeds at once (seed_states)."""
+    states = seed_states(seeds)
+    out = np.empty((len(states), n))
+    for row, words in zip(out, states):
+        np.random.Generator(np.random.PCG64(_StateWords(words))).random(out=row)
+    return out
+
+
 class RngStream:
     """Seeded random stream whose draws do not depend on call pattern.
 
@@ -138,6 +221,10 @@ class RngStream:
     A stream is single-owner: never draw from one stream in two
     concurrent activities.  Parallel work derives one stream per unit of
     work instead.
+
+    This is the one-seed reference: stream_uniforms draws the uniforms
+    of many seeds at once, and its row for a seed equals this stream's
+    uniforms bit for bit.
     """
 
     def __init__(self, seed: int):

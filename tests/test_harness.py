@@ -546,6 +546,8 @@ class TestCli:
         ("bound-mlsda", "fig7", {"varaint": "be"}),
         ("atilde", "fig1", {"n_gird": [40]}),
         ("bound-gda", "fig3", {"mode": "both"}),  # the subcommand sets mode
+        ("bound-gda", "fig3", {"L": 5}),  # a block code has no information length
+        ("simulate-gda", "fig4", {"L": 5}),
     ])
     def test_unknown_config_key_rejected_before_run(self, capsys, monkeypatch, tmp_path,
                                                     command, name, typo):

@@ -8,7 +8,8 @@ against a plain two-stack search, its batch entry point and its count
 against the search row by row, the Viterbi oracle against all 2^L
 inputs, the harness's batched trial pipeline on both (with the tree
 count taking over early too) and each of its two stages, trial_llrs and
-decode_batch, against the one-trial path, and the per-pair bound of a
+decode_batch, against the one-trial path, the batched stream seeding
+against numpy's SeedSequence and RngStream, and the per-pair bound of a
 whole evaluation against the scalar one."""
 
 import math
@@ -47,7 +48,7 @@ from seqdec.decoders import (
     viterbi_ml,
 )
 from seqdec.harness import ExperimentConfig, _run_trials, dstar_by_enumeration, trial_llrs
-from seqdec.numerics import RngStream
+from seqdec.numerics import RngStream, seed_states, stream_uniforms
 from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -675,6 +676,22 @@ def test_trial_llrs_match_one_trial_path(target, seed, all_zero, gamma_b_db, fir
         assert row.tobytes() == one_trial_llrs(target, gamma_b_db, seed, t, all_zero).tobytes()
 
 
+@PROPERTY_SETTINGS
+@given(st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**80, 2**80)), max_size=8),
+       st.integers(0, 600))
+@example([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1], 300)
+@example([-1, -2**32 - 5, 2**64, 2**64 + 2**32 + 7, 2**80 - 1], 17)
+@example([], 5)
+def test_stream_uniforms_match_rng_stream(seeds, n):
+    # the batched seeding hash gives SeedSequence's state words for every
+    # seed masked to 64 bits, and each row is the stream of its seed alone
+    states = seed_states(seeds)
+    u = stream_uniforms(seeds, n)
+    assert states.shape == (len(seeds), 4) and u.shape == (len(seeds), n)
+    for seed, words, row in zip(seeds, states, u):
+        want = np.random.SeedSequence(seed % 2**64).generate_state(4, np.uint64)
+        assert words.tolist() == want.tolist()
+        assert row.tobytes() == RngStream(seed).uniforms(n).tobytes()
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(tree_batch_inputs(), trellis_batch_inputs()))
 # a tie at zeta* that the tree count hands back to the search, beside near ties
