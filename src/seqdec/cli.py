@@ -52,10 +52,10 @@ def _load_config(path) -> dict:
 
 
 def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
-    """The config file's keys with the given flags laid over them; a key
-    ExperimentConfig has no field for is a config error, bar the free-text
-    note, and so are mode, which the subcommand sets, and L on a block
-    code, which has no information length."""
+    """The config file's keys with the given flags laid over them, checked
+    by ExperimentConfig and code_from_config; a key ExperimentConfig has no
+    field for is a config error, bar the free-text note, and so are mode,
+    which the subcommand sets, and a code of the kind it does not decode."""
     fields = _load_config(args.config) if args.config is not None else {}
     fields.pop("note", None)
     if "mode" in fields:
@@ -73,8 +73,6 @@ def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
     target = harness.code_from_config(cfg.code)
     if kind == "gda" and not isinstance(target, BlockCode):
         raise ConfigError("this subcommand expects a block code")
-    if kind == "gda" and cfg.L is not None:
-        raise ConfigError("config key 'L': a block code has no information length")
     if kind == "mlsda" and not isinstance(target, ConvCode):
         raise ConfigError("this subcommand expects a convolutional code")
     return cfg

@@ -10,7 +10,6 @@ for a fixed config regardless of the worker count.
 import contextlib
 import csv
 import io
-import json
 import math
 import numbers
 import os
@@ -89,8 +88,10 @@ class ExperimentConfig:
             raise ConfigError(f"bad variant {self.variant!r}")
         if self.mode not in ("bound", "simulate", "both"):
             raise ConfigError(f"bad mode {self.mode!r}")
-        if isinstance(self.code, dict) and self.code.get("type") == "conv" and self.L is None:
-            raise ConfigError("convolutional experiments need L")
+        conv = isinstance(self.code, dict) and self.code.get("type") == "conv"
+        if conv == (self.L is None):  # L is a convolutional code's information length
+            raise ConfigError("convolutional experiments need L" if conv
+                              else "L: only a convolutional code has an information length")
         if not isinstance(self.snr_db, (list, tuple)):
             raise ConfigError(f"snr_db must be a list of numbers, got {self.snr_db!r}")
         if len(self.snr_db) == 0:
@@ -120,6 +121,8 @@ _NAMED_CODES = {
     "golay24": build_extended_golay,
     "qr48": build_extended_qr48,
 }
+_SPEC_KEYS = {"block": {"type", "name", "n", "k", "generator_rows"},
+              "conv": {"type", "name", "m", "octal", "taps"}}
 
 
 def code_from_config(spec: dict):
@@ -128,6 +131,7 @@ def code_from_config(spec: dict):
     Block: {"name": "golay24" | "qr48"} or {"type": "block", "n", "k",
     "generator_rows": [hex row, ...], "name"?}.  Conv: {"type": "conv",
     "m", and "octal": [str, ...] or "taps": [bit string, ...], "name"?}.
+    A key the spec's kind does not read is a ConfigError.
     """
     if not isinstance(spec, dict):
         raise ConfigError("code spec must be an object")
@@ -144,51 +148,47 @@ def code_from_config(spec: dict):
         except KeyError:
             raise ConfigError(f"unknown named code {name!r}") from None
     kind = spec.get("type")
-    if kind == "block":
-        try:
+    if kind not in _SPEC_KEYS:
+        raise ConfigError(f"bad code spec {spec!r}")
+    unread = sorted(set(spec) - _SPEC_KEYS[kind])
+    if unread:
+        raise ConfigError(f"{kind} code spec key(s) {unread} are not read")
+    if kind == "conv" and ("octal" in spec) == ("taps" in spec):
+        raise ConfigError("a conv code spec takes exactly one of octal and taps")
+    try:
+        if kind == "block":
             rows = tuple(int(r, 16) for r in spec["generator_rows"])
             return BlockCode(n=spec["n"], k=spec["k"], rows=rows, name=name)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad block code spec: {exc}") from exc
-    if kind == "conv":
-        try:
-            m = spec["m"]
-            if "taps" in spec:
-                taps = tuple(tuple(int(c) for c in t) for t in spec["taps"])
-                return ConvCode(n_out=len(taps), m=m, taps=taps, name=name)
-            return parse_octal_generators(spec["octal"], m, name=name)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad conv code spec: {exc}") from exc
-    raise ConfigError(f"bad code spec {spec!r}")
+        if "taps" in spec:
+            taps = tuple(tuple(int(c) for c in t) for t in spec["taps"])
+            return ConvCode(n_out=len(taps), m=spec["m"], taps=taps, name=name)
+        return parse_octal_generators(spec["octal"], spec["m"], name=name)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind} code spec: {exc}") from exc
 
 
 @lru_cache(maxsize=32)
-def _built_target(code_json: str, L: int | None):
-    """The decode target of a JSON code spec: a BlockCode, or the Trellis
-    of a convolutional code at information length L.  Cached, so that
-    repeated runs on one code build its trellis once."""
-    code = code_from_config(json.loads(code_json))
-    if isinstance(code, ConvCode):
-        return build_trellis(code, int(L))
-    return code
+def _built_target(code, L: int | None):
+    """The decode target of a code_from_config code: the BlockCode itself,
+    or the ConvCode's Trellis at information length L.  Keyed by the frozen
+    code, so one code builds its trellis and d* once, however it is spelled."""
+    return build_trellis(code, L) if isinstance(code, ConvCode) else code
 
 
 # ---------------------------------------------------------------------------
 # bound curves
 
 def run_bound_curve(cfg: ExperimentConfig) -> list:
-    target = _built_target(json.dumps(cfg.code, sort_keys=True), cfg.L)
-    if isinstance(target, BlockCode):
-        evaluate = lambda db, v: bounds.gda_complexity_bound(target, db, v)
-    else:
-        evaluate = lambda db, v: bounds.mlsda_complexity_bound(target, db, v)
+    target = _built_target(code_from_config(cfg.code), cfg.L)
+    bound = (bounds.gda_complexity_bound if isinstance(target, BlockCode)
+             else bounds.mlsda_complexity_bound)
     points = []
     for db in cfg.snr_db:
         pt = CurvePoint(gamma_b_db=db)
         if cfg.variant in ("be", "both"):
-            pt.bound_be = evaluate(db, BERRY_ESSEEN)
+            pt.bound_be = bound(target, db, BERRY_ESSEEN)
         if cfg.variant in ("chernoff", "both"):
-            pt.bound_chernoff = evaluate(db, CHERNOFF)
+            pt.bound_chernoff = bound(target, db, CHERNOFF)
         points.append(pt)
     return points
 
@@ -273,7 +273,7 @@ def run_simulation_curve(cfg: ExperimentConfig) -> list:
     trials per point.  The pool has no more processes than trials or
     CPUs this process may run on, and none at all when that leaves one.
     """
-    target = _built_target(json.dumps(cfg.code, sort_keys=True), cfg.L)
+    target = _built_target(code_from_config(cfg.code), cfg.L)
     workers = min(cfg.workers, _usable_cpus(), cfg.trials)
     parallel = workers > 1
     pool = (ProcessPoolExecutor(workers, initializer=_init_worker,

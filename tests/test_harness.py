@@ -61,6 +61,18 @@ class TestCodeFromConfig:
         with pytest.raises(ConfigError):
             code_from_config({"type": "conv"})
 
+    @pytest.mark.parametrize("spec, unread", [
+        ({"type": "conv", "m": 2, "octal": ["7", "5"], "gnerators": ["7", "5"]}, "gnerators"),
+        ({"type": "conv", "m": 2, "n": 2, "taps": ["111", "101"]}, "'n'"),
+        ({"type": "block", "n": 3, "k": 1, "m": 0, "generator_rows": ["7"]}, "'m'"),
+        ({"type": "block", "n": 3, "k": 1, "generator_rows": ["7"], "octal": ["7"]}, "octal"),
+        # both spellings at once: the taps were built and the octal dropped
+        ({"type": "conv", "m": 2, "octal": ["7", "5"], "taps": ["110", "101"]}, "exactly one"),
+    ])
+    def test_unread_spec_key_rejected(self, spec, unread):
+        with pytest.raises(ConfigError, match=unread):
+            code_from_config(spec)
+
 
 class TestExperimentConfigValidation:
     def test_grid_must_increase(self):
@@ -88,6 +100,16 @@ class TestExperimentConfigValidation:
         ExperimentConfig(code=SMALL_CONV, snr_db=(1.0,), L=8)
         ExperimentConfig(code={"name": "golay24"}, snr_db=(1.0,))
 
+    @pytest.mark.parametrize("code", [
+        {"name": "golay24"}, {"type": "block", "n": 3, "k": 1, "generator_rows": ["7"]}])
+    def test_block_code_rejects_L(self, code):
+        # a block code has no information length: L is refused, not ignored
+        with pytest.raises(ConfigError, match=r"\bL\b"):
+            ExperimentConfig(code=code, snr_db=(1.0,), L=5)
+        with pytest.raises(ConfigError, match=r"\bL\b"):
+            run_experiment(ExperimentConfig(code=code, snr_db=(1.0,), L=5, mode="bound",
+                                            variant="be"))
+
 
 class TestCurves:
     def test_csv_schema(self):
@@ -99,6 +121,21 @@ class TestCurves:
         fields = lines[1].split(",")
         assert len(fields) == 6
         assert all(f != "" for f in fields)
+
+    def test_one_trellis_per_code(self, monkeypatch):
+        # one code spelled with octal and with taps builds one trellis
+        built = []
+
+        def counting_build(code, L):
+            built.append(code)
+            return build_trellis(code, L)
+        monkeypatch.setattr(harness, "build_trellis", counting_build)
+        harness._built_target.cache_clear()
+        taps = {"type": "conv", "m": 2, "taps": ["110", "101", "111"], "name": "conv-657"}
+        a = run_bound_curve(small_cfg(mode="bound"))
+        b = run_bound_curve(small_cfg(code=taps, mode="bound"))
+        assert len(built) == 1
+        assert curve_csv_text(a) == curve_csv_text(b)
 
     def test_bound_only_leaves_sim_columns_empty(self):
         pts = run_experiment(small_cfg(mode="bound"))
@@ -676,15 +713,15 @@ class TestCli:
             "{m-text}": {**CONV_CFG, "code": {**SMALL_CONV, "m": "2"}},
             "{m-bool}": {**CONV_CFG, "code": {"type": "conv", "m": True, "taps": ["11"]}},
             "{m-negative}": {**CONV_CFG, "code": {"type": "conv", "m": -1, "taps": [""]}},
-            "{n-float}": {**CONV_CFG, "code": {"type": "block", "n": 3.0, "k": 1,
-                                               "generator_rows": ["7"]}},
-            "{rows-text}": {**CONV_CFG, "code": {"type": "block", "n": 3, "k": 1,
-                                                 "generator_rows": "7"}},
-            "{k-zero-empty}": {**CONV_CFG, "code": {"type": "block", "n": 0, "k": 0,
-                                                    "generator_rows": []}},
-            "{k-zero}": {**CONV_CFG, "code": {"type": "block", "n": 3, "k": 0,
-                                              "generator_rows": []}},
-            "{block-named}": {**CONV_CFG, "code": {"type": "block", "name": "qr48"}},
+            "{n-float}": {**BLOCK_CFG, "code": {"type": "block", "n": 3.0, "k": 1,
+                                                "generator_rows": ["7"]}},
+            "{rows-text}": {**BLOCK_CFG, "code": {"type": "block", "n": 3, "k": 1,
+                                                  "generator_rows": "7"}},
+            "{k-zero-empty}": {**BLOCK_CFG, "code": {"type": "block", "n": 0, "k": 0,
+                                                     "generator_rows": []}},
+            "{k-zero}": {**BLOCK_CFG, "code": {"type": "block", "n": 3, "k": 0,
+                                               "generator_rows": []}},
+            "{block-named}": {**BLOCK_CFG, "code": {"type": "block", "name": "qr48"}},
         }
         paths = {"{conv}": str(_write_cfg(tmp_path)), "{no-dir}": str(tmp_path / "no" / "x.csv")}
         for key, raw in configs.items():
@@ -713,6 +750,7 @@ class TestCli:
 
 CONV_CFG = {"code": SMALL_CONV, "L": 8, "snr_db": [6.0], "trials": 10,
             "seed": 4, "variant": "both", "workers": 1}
+BLOCK_CFG = {k: v for k, v in CONV_CFG.items() if k != "L"}  # a block code takes no L
 
 
 def _write_cfg(tmp_path):
