@@ -53,11 +53,10 @@ def _load_config(path) -> dict:
 
 def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
     """The config file's keys with the given flags laid over them, checked
-    by ExperimentConfig and code_from_config; a key ExperimentConfig has no
-    field for is a config error, bar the free-text note, and so are mode,
-    which the subcommand sets, and a code of the kind it does not decode."""
+    by ExperimentConfig.from_dict and code_from_config; mode, which the
+    subcommand sets, is a config error, and so is a code of the kind it
+    does not decode."""
     fields = _load_config(args.config) if args.config is not None else {}
-    fields.pop("note", None)
     if "mode" in fields:
         raise ConfigError("config key 'mode': the subcommand sets mode")
     code_name = getattr(args, "code_name", None)
@@ -66,10 +65,7 @@ def _experiment_config(args, kind: str, mode: str) -> ExperimentConfig:
              **{name: getattr(args, name, None) for name in (
                  "trials", "seed", "variant", "workers", "all_zero", "L", "extension_limit")}}
     fields.update({k: v for k, v in flags.items() if v is not None}, mode=mode)
-    try:
-        cfg = ExperimentConfig(**fields)
-    except TypeError as exc:  # an unknown key, or no code or SNR grid
-        raise ConfigError(str(exc)) from exc
+    cfg = ExperimentConfig.from_dict(fields)
     target = harness.code_from_config(cfg.code)
     if kind == "gda" and not isinstance(target, BlockCode):
         raise ConfigError("this subcommand expects a block code")
@@ -172,7 +168,10 @@ def _cmd_atilde(args) -> int:
 
 
 def _cmd_dstar(args) -> int:
-    raw = _load_config(args.config) if args.config is not None else {}
+    """The d* table of a convolutional code: its spec and L come from the
+    flags or a config, whose keys must be experiment-config keys (see
+    harness.experiment_fields), and L obeys ExperimentConfig's L rule."""
+    raw = harness.experiment_fields(_load_config(args.config) if args.config is not None else {})
     code_spec = raw.get("code")
     if args.memory is not None and args.octal is None:
         raise ConfigError("dstar reads -m/--memory only with --octal")
@@ -184,10 +183,7 @@ def _cmd_dstar(args) -> int:
     if not isinstance(code, ConvCode):
         raise ConfigError("dstar expects a convolutional code")
     L = args.length if args.length is not None else raw.get("L")
-    if L is None:
-        raise ConfigError("dstar needs L (use --length)")
-    if not _all_numbers((L,), int) or L < 1:
-        raise ConfigError(f"L must be an integer >= 1, got {L!r}")
+    ExperimentConfig.check_L(code_spec, L)
     trellis = build_trellis(code, L)
     with _open_out(args) as out:
         harness.write_dstar_csv(trellis, out)

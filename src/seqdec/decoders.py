@@ -697,7 +697,8 @@ def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     (memory m >= 1), or None where the search exceeds the budget, from
     the Viterbi metric V of every node (its least path metric, with the
     search's own float adds), by one min-plus pass (min_path_costs) over
-    as many rows at a time as _count_rows allows.
+    as many rows at a time as _count_rows allows, each filling the one
+    table the call allocates.
 
     The search extends every node below level L + m with V < zeta*, the
     goal's V, and no node with V > zeta*; its counts are those of the
@@ -706,13 +707,15 @@ def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     and its inputs are those of the traced winner (min_path_inputs) when
     no node of that path has tied branches.  A row that breaks either rule
     is searched."""
-    L, levels = trellis.L, trellis.levels
+    L, levels, nst = trellis.L, trellis.levels, trellis.num_states
     step = _count_rows(trellis)
+    buffer = np.empty((levels + 1) * min(step, len(inc)) * nst, dtype=inc.dtype)
     results = []
     for first in range(0, len(inc), step):
         rows = inc[first:first + step]
         costs = rows.reshape(len(rows), levels, -1).transpose(1, 0, 2)
-        table = min_path_costs(trellis, costs, math.inf)
+        table = min_path_costs(trellis, costs, math.inf, buffer[:(levels + 1) * len(rows) * nst]
+                               .reshape(levels + 1, len(rows), nst))
         inputs, tied, path = min_path_inputs(trellis, costs, table)
         zeta = path[levels]
         inner = table[:levels]

@@ -4,7 +4,8 @@ prefactor tables, CSV emission, and a cross-module validation suite.
 Reproducibility contract: trial t of a run draws everything (information
 bits, then noise) from its own stream seeded with seed XOR t, and
 results are reduced in trial order.  Outputs are therefore byte-identical
-for a fixed config regardless of the worker count.
+for a fixed config regardless of the worker count, and of where a run's
+trials are cut into batches.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import numbers
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from itertools import repeat
 
@@ -71,15 +72,34 @@ class ExperimentConfig:
     L: int | None = None         # convolutional info length
     extension_limit: int | None = None
 
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config of a JSON object's keys (see experiment_fields); a
+        missing code or SNR grid is a ConfigError too."""
+        kwargs = experiment_fields(raw)
+        missing = sorted({"code", "snr_db"} - set(kwargs))
+        if missing:
+            raise ConfigError(f"config key(s) {missing} missing")
+        return cls(**kwargs)
+
+    @staticmethod
+    def check_L(code, L) -> None:
+        """The L rule: L, an integer >= 1, is the information length of a
+        convolutional code spec (see code_from_config), which needs one,
+        and no other spec has one."""
+        conv = isinstance(code, dict) and code.get("type") == "conv"
+        if conv == (L is None):
+            raise ConfigError("convolutional experiments need L" if conv
+                              else "L: only a convolutional code has an information length")
+        if conv:
+            _check_integer("L", L, 1)
+
     def __post_init__(self):
-        for name in ("trials", "seed", "workers", "L", "extension_limit"):
+        for name in ("trials", "seed", "workers", "extension_limit"):
             value = getattr(self, name)
-            if value is None and name in ("L", "extension_limit"):
+            if value is None and name == "extension_limit":
                 continue
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            _check_integer(name, value, None if name == "seed" else 1)
         if not 0 <= self.seed < 1 << 64:  # RngStream keeps 64 bits: others would alias
             raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
         if not isinstance(self.all_zero, bool):
@@ -88,10 +108,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad variant {self.variant!r}")
         if self.mode not in ("bound", "simulate", "both"):
             raise ConfigError(f"bad mode {self.mode!r}")
-        conv = isinstance(self.code, dict) and self.code.get("type") == "conv"
-        if conv == (self.L is None):  # L is a convolutional code's information length
-            raise ConfigError("convolutional experiments need L" if conv
-                              else "L: only a convolutional code has an information length")
+        self.check_L(self.code, self.L)
         if not isinstance(self.snr_db, (list, tuple)):
             raise ConfigError(f"snr_db must be a list of numbers, got {self.snr_db!r}")
         if len(self.snr_db) == 0:
@@ -101,6 +118,23 @@ class ExperimentConfig:
             raise ConfigError(f"SNR grid must hold finite numbers, got {self.snr_db!r}")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("SNR grid must be strictly increasing")
+
+
+def _check_integer(name: str, value, least) -> None:
+    """value is an integer (not a bool), and at least `least` unless that is None."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}")
+
+
+def experiment_fields(raw: dict) -> dict:
+    """The keys of a JSON experiment config less its free-text note; a
+    key that names no ExperimentConfig field is a ConfigError."""
+    unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)} - {"note"})
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}")
+    return {k: v for k, v in raw.items() if k != "note"}
 
 
 @dataclass
@@ -196,7 +230,7 @@ def run_bound_curve(cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # simulation curves
 
-TRIAL_BATCH = 64  # trials whose arrays are built together; bounds peak memory
+BATCH_SYMBOLS = 1 << 16  # channel symbols of the trials built together; bounds peak memory
 
 
 def trial_llrs(target, gamma_b_db: float, seed: int, trials, all_zero: bool = False) -> np.ndarray:
@@ -231,11 +265,15 @@ def trial_llrs(target, gamma_b_db: float, seed: int, trials, all_zero: bool = Fa
 def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range) -> list:
     """branch_computations of each trial, or None where the trial blew the
     extension budget, in trial order: trial_llrs and then decode_batch on
-    TRIAL_BATCH trials at a time, which give each trial the counts of the
-    trial built and decoded alone (see decoders.decode_batch)."""
+    one batch of trials at a time, max(1, BATCH_SYMBOLS // N) trials of N
+    channel symbols each.  Both give each trial the counts of the trial
+    built and decoded alone (see decoders.decode_batch), so no output
+    depends on where the batches are cut."""
+    n = target.n if isinstance(target, BlockCode) else target.code.n_out * target.levels
+    size = max(1, BATCH_SYMBOLS // n)
     results = []
-    for first in range(trials.start, trials.stop, TRIAL_BATCH):
-        batch = range(first, min(first + TRIAL_BATCH, trials.stop))
+    for first in range(trials.start, trials.stop, size):
+        batch = range(first, min(first + size, trials.stop))
         phi = trial_llrs(target, gamma_b_db, cfg.seed, batch, cfg.all_zero)
         results += [None if r is None else r[0]
                     for r in decode_batch(target, phi, cfg.extension_limit)]

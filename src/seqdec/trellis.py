@@ -93,7 +93,7 @@ def build_trellis(code: ConvCode, L: int) -> Trellis:
     return Trellis(code=code, L=L, outputs=outputs)
 
 
-def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached) -> np.ndarray:
+def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached, out=None) -> np.ndarray:
     """Least path cost into every (level, row, state) by one forward
     min-plus pass over costs[level, row, output pattern] ([levels, R,
     2^n_out], level-major: an unbatched call is a batch of R = 1).  Each
@@ -103,17 +103,22 @@ def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached) -> np.ndarray
     into each state and the last S the other, and each state keeps the
     lesser; input-1 branches are blocked from level L on.  The result
     [levels + 1, R, S] is at least `unreached` (above every path cost)
-    where no path passes."""
+    where no path passes.  It is written into out where one is given (a
+    C-contiguous array of that shape and costs' dtype), so that a caller
+    making many passes fills one table rather than faulting in a new one
+    each time."""
     nst = trellis.num_states
     src = np.arange(2 * nst, dtype=np.intp) >> 1  # np.take indexes by intp
-    out = trellis.outputs.T.ravel().astype(np.intp)  # by register 2s + b
-    table = np.full((trellis.levels + 1, costs.shape[1], nst), unreached, dtype=costs.dtype)
+    patterns = trellis.outputs.T.ravel().astype(np.intp)  # by register 2s + b
+    table = (np.empty((trellis.levels + 1, costs.shape[1], nst), dtype=costs.dtype)
+             if out is None else out)
+    table[0] = unreached  # each later level is written whole below
     table[0, :, 0] = 0
     # fancy indexing gathers short rows faster than np.take, long ones slower
     gather = (lambda a, idx: a[:, idx]) if nst <= 256 else partial(np.take, axis=1)
     for level in range(trellis.levels):
         cand = gather(table[level], src)  # [R, 2S]
-        cand += gather(costs[level], out)
+        cand += gather(costs[level], patterns)
         if level >= trellis.L:
             cand[:, 1::2] = unreached
         pairs = cand.reshape(-1, 2, nst)

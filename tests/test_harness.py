@@ -381,6 +381,38 @@ class TestShippedConfigs:
             code = code_from_config(raw["code"])
             assert code.m == 16
 
+    def test_all_load_through_the_library(self):
+        # every shipped config loads without the CLI: the curve configs
+        # (fig7 and fig8 with their free-text note) as ExperimentConfigs,
+        # the prefactor configs as run_atilde_table calls
+        root = resources.files("seqdec") / "configs"
+        for i in range(1, 9):
+            raw = json.loads((root / f"fig{i}.json").read_text())
+            if i <= 2:
+                for curve in raw["curves"]:
+                    rows = run_atilde_table(curve["d_over_n"], curve["gamma_db"],
+                                            raw["n_grid"])
+                    assert len(rows) == len(raw["n_grid"])
+                continue
+            cfg = ExperimentConfig.from_dict(raw)
+            assert cfg.trials == raw["trials"] and cfg.L == raw.get("L")
+            assert isinstance(code_from_config(cfg.code), BlockCode if i <= 4 else ConvCode)
+
+    @pytest.mark.parametrize("raw, match", [
+        ({"lenght": 9}, "lenght"), ({"Note": "x"}, "Note"), ({"mode": "both", "L": 5}, "L")])
+    def test_library_rejects_unknown_or_misplaced_keys(self, raw, match):
+        # keys no field names are ConfigErrors, not TypeErrors, and so is L
+        # on a block code; mode is a field the library reads
+        base = json.loads((resources.files("seqdec") / "configs" / "fig3.json").read_text())
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict({**base, **raw})
+
+    def test_library_needs_code_and_grid(self):
+        with pytest.raises(ConfigError, match="code"):
+            ExperimentConfig.from_dict({"snr_db": [1.0], "note": "x"})
+        with pytest.raises(ConfigError, match="snr_db"):
+            ExperimentConfig.from_dict({"code": {"name": "golay24"}})
+
     @pytest.mark.parametrize("name, command", [
         ("fig1", "atilde"), ("fig2", "atilde"),
         ("fig3", "simulate-gda"), ("fig4", "simulate-gda"),
@@ -494,6 +526,29 @@ class TestCli:
         out = io.StringIO()
         harness.write_dstar_csv(trellis, out)
         assert out.getvalue() == want
+
+    @pytest.mark.parametrize("extra, flags, rc, message", [
+        # a key no experiment-config field names is not read, so it is refused
+        ({"lenght": 9}, [], 2, "lenght"),
+        ({"lenght": 9}, ["-L", "4"], 2, "lenght"),
+        # keys that name fields, and the note, are allowed
+        ({"note": "x", "snr_db": [1.0], "trials": 3}, [], 0, ""),
+        # ExperimentConfig's L rule
+        ({"L": None}, [], 2, "need L"),
+        ({"L": 0}, [], 2, "L must be >= 1"),
+        ({"L": 2.5}, [], 2, "L must be an integer"),
+        ({"L": 0}, ["-L", "3"], 0, ""),  # the flag wins
+    ])
+    def test_dstar_config_rules(self, capsys, tmp_path, extra, flags, rc, message):
+        raw = {k: v for k, v in {"code": SMALL_CONV, "L": 3, **extra}.items() if v is not None}
+        path = tmp_path / "dstar.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["dstar", "--config", str(path), *flags]) == rc
+        out, err = capsys.readouterr()
+        if rc:
+            assert err.startswith("config error:") and message in err and out == ""
+        else:
+            assert out.startswith("level,state,dstar\n") and err == ""
 
     def test_invalid_snr_exit_code(self, capsys):
         # -4000 dB underflows to a linear SNR of 0, which the channel rejects

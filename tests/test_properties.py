@@ -5,9 +5,10 @@ per-trial reference kept here: the trellis layer on convolutional codes
 and the Golay code, its batch entry point (and the rows it settles as
 straight dives) against the search row by row, the trellis search
 against a plain two-stack search, its batch entry point and its count
-against the search row by row, the Viterbi oracle against all 2^L
+(also cut into several passes) against the search row by row, the Viterbi oracle against all 2^L
 inputs, the harness's batched trial pipeline on both (with the tree
-count taking over early too) and each of its two stages, trial_llrs and
+count taking over early too, and with batches of 1, 7 and 64 trials)
+and each of its two stages, trial_llrs and
 decode_batch, against the one-trial path, the batched stream seeding
 against numpy's SeedSequence and RngStream, and the per-pair bound of a
 whole evaluation against the scalar one."""
@@ -19,10 +20,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from seqdec import decoders
+from seqdec import decoders, harness
 from seqdec.bounds import (
     BERRY_ESSEEN,
     CHERNOFF,
@@ -578,6 +579,34 @@ def test_mlsda_count_matches_search(inputs):
             assert type(g[3]) is float and type(g[4]) is int
 
 
+@settings(max_examples=300, deadline=None)
+@given(trellis_batch_inputs(), st.data())
+def test_mlsda_count_chunks_match_search(inputs, data):
+    # with COUNT_BLOCK holding fewer rows than the batch, one count call
+    # makes several min-plus passes into its one table, the last over
+    # fewer rows; every row's result is still that of the search alone
+    trellis, phi, limit = inputs
+    assume(trellis.code.m and len(phi) >= 3)
+    rows = data.draw(st.sampled_from([r for r in range(1, len(phi)) if len(phi) % r]))
+    table = (trellis.levels + 1) * trellis.num_states
+    inc = _metric_table(trellis, phi)
+    with mock.patch.multiple(decoders, COUNT_BLOCK=rows * table
+                             + data.draw(st.integers(0, table - 1))), \
+            mock.patch.object(decoders, "min_path_costs",
+                              wraps=decoders.min_path_costs) as passes:
+        got = counted_rows(trellis, inc, limit)
+    outs = [call.args[3] for call in passes.call_args_list]
+    assert [out.shape[1] for out in outs] == [rows] * (len(phi) // rows) + [len(phi) % rows]
+    assert all(np.shares_memory(out, outs[0]) for out in outs)
+    want = searched_rows(trellis, inc, limit)
+    for g, w in zip(got, want, strict=True):
+        if w is None:
+            assert g is None
+        else:
+            assert g is not None
+            assert (*g[:3], g[3].hex(), g[4]) == (*w[:3], w[3].hex(), w[4])
+
+
 @settings(max_examples=200, deadline=None)
 @given(trellis_search_inputs())
 def test_viterbi_attains_least_metric(inputs):
@@ -648,6 +677,34 @@ def test_counted_trials_match_searched_trials(code, seed, all_zero, limit, gamma
         for block in (64, full):
             with mock.patch.multiple(decoders, SEARCH_BUDGET=budget, SWEEP_BLOCK=block):
                 assert _run_trials(code, cfg, gamma_b_db, trials) == want
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(block_codes(), trellises()), st.integers(0, 2**64 - 1), st.booleans(),
+       st.one_of(st.none(), st.integers(1, 40)), st.floats(-3.0, 9.0), st.integers(0, 1000),
+       st.integers(65, 200), st.data())
+def test_trials_match_per_trial_path_across_batches(target, seed, all_zero, limit,
+                                                    gamma_b_db, first, count, data):
+    # with the symbol budget patched to batches of 1, 7 and 64 trials (and
+    # up to a trial's symbols to spare), every range of more than 64 trials
+    # is cut into several batches, the last possibly shorter, and the
+    # batched pipeline still gives every trial the count of the per-trial
+    # path
+    cfg = ExperimentConfig(code={}, snr_db=(gamma_b_db,), seed=seed, all_zero=all_zero,
+                           extension_limit=limit)
+    trials = range(first, first + count)
+    want = per_trial_counts(target, cfg, gamma_b_db, trials)
+    symbols = (target.n if isinstance(target, BlockCode)
+               else target.code.n_out * target.levels)
+    for size in (1, 7, 64):
+        budget = size * symbols + data.draw(st.integers(0, symbols - 1))
+        with mock.patch.object(harness, "BATCH_SYMBOLS", budget), \
+                mock.patch.object(harness, "trial_llrs", wraps=harness.trial_llrs) as built:
+            assert _run_trials(target, cfg, gamma_b_db, trials) == want
+        batches = [call.args[3] for call in built.call_args_list]
+        assert [len(b) for b in batches] == [size] * (count // size) + (
+            [count % size] if count % size else [])
+        assert [t for b in batches for t in b] == list(trials)
 
 
 def one_trial_llrs(target, gamma_b_db, seed, t, all_zero) -> np.ndarray:
