@@ -168,23 +168,26 @@ def _cmd_atilde(args) -> int:
 
 
 def _cmd_dstar(args) -> int:
-    """The d* table of a convolutional code: its spec and L come from the
-    flags or a config, whose keys must be experiment-config keys (see
-    harness.experiment_fields), and L obeys ExperimentConfig's L rule."""
-    raw = harness.experiment_fields(_load_config(args.config) if args.config is not None else {})
-    code_spec = raw.get("code")
+    """The d* table of a convolutional code: --octal/-m and -L laid over
+    the config, which loads as an experiment config (see
+    ExperimentConfig.from_dict); flags alone obey its L rule."""
+    fields = _load_config(args.config) if args.config is not None else {}
     if args.memory is not None and args.octal is None:
         raise ConfigError("dstar reads -m/--memory only with --octal")
     if args.octal is not None:
-        code_spec = {"type": "conv", "m": args.memory, "octal": args.octal.split(",")}
-    if code_spec is None:
+        fields["code"] = {"type": "conv", "m": args.memory, "octal": args.octal.split(",")}
+    if args.length is not None:
+        fields["L"] = args.length
+    if args.config is not None:
+        ExperimentConfig.from_dict(fields)
+    elif "code" not in fields:
         raise ConfigError("dstar needs --octal/--memory or a config with a conv code")
-    code = harness.code_from_config(code_spec)
+    else:
+        ExperimentConfig.check_L(fields["code"], fields.get("L"))
+    code = harness.code_from_config(fields["code"])
     if not isinstance(code, ConvCode):
         raise ConfigError("dstar expects a convolutional code")
-    L = args.length if args.length is not None else raw.get("L")
-    ExperimentConfig.check_L(code_spec, L)
-    trellis = build_trellis(code, L)
+    trellis = build_trellis(code, fields["L"])
     with _open_out(args) as out:
         harness.write_dstar_csv(trellis, out)
     return 0

@@ -601,10 +601,11 @@ def decode_batch(target, phi, extension_limit: int | None = None) -> list:
 
 
 def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
-    """The search's first dive (memory m >= 1) on every metric row of inc
-    [B, levels << n_out] at once: (reached [B], the dive's metric [B], its
-    input bits [ceil(L / 8), B] packed little-endian by level), where
-    reached marks the rows whose dive ends at the goal.
+    """The search's first dive on every metric row of inc [B, levels <<
+    n_out] at once: (reached [B], the dive's metric [B], its input bits
+    [ceil(L / 8), B] packed little-endian by level), where reached marks
+    the rows whose dive ends at the goal.  A memory-0 search, which never
+    dives, takes the same steps one at a time.
 
     Level by level, with the dive's own rules: f0 and f1 add the branch
     metrics to the path's, the 1-child is taken only when f1 < f0, and a
@@ -656,9 +657,7 @@ COUNT_BLOCK = 1 << 19  # the most entries a table of the trellis count holds
 def _count_rows(trellis: Trellis) -> int:
     """Rows whose min-plus tables [levels + 1, S] fit one COUNT_BLOCK
     together: 0 where none does (a memory-16 row at L = 100 has 7.7 M
-    entries), or where the code has memory 0."""
-    if not trellis.code.m:
-        return 0
+    entries)."""
     return COUNT_BLOCK // ((trellis.levels + 1) * trellis.num_states)
 
 
@@ -670,13 +669,10 @@ def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     without the search, after L + m extensions of which L branch: None
     when they exceed the budget.  When at least half the rows are left,
     and their tables fit (see _count_rows), they are counted (see
-    _mlsda_count); otherwise they, and every row of a memory-0 code, which
-    never dives, are searched: at high SNR the first dives leave too few
-    rows to pay for a pass."""
+    _mlsda_count); otherwise they are searched: at high SNR the first
+    dives leave too few rows to pay for a pass."""
     L, m = trellis.L, trellis.code.m
-    reached = np.zeros(len(inc), dtype=bool)
-    if m:
-        reached, zeta, info = _first_dives(trellis, inc)
+    reached, zeta, info = _first_dives(trellis, inc)
     left = np.flatnonzero(~reached)
     if _count_rows(trellis) and 2 * len(left) >= len(inc):
         settled = _mlsda_count(trellis, inc[left], extension_limit)
@@ -693,12 +689,12 @@ def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
 
 
 def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
-    """_mlsda_search's result on each metric row of inc [R, levels << n_out]
-    (memory m >= 1), or None where the search exceeds the budget, from
-    the Viterbi metric V of every node (its least path metric, with the
-    search's own float adds), by one min-plus pass (min_path_costs) over
-    as many rows at a time as _count_rows allows, each filling the one
-    table the call allocates.
+    """_mlsda_search's result on each metric row of inc [R, levels << n_out],
+    or None where the search exceeds the budget, from the Viterbi metric
+    V of every node (its least path metric, with the search's own float
+    adds), by one min-plus pass (min_path_costs) over as many rows at a
+    time as _count_rows allows, each filling the one table the call
+    allocates.
 
     The search extends every node below level L + m with V < zeta*, the
     goal's V, and no node with V > zeta*; its counts are those of the

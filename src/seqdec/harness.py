@@ -74,9 +74,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """The config of a JSON object's keys (see experiment_fields); a
-        missing code or SNR grid is a ConfigError too."""
-        kwargs = experiment_fields(raw)
+        """The config of a JSON experiment config's keys less its
+        free-text note; a key that names no field, or a missing code or
+        SNR grid, is a ConfigError."""
+        kwargs = {k: v for k, v in raw.items() if k != "note"}
+        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {unknown}")
         missing = sorted({"code", "snr_db"} - set(kwargs))
         if missing:
             raise ConfigError(f"config key(s) {missing} missing")
@@ -126,15 +130,6 @@ def _check_integer(name: str, value, least) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ConfigError(f"{name} must be >= {least}")
-
-
-def experiment_fields(raw: dict) -> dict:
-    """The keys of a JSON experiment config less its free-text note; a
-    key that names no ExperimentConfig field is a ConfigError."""
-    unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)} - {"note"})
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown}")
-    return {k: v for k, v in raw.items() if k != "note"}
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import erfcx
 
 from seqdec import cli
-from seqdec.bounds import IID_NORMAL_APPROX_CONSTANT, NoRoot, clipped_gaussian_mean
+from seqdec.bounds import CHERNOFF, IID_NORMAL_APPROX_CONSTANT, NoRoot, clipped_gaussian_mean
 from seqdec.codes import ConvCode, build_extended_golay, build_extended_qr48, parse_octal_generators
 from seqdec.numerics import SQRT2, SQRT_2PI, DomainError, std_normal_cdf
 from seqdec.trellis import build_trellis
@@ -229,7 +229,7 @@ def scalar_subexponential_factor(d: int, clipped: int, gamma: float, lam: float,
     tilted variance or a non-positive margin a, and at most 1 always."""
     if clipped < 1:
         raise DomainError("need at least one clipped summand")
-    if variant.is_chernoff:
+    if variant is CHERNOFF:
         return 1.0
     n = d + clipped
     s = math.sqrt(2.0 * gamma)

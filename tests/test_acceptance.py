@@ -152,7 +152,7 @@ def test_criterion_6_bound_dominance_grid():
         if violation[cell, v] > worst:
             worst = float(violation[cell, v])
             worst_cell = (int(d[cells][cell]), int(nd[cells][cell]), gamma,
-                          (BERRY_ESSEEN, CHERNOFF)[v].kind)
+                          (BERRY_ESSEEN, CHERNOFF)[v].value)
     detail = f"worst violation={worst:.3g} at {worst_cell} (want <= 0)"
     report(6, worst <= 0.0, detail)
     assert worst <= 0.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
+import seqdec
 from seqdec import bounds
 from seqdec.bounds import (
     BERRY_ESSEEN,
@@ -439,3 +440,9 @@ class TestBoundVariant:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             BoundVariant("both")
+
+    def test_looks_up_the_one_member_of_each_kind(self):
+        # the package's names and a lookup by kind give the same members
+        assert BoundVariant("be") is BERRY_ESSEEN is seqdec.BERRY_ESSEEN
+        assert BoundVariant("chernoff") is CHERNOFF is seqdec.CHERNOFF
+        assert list(BoundVariant) == [BERRY_ESSEEN, CHERNOFF]

@@ -355,6 +355,19 @@ class TestMlsdaCount:
         assert spy.call_count == 0
         assert got == [decoders._mlsda_search(trellis, row.tolist(), None) for row in inc]
 
+    def test_memory_zero_first_dives_settle_the_batch(self):
+        # a memory-0 search never dives, but takes the first dive's steps one
+        # at a time: at 10 dB every first dive of the (2,1,0) code at L = 30
+        # reaches the goal, and the batch settles every row with no search
+        trellis = build_trellis(ConvCode(n_out=2, m=0, taps=((1,), (1,))), 30)
+        inc = _metric_table(trellis, np.array([conv_trial(trellis, 10.0, seed)[1]
+                                               for seed in range(64)]))
+        assert decoders._first_dives(trellis, inc)[0].all()
+        with mock.patch.object(decoders, "_mlsda_search", wraps=decoders._mlsda_search) as spy:
+            got = decoders._mlsda_batch(trellis, inc, None)
+        assert spy.call_count == 0
+        assert got == [decoders._mlsda_search(trellis, row.tolist(), None) for row in inc]
+
     def test_block_bounds_the_table(self, conv_634_564, conv_m16):
         # a 64-row (2,1,6) L=100 batch fits one table; one memory-16 row does
         # not, so that code keeps the search

@@ -238,8 +238,9 @@ class TestCurves:
     @pytest.mark.parametrize("limit, rows", [(29, "0,,,,,0\n4,,,,,0\n"),
                                              (30, "0,,,60,0,200\n4,,,60,0,200\n")])
     def test_memory_zero_csv(self, limit, rows):
-        # a memory-0 code never dives, so every trial is searched: its L
-        # extensions fit a budget of L, and none fits L - 1
+        # a memory-0 trial takes L extensions, whether its first dive, the
+        # count or the search settles it: they fit a budget of L, and none
+        # fits L - 1
         cfg = ExperimentConfig(code={"type": "conv", "m": 0, "taps": ["1", "1"]}, L=30,
                                snr_db=(0.0, 4.0), trials=200, seed=21, mode="simulate",
                                extension_limit=limit)
@@ -538,15 +539,23 @@ class TestCli:
         ({"L": 0}, [], 2, "L must be >= 1"),
         ({"L": 2.5}, [], 2, "L must be an integer"),
         ({"L": 0}, ["-L", "3"], 0, ""),  # the flag wins
+        # a dstar config is an experiment config: every field is checked
+        ({"trials": -5}, [], 2, "trials must be >= 1"),
+        ({"snr_db": "x"}, [], 2, "snr_db must be a list of numbers"),
+        ({"snr_db": None}, [], 2, "['snr_db'] missing"),
     ])
     def test_dstar_config_rules(self, capsys, tmp_path, extra, flags, rc, message):
-        raw = {k: v for k, v in {"code": SMALL_CONV, "L": 3, **extra}.items() if v is not None}
+        raw = {k: v for k, v in {"code": SMALL_CONV, "L": 3, "snr_db": [1.0], **extra}.items()
+               if v is not None}
         path = tmp_path / "dstar.json"
         path.write_text(json.dumps(raw))
         assert cli.main(["dstar", "--config", str(path), *flags]) == rc
         out, err = capsys.readouterr()
         if rc:
             assert err.startswith("config error:") and message in err and out == ""
+            # simulate-mlsda refuses the same config with the same message
+            assert cli.main(["simulate-mlsda", "--config", str(path), *flags]) == rc
+            assert capsys.readouterr() == (out, err)
         else:
             assert out.startswith("level,state,dstar\n") and err == ""
 

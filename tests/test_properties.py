@@ -557,7 +557,7 @@ def counted_rows(trellis, inc, limit) -> list:
 # the search extends its four nodes at zeta*, and no other node lies there
 @example((CONV_75_L4, np.array([[-2.0, -1.0, -1.0, -2.0, 0.0, 1.0,
                                  2.0, -1.0, -1.0, 0.0, 0.0, 2.0]]), None))
-# a memory-0 code never dives, and is searched
+# a memory-0 code, whose search never dives, is counted too
 @example((build_trellis(ConvCode(n_out=2, m=0, taps=((1,), (1,))), 3),
           np.array([[1.0, -1.0, 0.0, 2.0, -2.0, 1.0], [0.0] * 6]), 2))
 def test_mlsda_count_matches_search(inputs):
