@@ -275,16 +275,9 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
     return results
 
 
-_worker_job = None  # (target, cfg) of a pool worker, set by _init_worker
-
-
-def _init_worker(target, cfg: ExperimentConfig) -> None:
-    global _worker_job
-    _worker_job = (target, cfg)
-
-
-def _worker_trials(gamma_b_db: float, trials: range) -> list:
-    return _run_trials(*_worker_job, gamma_b_db, trials)
+def _code_trials(code, cfg: ExperimentConfig, gamma_b_db: float, trials: range) -> list:
+    """_run_trials on the code's target at cfg.L, built once per process."""
+    return _run_trials(_built_target(code, cfg.L), cfg, gamma_b_db, trials)
 
 
 def _usable_cpus() -> int:
@@ -300,31 +293,26 @@ def run_simulation_curve(cfg: ExperimentConfig) -> list:
 
     Mean and a normal-approximation 95% CI half-width over the included
     trials; trials that blow the extension budget are excluded and
-    counted in overflow_trials.  With several workers, one process pool
-    serves the whole grid; its workers receive the built target once,
-    through the pool initializer, and each runs one contiguous block of
-    trials per point.  The pool has no more processes than trials or
-    CPUs this process may run on, and none at all when that leaves one.
+    counted in overflow_trials.  Each point maps _code_trials over one
+    contiguous block of trials per worker: the builtin map when one
+    worker is left, else one process pool that serves the whole grid.
+    The pool has no more processes than trials or CPUs this process may
+    run on.  Its tasks carry the frozen code, never the built target, and
+    each process builds the target once (_built_target).
     """
-    target = _built_target(code_from_config(cfg.code), cfg.L)
+    code = code_from_config(cfg.code)
+    _built_target(code, cfg.L)  # before the pool, so forked workers inherit it
     workers = min(cfg.workers, _usable_cpus(), cfg.trials)
-    parallel = workers > 1
-    pool = (ProcessPoolExecutor(workers, initializer=_init_worker,
-                                initargs=(target, cfg))
-            if parallel else contextlib.nullcontext())
     size = -(-cfg.trials // workers)
     blocks = [range(start, min(start + size, cfg.trials))
               for start in range(0, cfg.trials, size)]
     points = []
-    with pool:
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        trial_map = map if pool is None else pool.map
         for db in cfg.snr_db:
-            if parallel:
-                # map keeps block order, so the reduction is worker-count invariant
-                results = [c for block in pool.map(partial(_worker_trials, db), blocks,
-                                                   chunksize=1)
-                           for c in block]
-            else:
-                results = _run_trials(target, cfg, db, range(cfg.trials))
+            # map keeps block order, so the reduction is worker-count invariant
+            results = [c for block in trial_map(partial(_code_trials, code, cfg, db), blocks)
+                       for c in block]
             counts = [c for c in results if c is not None]
             if counts:
                 mean = statistics.fmean(counts)

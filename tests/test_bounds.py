@@ -446,3 +446,39 @@ class TestBoundVariant:
         assert BoundVariant("be") is BERRY_ESSEEN is seqdec.BERRY_ESSEEN
         assert BoundVariant("chernoff") is CHERNOFF is seqdec.CHERNOFF
         assert list(BoundVariant) == [BERRY_ESSEEN, CHERNOFF]
+
+
+def test_no_valid_constant_mends_the_known_red_criteria(monkeypatch, conv_634_564):
+    # Below its clamp at 1 the prefactor is affine in the Berry-Esseen
+    # constant C: first term + C * slope.  Criteria 1 and 10 of
+    # tests/test_acceptance.py fail for every C at or above Esseen's lower
+    # limit, so only another construction of the prefactor could mend them.
+    esseen = (math.sqrt(10.0) + 3.0) / (6.0 * math.sqrt(2.0 * math.pi))
+
+    def at(constant, fn, *args):
+        monkeypatch.setattr(bounds, "IID_NORMAL_APPROX_CONSTANT", constant)
+        return fn(*args)
+
+    # criterion 10: d = 40 of n = 200 at -3 dB wants a prefactor below 1
+    gamma = 10.0 ** -0.3
+    cell = (subexponential_factor, 40, 160, gamma, solve_tilt(40, 200, gamma), BERRY_ESSEEN)
+    first, tenth = at(0.0, *cell), at(0.1, *cell)
+    assert tenth < 1.0  # both below the clamp
+    slope = (tenth - first) / 0.1
+    second = slope * IID_NORMAL_APPROX_CONSTANT
+    least = (1.0 - first) / slope
+    assert (first, second, first + second) == pytest.approx((0.7959, 0.4222, 1.2181), abs=1e-4)
+    assert least == pytest.approx(0.3700, abs=1e-4)
+    assert esseen == pytest.approx(0.4097, abs=1e-4)
+    assert least < esseen
+
+    # criterion 1: the (2,1,6) L=100 ratio of BE over Chernoff wants
+    # 0.86 and 0.90 (+- 0.03) at 4.0 and 4.5 dB; at C = 0 it is already
+    # above those bands, and the BE bound only grows with C
+    trellis = build_trellis(conv_634_564, 100)
+    for db, top, want in ((4.0, 0.89, 0.9829), (4.5, 0.93, 0.9592)):
+        chernoff = mlsda_complexity_bound(trellis, db, CHERNOFF)
+        ratio = at(0.0, mlsda_complexity_bound, trellis, db, BERRY_ESSEEN) / chernoff
+        assert ratio == pytest.approx(want, abs=1e-4)
+        assert top < ratio <= at(esseen, mlsda_complexity_bound, trellis, db,
+                                 BERRY_ESSEEN) / chernoff

@@ -2,7 +2,9 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -111,6 +113,31 @@ class TestExperimentConfigValidation:
                                             variant="be"))
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A stand-in ProcessPoolExecutor that runs every task in this process
+    and records its size ("opened") and the pickled size of each callable
+    it maps ("pickled")."""
+    log = {"opened": [], "pickled": []}
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            log["opened"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            log["pickled"].append(len(pickle.dumps(fn)))
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    return log
+
+
 class TestCurves:
     def test_csv_schema(self):
         pts = run_experiment(small_cfg())
@@ -155,26 +182,9 @@ class TestCurves:
 
     @pytest.mark.parametrize("cpus, trials, pool", [
         (4, 30, 4), (4, 3, 3), (1, 30, None), (None, 30, None)])
-    def test_pool_size_bounded(self, monkeypatch, cpus, trials, pool):
-        # the stand-in executor records its size and runs the trials here,
-        # so asking for a million workers starts no process
-        opened = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                opened.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_size_bounded(self, monkeypatch, in_process_pool, cpus, trials, pool):
+        # the stand-in executor runs the trials here, so asking for a
+        # million workers starts no process
         if cpus is None:  # neither an affinity set nor a CPU count
             monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
@@ -183,8 +193,24 @@ class TestCurves:
                                 lambda pid: set(range(cpus)), raising=False)
         grid = dict(mode="simulate", trials=trials)
         got = curve_csv_text(run_simulation_curve(small_cfg(**grid, workers=10**6)))
-        assert opened == ([] if pool is None else [pool])
+        assert in_process_pool["opened"] == ([] if pool is None else [pool])
         assert got == curve_csv_text(run_simulation_curve(small_cfg(**grid)))
+
+    def test_pool_tasks_carry_the_code(self, monkeypatch, in_process_pool):
+        # each pool task pickles to a few hundred bytes: the frozen code,
+        # not the trellis with its cached d* table
+        conv = {"type": "conv", "m": 6, "octal": ["634", "564"]}
+        cfg = ExperimentConfig(code=conv, snr_db=(4.0, 5.0), trials=40, L=100,
+                               mode="simulate", workers=2)
+        run_bound_curve(cfg)  # caches the target's d*
+        target = harness._built_target(code_from_config(conv), 100)
+        assert len(pickle.dumps(target)) > 2048
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        got = curve_csv_text(run_simulation_curve(cfg))
+        assert in_process_pool["opened"] == [2]
+        pickled = in_process_pool["pickled"]
+        assert len(pickled) == 2 and max(pickled) < 2048
+        assert got == curve_csv_text(run_simulation_curve(replace(cfg, workers=1)))
 
     def test_pool_follows_cpu_affinity(self, monkeypatch):
         # a process pinned to one CPU of a larger host runs its trials
