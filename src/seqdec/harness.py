@@ -6,9 +6,13 @@ bits, then noise) from its own stream seeded with seed XOR t, and
 results are reduced in trial order.  Outputs are therefore byte-identical
 for a fixed config regardless of the worker count, and of where a run's
 trials are cut into batches.
+
+One process pool per process: runs at more than one worker share the
+pool that the first of them forks (run_simulation_curve), so its workers
+fork once, and module state patched after that does not reach them.
+Tests that patch a decoder run at one worker.
 """
 
-import contextlib
 import csv
 import io
 import math
@@ -16,6 +20,7 @@ import numbers
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from itertools import repeat
@@ -288,6 +293,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_POOL = {}  # process count -> the one process pool kept for later runs
+
+
+def _pool(processes: int) -> ProcessPoolExecutor:
+    """The process pool of this many processes, kept from run to run.  A
+    pool of another size is shut down first (_drop_pool), so no fork
+    happens while another pool's manager thread runs."""
+    if processes not in _POOL:
+        _drop_pool()
+        _POOL[processes] = ProcessPoolExecutor(processes)
+    return _POOL[processes]
+
+
+def _drop_pool() -> None:
+    """Shut down the kept pool, if any, joining its manager thread and
+    workers; the next run that needs one forks a fresh pool."""
+    for pool in _POOL.values():
+        pool.shutdown()
+    _POOL.clear()
+
+
 def run_simulation_curve(cfg: ExperimentConfig) -> list:
     """Monte Carlo complexity per SNR point.
 
@@ -295,35 +321,41 @@ def run_simulation_curve(cfg: ExperimentConfig) -> list:
     trials; trials that blow the extension budget are excluded and
     counted in overflow_trials.  Each point maps _code_trials over one
     contiguous block of trials per worker: the builtin map when one
-    worker is left, else one process pool that serves the whole grid.
-    The pool has no more processes than trials or CPUs this process may
-    run on.  Its tasks carry the frozen code, never the built target, and
-    each process builds the target once (_built_target).
+    worker is left, else the map of the one process pool this process
+    keeps (_pool, and the module docstring), which serves every later run
+    with the same process count.  The pool has no more processes than
+    trials or CPUs this process may run on.  Its tasks carry the frozen
+    code, never the built target, and each process builds a target once
+    (_built_target).  A pool that breaks (a worker was killed) is dropped
+    and its error raised; the next run forks a fresh one.
     """
     code = code_from_config(cfg.code)
-    _built_target(code, cfg.L)  # before the pool, so forked workers inherit it
+    _built_target(code, cfg.L)  # before a pool forks, so its workers inherit it
     workers = min(cfg.workers, _usable_cpus(), cfg.trials)
     size = -(-cfg.trials // workers)
     blocks = [range(start, min(start + size, cfg.trials))
               for start in range(0, cfg.trials, size)]
+    trial_map = map if workers == 1 else _pool(workers).map
     points = []
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        trial_map = map if pool is None else pool.map
-        for db in cfg.snr_db:
-            # map keeps block order, so the reduction is worker-count invariant
+    for db in cfg.snr_db:
+        # map keeps block order, so the reduction is worker-count invariant
+        try:
             results = [c for block in trial_map(partial(_code_trials, code, cfg, db), blocks)
                        for c in block]
-            counts = [c for c in results if c is not None]
-            if counts:
-                mean = statistics.fmean(counts)
-                half = (1.96 * statistics.stdev(counts) / math.sqrt(len(counts))
-                        if len(counts) > 1 else 0.0)
-            else:
-                mean = None
-                half = None
-            points.append(CurvePoint(gamma_b_db=db, sim_mean=mean, sim_ci95_half=half,
-                                     trials=len(counts),
-                                     overflow_trials=len(results) - len(counts)))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
+        counts = [c for c in results if c is not None]
+        if counts:
+            mean = statistics.fmean(counts)
+            half = (1.96 * statistics.stdev(counts) / math.sqrt(len(counts))
+                    if len(counts) > 1 else 0.0)
+        else:
+            mean = None
+            half = None
+        points.append(CurvePoint(gamma_b_db=db, sim_mean=mean, sim_ci95_half=half,
+                                 trials=len(counts),
+                                 overflow_trials=len(results) - len(counts)))
     return points
 
 

@@ -3,8 +3,8 @@ line with the measured quantities before asserting.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line; a
 plain `pytest` run reports the same outcomes per test.  The whole
-module takes about 60 s on a 2-core machine, a third of it criterion
-5.  Every test here carries the `acceptance` marker, so
+module takes about 35-40 s on a 2-core machine, two fifths of it
+criterion 6.  Every test here carries the `acceptance` marker, so
 `pytest -m "not acceptance"` runs the unit tests alone.
 """
 

@@ -3,7 +3,10 @@ import io
 import json
 import os
 import pickle
+import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from importlib import resources
 
@@ -116,26 +119,28 @@ class TestExperimentConfigValidation:
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """A stand-in ProcessPoolExecutor that runs every task in this process
-    and records its size ("opened") and the pickled size of each callable
-    it maps ("pickled")."""
-    log = {"opened": [], "pickled": []}
+    and records each open and shutdown in turn, with the pool's size
+    ("events"), and the pickled size of each callable it maps ("pickled").
+    The pool the harness keeps is dropped before the test, so no real pool
+    serves it, and after, so no stand-in serves a later test."""
+    log = {"events": [], "pickled": []}
 
     class InProcessPool:
         def __init__(self, max_workers):
-            log["opened"].append(max_workers)
+            self.max_workers = max_workers
+            log["events"].append(("open", max_workers))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self):
+            log["events"].append(("shutdown", self.max_workers))
 
         def map(self, fn, items):
             log["pickled"].append(len(pickle.dumps(fn)))
             return map(fn, items)
 
+    harness._drop_pool()
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-    return log
+    yield log
+    harness._drop_pool()
 
 
 class TestCurves:
@@ -193,7 +198,7 @@ class TestCurves:
                                 lambda pid: set(range(cpus)), raising=False)
         grid = dict(mode="simulate", trials=trials)
         got = curve_csv_text(run_simulation_curve(small_cfg(**grid, workers=10**6)))
-        assert in_process_pool["opened"] == ([] if pool is None else [pool])
+        assert in_process_pool["events"] == ([] if pool is None else [("open", pool)])
         assert got == curve_csv_text(run_simulation_curve(small_cfg(**grid)))
 
     def test_pool_tasks_carry_the_code(self, monkeypatch, in_process_pool):
@@ -207,10 +212,63 @@ class TestCurves:
         assert len(pickle.dumps(target)) > 2048
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         got = curve_csv_text(run_simulation_curve(cfg))
-        assert in_process_pool["opened"] == [2]
+        assert in_process_pool["events"] == [("open", 2)]
         pickled = in_process_pool["pickled"]
         assert len(pickled) == 2 and max(pickled) < 2048
         assert got == curve_csv_text(run_simulation_curve(replace(cfg, workers=1)))
+
+    def test_pool_kept_across_runs(self, monkeypatch, in_process_pool):
+        # two 2-worker runs share one pool; a 3-worker run shuts it down
+        # before it opens its own; every CSV is the one-worker CSV
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        grid = dict(mode="simulate", trials=30, snr_db=(2.0, 4.0))
+        want = curve_csv_text(run_simulation_curve(small_cfg(**grid)))
+        for workers in (2, 2, 3):
+            assert curve_csv_text(run_simulation_curve(small_cfg(**grid, workers=workers))) == want
+        assert in_process_pool["events"] == [("open", 2), ("shutdown", 2), ("open", 3)]
+
+    def test_broken_pool_replaced(self, monkeypatch, in_process_pool):
+        # a run whose pool breaks raises, and the next run forks a fresh
+        # pool and gives the one-worker CSV
+        def broken(fn, items):
+            raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = small_cfg(mode="simulate", workers=2)
+        monkeypatch.setattr(harness._pool(2), "map", broken)
+        with pytest.raises(BrokenProcessPool):
+            run_simulation_curve(cfg)
+        got = curve_csv_text(run_simulation_curve(cfg))
+        assert in_process_pool["events"] == [("open", 2), ("shutdown", 2), ("open", 2)]
+        assert got == curve_csv_text(run_simulation_curve(replace(cfg, workers=1)))
+
+    def test_no_worker_outlives_its_interpreter(self):
+        # a process that ran trials on its kept pool, and exits without
+        # shutting the pool down, leaves none of its workers running
+        script = (
+            "import multiprocessing\n"
+            "from seqdec import harness\n"
+            "harness._usable_cpus = lambda: 2\n"
+            "cfg = harness.ExperimentConfig(code={'type': 'conv', 'm': 2,"
+            " 'octal': ['6', '5', '7']}, snr_db=(4.0,), trials=24, L=8, mode='simulate',"
+            " workers=2)\n"
+            "harness.run_simulation_curve(cfg)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        pids = [int(p) for p in out.split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        for pid in pids:
+            while True:
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, f"worker {pid} still runs"
+                time.sleep(0.05)
 
     def test_pool_follows_cpu_affinity(self, monkeypatch):
         # a process pinned to one CPU of a larger host runs its trials
