@@ -101,14 +101,6 @@ def _or_none(search, *args):
         return None
 
 
-def _count_pays(left: int, rows: int) -> bool:
-    """Whether a batch counts the rows its dives leave (_gda_count,
-    _mlsda_count) rather than search each: where at least a tenth of the
-    batch is left.  A count's passes cost nearly as much for a few rows as
-    for many, so below that the searches cost less."""
-    return 10 * left >= rows
-
-
 @dataclass(frozen=True)
 class DecodeOutcome:
     decoded: np.ndarray
@@ -280,8 +272,8 @@ def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
     """_gda_search's result on each row of bm0, bm1 [B, n] (see
     _gda_tables), or None where the search exceeds the budget.  Where
     B > 1, straight dives (_straight_dives) are settled without it, after
-    n extensions, k branching.  Where _count_pays, one count (_gda_count)
-    takes the rows left; otherwise, and on a lone row, each
+    n extensions, k branching.  When at least half the rows are left, one
+    count (_gda_count) takes them all; otherwise, and on a lone row, each
     is searched for up to SEARCH_BUDGET extensions and one count takes
     those it stops: a count of one row costs more than most of its
     searches.  The count holds information bits in floats and path bits in
@@ -296,7 +288,7 @@ def _gda_batch(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
             results[i] = _result(k, n, float(leaf[i]), int(words[i]), extension_limit)
         left = np.flatnonzero(~straight).tolist()
     searched = not countable or (extension_limit is not None and extension_limit <= SEARCH_BUDGET)
-    if searched or rows == 1 or not _count_pays(len(left), rows):
+    if searched or rows == 1 or 2 * len(left) < rows:
         budget = extension_limit if searched else SEARCH_BUDGET
         for i in left:
             results[i] = _or_none(_gda_search, code, bm0[i].tolist(), bm1[i].tolist(), budget)
@@ -675,14 +667,14 @@ def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
 
     A row whose first dive reaches the goal (see _first_dives) is settled
     without the search, after L + m extensions of which L branch: None
-    when they exceed the budget.  Where _count_pays, and their tables fit
-    (see _count_rows), the rows left are counted (see _mlsda_count);
-    otherwise they are searched: at high SNR the first dives leave too
-    few rows to pay for a pass."""
+    when they exceed the budget.  When at least half the rows are left,
+    and their tables fit (see _count_rows), they are counted (see
+    _mlsda_count); otherwise they are searched: at high SNR the first
+    dives leave too few rows to pay for a pass."""
     L, m = trellis.L, trellis.code.m
     reached, zeta, info = _first_dives(trellis, inc)
     left = np.flatnonzero(~reached)
-    if _count_rows(trellis) and _count_pays(len(left), len(inc)):
+    if _count_rows(trellis) and 2 * len(left) >= len(inc):
         settled = _mlsda_count(trellis, inc[left], extension_limit)
     else:
         settled = [_or_none(_mlsda_search, trellis, inc[i].tolist(), extension_limit)

@@ -7,10 +7,11 @@ results are reduced in trial order.  Outputs are therefore byte-identical
 for a fixed config regardless of the worker count, and of where a run's
 trials are cut into batches.
 
-One process pool per process: runs at more than one worker share the
-pool that the first of them forks (run_simulation_curve), so its workers
-fork once, and module state patched after that does not reach them.
-Tests that patch a decoder run at one worker.
+One process pool per process: a run at more than one worker reuses the
+pool that an earlier run forked while its workers would inherit the same
+process count, target and seqdec module globals (_pool), and otherwise
+forks a fresh one.  So a patched or reloaded module reaches every worker
+count alike.
 """
 
 import csv
@@ -19,6 +20,7 @@ import math
 import numbers
 import os
 import statistics
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
@@ -293,25 +295,30 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_POOL = {}  # process count -> the one process pool kept for later runs
+_KEPT = {}  # (process count, ids of what its workers inherit) -> (those, the pool)
 
 
-def _pool(processes: int) -> ProcessPoolExecutor:
-    """The process pool of this many processes, kept from run to run.  A
-    pool of another size is shut down first (_drop_pool), so no fork
-    happens while another pool's manager thread runs."""
-    if processes not in _POOL:
+def _pool(processes: int, target) -> ProcessPoolExecutor:
+    """A pool of this many processes, forked with this target built and
+    every global of the seqdec modules as it is now, and kept for later
+    runs that match.  Any other kept pool is shut down first (_drop_pool),
+    so no fork happens while its manager thread runs."""
+    inherited = (target, *(value for name, module in list(sys.modules.items())
+                           if name.split(".")[0] == __package__
+                           for value in vars(module).values()))
+    key = (processes, tuple(map(id, inherited)))  # unique: _KEPT holds the objects
+    if key not in _KEPT:
         _drop_pool()
-        _POOL[processes] = ProcessPoolExecutor(processes)
-    return _POOL[processes]
+        _KEPT[key] = (inherited, ProcessPoolExecutor(processes))
+    return _KEPT[key][1]
 
 
 def _drop_pool() -> None:
     """Shut down the kept pool, if any, joining its manager thread and
     workers; the next run that needs one forks a fresh pool."""
-    for pool in _POOL.values():
+    for _, pool in _KEPT.values():
         pool.shutdown()
-    _POOL.clear()
+    _KEPT.clear()
 
 
 def run_simulation_curve(cfg: ExperimentConfig) -> list:
@@ -321,21 +328,22 @@ def run_simulation_curve(cfg: ExperimentConfig) -> list:
     trials; trials that blow the extension budget are excluded and
     counted in overflow_trials.  Each point maps _code_trials over one
     contiguous block of trials per worker: the builtin map when one
-    worker is left, else the map of the one process pool this process
-    keeps (_pool, and the module docstring), which serves every later run
-    with the same process count.  The pool has no more processes than
-    trials or CPUs this process may run on.  Its tasks carry the frozen
-    code, never the built target, and each process builds a target once
-    (_built_target).  A pool that breaks (a worker was killed) is dropped
-    and its error raised; the next run forks a fresh one.
+    worker is left, else the map of the process pool this process keeps
+    (_pool, and the module docstring), forked after the target was built
+    and reused by later runs whose workers would inherit the same.  The
+    pool has no more processes than trials or CPUs this process may run
+    on.  Its tasks carry the frozen code, never the built target, which
+    the workers find in the cache they inherit (_built_target).  A pool
+    that breaks (a worker was killed) is dropped and its error raised;
+    the next run forks a fresh one.
     """
     code = code_from_config(cfg.code)
-    _built_target(code, cfg.L)  # before a pool forks, so its workers inherit it
+    target = _built_target(code, cfg.L)  # before a pool forks, so its workers inherit it
     workers = min(cfg.workers, _usable_cpus(), cfg.trials)
     size = -(-cfg.trials // workers)
     blocks = [range(start, min(start + size, cfg.trials))
               for start in range(0, cfg.trials, size)]
-    trial_map = map if workers == 1 else _pool(workers).map
+    trial_map = map if workers == 1 else _pool(workers, target).map
     points = []
     for db in cfg.snr_db:
         # map keeps block order, so the reduction is worker-count invariant

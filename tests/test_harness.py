@@ -122,7 +122,7 @@ def in_process_pool(monkeypatch):
     and records each open and shutdown in turn, with the pool's size
     ("events"), and the pickled size of each callable it maps ("pickled").
     The pool the harness keeps is dropped before the test, so no real pool
-    serves it, and after, so no stand-in serves a later test."""
+    serves it, and after, so no stand-in outlives it."""
     log = {"events": [], "pickled": []}
 
     class InProcessPool:
@@ -218,15 +218,30 @@ class TestCurves:
         assert got == curve_csv_text(run_simulation_curve(replace(cfg, workers=1)))
 
     def test_pool_kept_across_runs(self, monkeypatch, in_process_pool):
-        # two 2-worker runs share one pool; a 3-worker run shuts it down
-        # before it opens its own; every CSV is the one-worker CSV
+        # two 2-worker runs share one pool; a 3-worker run, and then one on
+        # another target, shut the kept pool down before they open their
+        # own; every CSV is the one-worker CSV
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(4)),
                             raising=False)
         grid = dict(mode="simulate", trials=30, snr_db=(2.0, 4.0))
+        for workers, L in ((2, 8), (2, 8), (3, 8), (3, 9)):
+            want = curve_csv_text(run_simulation_curve(small_cfg(**grid, L=L)))
+            got = curve_csv_text(run_simulation_curve(small_cfg(**grid, L=L, workers=workers)))
+            assert got == want
+        assert in_process_pool["events"] == [("open", 2), ("shutdown", 2), ("open", 3),
+                                             ("shutdown", 3), ("open", 3)]
+
+    def test_patch_reaches_kept_pool(self, monkeypatch):
+        # a global patched after a pool forked makes the next run fork a
+        # fresh one, so 2-worker runs see the patch as 1-worker runs do
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        grid = dict(mode="simulate", trials=30, snr_db=(2.0,))
+        first = curve_csv_text(run_simulation_curve(small_cfg(**grid, workers=2)))
+        monkeypatch.setattr(harness, "_run_trials",
+                            lambda target, cfg, db, trials: [7] * len(trials))
         want = curve_csv_text(run_simulation_curve(small_cfg(**grid)))
-        for workers in (2, 2, 3):
-            assert curve_csv_text(run_simulation_curve(small_cfg(**grid, workers=workers))) == want
-        assert in_process_pool["events"] == [("open", 2), ("shutdown", 2), ("open", 3)]
+        assert want != first
+        assert curve_csv_text(run_simulation_curve(small_cfg(**grid, workers=2))) == want
 
     def test_broken_pool_replaced(self, monkeypatch, in_process_pool):
         # a run whose pool breaks raises, and the next run forks a fresh
@@ -236,7 +251,8 @@ class TestCurves:
 
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = small_cfg(mode="simulate", workers=2)
-        monkeypatch.setattr(harness._pool(2), "map", broken)
+        target = harness._built_target(code_from_config(cfg.code), cfg.L)
+        monkeypatch.setattr(harness._pool(2, target), "map", broken)
         with pytest.raises(BrokenProcessPool):
             run_simulation_curve(cfg)
         got = curve_csv_text(run_simulation_curve(cfg))
