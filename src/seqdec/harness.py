@@ -601,9 +601,8 @@ def check_extension_probability_monotone() -> CheckResult:
 
 def check_golay_fixture() -> CheckResult:
     code = build_extended_golay()
-    ok = code.minimum_distance() == 8 and code.weight_count(8) == 759
-    return _check("golay-fixture",
-                  ok, f"dmin={code.minimum_distance()} A8={code.weight_count(8)}")
+    dmin, a8 = code.minimum_distance(), code.weight_count(8)
+    return _check("golay-fixture", dmin == 8 and a8 == 759, f"dmin={dmin} A8={a8}")
 
 
 def run_validation_suite() -> list:

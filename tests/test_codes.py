@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqdec.codes import (
+    BlockCode,
     ConvCode,
     LengthMismatch,
     TapLengthError,
     _build_extended_qr,
+    _extend_parity,
+    _systematic_rows,
     encode_block,
     encode_conv,
     parse_octal_generators,
@@ -20,7 +23,6 @@ class TestExtendedGolay:
         assert (golay.n, golay.k) == (24, 12)
 
     def test_minimum_distance(self, golay):
-        # exhaustive weight enumeration over all 4096 codewords
         assert golay.minimum_distance() == 8
 
     def test_weight_enumerator_a8(self, golay):
@@ -58,9 +60,23 @@ class TestExtendedQr48:
         assert (qr48.n, qr48.k) == (48, 24)
 
     def test_minimum_distance(self, qr48):
-        # compiled-speed exhaustive enumeration of all 2^24 words,
-        # computed once per process and cached on the code
+        # the two-set search stops at weight 5 on each set; the full
+        # enumerator below confirms the 17,296 words of weight 12
         assert qr48.minimum_distance() == 12
+
+    def test_self_check_does_not_enumerate(self):
+        # built afresh: the cached builder's object is shared with tests
+        # that fill its weight_histogram
+        code = _build_extended_qr(0x8C76EF, 47, "qr48", 12)
+        assert "weight_histogram" not in vars(code)
+
+    def test_corrupted_polynomial_fails_self_check(self):
+        poly = 0x8C76EF ^ 0b100
+        code = BlockCode(n=48, k=24, rows=tuple(_extend_parity(_systematic_rows(poly, 24), 47)))
+        dmin = int(np.flatnonzero(code.weight_histogram[1:])[0]) + 1
+        assert dmin != 12
+        with pytest.raises(AssertionError, match=f"minimum distance {dmin}, expected 12"):
+            _build_extended_qr(poly, 47, "qr48", 12)
 
     def test_weight_enumerator(self, qr48):
         hist = qr48.weight_histogram
@@ -78,6 +94,47 @@ class TestExtendedQr48:
         rng = np.random.default_rng(10)
         info = rng.integers(0, 2, qr48.k).astype(np.uint8)
         assert np.array_equal(encode_block(qr48, info)[:qr48.k], info)
+
+
+@st.composite
+def systematic_codes(draw):
+    """A random systematic code, k <= 10, whose parity part P = A B has
+    rank at most t, t drawn from 0 (P = 0) to full."""
+    k = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 2 * k + 2))  # n - k, below and above k
+    t = draw(st.integers(0, min(k, m)))
+    basis = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=t, max_size=t))
+    rows = []
+    for i in range(k):
+        mix = draw(st.integers(0, (1 << t) - 1))
+        parity = 0
+        for j, word in enumerate(basis):
+            if (mix >> j) & 1:
+                parity ^= word
+        rows.append((1 << i) | (parity << k))
+    return BlockCode(n=k + m, k=k, rows=tuple(rows))
+
+
+def _code(n, parities):
+    k = len(parities)
+    return BlockCode(n=n, k=k, rows=tuple((1 << i) | (p << k) for i, p in enumerate(parities)))
+
+
+class TestMinimumDistance:
+    @given(systematic_codes())
+    @settings(max_examples=300, deadline=None)
+    @example(_code(7, [0b011, 0b101, 0b110, 0b111]))  # Hamming (7, 4): 3, full rank
+    @example(_code(8, [0b0111, 0b1011, 0b1101, 0b1110]))  # extended: 4
+    @example(_code(5, [0b1111]))  # repetition (5, 1): 5, n - k above k
+    @example(_code(6, [0b111, 0b111, 0b111]))  # rank 1: 2
+    @example(_code(6, [0, 0, 0]))  # rank 0: 1
+    def test_equals_least_enumerated_weight(self, code):
+        hist = code.weight_histogram
+        assert code.minimum_distance() == int(np.flatnonzero(hist[1:])[0]) + 1
+
+    def test_rejects_words_wider_than_64_bits(self):
+        with pytest.raises(ValueError, match="64 bits"):
+            _code(65, [1 << 63]).minimum_distance()
 
 
 class TestEncodeBlock:
