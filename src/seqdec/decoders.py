@@ -244,6 +244,9 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
 
 SEARCH_BUDGET = 1600  # extensions the tree search takes on a lone row before the count takes over
 SWEEP_BLOCK = 1 << 14  # the most nodes an array of the count holds
+# the most row bits _osd_bound casts to floats at a time (2 MiB): a whole
+# batch's [R, n, k] would be a 12 MiB temporary for QR-48
+OSD_BLOCK = 1 << 18
 
 
 def _gda_tree(code: BlockCode, bm0, bm1, extension_limit) -> tuple:
@@ -358,10 +361,15 @@ def _osd_bound(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
         if step >= k - 1 and not free.any():
             break
     base = (np.bitwise_count(reduced & info[:, None]) & 1).astype(bool)  # [R, n]
-    # rows' bits [R, n, k]; flipping pivot i moves the metric by gain[i]
-    row_bits = np.unpackbits(reduced.astype("<u8").view(np.uint8).reshape(rows, n, 8),
-                             axis=-1, count=k, bitorder="little")
-    gain = np.matmul(np.where(base != hard, -cost, cost)[:, None], row_bits)[:, 0]
+    signed = np.where(base != hard, -cost, cost)
+    gain = np.empty((rows, k))  # flipping pivot i moves the metric by gain[i]
+    size = max(1, OSD_BLOCK // (n * k))
+    for first in range(0, rows, size):
+        part = reduced[first:first + size]
+        # the block's bits [b, n, k], cast to floats by the product
+        row_bits = np.unpackbits(part.astype("<u8").view(np.uint8).reshape(len(part), n, 8),
+                                 axis=-1, count=k, bitorder="little")
+        gain[first:first + size] = np.matmul(signed[first:first + size, None], row_bits)[:, 0]
     flip = gain.argmin(axis=1)
     info ^= np.where(gain[everyone, flip] < 0.0, np.uint64(1) << flip.astype(np.uint64), 0)
     osd = _pack(np.bitwise_count(reduced & info[:, None]) & 1)

@@ -407,6 +407,10 @@ def test_osd_bound_is_a_codeword_above_winner(textbook_gda, inputs):
     code, phi, _ = inputs
     _, bm0, bm1 = _gda_tables(phi)
     bounds, words = decoders._osd_bound(code, bm0, bm1)
+    with mock.patch.object(decoders, "OSD_BLOCK", 1):  # one row at a time
+        one_by_one = decoders._osd_bound(code, bm0, bm1)
+    assert bounds.tobytes() == one_by_one[0].tobytes()
+    assert words.tolist() == one_by_one[1].tolist()
     for a, b, bound, word in zip(bm0.tolist(), bm1.tolist(), bounds.tolist(), words.tolist()):
         bits = [(word >> j) & 1 for j in range(code.n)]
         assert encode_block(code, bits[:code.k]).tolist() == bits
