@@ -352,10 +352,8 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
     references to 1e-12, so the order stays fixed.  The levels are not
     joined into one sum, which for memory 16 would hold 5.5 M terms.
     """
-    code = trellis.code
-    n_out = code.n_out
-    N = n_out * (trellis.L + code.m)
-    gamma = ChannelConfig.for_conv_code(code, trellis.L, gamma_b_db).gamma
+    n_out, N = trellis.code.n_out, trellis.n
+    gamma = ChannelConfig.for_conv_code(trellis.code, trellis.L, gamma_b_db).gamma
     levels = trellis.dstar_levels
     d = np.concatenate([vs for _, vs in levels])
     level = np.repeat(np.arange(trellis.L), [len(vs) for _, vs in levels])

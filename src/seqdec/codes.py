@@ -1,12 +1,15 @@
 """Code constructions and encoders.
 
 Block codes are kept as packed generator rows (one int per row, bit j =
-column j) in systematic [I | P] form.  The two named constructions are
-quadratic-residue codes extended by an overall parity bit, each built
-from its tabulated generator polynomial; both builds self-check their
-minimum distance the first time they run in a process, by a search over
-two disjoint sets of positions that lists only the light codewords
-(BlockCode.minimum_distance), not by enumerating the code.
+column j) in systematic [I | P] form, and every packed codeword is read
+from one table set, the codewords by information byte
+(BlockCode.word_tables; BlockCode.encode_words for n <= 64).  The two
+named constructions are quadratic-residue codes extended by an overall
+parity bit, each built from its tabulated generator polynomial; both
+builds self-check their minimum distance the first time they run in a
+process, by a search over two disjoint sets of positions that lists
+only the light codewords (BlockCode.minimum_distance), not by
+enumerating the code.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 
-_ENUM_LOW_ROWS = 20  # info rows in the codeword table of codeword_chunks
+_CHUNK_BITS = 16  # codeword_chunks yields the codewords of 2^16 info words at a time
 
 
 class LengthMismatch(ValueError):
@@ -56,19 +59,21 @@ class BlockCode:
                 raise ValueError("generator row wider than n")
 
     @cached_property
-    def parity_tables(self) -> tuple:
-        """Parity words by information byte: entry t[v] of table t is the
-        XOR of the parity columns (bits k..n-1, in place) of the rows
-        8t..8t+7 selected by the bits of v.  The parity bits of the
-        codeword of info are the XOR of table t at byte t of info."""
-        return tuple(tuple(_byte_table(row >> self.k << self.k
-                                       for row in self.rows[first:first + 8]))
-                     for first in range(0, self.k, 8))
+    def word_tables(self) -> tuple:
+        """Codewords by information byte, as lists of Python ints for a
+        code of any n (see _byte_tables): the codeword of info is the XOR
+        of table t at byte t of info."""
+        return _byte_tables(self.rows)
 
     @cached_property
-    def parity_arrays(self) -> tuple:
-        """parity_tables as uint64 arrays, to look up many words at once."""
-        return tuple(np.array(t, dtype=np.uint64) for t in self.parity_tables)
+    def word_arrays(self) -> tuple:
+        """word_tables as uint64 arrays (see _word_arrays: n <= 64)."""
+        return _word_arrays(self.word_tables, self.n)
+
+    def encode_words(self, info: np.ndarray) -> np.ndarray:
+        """The packed codewords of the information words info (uint64,
+        bit j information bit j).  Raises ValueError where n > 64."""
+        return _span(self.word_arrays, info)
 
     @cached_property
     def generator_bits(self) -> np.ndarray:
@@ -77,26 +82,14 @@ class BlockCode:
                         dtype=np.uint8)
 
     def codeword_chunks(self):
-        """All 2^k codewords as packed uint64 arrays, in info-int order.
-
-        A table of the 2^min(k, 20) codewords of the low info rows is
-        built once; each chunk is that table XORed with one combination
-        of the high rows, so at most two 8 MiB tables are held at a time.
+        """All 2^k codewords as packed uint64 arrays, in info-int order, in
+        chunks of 2^min(k, 16).  By linearity each chunk is the
+        codewords of the low info words XOR the codeword of its high bits.
         """
-        if self.n > 64:
-            raise ValueError("codewords wider than 64 bits")
-        low = min(self.k, _ENUM_LOW_ROWS)
-        table = np.zeros(1 << low, dtype=np.uint64)
-        for i, row in enumerate(self.rows[:low]):
-            half = 1 << i
-            table[half:2 * half] = table[:half] ^ np.uint64(row)
-        high_rows = self.rows[low:]
-        for high in range(1 << len(high_rows)):
-            base = 0
-            for i, row in enumerate(high_rows):
-                if (high >> i) & 1:
-                    base ^= row
-            yield table ^ np.uint64(base)
+        size = 1 << min(self.k, _CHUNK_BITS)
+        low = self.encode_words(np.arange(size, dtype=np.uint64))
+        for high in self.encode_words(np.arange(0, 1 << self.k, size, dtype=np.uint64)):
+            yield low ^ high
 
     @cached_property
     def weight_histogram(self) -> np.ndarray:
@@ -123,16 +116,16 @@ class BlockCode:
         Each sum of pivot rows comes with 2^(k - r) words, so parity
         columns of low rank cost up to the 2^k words of the enumeration.
         """
-        if self.n > 64:
-            raise ValueError("codewords wider than 64 bits")
+        tables = self.word_arrays  # raises ValueError where n > 64
         rows = list(self.rows)
         r = _row_reduce(rows, range(self.k, self.n))
-        zero_span = _span(rows[r:], np.arange(1 << (self.k - r), dtype=np.uint64))
+        pivots, zeros = (_word_arrays(_byte_tables(part), self.n) for part in (rows[:r], rows[r:]))
+        zero_span = _span(zeros, np.arange(1 << (self.k - r), dtype=np.uint64))
         least = self.n
         levels = zip(_words_by_weight(self.k), _words_by_weight(r))  # ends after min(k, r)
         for w, (info, coeffs) in enumerate(levels):
-            words = np.concatenate((_span(self.rows, info),
-                                    (_span(rows[:r], coeffs)[:, None] ^ zero_span).ravel()))
+            words = np.concatenate((_span(tables, info),
+                                    (_span(pivots, coeffs)[:, None] ^ zero_span).ravel()))
             weights = np.bitwise_count(words)
             least = min(least, int(weights[weights > 0].min(initial=self.n)))
             if least <= 2 * w + 2:
@@ -144,22 +137,31 @@ class BlockCode:
         return int(self.weight_histogram[w])
 
 
-def _byte_table(rows) -> list:
-    """The XOR of each subset of (at most 8) rows: entry v XORs the rows
-    selected by the bits of v."""
-    table = [0]
-    for row in rows:
-        table += [word ^ row for word in table]
-    return table
+def _byte_tables(rows) -> tuple:
+    """Lists of the XOR of each subset of eight rows: entry v of table t
+    XORs the rows 8t..8t+7 selected by the bits of v, so the XOR of the
+    rows a word selects is the XOR of table t at byte t of the word."""
+    tables = tuple([0] for _ in range(0, len(rows), 8))
+    for i, row in enumerate(rows):
+        tables[i // 8].extend([word ^ row for word in tables[i // 8]])
+    return tables
 
 
-def _span(rows, coeffs: np.ndarray) -> np.ndarray:
+def _word_arrays(tables, n: int) -> tuple:
+    """Byte tables (see _byte_tables) of n-bit words as uint64 arrays.
+    Raises ValueError where n > 64."""
+    if n > 64:
+        raise ValueError("codewords wider than 64 bits")
+    return tuple(np.array(table, dtype=np.uint64) for table in tables)
+
+
+def _span(tables, coeffs: np.ndarray) -> np.ndarray:
     """The XOR of the rows selected by the bits of each coefficient word
-    (uint64, bit i selects rows[i]), looked up a byte at a time."""
+    (uint64, bit i selects row i), looked up a byte at a time in the rows'
+    _word_arrays."""
     words = np.zeros_like(coeffs)
-    for first in range(0, len(rows), 8):
-        table = np.array(_byte_table(rows[first:first + 8]), dtype=np.uint64)
-        words ^= table[(coeffs >> np.uint64(first)) & np.uint64(0xFF)]
+    for t, table in enumerate(tables):
+        words ^= table[(coeffs >> np.uint64(8 * t)) & np.uint64(0xFF)]
     return words
 
 

@@ -12,9 +12,11 @@ The tree search dives: a path strictly below the top of the stack whose
 every sibling to come would lie strictly above it follows the hard
 decisions to level k at once; the dive's siblings form one fan, of which
 only the least member is on the stack.  In the single-child tail a path
-steps level by level, with its parity bits read from per-byte tables,
-until its metric reaches the top.  Any other step below level k comes of
-a tie, or of a flip that adds nothing, and is the plain loop's: both
+steps level by level along the codeword of its information bits, read
+from the code's one table set (codes.BlockCode.word_tables), until its
+metric reaches the top; the batch path and the count encode through
+them too (BlockCode.encode_words).  Any other step below level k comes
+of a tie, or of a flip that adds nothing, and is the plain loop's: both
 children go on the stack and the least entry comes off.
 
 The trellis search expands the best child (lowest metric, lower number
@@ -160,7 +162,7 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
     """
     heappush, heappushpop, heapreplace = heapq.heappush, heapq.heappushpop, heapq.heapreplace
     k, n = code.k, code.n
-    parity_tables = code.parity_tables
+    word_tables = code.word_tables  # codewords by information byte
     limit = sys.maxsize if extension_limit is None else extension_limit
     # c[j]: metric of the child that disagrees with the hard decision at
     # level j < k (the other adds exactly 0.0); 0.0 where the children tie
@@ -203,12 +205,11 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
         if level == n:
             return _result(low_extensions, extensions, f, bits, None)
         if level >= k:  # whole tail: one step per level while below the top
-            if level == k:
-                info, parity = bits, 0
-                for table in parity_tables:
-                    parity ^= table[info & 0xFF]
+            if level == k:  # the path's bits become its codeword's
+                info, bits = bits, 0
+                for table in word_tables:
+                    bits ^= table[info & 0xFF]
                     info >>= 8
-                bits |= parity
             top = heap[0][0] if heap else math.nan  # nan: no open path stops it
             first = level
             while True:
@@ -266,7 +267,7 @@ def _straight_dives(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
     whose hard-decision leaf's metric (the search's adds) lies strictly
     below c: at a tie the stack pops the fan's member first."""
     k = code.k
-    words = _encode(code, _pack(bm1[:, :k] < bm0[:, :k]))
+    words = code.encode_words(_pack(bm1[:, :k] < bm0[:, :k]))
     leaf = _path_metrics(bm0, bm1, words[:, None])[:, 0, -1]
     return leaf < np.maximum(bm0[:, :k] + bm1[:, :k], 0.0).min(axis=1), leaf, words
 
@@ -306,15 +307,6 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     """Words (uint64) [...] of bits [..., m], bit j of each from bits[..., j]."""
     return (bits.astype(np.uint64) << np.arange(bits.shape[-1], dtype=np.uint64)).sum(
         axis=-1, dtype=np.uint64)
-
-
-def _encode(code: BlockCode, info: np.ndarray) -> np.ndarray:
-    """The codewords, information then parity bits, of the information
-    words info (uint64, bit j information bit j)."""
-    word = info
-    for t, table in enumerate(code.parity_arrays):
-        word = word ^ table[(info >> np.uint64(8 * t)) & np.uint64(0xFF)]
-    return word
 
 
 def _path_metrics(bm0: np.ndarray, bm1: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -373,7 +365,7 @@ def _osd_bound(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
     flip = gain.argmin(axis=1)
     info ^= np.where(gain[everyone, flip] < 0.0, np.uint64(1) << flip.astype(np.uint64), 0)
     osd = _pack(np.bitwise_count(reduced & info[:, None]) & 1)
-    leaf = _encode(code, _pack(hard[:, :k]))
+    leaf = code.encode_words(_pack(hard[:, :k]))
     words = np.stack((osd, leaf), axis=1)
     metrics = _path_metrics(bm0, bm1, words)[..., -1]
     best = metrics.argmin(axis=1)
@@ -460,7 +452,7 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
         leaves = [np.empty(0)], [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.intp)]
         for first in range(0, len(who), half):
             f, w = nodes[0, first:first + half], who[first:first + half]
-            word = _encode(code, nodes[1, first:first + half].astype(np.uint64) ^ hard.take(w))
+            word = code.encode_words(nodes[1, first:first + half].astype(np.uint64) ^ hard.take(w))
             threshold = thresholds.take(w)
             level = k
             while level < n and len(f):
@@ -585,7 +577,7 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     keys are unique, so every count, metric and decoded word is that of
     single steps.
     """
-    phi = check_lengths(phi, trellis.code.n_out * trellis.levels)
+    phi = check_lengths(phi, trellis.n)
     inc = _metric_table(trellis, phi).tolist()
     *counts, zeta, info = _mlsda_search(trellis, inc, extension_limit)
     decoded = encode_conv(trellis.code, [(info >> t) & 1 for t in range(trellis.L)])
@@ -599,12 +591,12 @@ def decode_batch(target, phi, extension_limit: int | None = None) -> list:
     bits), bits being the codeword (tree) or the information bits
     (trellis) as an int, bit j at position j; None where the decode
     exceeds extension_limit."""
+    phi = check_lengths(phi, len(phi), target.n)
     if isinstance(target, BlockCode):
-        offset, bm0, bm1 = _gda_tables(check_lengths(phi, len(phi), target.n))
+        offset, bm0, bm1 = _gda_tables(phi)
         rows = _gda_batch(target, bm0, bm1, extension_limit)
         return [None if row is None else (*row[:3], row[3] + off, row[4])
                 for row, off in zip(rows, offset.tolist())]
-    phi = check_lengths(phi, len(phi), target.code.n_out * target.levels)
     return _mlsda_batch(target, _metric_table(target, phi), extension_limit)
 
 
@@ -876,22 +868,20 @@ def brute_force_ml_block(code: BlockCode, phi) -> np.ndarray:
     phi = check_lengths(phi, code.n)
     shifts = np.arange(code.n, dtype=np.uint64)
     best = []  # (-correlation, bits) of each chunk's least tied word
-    chunk = 1 << 16
     for words in code.codeword_chunks():
-        for start in range(0, len(words), chunk):
-            bits = ((words[start:start + chunk, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-            corr = (1.0 - 2.0 * bits) @ phi
-            top = corr.max()
-            ties = bits[corr == top]
-            least = ties[np.lexsort(ties.T[::-1])[0]]  # bit 0 is the primary key
-            best.append((-float(top), tuple(least.tolist())))
+        bits = ((words[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+        corr = (1.0 - 2.0 * bits) @ phi
+        top = corr.max()
+        ties = bits[corr == top]
+        least = ties[np.lexsort(ties.T[::-1])[0]]  # bit 0 is the primary key
+        best.append((-float(top), tuple(least.tolist())))
     return np.array(min(best)[1], dtype=np.uint8)
 
 
 def viterbi_ml(trellis: Trellis, phi) -> np.ndarray:
     """ML oracle for the trellis decoder: the min-plus pass over the
     metrics of _metric_table, traced back from the goal node."""
-    phi = check_lengths(phi, trellis.code.n_out * trellis.levels)
+    phi = check_lengths(phi, trellis.n)
     inc = _metric_table(trellis, phi).reshape(trellis.levels, 1, -1)
     inputs = min_path_inputs(trellis, inc, min_path_costs(trellis, inc, math.inf))[0]
     return encode_conv(trellis.code, inputs[:, 0])

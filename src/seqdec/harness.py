@@ -249,19 +249,17 @@ def trial_llrs(target, gamma_b_db: float, seed: int, trials, all_zero: bool = Fa
     """
     if isinstance(target, BlockCode):
         channel = ChannelConfig.for_block_code(target, gamma_b_db)
-        info_len, n = target.k, target.n
-        encode = partial(encode_block, target)
+        info_len, encode = target.k, partial(encode_block, target)
     else:
         channel = ChannelConfig.for_conv_code(target.code, target.L, gamma_b_db)
-        info_len, n = target.L, target.code.n_out * target.levels
-        encode = partial(encode_conv, target.code)
+        info_len, encode = target.L, partial(encode_conv, target.code)
     drawn = 0 if all_zero else info_len
-    u = stream_uniforms([seed ^ t for t in trials], drawn + 2 * n)
+    u = stream_uniforms([seed ^ t for t in trials], drawn + 2 * target.n)
     info = (bits_from_uniforms(u[:, :drawn]) if drawn
             else np.zeros((len(trials), info_len), dtype=np.uint8))
     noise = gaussians_from_uniforms(u[:, drawn:], channel.noise_stddev)
     phi = llr(channel_output(encode(info), noise), channel)
-    return check_lengths(phi, len(trials), n)
+    return check_lengths(phi, len(trials), target.n)
 
 
 def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range) -> list:
@@ -271,8 +269,7 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
     channel symbols each.  Both give each trial the counts of the trial
     built and decoded alone (see decoders.decode_batch), so no output
     depends on where the batches are cut."""
-    n = target.n if isinstance(target, BlockCode) else target.code.n_out * target.levels
-    size = max(1, BATCH_SYMBOLS // n)
+    size = max(1, BATCH_SYMBOLS // target.n)
     results = []
     for first in range(trials.start, trials.stop, size):
         batch = range(first, min(first + size, trials.stop))

@@ -35,6 +35,11 @@ class Trellis:
         return self.L + self.code.m
 
     @property
+    def n(self) -> int:
+        """The codeword length N = n_out (L + m)."""
+        return self.code.n_out * self.levels
+
+    @property
     def num_states(self) -> int:
         return 1 << self.code.m
 
@@ -50,10 +55,10 @@ class Trellis:
         read-only: min_path_costs on the output weights, ABSENT for nodes
         no path enters.
 
-        The table is int32, which holds every path weight (at most n_out *
-        levels) and every sum on an unreached node (less than twice the
-        sentinel n_out * levels + 1) alike."""
-        big = self.code.n_out * self.levels + 1
+        The table is int32, which holds every path weight (at most the
+        codeword length n) and every sum on an unreached node (less than
+        twice the sentinel n + 1) alike."""
+        big = self.n + 1
         weight = np.bitwise_count(np.arange(1 << self.code.n_out)).astype(np.int32)
         table = min_path_costs(self, np.broadcast_to(weight, (self.levels, 1, weight.size)),
                                big)[:, 0]

@@ -137,6 +137,58 @@ class TestMinimumDistance:
             _code(65, [1 << 63]).minimum_distance()
 
 
+@st.composite
+def packable_codes(draw):
+    """A random systematic code with k from 1 to 20 and n <= 64."""
+    k = draw(st.integers(1, 20))
+    n = draw(st.integers(k + 1, 64))
+    return _code(n, draw(st.lists(st.integers(0, (1 << (n - k)) - 1), min_size=k, max_size=k)))
+
+
+def _packed_encode_block(code, info: np.ndarray) -> np.ndarray:
+    """encode_block of the information words info (uint64), packed bit j
+    at position j."""
+    bits = (info[:, None] >> np.arange(code.k, dtype=np.uint64)) & np.uint64(1)
+    words = encode_block(code, bits.astype(np.uint8)).astype(np.uint64)
+    return (words << np.arange(code.n, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
+
+
+class TestPackedEncoder:
+    @given(packable_codes(), st.lists(st.integers(0, (1 << 20) - 1), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    # k = 12, not a multiple of 8
+    @example(_code(64, [(1 << 52) - 1 - i for i in range(12)]), [0, 1, 4095, 2048])
+    def test_encode_words_equals_encode_block(self, code, infos):
+        info = np.array(infos, dtype=np.uint64) & np.uint64((1 << code.k) - 1)
+        assert np.array_equal(code.encode_words(info), _packed_encode_block(code, info))
+
+    @given(packable_codes(), st.lists(st.integers(0, (1 << 20) - 1), max_size=40))
+    @settings(max_examples=40, deadline=None)
+    @example(_code(40, list(range(1, 16))), [])  # k below 16: one chunk
+    @example(_code(64, [(3 << 40) + i for i in range(16)]), [])  # k at 16: one chunk
+    @example(_code(33, [i * i + 1 for i in range(17)]), [70000])  # k above 16: two chunks
+    @example(_code(64, [(1 << 44) - 1 - i for i in range(20)]), [1 << 19])  # sixteen chunks
+    def test_codeword_chunks_in_info_order(self, code, infos):
+        # every codeword, in info order, in chunks of 2^min(k, 16); checked at
+        # the first 4096 info words, each chunk's ends and the drawn ones
+        size = 1 << min(code.k, 16)
+        chunks = list(code.codeword_chunks())
+        assert [len(chunk) for chunk in chunks] == [size] * ((1 << code.k) // size)
+        ends = np.arange(0, 1 << code.k, size)
+        info = np.unique(np.concatenate((np.arange(min(4096, 1 << code.k)), ends, ends + size - 1,
+                                         np.array(infos, dtype=np.int64) % (1 << code.k))))
+        info = info.astype(np.uint64)
+        assert np.array_equal(np.concatenate(chunks)[info], _packed_encode_block(code, info))
+
+    def test_wider_words_raise_from_the_tables(self):
+        code = _code(65, [1 << 63])
+        assert code.word_tables == ([0, code.rows[0]],)
+        for packed in (lambda: code.encode_words(np.zeros(1, dtype=np.uint64)),
+                       lambda: next(code.codeword_chunks())):
+            with pytest.raises(ValueError, match="64 bits"):
+                packed()
+
+
 class TestEncodeBlock:
     def test_unit_vectors_give_rows(self, golay):
         for i in range(golay.k):

@@ -27,6 +27,7 @@ from seqdec.harness import (
     run_experiment,
     run_simulation_curve,
     run_validation_suite,
+    trial_llrs,
 )
 from seqdec.trellis import ABSENT, build_trellis, compute_dstar
 
@@ -971,3 +972,26 @@ def test_golden_csv(name, workers):
     text = curve_csv_text(points)
     assert ([p.overflow_trials for p in points],
             hashlib.sha256(text.encode()).hexdigest()) == (overflow, digest)
+
+
+def test_code_wider_than_64_bits(textbook_gda):
+    # a (72, 8) code, each row with bit 71 set: the batch path searches
+    # every row on tables of Python ints.  The CSV, at 1 and 2 workers,
+    # is pinned, and each decode is the plain search's, count for count
+    rng = np.random.default_rng(72)
+    rows = [(1 << i) | int.from_bytes(rng.bytes(8), "little") << 8 | 1 << 71 for i in range(8)]
+    spec = {"type": "block", "n": 72, "k": 8, "generator_rows": [format(r, "x") for r in rows]}
+    for workers in (1, 2):
+        cfg = ExperimentConfig(code=spec, snr_db=(6.0, 10.0), trials=60, seed=21,
+                               mode="simulate", workers=workers)
+        text = curve_csv_text(run_simulation_curve(cfg))
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "b36ed68539b074d750fd93aa994caf7628292ed832296577a21db10fa1ec4b01")
+    code = code_from_config(spec)
+    for phi in trial_llrs(code, 6.0, 21, range(6)):
+        offset, bm0, bm1 = decoders._gda_tables(phi)
+        *counts, metric, bits, _ = textbook_gda(code, bm0.tolist(), bm1.tolist())
+        out = decoders.gda_decode(code, phi)
+        assert [out.branch_computations, out.branch_computations_total, out.extensions] == counts
+        assert out.metric == metric + float(offset)
+        assert out.decoded.tolist() == [(bits >> j) & 1 for j in range(code.n)]
