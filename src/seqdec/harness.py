@@ -7,16 +7,15 @@ results are reduced in trial order.  Outputs are therefore byte-identical
 for a fixed config regardless of the worker count, and of where a run's
 trials are cut into batches.
 
-One process pool per process: a run at more than one worker reuses the
-pool that an earlier run forked while its workers would inherit the same
-process count, target and seqdec module globals (_pool), and otherwise
-forks a fresh one.  So a patched or reloaded module reaches every worker
-count alike.
+One process pool per process, forked on Linux and re-forked whenever its
+workers could run stale code (_pool), so a patched or reloaded module
+reaches every worker count alike.
 """
 
 import csv
 import io
 import math
+import multiprocessing
 import numbers
 import os
 import statistics
@@ -295,24 +294,28 @@ def _usable_cpus() -> int:
 _KEPT = {}  # (process count, ids of what its workers inherit) -> (those, the pool)
 
 
-def _pool(processes: int, target) -> ProcessPoolExecutor:
-    """A pool of this many processes, forked with this target built and
-    every global of the seqdec modules as it is now, and kept for later
-    runs that match.  Any other kept pool is shut down first (_drop_pool),
-    so no fork happens while its manager thread runs."""
-    inherited = (target, *(value for name, module in list(sys.modules.items())
-                           if name.split(".")[0] == __package__
-                           for value in vars(module).values()))
+def _pool(processes: int) -> ProcessPoolExecutor:
+    """A pool of this many processes, kept for later runs.  It forks on
+    Linux, so its workers inherit every seqdec module global as it is now
+    (other platforms start it their default way, which a patch does not
+    reach).  It re-forks for a new process count, a rebound seqdec module
+    global or a dead worker (run_simulation_curve drops a broken pool),
+    shutting the old pool down first (_drop_pool), so no fork meets its
+    manager thread.  Another code or L reuses it: a worker builds the
+    target it lacks (_built_target)."""
+    inherited = tuple(value for name, module in list(sys.modules.items())
+                      if name.split(".")[0] == __package__ for value in vars(module).values())
     key = (processes, tuple(map(id, inherited)))  # unique: _KEPT holds the objects
     if key not in _KEPT:
         _drop_pool()
-        _KEPT[key] = (inherited, ProcessPoolExecutor(processes))
+        context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+        _KEPT[key] = (inherited, ProcessPoolExecutor(processes, mp_context=context))
     return _KEPT[key][1]
 
 
 def _drop_pool() -> None:
     """Shut down the kept pool, if any, joining its manager thread and
-    workers; the next run that needs one forks a fresh pool."""
+    workers; the next run that needs one forks a fresh pool (_pool)."""
     for _, pool in _KEPT.values():
         pool.shutdown()
     _KEPT.clear()
@@ -326,21 +329,18 @@ def run_simulation_curve(cfg: ExperimentConfig) -> list:
     counted in overflow_trials.  Each point maps _code_trials over one
     contiguous block of trials per worker: the builtin map when one
     worker is left, else the map of the process pool this process keeps
-    (_pool, and the module docstring), forked after the target was built
-    and reused by later runs whose workers would inherit the same.  The
-    pool has no more processes than trials or CPUs this process may run
-    on.  Its tasks carry the frozen code, never the built target, which
-    the workers find in the cache they inherit (_built_target).  A pool
-    that breaks (a worker was killed) is dropped and its error raised;
-    the next run forks a fresh one.
+    (_pool: forked on Linux, and re-forked as it states), which has no
+    more processes than trials or CPUs this process may run on.  Its
+    tasks carry the frozen code, never the built target, which a worker
+    inherits or builds (_built_target).  A broken pool (a worker was
+    killed) is dropped and its error raised; the next run forks afresh.
     """
     code = code_from_config(cfg.code)
-    target = _built_target(code, cfg.L)  # before a pool forks, so its workers inherit it
     workers = min(cfg.workers, _usable_cpus(), cfg.trials)
     size = -(-cfg.trials // workers)
     blocks = [range(start, min(start + size, cfg.trials))
               for start in range(0, cfg.trials, size)]
-    trial_map = map if workers == 1 else _pool(workers, target).map
+    trial_map = map if workers == 1 else _pool(workers).map
     points = []
     for db in cfg.snr_db:
         # map keeps block order, so the reduction is worker-count invariant

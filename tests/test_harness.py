@@ -117,6 +117,14 @@ class TestExperimentConfigValidation:
                                             variant="be"))
 
 
+def run_script(script: str) -> str:
+    """The stdout of a fresh interpreter running script, with this
+    checkout's src on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+
+
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """A stand-in ProcessPoolExecutor that runs every task in this process
@@ -127,7 +135,7 @@ def in_process_pool(monkeypatch):
     log = {"events": [], "pickled": []}
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             self.max_workers = max_workers
             log["events"].append(("open", max_workers))
 
@@ -219,9 +227,9 @@ class TestCurves:
         assert got == curve_csv_text(run_simulation_curve(replace(cfg, workers=1)))
 
     def test_pool_kept_across_runs(self, monkeypatch, in_process_pool):
-        # two 2-worker runs share one pool; a 3-worker run, and then one on
-        # another target, shut the kept pool down before they open their
-        # own; every CSV is the one-worker CSV
+        # two 2-worker runs share one pool; a 3-worker run shuts it down
+        # and opens its own, which the run at L = 9 reuses, because each
+        # worker builds the target it lacks; every CSV is the one-worker CSV
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(4)),
                             raising=False)
         grid = dict(mode="simulate", trials=30, snr_db=(2.0, 4.0))
@@ -229,8 +237,7 @@ class TestCurves:
             want = curve_csv_text(run_simulation_curve(small_cfg(**grid, L=L)))
             got = curve_csv_text(run_simulation_curve(small_cfg(**grid, L=L, workers=workers)))
             assert got == want
-        assert in_process_pool["events"] == [("open", 2), ("shutdown", 2), ("open", 3),
-                                             ("shutdown", 3), ("open", 3)]
+        assert in_process_pool["events"] == [("open", 2), ("shutdown", 2), ("open", 3)]
 
     def test_patch_reaches_kept_pool(self, monkeypatch):
         # a global patched after a pool forked makes the next run fork a
@@ -252,8 +259,7 @@ class TestCurves:
 
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = small_cfg(mode="simulate", workers=2)
-        target = harness._built_target(code_from_config(cfg.code), cfg.L)
-        monkeypatch.setattr(harness._pool(2, target), "map", broken)
+        monkeypatch.setattr(harness._pool(2), "map", broken)
         with pytest.raises(BrokenProcessPool):
             run_simulation_curve(cfg)
         got = curve_csv_text(run_simulation_curve(cfg))
@@ -286,6 +292,52 @@ class TestCurves:
                     break
                 assert time.monotonic() < deadline, f"worker {pid} still runs"
                 time.sleep(0.05)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_patch_reaches_pool_whatever_the_start_method(self, method):
+        # the pool forks whatever the interpreter's default start method
+        # (test_patch_reaches_kept_pool covers fork), so a global rebound
+        # after a 2-worker run reaches the next one; the script runs under
+        # -c, since spawn and forkserver children re-import the main module
+        out = run_script(
+            "import multiprocessing\n"
+            f"multiprocessing.set_start_method({method!r}, force=True)\n"
+            "from dataclasses import replace\n"
+            "from seqdec import harness\n"
+            "harness._usable_cpus = lambda: 2\n"
+            "cfg = harness.ExperimentConfig(code={'type': 'conv', 'm': 2,"
+            " 'octal': ['6', '5', '7']}, snr_db=(4.0,), trials=24, L=8, mode='simulate')\n"
+            "def csv(workers):\n"
+            "    return harness.curve_csv_text(harness.run_simulation_curve("
+            "replace(cfg, workers=workers)))\n"
+            "first = csv(2)\n"
+            "harness._run_trials = lambda target, cfg, db, trials: [7] * len(trials)\n"
+            "want = csv(1)\n"
+            "print(want != first, csv(2) == want)\n")
+        assert out.split() == ["True", "True"]
+
+    def test_code_switch_keeps_the_workers(self):
+        # a 2-worker run on another code reuses the workers of the last
+        # one, which build the target they lack; each CSV is the
+        # one-worker CSV
+        out = run_script(
+            "import multiprocessing\n"
+            "from dataclasses import replace\n"
+            "from seqdec import harness\n"
+            "harness._usable_cpus = lambda: 2\n"
+            "for code, L in (({'name': 'golay24'}, None),"
+            " ({'type': 'conv', 'm': 2, 'octal': ['6', '5', '7']}, 8)):\n"
+            "    cfg = harness.ExperimentConfig(code=code, snr_db=(4.0,), trials=24, L=L,"
+            " mode='simulate', workers=2)\n"
+            "    got = harness.curve_csv_text(harness.run_simulation_curve(cfg))\n"
+            "    pids = sorted(p.pid for p in multiprocessing.active_children())\n"
+            "    want = harness.curve_csv_text(harness.run_simulation_curve("
+            "replace(cfg, workers=1)))\n"
+            "    print(got == want, *pids)\n")
+        golay, conv = (line.split() for line in out.splitlines())
+        assert golay[0] == conv[0] == "True"
+        assert len(golay) == 3 and golay[1:] == conv[1:]
 
     def test_pool_follows_cpu_affinity(self, monkeypatch):
         # a process pinned to one CPU of a larger host runs its trials
