@@ -9,6 +9,7 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1024,6 +1025,19 @@ def test_golden_csv(name, workers):
     text = curve_csv_text(points)
     assert ([p.overflow_trials for p in points],
             hashlib.sha256(text.encode()).hexdigest()) == (overflow, digest)
+
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+
+@pytest.mark.parametrize("figure", ["fig5", "fig6", "fig7", "fig8"])
+def test_golden_bound_curves(figure):
+    # every point of each shipped trellis figure's bound curve, both
+    # variants, byte for byte against the CSV `seqdec bound-mlsda
+    # --config src/seqdec/configs/<figure>.json` wrote into results/
+    raw = json.loads((resources.files("seqdec") / "configs" / f"{figure}.json").read_text())
+    text = curve_csv_text(run_bound_curve(ExperimentConfig.from_dict(raw)))
+    assert text.encode() == (RESULTS / f"{figure}-bound.csv").read_bytes()
 
 
 def test_code_wider_than_64_bits(textbook_gda):
