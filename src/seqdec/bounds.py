@@ -25,11 +25,22 @@ numpy and exp, log, log1p and erfc mapped from the math module
 (numerics.math_map), so every bound value is bit-equal to a scalar
 evaluation too.  Per-gamma constants are computed once per evaluation
 and per-tilt terms once per distinct tilt.
+
+A complexity bound is the float total of adding its terms one by one in
+a fixed order.  mlsda_complexity_bound gets that total without adding
+most of them (_binade_levels): while the running total s stays in one
+binade [2^(e-1), 2^e), the floats there are the multiples of
+u = 2^(e-53), so adding a term t >= 0 rounds to exactly s + u rint(t/u)
+unless t/u is a half-integer (a tie, rounded to even and so decided by
+s).  A level's sequential sum is then s plus u times the exact integer
+sum over its distinct d* of count times rint(term/u).  A level whose
+sum would reach 2^e or that holds a tie is added term by term.
 """
 
 import enum
 import logging
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -54,6 +65,12 @@ log = logging.getLogger(__name__)
 #: the paper uses.  Shevtsova (2011) gives 0.4748, and Esseen (1956) rules
 #: out any constant below (sqrt(10) + 3)/(6 sqrt(2 pi)), about 0.4097.
 IID_NORMAL_APPROX_CONSTANT = 0.7655
+
+#: A trellis level whose states number at least this many times its
+#: distinct d* values has its bound terms summed in closed form
+#: (_binade_levels); a narrower one adds them one by one, which costs it
+#: less than the closed form's numpy steps.
+CLOSED_FORM_STATES_PER_VALUE = 8
 
 #: Bound on d + clipped in the prefactor: below it every integer product
 #: there (n * n, d * (n + d)) is exact in a float and in an int64, so the
@@ -333,6 +350,84 @@ def gda_complexity_bound(code, gamma_b_db: float,
     return 2.0 * float(np.cumsum(math_map(math.exp, logs[logs > -700.0]))[-1])
 
 
+def _binade_levels(total: float, terms, counts, starts) -> tuple:
+    """Adds whole levels of nonnegative terms to total by the binade rule,
+    as long as it gives the sequential float sum.  Level k adds terms[i],
+    counts[i] times, for i from starts[k] to the next level's start (the
+    end of terms for the last level).  Returns (levels taken, the total
+    after them): every level up to the first whose sum would leave the
+    binade of total or that holds a tie, none when total is zero or
+    subnormal.
+
+    In the binade [2^(e-1), 2^e) of a normal total s the floats are the
+    multiples of u = 2^(e-53), so s + t rounds to s + u rint(t/u) for any
+    term t >= 0 whose sum stays below 2^e, except on a tie (t/u exactly
+    a half-integer, where the result rounds to an even multiple and so
+    depends on s).  A run of such additions adds u times the integer
+    sum of rint(t/u) over its terms, whatever their order.  That integer
+    sum is taken in floats: its products and partial sums are integers,
+    exact while below 2^53, and once past it they stay at or above 2^53
+    in any summation order, so a sum found below the room left in the
+    binade (at most 2^52 steps) is exact.
+    """
+    if not total >= sys.float_info.min:
+        return 0, total
+    mantissa, e = math.frexp(total)  # total = mantissa 2^e with 1/2 <= mantissa < 1
+    room = math.ldexp(1.0 - mantissa, 53)  # steps of u from total up to 2^e
+    # a term of at least total leaves the binade; capping it there keeps
+    # steps finite and still leaves no room
+    steps = np.ldexp(np.minimum(terms, total), 53 - e)  # t/u, exact
+    whole = np.rint(steps)
+    ties = np.logical_or.reduceat(np.abs(steps - whole) == 0.5, starts)
+    reach = np.cumsum(np.add.reduceat(counts * whole, starts))
+    fits = (reach < room) & ~ties
+    taken = len(fits) if fits.all() else int(fits.argmin())
+    if taken:
+        total += math.ldexp(float(reach[taken - 1]), e - 53)
+    return taken, total
+
+
+def _level_sum(levels, terms) -> float:
+    """The float total of adding, level after level, one term per state
+    in ascending state order, one by one from 0.  levels holds (row,
+    distinct, counts) per level as Trellis.dstar_levels does, and terms
+    one term per distinct value of each level, level-major: the term of
+    a state is that of its value in row.
+
+    A level with at least CLOSED_FORM_STATES_PER_VALUE states per
+    distinct value is summed by the binade rule (_binade_levels), whole
+    runs of such levels in one numpy step.  The other levels, and one
+    whose sum leaves the running total's binade or holds a tie, gather
+    their terms into one buffer after the running total and take a
+    sequential cumulative sum there.
+    """
+    starts = np.cumsum([0] + [len(vs) for _, vs, _ in levels])  # each level's terms
+    counts = np.concatenate([c for _, _, c in levels])
+    wide = [len(row) >= CLOSED_FORM_STATES_PER_VALUE * len(vs) for row, vs, _ in levels]
+    wide.append(False)  # ends the last run
+    buf = np.empty(max(len(row) for row, _, _ in levels) + 1)
+    lut = np.empty(max(vs[-1] for _, vs, _ in levels) + 1)  # value -> term, one level's
+    total, l = 0.0, 0
+    while l < len(levels):
+        if wide[l]:
+            end = wide.index(False, l)  # the run of wide levels from l
+            first, last = starts[l], starts[end]
+            taken, total = _binade_levels(total, terms[first:last], counts[first:last],
+                                          starts[l:end] - first)
+            l += taken
+            if l == end:
+                continue
+        row, vs, _ = levels[l]
+        lut[vs] = terms[starts[l]:starts[l + 1]]
+        sums = buf[:len(row) + 1]
+        sums[0] = total
+        lut.take(row, out=sums[1:], mode="clip")
+        sums.cumsum(out=sums)
+        total = float(sums[-1])
+        l += 1
+    return total
+
+
 def mlsda_complexity_bound(trellis, gamma_b_db: float,
                            variant: BoundVariant = BERRY_ESSEEN) -> float:
     """Average branch-metric computations of the trellis decoder, bounded.
@@ -343,29 +438,20 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
 
     B is evaluated once per distinct d* of a level
     (Trellis.dstar_levels), all levels in one _log_bounds call.  The
-    terms are then added one by one in ascending (level, state) order:
-    each level gathers its terms into one buffer after the running total
-    and takes a sequential cumulative sum there, so the result does not
-    depend on how many states share a d* value.  A pairwise,
-    count-weighted or fsum total would move it in the last digits, and
-    the golden bounds pin bound values bit for bit and the benchmark's
-    references to 1e-12, so the order stays fixed.  The levels are not
-    joined into one sum, which for memory 16 would hold 5.5 M terms.
+    result is the float total of adding the terms one by one in
+    ascending (level, state) order (_level_sum), so it does not depend
+    on how many states share a d* value.  A pairwise, count-weighted or
+    fsum total would move it in the last digits, and the golden bounds
+    pin bound values bit for bit and the benchmark's references to
+    1e-12.  Most of the 65,536-state levels of a memory-16 code take
+    that sequential total in closed form, by the binade rule
+    (_binade_levels), and not term by term.
     """
     n_out, N = trellis.code.n_out, trellis.n
     gamma = ChannelConfig.for_conv_code(trellis.code, trellis.L, gamma_b_db).gamma
     levels = trellis.dstar_levels
-    d = np.concatenate([vs for _, vs in levels])
-    level = np.repeat(np.arange(trellis.L), [len(vs) for _, vs in levels])
-    lut = np.empty((trellis.L, d.max() + 1))  # [level, d*] -> term
-    lut[level, d] = math_map(math.exp, _log_bounds(np.column_stack((d, N - level * n_out)),
-                                                   gamma, variant))
-    buf = np.empty(max(len(row) for row, _ in levels) + 1)
-    total = 0.0
-    for terms, (row, _) in zip(lut, levels):
-        sums = buf[:len(row) + 1]
-        sums[0] = total
-        terms.take(row, out=sums[1:], mode="clip")
-        sums.cumsum(out=sums)
-        total = sums[-1]
-    return 2 * float(total)
+    d = np.concatenate([vs for _, vs, _ in levels])
+    level = np.repeat(np.arange(trellis.L), [len(vs) for _, vs, _ in levels])
+    terms = math_map(math.exp, _log_bounds(np.column_stack((d, N - level * n_out)),
+                                           gamma, variant))
+    return 2 * _level_sum(levels, terms)

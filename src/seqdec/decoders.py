@@ -740,7 +740,8 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
     the goal node.
     """
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    outputs = trellis.outputs_by_state
+    outputs = trellis.output_lists
+    out0, out1 = outputs
     n_out, m, L, mask = trellis.code.n_out, trellis.code.m, trellis.L, trellis.num_states - 1
     levels = trellis.levels
     goal = levels << m
@@ -773,10 +774,9 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
                 path.append(state)
                 s0 = (state << 1) & mask  # the 0-child's state; m >= 1, so s0 | 1 is the 1-child's
                 if level < L:
-                    o0, o1 = outputs[state]
                     row = level << n_out
-                    f0 = zeta + inc[row + o0]
-                    f1 = zeta + inc[row + o1]
+                    f0 = zeta + inc[row + out0[state]]
+                    f1 = zeta + inc[row + out1[state]]
                     if f1 < f0:  # the 1-child is best; on a tie the 0-child (lower seq) is
                         zeta, sib, best_seq, info = f1, f0, seq + 1, info | (1 << level)
                         state = s0 | 1
@@ -790,7 +790,7 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
                     if not sib >= top:
                         top = sib
                 else:
-                    zeta += inc[(level << n_out) + outputs[state][0]]
+                    zeta += inc[(level << n_out) + out0[state]]
                     best_seq, state = seq, s0
                     seq += 1
                     level += 1
@@ -820,13 +820,13 @@ def _mlsda_search(trellis: Trellis, inc: list, extension_limit) -> tuple:
             inputs = (0, 1) if level < L else (0,)
             low_extensions += level < L
             best = sibling = None
-            row, reg, to_output = level << n_out, state << 1, outputs[state]
+            row, reg = level << n_out, state << 1
             child_level = level + 1
             base = child_level << m
             for b in inputs:
                 ns = (reg | b) & mask
                 child = base | ns
-                child_zeta = zeta + inc[row + to_output[b]]
+                child_zeta = zeta + inc[row + outputs[b][state]]
                 incumbent = nodes.get(child)
                 if incumbent is not None and incumbent[0] <= child_zeta:
                     continue  # closed, or merge: keep the incumbent (also on ties)

@@ -44,10 +44,10 @@ class Trellis:
         return 1 << self.code.m
 
     @cached_property
-    def outputs_by_state(self) -> list:
-        """outputs as a per-state list of (out0, out1) pairs of Python
-        ints, built once, for search loops that index it scalar by scalar."""
-        return self.outputs.T.tolist()
+    def output_lists(self) -> list:
+        """outputs as two flat lists of Python ints, [input bit][state],
+        built once, for search loops that index it scalar by scalar."""
+        return self.outputs.tolist()
 
     @cached_property
     def dstar(self) -> np.ndarray:
@@ -68,16 +68,19 @@ class Trellis:
 
     @cached_property
     def dstar_levels(self) -> list:
-        """(row, distinct) for each level l < L, the levels whose nodes
-        branch: row holds the d* of the states present at level l in
-        ascending state order (the dstar row itself where every state is
-        present), distinct its distinct values in ascending order."""
+        """(row, distinct, counts) for each level l < L, the levels whose
+        nodes branch: row holds the d* of the states present at level l
+        in ascending state order (the dstar row itself where every state
+        is present), distinct its distinct values in ascending order and
+        counts how many states of row hold each of them."""
         levels = []
         for row in self.dstar[:self.L]:
             present = row != ABSENT
             if not present.all():
                 row = row[present]
-            levels.append((row, np.flatnonzero(np.bincount(row))))
+            counts = np.bincount(row)
+            distinct = np.flatnonzero(counts)
+            levels.append((row, distinct, counts[distinct]))
         return levels
 
 

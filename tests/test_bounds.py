@@ -384,6 +384,170 @@ class TestComplexityBounds:
             assert mlsda_complexity_bound(trellis, db) == pytest.approx(2.0, abs=1e-12)
 
 
+def running_totals(total, terms, counts, starts):
+    """np.cumsum from total over each term repeated counts times, read at
+    the end of every level."""
+    sums = np.cumsum(np.concatenate(([total], np.repeat(terms, counts))))
+    ends = np.append(starts[1:], len(terms))
+    return sums[np.cumsum(counts)[ends - 1]]
+
+
+def levels_of(rows):
+    """(row, distinct, counts) per level, as Trellis.dstar_levels has them."""
+    levels = []
+    for row in rows:
+        distinct, counts = np.unique(row, return_counts=True)
+        levels.append((np.asarray(row), distinct, counts))
+    return levels
+
+
+def one_by_one(levels, terms):
+    """Each state's term added to a Python float in (level, state) order."""
+    total, first = 0.0, 0
+    for row, distinct, _ in levels:
+        term = dict(zip(distinct.tolist(), terms[first:first + len(distinct)].tolist()))
+        first += len(distinct)
+        for value in row.tolist():
+            total += term[value]
+    return total
+
+
+class TestBinadeLevels:
+    U = 2.0 ** -52  # the float step in [1, 2)
+
+    def check(self, total, terms, counts, starts, taken):
+        terms, counts, starts = (np.asarray(x) for x in (terms, counts, starts))
+        got = bounds._binade_levels(total, terms, counts, starts)
+        assert got[0] == taken
+        want = running_totals(total, terms, counts, starts)
+        assert got[1] == (want[taken - 1] if taken else total)
+        if taken:  # the order of the run's terms does not move its sum
+            run = np.repeat(terms, counts)[:counts[:np.append(starts, len(terms))[taken]].sum()]
+            shuffled = np.random.default_rng(7).permutation(run)
+            assert np.cumsum(np.concatenate(([total], shuffled)))[-1] == got[1]
+
+    def test_sums_within_a_binade(self):
+        terms = [0.3 * self.U, 0.7 * self.U, 1.49 * self.U, 0.125, 1e-5, 2.6 * self.U]
+        self.check(1.0, terms, [3, 5, 1, 2, 400, 7], [0, 2, 4], 3)
+
+    def test_a_tie_stops_the_run(self):
+        # half a step rounds to even: from 1 it adds nothing, from 1 + u
+        # a whole step, so the closed form cannot know it
+        assert 1.0 + self.U / 2 == 1.0 and (1.0 + self.U) + self.U / 2 == 1.0 + 2 * self.U
+        self.check(1.0, [self.U / 2], [1], [0], 0)
+        self.check(1.0, [0.3 * self.U, 2.5 * self.U, 0.1], [2, 1, 1], [0, 1], 1)
+        # a tie in the first binade above: 1.5 steps of 2 is 3 of 1
+        self.check(2.0, [1.5 * self.U * 2], [4], [0], 0)
+
+    def test_totals_just_below_a_power_of_two(self):
+        top = np.nextafter(2.0, 0.0)  # one step below 2
+        self.check(top, [0.49 * self.U], [1 << 16], [0], 1)  # each rounds back to top
+        self.check(top, [0.51 * self.U], [1], [0], 0)  # a whole step reaches 2
+        self.check(np.nextafter(1024.0, 0.0), [1e-20, 1e-14], [3, 5], [0, 1], 2)
+        self.check(np.nextafter(1024.0, 0.0), [1e-20, 1e-12], [3, 5], [0, 1], 1)
+
+    def test_runs_that_leave_the_binade(self):
+        # levels of 0.25 from 1: the fourth reaches 2
+        self.check(1.0, [0.25] * 6, [1] * 6, list(range(6)), 3)
+        # one level that crosses several binades, and a run that crosses
+        # one in its third level
+        self.check(1.0, [0.3], [1 << 16], [0], 0)
+        self.check(3.0, [1e-3, 2e-3, 0.75, 1e-3], [100, 100, 1, 7], [0, 1, 2, 3], 2)
+        # a term of at least the total always leaves the binade
+        self.check(1.5, [1.5], [1], [0], 0)
+        self.check(1.5, [4.0, 0.0], [1, 1], [0, 1], 0)
+
+    def test_zero_and_subnormal_terms(self):
+        tiny = np.finfo(float).tiny
+        terms = [0.0, 5e-324, tiny / 3, tiny, 1e-300]
+        self.check(1.0, terms, [1 << 16, 9, 2, 5, 1], [0, 2, 4], 3)
+        self.check(tiny, [0.0, 5e-324, tiny / 3, tiny / 4], [4, 1, 1, 2], [0, 3], 2)
+        self.check(2.0 ** 60, [1e-300, 5e-324], [3, 3], [0, 1], 2)  # scaled below the grid
+
+    def test_zero_or_subnormal_total_takes_no_level(self):
+        for total in (0.0, 5e-324, np.finfo(float).tiny / 2):
+            self.check(total, [1e-310, 0.25], [1, 1], [0, 1], 0)
+
+    def test_many_copies_of_one_term(self):
+        for total, term in ((1000.0, 1e-4), (1.0, 1.0 / 3.0 * 2.0 ** -17), (1e6, 0.1234567)):
+            n = 1 << 16
+            taken = int(total + n * term < 2.0 ** math.frexp(total)[1])
+            self.check(total, [term], [n], [0], taken)
+
+    def test_random_levels_equal_cumsum(self):
+        rng = np.random.default_rng(3)
+        taken = []
+        for _ in range(300):
+            levels = int(rng.integers(1, 6))
+            sizes = rng.integers(1, 8, levels)
+            terms = rng.random(sizes.sum()) * 10.0 ** rng.integers(-18, 1, sizes.sum())
+            counts = rng.integers(1, 1 << 16, sizes.sum())
+            total = float(rng.random() * 2.0 ** rng.integers(-3, 20))
+            starts = np.cumsum(sizes) - sizes
+            got = bounds._binade_levels(total, terms, counts, starts)
+            want = running_totals(total, terms, counts, starts)
+            assert got[1] == (want[got[0] - 1] if got[0] else total)
+            taken.append(got[0] == levels)
+        assert 0 < sum(taken) < len(taken)  # both whole runs and cut ones
+
+
+class TestLevelSum:
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """(levels in a run, levels it took) of each closed-form step."""
+        real, steps = bounds._binade_levels, []
+
+        def recorded(total, terms, counts, starts):
+            taken, total = real(total, terms, counts, starts)
+            steps.append((len(starts), taken))
+            return taken, total
+
+        monkeypatch.setattr(bounds, "_binade_levels", recorded)
+        return steps
+
+    def test_closed_form_crossing_and_tie_levels(self, paths):
+        u = 2.0 ** -52
+        rows = [[0], [0, 1], [0] * 8 + [1] * 8, [0] * 20 + [2] * 20,
+                [1] * 30 + [0] * 10, [0] * 64, [0] * 40 + [1] * 40]
+        terms = np.array([1.0,  # narrow: added one by one, total 1
+                          0.25, 0.125,  # narrow: total 1.375
+                          1e-6, 3e-9,  # closed form within [1, 2)
+                          1e-3, 2e-5,  # closed form
+                          0.1, 1e-7,  # crosses 2: one by one
+                          u,  # a tie in [2, 4): one by one
+                          1e-9, 2e-9])  # closed form to the end
+        levels = levels_of(rows)
+        assert bounds._level_sum(levels, terms) == one_by_one(levels, terms)
+        assert paths == [(5, 2), (2, 0), (1, 1)]
+
+    def test_narrow_levels_skip_the_closed_form(self, paths):
+        levels = levels_of([[0], [0, 1, 1], [2, 0, 1, 0]])
+        terms = np.array([1.0, 0.5, 0.25, 1e-3, 2e-3, 3e-3])
+        assert bounds._level_sum(levels, terms) == one_by_one(levels, terms)
+        assert paths == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 200), st.integers(1, 4), st.integers(-20, 0)),
+                    min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_equals_one_by_one(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        rows, terms = [], []
+        for states, values, scale in shapes:
+            rows.append(rng.integers(0, values, states))
+            distinct = np.unique(rows[-1])
+            # whole multiples of a power of two make ties likely
+            terms += (np.round(rng.random(len(distinct)) * 8) / 8 * 2.0 ** scale).tolist()
+        levels = levels_of(rows)
+        assert bounds._level_sum(levels, np.array(terms)) == one_by_one(levels, np.array(terms))
+
+    def test_memory16_levels_take_the_closed_form(self, conv_m16, paths):
+        # the point of the binade rule: most memory-16 levels skip the
+        # 65,536-term cumulative sum
+        mlsda_complexity_bound(build_trellis(conv_m16, 100), 4.0)
+        assert sum(taken for _, taken in paths) >= 80
+
+
 # (code, variant, SNR in dB) -> bound value, pinned by repr from the
 # scalar-solve implementation; any change of the summation order or of a
 # single tilt moves the last digits.

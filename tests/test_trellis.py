@@ -162,10 +162,11 @@ class TestDstarLevels:
         table = compute_dstar(trellis)
         levels = trellis.dstar_levels
         assert len(levels) == trellis.L
-        for level, (row, distinct) in enumerate(levels):
+        for level, (row, distinct, counts) in enumerate(levels):
             present = np.flatnonzero(table[level] != ABSENT)
             assert row.tolist() == table[level, present].tolist()
             assert distinct.tolist() == sorted(set(row.tolist()))
+            assert counts.tolist() == [row.tolist().count(v) for v in distinct.tolist()]
             # a level with every state present reads the table's own row
             assert np.shares_memory(row, table) == (len(present) == trellis.num_states)
         assert trellis.dstar_levels is levels
