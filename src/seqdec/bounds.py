@@ -66,10 +66,10 @@ log = logging.getLogger(__name__)
 #: out any constant below (sqrt(10) + 3)/(6 sqrt(2 pi)), about 0.4097.
 IID_NORMAL_APPROX_CONSTANT = 0.7655
 
-#: A trellis level whose states number at least this many times its
-#: distinct d* values has its bound terms summed in closed form
-#: (_binade_levels); a narrower one adds them one by one, which costs it
-#: less than the closed form's numpy steps.
+#: A trellis level with at least this many states per distinct d* has
+#: its bound terms summed in closed form (_binade_levels).  Narrower
+#: ones, the first few levels of a trellis, where the total crosses a
+#: power of two at nearly every level, are cheaper to add one by one.
 CLOSED_FORM_STATES_PER_VALUE = 8
 
 #: Bound on d + clipped in the prefactor: below it every integer product
@@ -351,24 +351,17 @@ def gda_complexity_bound(code, gamma_b_db: float,
 
 
 def _binade_levels(total: float, terms, counts, starts) -> tuple:
-    """Adds whole levels of nonnegative terms to total by the binade rule,
-    as long as it gives the sequential float sum.  Level k adds terms[i],
-    counts[i] times, for i from starts[k] to the next level's start (the
-    end of terms for the last level).  Returns (levels taken, the total
-    after them): every level up to the first whose sum would leave the
-    binade of total or that holds a tie, none when total is zero or
-    subnormal.
+    """Adds whole levels of nonnegative terms to total by the binade rule
+    (see the module docstring): level k adds terms[i], counts[i] times,
+    for i from starts[k] up to the next level's start.  Returns (levels
+    taken, the total after them), taking every level before the first
+    whose sum would reach the next power of two or that holds a tie,
+    and none when total is zero or subnormal.
 
-    In the binade [2^(e-1), 2^e) of a normal total s the floats are the
-    multiples of u = 2^(e-53), so s + t rounds to s + u rint(t/u) for any
-    term t >= 0 whose sum stays below 2^e, except on a tie (t/u exactly
-    a half-integer, where the result rounds to an even multiple and so
-    depends on s).  A run of such additions adds u times the integer
-    sum of rint(t/u) over its terms, whatever their order.  That integer
-    sum is taken in floats: its products and partial sums are integers,
-    exact while below 2^53, and once past it they stay at or above 2^53
-    in any summation order, so a sum found below the room left in the
-    binade (at most 2^52 steps) is exact.
+    The integer sums are taken in floats: their products and partial
+    sums are exact while below 2^53 and stay at or above it once past
+    it, in any order, so a sum found below the room left in the binade
+    (at most 2^52 steps) is exact.
     """
     if not total >= sys.float_info.min:
         return 0, total
@@ -388,18 +381,15 @@ def _binade_levels(total: float, terms, counts, starts) -> tuple:
 
 
 def _level_sum(levels, terms) -> float:
-    """The float total of adding, level after level, one term per state
-    in ascending state order, one by one from 0.  levels holds (row,
+    """The float total of adding one term per state, one by one from 0,
+    level after level in ascending state order.  levels holds (row,
     distinct, counts) per level as Trellis.dstar_levels does, and terms
-    one term per distinct value of each level, level-major: the term of
-    a state is that of its value in row.
+    the term of each distinct value, level-major.
 
-    A level with at least CLOSED_FORM_STATES_PER_VALUE states per
-    distinct value is summed by the binade rule (_binade_levels), whole
-    runs of such levels in one numpy step.  The other levels, and one
-    whose sum leaves the running total's binade or holds a tie, gather
-    their terms into one buffer after the running total and take a
-    sequential cumulative sum there.
+    Runs of levels with at least CLOSED_FORM_STATES_PER_VALUE states per
+    distinct value go through _binade_levels in one numpy step each.
+    The other levels, and one that leaves the binade or holds a tie, take
+    a sequential cumulative sum of their terms after the running total.
     """
     starts = np.cumsum([0] + [len(vs) for _, vs, _ in levels])  # each level's terms
     counts = np.concatenate([c for _, _, c in levels])
@@ -443,9 +433,10 @@ def mlsda_complexity_bound(trellis, gamma_b_db: float,
     on how many states share a d* value.  A pairwise, count-weighted or
     fsum total would move it in the last digits, and the golden bounds
     pin bound values bit for bit and the benchmark's references to
-    1e-12.  Most of the 65,536-state levels of a memory-16 code take
-    that sequential total in closed form, by the binade rule
-    (_binade_levels), and not term by term.
+    1e-12.  Most levels get that total by the binade rule: while the
+    running total stays below its next power of two and no term falls
+    on a tie, the level adds exactly u times the sum over its distinct
+    d* of count times rint(term / u), u being the total's float step.
     """
     n_out, N = trellis.code.n_out, trellis.n
     gamma = ChannelConfig.for_conv_code(trellis.code, trellis.L, gamma_b_db).gamma
