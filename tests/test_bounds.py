@@ -436,7 +436,7 @@ class TestBinadeLevels:
         assert 1.0 + self.U / 2 == 1.0 and (1.0 + self.U) + self.U / 2 == 1.0 + 2 * self.U
         self.check(1.0, [self.U / 2], [1], [0], 0)
         self.check(1.0, [0.3 * self.U, 2.5 * self.U, 0.1], [2, 1, 1], [0, 1], 1)
-        # a tie in the first binade above: 1.5 steps of 2 is 3 of 1
+        # from 2 the step is 2u, so 3u is a tie there
         self.check(2.0, [1.5 * self.U * 2], [4], [0], 0)
 
     def test_totals_just_below_a_power_of_two(self):
