@@ -66,12 +66,6 @@ log = logging.getLogger(__name__)
 #: out any constant below (sqrt(10) + 3)/(6 sqrt(2 pi)), about 0.4097.
 IID_NORMAL_APPROX_CONSTANT = 0.7655
 
-#: A trellis level with at least this many states per distinct d* has
-#: its bound terms summed in closed form (_binade_levels).  Narrower
-#: ones, the first few levels of a trellis, where the total crosses a
-#: power of two at nearly every level, are cheaper to add one by one.
-CLOSED_FORM_STATES_PER_VALUE = 8
-
 #: Bound on d + clipped in the prefactor: below it every integer product
 #: there (n * n, d * (n + d)) is exact in a float and in an int64, so the
 #: array arithmetic rounds as Python-int arithmetic does.
@@ -386,35 +380,25 @@ def _level_sum(levels, terms) -> float:
     distinct, counts) per level as Trellis.dstar_levels does, and terms
     the term of each distinct value, level-major.
 
-    Runs of levels with at least CLOSED_FORM_STATES_PER_VALUE states per
-    distinct value go through _binade_levels in one numpy step each.
-    The other levels, and one that leaves the binade or holds a tie, take
-    a sequential cumulative sum of their terms after the running total.
+    From each level on, _binade_levels takes as many levels as it can in
+    one numpy step; the level that stops it, one that would leave the
+    binade or that holds a tie, takes a sequential cumulative sum of its
+    states' terms after the running total.
     """
     starts = np.cumsum([0] + [len(vs) for _, vs, _ in levels])  # each level's terms
     counts = np.concatenate([c for _, _, c in levels])
-    wide = [len(row) >= CLOSED_FORM_STATES_PER_VALUE * len(vs) for row, vs, _ in levels]
-    wide.append(False)  # ends the last run
-    buf = np.empty(max(len(row) for row, _, _ in levels) + 1)
-    lut = np.empty(max(vs[-1] for _, vs, _ in levels) + 1)  # value -> term, one level's
     total, l = 0.0, 0
     while l < len(levels):
-        if wide[l]:
-            end = wide.index(False, l)  # the run of wide levels from l
-            first, last = starts[l], starts[end]
-            taken, total = _binade_levels(total, terms[first:last], counts[first:last],
-                                          starts[l:end] - first)
-            l += taken
-            if l == end:
-                continue
-        row, vs, _ = levels[l]
-        lut[vs] = terms[starts[l]:starts[l + 1]]
-        sums = buf[:len(row) + 1]
-        sums[0] = total
-        lut.take(row, out=sums[1:], mode="clip")
-        sums.cumsum(out=sums)
-        total = float(sums[-1])
-        l += 1
+        first = starts[l]
+        taken, total = _binade_levels(total, terms[first:], counts[first:],
+                                      starts[l:-1] - first)
+        l += taken
+        if l < len(levels):
+            row, vs, _ = levels[l]
+            lut = np.empty(vs[-1] + 1)  # value -> term
+            lut[vs] = terms[starts[l]:starts[l + 1]]
+            total = float(np.cumsum(np.append(total, lut.take(row)))[-1])
+            l += 1
     return total
 
 

@@ -434,7 +434,7 @@ def write_atilde_csv(rows, stream) -> None:
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(["n", "atilde"])
     for n, value in rows:
-        w.writerow([n, format(value, ".17g")])
+        w.writerow([n, _fmt(value)])
 
 
 def write_dstar_csv(trellis, stream) -> None:
@@ -492,10 +492,9 @@ def dstar_by_enumeration(code: ConvCode, L: int) -> np.ndarray:
     return table
 
 
-def check_dstar_oracle(trellis=None) -> CheckResult:
+def check_dstar_oracle() -> CheckResult:
     """DP table against exhaustive input enumeration on a small trellis."""
-    if trellis is None:
-        trellis = build_trellis(parse_octal_generators(["6", "5", "7"], m=2), L=6)
+    trellis = build_trellis(parse_octal_generators(["6", "5", "7"], m=2), L=6)
     mismatches = int((compute_dstar(trellis)
                       != dstar_by_enumeration(trellis.code, trellis.L)).sum())
     return _check("dstar-oracle", mismatches == 0, f"{mismatches} mismatching entries")

@@ -70,14 +70,14 @@ class Trellis:
     def dstar_levels(self) -> list:
         """(row, distinct, counts) for each level l < L, the levels whose
         nodes branch: row holds the d* of the states present at level l
-        in ascending state order (the dstar row itself where every state
-        is present), distinct its distinct values in ascending order and
-        counts how many states of row hold each of them."""
+        in ascending state order, distinct its distinct values in
+        ascending order and counts how many states of row hold each of
+        them.  By the register rule, the l inputs from state 0 reach
+        exactly the states below 2^min(l, m) for l <= L, so row is a view
+        of the first 2^min(l, m) entries of the dstar row."""
         levels = []
-        for row in self.dstar[:self.L]:
-            present = row != ABSENT
-            if not present.all():
-                row = row[present]
+        for l, row in enumerate(self.dstar[:self.L]):
+            row = row[:1 << min(l, self.code.m)]
             counts = np.bincount(row)
             distinct = np.flatnonzero(counts)
             levels.append((row, distinct, counts[distinct]))

@@ -509,22 +509,16 @@ class TestLevelSum:
         u = 2.0 ** -52
         rows = [[0], [0, 1], [0] * 8 + [1] * 8, [0] * 20 + [2] * 20,
                 [1] * 30 + [0] * 10, [0] * 64, [0] * 40 + [1] * 40]
-        terms = np.array([1.0,  # narrow: added one by one, total 1
-                          0.25, 0.125,  # narrow: total 1.375
-                          1e-6, 3e-9,  # closed form within [1, 2)
+        terms = np.array([1.0,  # from a zero total: one by one, total 1
+                          0.25, 0.125,  # closed form within [1, 2): total 1.375
+                          1e-6, 3e-9,  # closed form
                           1e-3, 2e-5,  # closed form
                           0.1, 1e-7,  # crosses 2: one by one
                           u,  # a tie in [2, 4): one by one
                           1e-9, 2e-9])  # closed form to the end
         levels = levels_of(rows)
         assert bounds._level_sum(levels, terms) == one_by_one(levels, terms)
-        assert paths == [(5, 2), (2, 0), (1, 1)]
-
-    def test_narrow_levels_skip_the_closed_form(self, paths):
-        levels = levels_of([[0], [0, 1, 1], [2, 0, 1, 0]])
-        terms = np.array([1.0, 0.5, 0.25, 1e-3, 2e-3, 3e-3])
-        assert bounds._level_sum(levels, terms) == one_by_one(levels, terms)
-        assert paths == []
+        assert paths == [(7, 0), (6, 3), (2, 0), (1, 1)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 200), st.integers(1, 4), st.integers(-20, 0)),

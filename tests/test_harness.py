@@ -483,11 +483,11 @@ class TestValidationSuite:
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
     def test_dstar_fault_injection(self, fig_trellis_code, monkeypatch):
-        trellis = build_trellis(fig_trellis_code, 6)
-        table = compute_dstar(trellis).copy()  # the cached table is read-only
+        # the check's own trellis: the (3,1,2) code at L = 6
+        table = compute_dstar(build_trellis(fig_trellis_code, 6)).copy()  # cached: read-only
         table[3, 2] += 1  # corrupt one entry
         monkeypatch.setattr(harness, "compute_dstar", lambda t: table)
-        result = check_dstar_oracle(trellis)
+        result = check_dstar_oracle()
         assert not result.passed
 
 

@@ -57,9 +57,9 @@ class TestBuildTrellis:
 
 
 @st.composite
-def conv_codes(draw):
-    """Random (n_out, 1, m) codes, m 0-4 and n_out 1-3."""
-    m = draw(st.integers(0, 4))
+def conv_codes(draw, max_m=4):
+    """Random (n_out, 1, m) codes, m 0-max_m and n_out 1-3."""
+    m = draw(st.integers(0, max_m))
     n_out = draw(st.integers(1, 3))
     tap = st.tuples(*[st.integers(0, 1)] * (m + 1))
     taps = draw(st.tuples(*[tap] * n_out).filter(lambda t: any(v[0] for v in t)))
@@ -167,9 +167,21 @@ class TestDstarLevels:
             assert row.tolist() == table[level, present].tolist()
             assert distinct.tolist() == sorted(set(row.tolist()))
             assert counts.tolist() == [row.tolist().count(v) for v in distinct.tolist()]
-            # a level with every state present reads the table's own row
-            assert np.shares_memory(row, table) == (len(present) == trellis.num_states)
+            assert np.shares_memory(row, table)  # a view, never a copy
         assert trellis.dstar_levels is levels
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_register_rule_reaches_a_prefix_of_states(self, data):
+        # dstar_levels slices each row to its first 2^min(l, m) states:
+        # those are the states present, for L below m too
+        code = data.draw(conv_codes(max_m=6))
+        trellis = build_trellis(code, data.draw(st.integers(1, 12)))
+        table = compute_dstar(trellis)
+        for level in range(trellis.L + 1):
+            assert states(trellis, level) == tuple(range(1 << min(level, code.m)))
+        for level, (row, _, _) in enumerate(trellis.dstar_levels):
+            assert row.tolist() == table[level][table[level] != ABSENT].tolist()
 
     def test_table_built_once_and_read_only(self, conv_634_564, monkeypatch):
         real = trellis_module.min_path_costs
