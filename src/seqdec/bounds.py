@@ -381,9 +381,9 @@ def _level_sum(levels, terms) -> float:
     the term of each distinct value, level-major.
 
     From each level on, _binade_levels takes as many levels as it can in
-    one numpy step; the level that stops it, one that would leave the
-    binade or that holds a tie, takes a sequential cumulative sum of its
-    states' terms after the running total.
+    one numpy step; the level that stops it (one that would leave the
+    binade, holds a tie or starts from a zero total) takes a sequential
+    cumulative sum of its states' terms after the running total.
     """
     starts = np.cumsum([0] + [len(vs) for _, vs, _ in levels])  # each level's terms
     counts = np.concatenate([c for _, _, c in levels])

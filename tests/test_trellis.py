@@ -171,12 +171,11 @@ class TestDstarLevels:
         assert trellis.dstar_levels is levels
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_register_rule_reaches_a_prefix_of_states(self, data):
+    @given(conv_codes(max_m=6), st.integers(1, 12))
+    def test_register_rule_reaches_a_prefix_of_states(self, code, L):
         # dstar_levels slices each row to its first 2^min(l, m) states:
         # those are the states present, for L below m too
-        code = data.draw(conv_codes(max_m=6))
-        trellis = build_trellis(code, data.draw(st.integers(1, 12)))
+        trellis = build_trellis(code, L)
         table = compute_dstar(trellis)
         for level in range(trellis.L + 1):
             assert states(trellis, level) == tuple(range(1 << min(level, code.m)))
