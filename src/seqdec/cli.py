@@ -2,8 +2,9 @@
 
 Subcommands: bound-gda, bound-mlsda, simulate-gda, simulate-mlsda,
 atilde, dstar, validate.  Exit codes: 0 success, 1 validation failure,
-2 configuration error or invalid input (NaN/infinite LLR or SNR, or an
-SNR so high that the bound's e^gamma overflows), 141 (128 + SIGPIPE)
+2 configuration error or invalid input (NaN/infinite LLR or SNR, an
+SNR so high that the bound's e^gamma overflows, or a code whose tables
+do not fit in memory, such as a trellis of memory 40), 141 (128 + SIGPIPE)
 when the reader of stdout goes away, as `seqdec ... | head` does.
 """
 
@@ -44,7 +45,8 @@ def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} is not a JSON object")
@@ -250,7 +252,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidSnr, NonFiniteLLR, DomainError) as exc:
+    except (InvalidSnr, NonFiniteLLR, DomainError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

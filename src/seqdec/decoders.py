@@ -47,7 +47,8 @@ count takes one min-plus pass (_mlsda_count).  A row whose result a tie
 at zeta* would leave to insertion order is searched.  decode_batch hands
 a batch of rows to _gda_batch or _mlsda_batch, which settle in numpy
 each row whose search is one straight dive (_straight_dives,
-_first_dives) and count or search the rest; their docstrings say which.
+_first_dives, each row by its own metrics) and count or search the
+rest; their docstrings say which.
 gda_decode decodes one row as a batch of one, which searches first;
 mlsda_decode searches it alone, since for one row a dozen numpy calls
 per level cost more than the dive.
@@ -607,20 +608,18 @@ def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
     the rows whose dive ends at the goal.  A memory-0 search, which never
     dives, takes the same steps one at a time.
 
-    Level by level, with the dive's own rules: f0 and f1 add the branch
-    metrics to the path's, the 1-child is taken only when f1 < f0, and a
-    row stops diving at zeta >= the least sibling of the levels before.
-    A path's metric only grows and that least sibling only falls, so a
-    row that stopped stays stopped, and a test at any level tells whether
-    it has stopped by then.  The pass tests every eighth level and ends,
-    with no row reached, once every row has stopped, or, where the count
-    can take the batch (see _mlsda_batch), once at most an eighth of them
-    still dive: the levels left would then cost more than counting the
-    few rows that might reach the goal.  The next state is the register
-    rule (state << 1) | input bit, masked to m bits (see Trellis)."""
+    Level by level over every level, with the dive's own rules: f0 and f1
+    add the branch metrics to the path's, the 1-child is taken only when
+    f1 < f0, and a row stops diving at zeta >= the least sibling of the
+    levels before.  From level L on the 1-child's metric is inf, so the
+    0-child is taken and the least sibling stays.  A path's metric only
+    grows and that least sibling only falls, so a row that stopped stays
+    stopped, and the test after the last level tells which rows never
+    stopped.  Each row's outcome depends on its own metrics alone.  The
+    next state is the register rule (state << 1) | input bit, masked to m
+    bits (see Trellis)."""
     n_out, L, levels = trellis.code.n_out, trellis.L, trellis.levels
     batch = len(inc)
-    diving = batch // 8 if _count_rows(trellis) else 0  # the most diving rows at an end
     # level-major: metrics[level] holds the 2^n_out metrics of every row in turn
     metrics = inc.reshape(batch, levels, 1 << n_out).transpose(1, 0, 2).reshape(levels, -1)
     offsets = np.tile(np.arange(batch) << n_out, (2, 1))
@@ -629,26 +628,21 @@ def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
     state = np.zeros(batch, dtype=np.int64)
     zeta = np.zeros(batch)
     top = np.full(batch, math.inf)  # the least sibling passed
-    bits = np.zeros((L, batch), dtype=bool)
+    bits = np.zeros((levels, batch), dtype=bool)
     at = np.empty((2, batch), dtype=np.int64)
     for level in range(levels):
-        if level < L:
-            f = metrics[level].take(np.add(outputs.take(state, axis=1), offsets, out=at))
-            f += zeta
-            f0, f1 = f
-            one = np.less(f1, f0, out=bits[level])
-            zeta = np.minimum(f0, f1)
-        else:
-            zeta = zeta + metrics[level].take(np.add(outputs[0].take(state), offsets[0],
-                                                     out=at[0]))
-        if level % 8 == 7 and np.count_nonzero(zeta < top) <= diving:
-            return np.zeros(batch, dtype=bool), zeta, None
+        f = metrics[level].take(np.add(outputs.take(state, axis=1), offsets, out=at))
+        f += zeta
+        if level >= L:
+            f[1] = math.inf
+        f0, f1 = f
+        one = np.less(f1, f0, out=bits[level])
+        zeta = np.minimum(f0, f1)
+        np.minimum(top, np.maximum(f0, f1), out=top)
         state <<= 1
-        if level < L:
-            np.minimum(top, np.maximum(f0, f1), out=top)
-            state |= one
+        state |= one
         state &= mask
-    return zeta < top, zeta, np.packbits(bits, axis=0, bitorder="little")
+    return zeta < top, zeta, np.packbits(bits[:L], axis=0, bitorder="little")
 
 
 COUNT_BLOCK = 1 << 19  # the most entries a table of the trellis count holds
@@ -667,10 +661,11 @@ def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
 
     A row whose first dive reaches the goal (see _first_dives) is settled
     without the search, after L + m extensions of which L branch: None
-    when they exceed the budget.  When at least half the rows are left,
-    and their tables fit (see _count_rows), they are counted (see
-    _mlsda_count); otherwise they are searched: at high SNR the first
-    dives leave too few rows to pay for a pass."""
+    when they exceed the budget.  The rows left are counted (see
+    _mlsda_count) when their tables fit (see _count_rows) and they are at
+    least half the batch; otherwise they are searched: at high SNR the
+    first dives leave too few rows to pay for a pass.  This is the one
+    place that chooses between the count and the search."""
     L, m = trellis.L, trellis.code.m
     reached, zeta, info = _first_dives(trellis, inc)
     left = np.flatnonzero(~reached)

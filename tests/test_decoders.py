@@ -8,6 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdec import decoders
 from seqdec.channel import ChannelConfig, hard_decision, llr, transmit
@@ -325,6 +327,48 @@ class TestGdaCount:
                        for a, b in zip(bm0.tolist(), bm1.tolist())]
 
 
+def low_snr_batch(trellis) -> np.ndarray:
+    """The metric rows of 64 trials of the trellis at 5 dB, seeds 0-63."""
+    return _metric_table(trellis, np.array([conv_trial(trellis, 5.0, seed)[1]
+                                            for seed in range(64)]))
+
+
+def dive_outcomes(trellis, inc) -> list:
+    """Each row's first dive (see decoders._first_dives): (True, its
+    metric's hex, its packed inputs) where it reaches the goal, else
+    (False,)."""
+    reached, zeta, info = decoders._first_dives(trellis, inc)
+    return [(True, float(zeta[i]).hex(), info[:, i].tobytes()) if reached[i] else (False,)
+            for i in range(len(inc))]
+
+
+@st.composite
+def first_dive_batches(draw):
+    """A trellis (memory 0-4, 1-3 outputs, L 1-8), the metric rows of 1-16
+    LLR rows, and a random split of them.  Each row is a random codeword's
+    signs with up to two flips, times magnitudes in [0, 6], so that many
+    first dives reach the goal, or integers in [-2, 2], whose ties stop
+    them."""
+    m, n_out = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    tap = st.tuples(*[st.integers(0, 1)] * (m + 1))
+    taps = draw(st.tuples(*[tap] * n_out).filter(lambda t: any(v[0] for v in t)))
+    trellis = build_trellis(ConvCode(n_out=n_out, m=m, taps=taps), draw(st.integers(1, 8)))
+    N = n_out * trellis.levels
+    rows = []
+    for _ in range(draw(st.integers(1, 16))):
+        if draw(st.booleans()):
+            info = draw(st.lists(st.integers(0, 1), min_size=trellis.L, max_size=trellis.L))
+            signs = 1.0 - 2.0 * encode_conv(trellis.code, info)
+            signs[draw(st.lists(st.integers(0, N - 1), max_size=2))] *= -1.0
+            rows.append(signs * np.array(draw(st.lists(st.floats(0.0, 6.0),
+                                                       min_size=N, max_size=N))))
+        else:
+            rows.append(np.array(draw(st.lists(st.integers(-2, 2), min_size=N, max_size=N)),
+                                 dtype=float))
+    part = np.array(draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))))
+    return trellis, _metric_table(trellis, np.array(rows)), part
+
+
 class TestMlsdaCount:
     # the (2,1,2) code with generators 7, 5 at L = 4 and four rows for it:
     # three nodes off the winner's path at zeta*; tied branches into a node
@@ -344,16 +388,35 @@ class TestMlsdaCount:
         assert got == [decoders._mlsda_search(self.TRELLIS, row.tolist(), None) for row in inc]
 
     def test_low_snr_batch_is_counted(self, conv_634_564):
-        # at 5 dB most first dives stop within eight levels, so the pass ends
-        # there and the count takes the whole batch, searching no row
+        # at 5 dB few first dives reach the goal (2 of these 64), so the
+        # count takes the rows left, searching no row
         trellis = build_trellis(conv_634_564, 100)
-        inc = _metric_table(trellis, np.array([conv_trial(trellis, 5.0, seed)[1]
-                                               for seed in range(64)]))
-        assert decoders._first_dives(trellis, inc)[2] is None
+        inc = low_snr_batch(trellis)
+        assert np.count_nonzero(decoders._first_dives(trellis, inc)[0]) == 2
         with mock.patch.object(decoders, "_mlsda_search", wraps=decoders._mlsda_search) as spy:
             got = decoders._mlsda_batch(trellis, inc, None)
         assert spy.call_count == 0
         assert got == [decoders._mlsda_search(trellis, row.tolist(), None) for row in inc]
+
+    def test_first_dive_depends_on_its_row_alone(self, conv_634_564):
+        # the 5 dB batch: each row's first dive, run with the other 63 rows,
+        # reaches the goal exactly where it does alone, with the same metric
+        # and inputs
+        trellis = build_trellis(conv_634_564, 100)
+        inc = low_snr_batch(trellis)
+        assert dive_outcomes(trellis, inc) == [dive_outcomes(trellis, row[None])[0]
+                                               for row in inc]
+
+    @settings(max_examples=100, deadline=None)
+    @given(first_dive_batches())
+    def test_first_dives_split_at_random(self, batch):
+        # each row's first dive is the same in the whole batch, in either
+        # part of a random split and alone
+        trellis, inc, part = batch
+        want = dive_outcomes(trellis, inc)
+        for rows in (part, ~part):
+            assert dive_outcomes(trellis, inc[rows]) == [w for w, r in zip(want, rows) if r]
+        assert want == [dive_outcomes(trellis, row[None])[0] for row in inc]
 
     def test_memory_zero_first_dives_settle_the_batch(self):
         # a memory-0 search never dives, but takes the first dive's steps one

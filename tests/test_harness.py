@@ -905,6 +905,10 @@ class TestCli:
         (["bound-gda", "--config", "{block-named}", "--snr", "1"], "config"),
         # -m is read only with --octal
         (["dstar", "--config", "{conv}", "-m", "3"], "config"),
+        # a config that is not UTF-8, or nested too deep to decode, is a
+        # config error, not a traceback
+        (["bound-gda", "--config", "{not-utf8}", "--snr", "1"], "config"),
+        (["atilde", "--config", "{deep}"], "config"),
     ])
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, kind):
         configs = {
@@ -941,14 +945,37 @@ class TestCli:
                                                "generator_rows": []}},
             "{block-named}": {**BLOCK_CFG, "code": {"type": "block", "name": "qr48"}},
         }
+        files = {key: json.dumps(raw).encode() for key, raw in configs.items()}
+        files.update({"{not-utf8}": b'\xff\xfe{"curves": []}',
+                      "{deep}": b"[" * 100_000 + b"]" * 100_000})
         paths = {"{conv}": str(_write_cfg(tmp_path)), "{no-dir}": str(tmp_path / "no" / "x.csv")}
-        for key, raw in configs.items():
+        for key, data in files.items():
             path = tmp_path / f"{key[1:-1]}.json"
-            path.write_text(json.dumps(raw))
+            path.write_bytes(data)
             paths[key] = str(path)
         rc = cli.main([paths.get(a, a) for a in argv])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"{kind} error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["dstar", "--octal", "7,5", "-m", "40", "-L", "5"],
+        ["bound-mlsda", "--config", "{m40}", "--snr", "1"],
+        ["simulate-mlsda", "--config", "{m40}", "--snr", "1", "--trials", "1"],
+    ])
+    def test_out_of_memory_exit_code(self, capsys, monkeypatch, tmp_path, argv):
+        # a memory-40 trellis asks numpy for terabytes; the build is patched
+        # to fail as such a request does, so that no test asks for them
+        def no_memory(code, L):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "build_trellis", no_memory)
+        monkeypatch.setattr(harness, "build_trellis", no_memory)
+        harness._built_target.cache_clear()
+        path = tmp_path / "m40.json"
+        path.write_text(json.dumps({**CONV_CFG, "code": {"type": "conv", "m": 40,
+                                                         "octal": ["7", "5"]}}))
+        assert cli.main([str(path) if a == "{m40}" else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
     def test_validate_passes(self, capsys, monkeypatch, validation_run):
         results, _ = validation_run
