@@ -493,10 +493,15 @@ def dstar_by_enumeration(code: ConvCode, L: int) -> np.ndarray:
 
 
 def check_dstar_oracle() -> CheckResult:
-    """DP table against exhaustive input enumeration on a small trellis."""
-    trellis = build_trellis(parse_octal_generators(["6", "5", "7"], m=2), L=6)
-    mismatches = int((compute_dstar(trellis)
-                      != dstar_by_enumeration(trellis.code, trellis.L)).sum())
+    """DP table against exhaustive input enumeration on two small
+    trellises.  The 6/5/7 code at L = 6 passes through the pass's stop:
+    its d* row at level 3 repeats the row at level 2.  The 634/564 code at
+    L = 4 (16 inputs) has L < m, so its tail levels reach the states of
+    the L < m rule (see the trellis module docstring)."""
+    mismatches = 0
+    for octal, m, L in ((["6", "5", "7"], 2, 6), (["634", "564"], 6, 4)):
+        trellis = build_trellis(parse_octal_generators(octal, m=m), L)
+        mismatches += int((compute_dstar(trellis) != dstar_by_enumeration(trellis.code, L)).sum())
     return _check("dstar-oracle", mismatches == 0, f"{mismatches} mismatching entries")
 
 

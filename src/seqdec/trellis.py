@@ -1,6 +1,18 @@
 """Trellis construction for convolutional codes, held as one transition
 table of branch outputs, and the one min-plus pass over it (d* and the
 Viterbi path metrics).
+
+Paths start in state 0 and take input 0 from level L on, so by the
+register rule level l holds exactly the multiples of 2^j below
+2^min(l, m), j = max(0, l - L): the states below 2^l at a head level
+l < m, all S states from m to L, and the multiples of 2^j at tail level
+L + j.  min_path_costs computes only those.
+
+d* rows never grow below L (input 0 keeps state 0 at weight 0, so a path
+into (l, s) led by one such step enters (l + 1, s) at the same weight),
+so they settle: from level 10 for the 634/564 code and level 40 for
+fig7's memory-16 code every row up to L repeats the one before, and the
+pass stops there (see min_path_costs).
 """
 
 import math
@@ -53,16 +65,19 @@ class Trellis:
     def dstar(self) -> np.ndarray:
         """Minimum Hamming weight over all paths into each (level, state),
         read-only: min_path_costs on the output weights, ABSENT for nodes
-        no path enters.
+        no path enters.  Only the head levels up to min(m, L) and the
+        levels past L hold such nodes, so only they are searched for the
+        sentinel n + 1.
 
         The table is int32, which holds every path weight (at most the
-        codeword length n) and every sum on an unreached node (less than
-        twice the sentinel n + 1) alike."""
+        codeword length n) and the sentinel alike: the pass adds branch
+        weights only to the entries of reached nodes."""
         big = self.n + 1
         weight = np.bitwise_count(np.arange(1 << self.code.n_out)).astype(np.int32)
         table = min_path_costs(self, np.broadcast_to(weight, (self.levels, 1, weight.size)),
                                big)[:, 0]
-        table[table >= big] = ABSENT
+        for part in (table[:min(self.code.m, self.L) + 1], table[self.L + 1:]):
+            part[part == big] = ABSENT
         table.flags.writeable = False
         return table
 
@@ -74,13 +89,19 @@ class Trellis:
         ascending order and counts how many states of row hold each of
         them.  By the register rule, the l inputs from state 0 reach
         exactly the states below 2^min(l, m) for l <= L, so row is a view
-        of the first 2^min(l, m) entries of the dstar row."""
+        of the first 2^min(l, m) entries of the dstar row.  A row equal
+        to the one before it (every row past d*'s fixed point, see
+        min_path_costs) shares that level's distinct and counts."""
         levels = []
         for l, row in enumerate(self.dstar[:self.L]):
             row = row[:1 << min(l, self.code.m)]
-            counts = np.bincount(row)
-            distinct = np.flatnonzero(counts)
-            levels.append((row, distinct, counts[distinct]))
+            if levels and np.array_equal(row, levels[-1][0]):
+                distinct, counts = levels[-1][1:]
+            else:
+                counts = np.bincount(row)
+                distinct = np.flatnonzero(counts)
+                counts = counts[distinct]
+            levels.append((row, distinct, counts))
         return levels
 
 
@@ -107,30 +128,55 @@ def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached, out=None) -> 
     2^n_out], level-major: an unbatched call is a batch of R = 1).  Each
     level adds every branch's cost to its source's entry: the branch from
     state s on input b is the register r = 2s + b (see build_trellis),
-    which enters state r mod S, so the first S registers hold one branch
-    into each state and the last S the other, and each state keeps the
-    lesser; input-1 branches are blocked from level L on.  The result
-    [levels + 1, R, S] is at least `unreached` (above every path cost)
-    where no path passes.  It is written into out where one is given (a
-    C-contiguous array of that shape and costs' dtype), so that a caller
-    making many passes fills one table rather than faulting in a new one
-    each time."""
-    nst = trellis.num_states
+    which enters state r mod S, so registers r and r + S are the two
+    branches into state r and each state keeps the lesser; input-1
+    branches are blocked from level L on.  The result [levels + 1, R, S]
+    is at least `unreached` (above every path cost) where no path passes.
+    It is written into out where one is given (a C-contiguous array of
+    that shape and costs' dtype), so that a caller making many passes
+    fills one table rather than faulting in a new one each time.
+
+    Each level computes only the states that paths reach (see the module
+    docstring), from the registers that leave reached states: below
+    level m only register r enters state r (the source of r + S is not
+    yet reached), and from level L on only even registers do.  Every
+    other entry is written `unreached`, and no sum on one is formed.
+
+    Where costs repeats one row at every level (a zero stride on its
+    level axis, as Trellis.dstar's broadcast weights have), every level
+    below L maps its row to the next by the same function, so once a
+    full-width row (level >= m) equals the one before it, every row up
+    to L equals it too: the pass copies it there and goes on from L."""
+    nst, m, L = trellis.num_states, trellis.code.m, trellis.L
     src = np.arange(2 * nst, dtype=np.intp) >> 1  # np.take indexes by intp
     patterns = trellis.outputs.T.ravel().astype(np.intp)  # by register 2s + b
     table = (np.empty((trellis.levels + 1, costs.shape[1], nst), dtype=costs.dtype)
              if out is None else out)
-    table[0] = unreached  # each later level is written whole below
+    table[0] = unreached
     table[0, :, 0] = 0
     # fancy indexing gathers short rows faster than np.take, long ones slower
     gather = (lambda a, idx: a[:, idx]) if nst <= 256 else partial(np.take, axis=1)
-    for level in range(trellis.levels):
-        cand = gather(table[level], src)  # [R, 2S]
-        cand += gather(costs[level], patterns)
-        if level >= trellis.L:
-            cand[:, 1::2] = unreached
-        pairs = cand.reshape(-1, 2, nst)
-        np.minimum(pairs[:, 0], pairs[:, 1], out=table[level + 1])
+    repeats = costs.strides[0] == 0
+    level = 0
+    while level < trellis.levels:
+        # the registers into the states of level + 1: multiples of 2^j,
+        # below 2^(level + 1) in the head and 2S past it
+        step = 1 << max(0, level + 1 - L)
+        regs = slice(0, 2 << min(level, m), step)
+        cand = gather(table[level], src[regs])
+        cand += gather(costs[level], patterns[regs])
+        row = table[level + 1]
+        if step > 1 or level + 1 < m:
+            row[...] = unreached
+        if level < m:
+            row[:, regs] = cand
+        else:
+            pairs = cand.reshape(len(cand), 2, -1)
+            np.minimum(pairs[:, 0], pairs[:, 1], out=row[:, ::step])
+        level += 1
+        if repeats and m < level < L and np.array_equal(row, table[level - 1]):
+            table[level + 1:L + 1] = row
+            level = L
     return table
 
 

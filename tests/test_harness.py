@@ -482,13 +482,19 @@ class TestValidationSuite:
         results, _ = validation_run
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
-    def test_dstar_fault_injection(self, fig_trellis_code, monkeypatch):
-        # the check's own trellis: the (3,1,2) code at L = 6
-        table = compute_dstar(build_trellis(fig_trellis_code, 6)).copy()  # cached: read-only
-        table[3, 2] += 1  # corrupt one entry
-        monkeypatch.setattr(harness, "compute_dstar", lambda t: table)
-        result = check_dstar_oracle()
-        assert not result.passed
+    def test_dstar_fault_injection(self, monkeypatch):
+        # one corrupt entry in either of the check's own trellises, the
+        # (3,1,2) code at L = 6 and the (2,1,6) code at L = 4, fails it
+        for memory in (2, 6):
+            def corrupted(trellis, memory=memory):
+                table = compute_dstar(trellis)
+                if trellis.code.m == memory:
+                    table = table.copy()  # cached: read-only
+                    table[3, 2] += 1
+                return table
+
+            monkeypatch.setattr(harness, "compute_dstar", corrupted)
+            assert not check_dstar_oracle().passed
 
 
 class TestExtensionEventHits:

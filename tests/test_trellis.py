@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seqdec import trellis as trellis_module
 from seqdec.codes import ConvCode, encode_conv
 from seqdec.harness import dstar_by_enumeration, extension_event_hits
-from seqdec.trellis import ABSENT, build_trellis, compute_dstar
+from seqdec.trellis import ABSENT, build_trellis, compute_dstar, min_path_costs
 
 
 def states(trellis, level):
@@ -156,6 +156,55 @@ class TestComputeDstar:
                 assert table[level + 1, ns] == min(cands)
 
 
+def full_width_min_path_costs(trellis, costs, unreached):
+    """The min-plus pass over all 2S registers of every level, input-1
+    branches blocked from level L on, with no stop; sums on unreached
+    entries are clamped to unreached."""
+    nst = trellis.num_states
+    src = np.arange(2 * nst) >> 1
+    patterns = trellis.outputs.T.ravel()
+    table = np.empty((trellis.levels + 1, costs.shape[1], nst), dtype=costs.dtype)
+    table[0] = unreached
+    table[0, :, 0] = 0
+    for level in range(trellis.levels):
+        cand = table[level][:, src] + costs[level][:, patterns]
+        if level >= trellis.L:
+            cand[:, 1::2] = unreached
+        np.minimum(cand[:, :nst], cand[:, nst:], out=table[level + 1])
+        np.minimum(table[level + 1], unreached, out=table[level + 1])
+    return table
+
+
+@settings(max_examples=80, deadline=None)
+@given(conv_codes(max_m=6), st.integers(1, 14), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_repeating_costs_stop_exactly(code, L, rows, weights, seed):
+    # the same costs at every level: as a zero-stride broadcast the pass may
+    # stop at a repeated row, as a materialized copy it may not; both equal
+    # the full-width pass, for L below m and past the fixed point alike
+    trellis = build_trellis(code, L)
+    width = 1 << code.n_out
+    if weights:
+        per_row = np.broadcast_to(np.bitwise_count(np.arange(width)).astype(np.int32),
+                                  (rows, width))
+        unreached = trellis.n + 1
+    else:
+        per_row = np.random.default_rng(seed).uniform(-1.0, 3.0, (rows, width))
+        unreached = np.inf
+    broadcast = np.broadcast_to(per_row, (trellis.levels, rows, width))
+    copied = np.ascontiguousarray(broadcast)
+    assert broadcast.strides[0] == 0 and (copied.strides[0] != 0 or trellis.levels == 1)
+    expected = full_width_min_path_costs(trellis, copied, unreached)
+    assert np.array_equal(min_path_costs(trellis, broadcast, unreached), expected)
+    assert np.array_equal(min_path_costs(trellis, copied, unreached), expected)
+    # costs that change at level L - 1 alone: rows may repeat before it, but
+    # the pass may not stop
+    changed = copied.copy()
+    changed[L - 1] += 1
+    assert np.array_equal(min_path_costs(trellis, changed, unreached),
+                          full_width_min_path_costs(trellis, changed, unreached))
+
+
 class TestDstarLevels:
     def test_rows_and_distinct_values(self, conv_634_564):
         trellis = build_trellis(conv_634_564, 12)
@@ -169,6 +218,24 @@ class TestDstarLevels:
             assert counts.tolist() == [row.tolist().count(v) for v in distinct.tolist()]
             assert np.shares_memory(row, table)  # a view, never a copy
         assert trellis.dstar_levels is levels
+
+    @pytest.mark.parametrize("name, first", [("conv_634_564", 10), ("conv_m16", 40)])
+    def test_rows_past_the_fixed_point_share_their_counts(self, request, name, first):
+        # d* rows stop changing at level 10 for 634/564 and at level 40 for
+        # the memory-16 taps; from there each level shares the distinct and
+        # counts of the level before, and every row is still a table view
+        trellis = build_trellis(request.getfixturevalue(name), 100)
+        table = compute_dstar(trellis)
+        repeats = [np.array_equal(table[level], table[level - 1])
+                   for level in range(1, trellis.L + 1)]
+        assert repeats == [level >= first for level in range(1, trellis.L + 1)]
+        levels = trellis.dstar_levels
+        for level in range(1, trellis.L):
+            row, distinct, counts = levels[level]
+            _, before_distinct, before_counts = levels[level - 1]
+            assert (distinct is before_distinct) == (level >= first)
+            assert (counts is before_counts) == (level >= first)
+            assert np.shares_memory(row, table)
 
     @settings(max_examples=60, deadline=None)
     @given(conv_codes(max_m=6), st.integers(1, 12))
