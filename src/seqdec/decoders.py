@@ -48,7 +48,15 @@ at zeta* would leave to insertion order is searched.  decode_batch hands
 a batch of rows to _gda_batch or _mlsda_batch, which settle in numpy
 each row whose search is one straight dive (_straight_dives,
 _first_dives, each row by its own metrics) and count or search the
-rest; their docstrings say which.
+rest; their docstrings say which.  A trellis row that its first dive
+leaves, and that no count takes, can still be settled by a walk from
+that dive (_dive_walks) over the nodes off the dive's path whose
+Viterbi metric lies at or below the dive's metric T.  The walk is exact
+when no such node's branch re-enters the path at or below the path's
+own metric there, so that the dive's path wins with zeta* = T, and none
+lies at exactly T, so that the search extends just the path and the
+nodes below T; it declines every other row, and any with more than
+L + m such nodes, to the search.
 gda_decode decodes one row as a batch of one, which searches first;
 mlsda_decode searches it alone, since for one row a dozen numpy calls
 per level cost more than the dive.
@@ -663,24 +671,132 @@ def _mlsda_batch(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     without the search, after L + m extensions of which L branch: None
     when they exceed the budget.  The rows left are counted (see
     _mlsda_count) when their tables fit (see _count_rows) and they are at
-    least half the batch; otherwise they are searched: at high SNR the
-    first dives leave too few rows to pay for a pass.  This is the one
-    place that chooses between the count and the search."""
+    least half the batch: at high SNR the first dives leave too few rows
+    to pay for a pass.  Otherwise, with memory m >= 1, each is walked
+    from its first dive (see _dive_walks): a row whose dive path wins,
+    by the walk's exact rule, is settled as one that reached the goal
+    plus the off-path nodes the walk found, and every other row is
+    searched.  This is the one place that chooses between the count, the
+    walk and the search."""
     L, m = trellis.L, trellis.code.m
     reached, zeta, info = _first_dives(trellis, inc)
     left = np.flatnonzero(~reached)
-    if _count_rows(trellis) and 2 * len(left) >= len(inc):
-        settled = _mlsda_count(trellis, inc[left], extension_limit)
-    else:
-        settled = [_or_none(_mlsda_search, trellis, inc[i].tolist(), extension_limit)
-                   for i in left]
+    # row -> the off-path nodes its search extends, below level L and from L on
+    off = dict.fromkeys(np.flatnonzero(reached).tolist(), (0, 0))
     results = [None] * len(inc)
-    for i, result in zip(left.tolist(), settled):
-        results[i] = result
-    for i in np.flatnonzero(reached).tolist():
-        results[i] = _result(L, L + m, float(zeta[i]),
+    if _count_rows(trellis) and 2 * len(left) >= len(inc):
+        for i, result in zip(left.tolist(), _mlsda_count(trellis, inc[left], extension_limit)):
+            results[i] = result
+    else:
+        walks = (_dive_walks(trellis, inc[left], zeta[left], info[:, left]) if m and len(left)
+                 else [None] * len(left))
+        for i, walk in zip(left.tolist(), walks):
+            if walk is None:
+                results[i] = _or_none(_mlsda_search, trellis, inc[i].tolist(), extension_limit)
+            else:
+                off[i] = walk
+    for i, (low, tail) in off.items():
+        results[i] = _result(L + low, L + m + low + tail, float(zeta[i]),
                              int.from_bytes(info[:, i].tobytes(), "little"), extension_limit)
     return results
+
+
+def _dive_walks(trellis: Trellis, inc: np.ndarray, zeta: np.ndarray, info: np.ndarray) -> list:
+    """For each metric row of inc [R, levels << n_out] of a code with
+    memory m >= 1, with its first dive's metric zeta [R] and packed input
+    bits info [ceil(L / 8), R] (see _first_dives): (the off-path nodes the
+    search extends below level L, those from level L on) where the walk
+    settles the row, else None.
+
+    The dive path pi (its states, its prefix metrics by the search's
+    sequential adds, and its siblings) is built in numpy for all rows at
+    once; then each row's walk (_walk) goes level by level over the nodes
+    off pi whose Viterbi metric V lies at or below T = zeta >= zeta*,
+    starting from pi's siblings there.  Float adds of nonnegative metrics
+    never fall, so every node on a least path into such a node lies at
+    or below T too, and the walk's least arrival at a node is its V.
+
+    Where no off-path arrival at a node of pi is at or below pi's prefix
+    there, every node of pi keeps its pi path, so pi wins and zeta* = T;
+    where besides no off-path node has V == T, the search extends pi's
+    nodes below the goal and exactly the off-path nodes with V < T (see
+    _mlsda_count).  The walk declines a row that breaks either rule, or
+    that holds more than L + m off-path nodes at or below T, the dive's
+    own length."""
+    n_out, m, L, levels = trellis.code.n_out, trellis.code.m, trellis.L, trellis.levels
+    rows, mask = len(inc), trellis.num_states - 1
+    bits = np.zeros((levels, rows), dtype=np.intp)
+    bits[:L] = np.unpackbits(info, axis=0, count=L, bitorder="little")
+    # pi's state at each level: by the register rule, bit i is the input
+    # i + 1 levels back, gathered over windows that double
+    states = np.zeros((levels + 1, rows), dtype=np.intp)
+    states[1:] = bits
+    width = 1
+    while width < m:
+        states[width:] |= states[:-width] << width
+        width *= 2
+    states &= mask
+    here, flat = states[:levels], inc.ravel()
+    at = (np.arange(levels) << n_out)[:, None] + np.arange(rows) * (levels << n_out)
+    prefix = np.zeros((levels + 1, rows))
+    np.cumsum(flat.take(at + trellis.outputs[bits, here]), axis=0, out=prefix[1:])
+    flipped = 1 - bits[:L]
+    siblings = prefix[:L] + flat.take(at[:L] + trellis.outputs[flipped, here[:L]])
+    sibling_states = ((here[:L] << 1) | flipped) & mask
+    # pi's siblings at or below T, ascending by row and, within one, by level
+    row_at, level_at = np.nonzero((siblings <= zeta).T)
+    found = list(zip((level_at + 1).tolist(), sibling_states[level_at, row_at].tolist(),
+                     siblings[level_at, row_at].tolist()))
+    starts = np.searchsorted(row_at, np.arange(rows + 1)).tolist()
+    return [_walk(trellis, inc, states, prefix, r, T, found[starts[r]:starts[r + 1]])
+            for r, T in enumerate(zeta.tolist())]
+
+
+def _walk(trellis: Trellis, inc: np.ndarray, path: np.ndarray, prefix: np.ndarray, r: int,
+          T: float, siblings: list) -> tuple | None:
+    """_dive_walks' walk on row r of its arrays: the metric rows inc [R,
+    levels << n_out], the dive path's states path and prefix metrics
+    prefix [levels + 1, R], its metric T and its siblings at or below T as
+    (level, state, metric), ascending by level.  Returns (off-path nodes
+    below level L, from L on) at V <= T, or None where it declines the
+    row: it declines at once when the nodes it has counted and the
+    siblings still ahead, each a node of its own level, pass L + m.  It
+    reads the arrays one entry at a time (ndarray.item), since a row
+    walks only a few levels."""
+    branches = tuple(enumerate(trellis.output_lists))  # (input bit, its outputs by state)
+    n_out, L, levels, mask = trellis.code.n_out, trellis.L, trellis.levels, trellis.num_states - 1
+    metric, inf = inc.item, math.inf
+    low = nodes = 0
+    ahead = len(siblings)  # siblings past level, each an off-path node of its own level
+    level, frontier = 0, {}  # the off-path nodes at level with V <= T, by state
+    for sibling_level, state, v in siblings + [(levels, 0, inf)]:
+        while frontier and level < sibling_level:
+            if T in frontier.values():
+                return None
+            nodes += len(frontier)
+            if nodes + ahead > levels:
+                return None
+            row, inputs = level << n_out, branches if level < L else branches[:1]
+            pi_state, pi_metric = path.item(level + 1, r), prefix.item(level + 1, r)
+            after = {}
+            for s, f in frontier.items():
+                reg = (s << 1) & mask
+                for b, out in inputs:
+                    ns = reg | b
+                    w = f + metric(r, row + out[s])
+                    if ns == pi_state:
+                        if w <= pi_metric:
+                            return None
+                    elif w <= T and not w >= after.get(ns, inf):
+                        after[ns] = w
+            if level < L:
+                low += len(frontier)
+            frontier = after
+            level += 1
+        level, ahead = sibling_level, ahead - 1
+        if not v >= frontier.get(state, inf):
+            frontier[state] = v
+    return low, nodes - low
 
 
 def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:

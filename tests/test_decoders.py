@@ -342,31 +342,43 @@ def dive_outcomes(trellis, inc) -> list:
             for i in range(len(inc))]
 
 
-@st.composite
-def first_dive_batches(draw):
-    """A trellis (memory 0-4, 1-3 outputs, L 1-8), the metric rows of 1-16
-    LLR rows, and a random split of them.  Each row is a random codeword's
-    signs with up to two flips, times magnitudes in [0, 6], so that many
-    first dives reach the goal, or integers in [-2, 2], whose ties stop
-    them."""
-    m, n_out = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+def small_trellis(draw, memory: tuple, length: tuple):
+    """A trellis of a random code with memory in memory's range, 1-3
+    outputs and L in length's range."""
+    m, n_out = draw(st.integers(*memory)), draw(st.integers(1, 3))
     tap = st.tuples(*[st.integers(0, 1)] * (m + 1))
     taps = draw(st.tuples(*[tap] * n_out).filter(lambda t: any(v[0] for v in t)))
-    trellis = build_trellis(ConvCode(n_out=n_out, m=m, taps=taps), draw(st.integers(1, 8)))
-    N = n_out * trellis.levels
-    rows = []
-    for _ in range(draw(st.integers(1, 16))):
+    return build_trellis(ConvCode(n_out=n_out, m=m, taps=taps), draw(st.integers(*length)))
+
+
+def dive_prone_rows(draw, trellis, rows: int, flips: int) -> np.ndarray:
+    """rows LLR rows of the trellis.  Each is a random codeword's signs
+    with up to flips flips, times magnitudes in [0, 6], so that many first
+    dives reach the goal, or integers in [-2, 2], whose ties stop them."""
+    N = trellis.n
+    out = []
+    for _ in range(rows):
         if draw(st.booleans()):
             info = draw(st.lists(st.integers(0, 1), min_size=trellis.L, max_size=trellis.L))
             signs = 1.0 - 2.0 * encode_conv(trellis.code, info)
-            signs[draw(st.lists(st.integers(0, N - 1), max_size=2))] *= -1.0
-            rows.append(signs * np.array(draw(st.lists(st.floats(0.0, 6.0),
-                                                       min_size=N, max_size=N))))
+            signs[draw(st.lists(st.integers(0, N - 1), max_size=flips))] *= -1.0
+            out.append(signs * np.array(draw(st.lists(st.floats(0.0, 6.0),
+                                                      min_size=N, max_size=N))))
         else:
-            rows.append(np.array(draw(st.lists(st.integers(-2, 2), min_size=N, max_size=N)),
-                                 dtype=float))
-    part = np.array(draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))))
-    return trellis, _metric_table(trellis, np.array(rows)), part
+            out.append(np.array(draw(st.lists(st.integers(-2, 2), min_size=N, max_size=N)),
+                                dtype=float))
+    return np.array(out)
+
+
+@st.composite
+def first_dive_batches(draw):
+    """A trellis (memory 0-4, 1-3 outputs, L 1-8), the metric rows of 1-16
+    dive-prone LLR rows (up to two flips, see dive_prone_rows), and a
+    random split of them."""
+    trellis = small_trellis(draw, (0, 4), (1, 8))
+    phi = dive_prone_rows(draw, trellis, draw(st.integers(1, 16)), 2)
+    part = np.array(draw(st.lists(st.booleans(), min_size=len(phi), max_size=len(phi))))
+    return trellis, _metric_table(trellis, phi), part
 
 
 class TestMlsdaCount:
@@ -436,6 +448,103 @@ class TestMlsdaCount:
         # not, so that code keeps the search
         assert decoders._count_rows(build_trellis(conv_634_564, 100)) >= 64
         assert decoders._count_rows(build_trellis(conv_m16, 100)) == 0
+
+
+@st.composite
+def walk_batches(draw):
+    """A trellis (memory 1-4, 1-3 outputs, L 1-14), the metric rows of 1-6
+    dive-prone LLR rows (up to three flips, see dive_prone_rows) and an
+    extension budget: 5, 50, one short of a straight dive to the goal
+    (L + m extensions), exactly that, or none."""
+    trellis = small_trellis(draw, (1, 4), (1, 14))
+    phi = dive_prone_rows(draw, trellis, draw(st.integers(1, 6)), 3)
+    limit = draw(st.sampled_from([5, 50, trellis.levels - 1, trellis.levels, None]))
+    return trellis, _metric_table(trellis, phi), limit
+
+
+def walked_rows(trellis, inc, limit) -> list:
+    """_mlsda_batch with no count, so that every row its first dive leaves
+    is walked (see decoders._dive_walks) and, where the walk declines it,
+    searched."""
+    with mock.patch.object(decoders, "_count_rows", lambda trellis: 0):
+        return decoders._mlsda_batch(trellis, inc, limit)
+
+
+def searched(trellis, row, limit):
+    """_mlsda_search's result on one metric row, None where it overflows."""
+    return decoders._or_none(decoders._mlsda_search, trellis, row.tolist(), limit)
+
+
+class TestDiveWalk:
+    TRELLIS = TestMlsdaCount.TRELLIS  # the (2,1,2) code 7, 5 at L = 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_batches())
+    def test_walk_matches_search(self, batch):
+        # every row's counts, the metric's bits and the information bits
+        # are those of the search on the row alone, and the row overflows
+        # exactly when the search does
+        trellis, inc, limit = batch
+        for g, w in zip(walked_rows(trellis, inc, limit),
+                        [searched(trellis, row, limit) for row in inc], strict=True):
+            if w is None:
+                assert g is None
+            else:
+                assert g is not None
+                assert (*g[:3], g[3].hex(), g[4]) == (*w[:3], w[3].hex(), w[4])
+                assert type(g[3]) is float and type(g[4]) is int
+
+    @pytest.mark.parametrize("phi, walk, want", [
+        # the dive's children tie at level 1, so it stops on its sibling at
+        # metric 1 and does not reach the goal, though it goes on along the
+        # all-zero path to T = 2; that sibling is the one off-path node at
+        # or below T, so the search takes L + m + 1 extensions, one more
+        # of them branching
+        ([2, 2, -1, 1, 2, 2, 1, 1, 1, 1, -1, 1], (1, 0), (10, 12, 7, 2.0, 0)),
+        # two off-path arrivals meet at one node, the later one lower: the
+        # node's V is the lower; keeping the first would put a node at
+        # exactly T and decline the row
+        ([-3, -3, -2, 1, -2, 3, 2, 1, 1, -1, 2, -2], (3, 3), (14, 19, 12, 5.0, 13)),
+        # a sibling lands below an off-path arrival at the same node, which
+        # the walk reached first: the node's V is the sibling's; keeping the
+        # arrival would put a node at exactly T and decline the row
+        ([3, -2, 1, 3, -1, 2, 1, -1, 1, -1, 1, 3], (3, 3), (14, 19, 12, 5.0, 0)),
+    ])
+    def test_walk_settles_a_left_row(self, phi, walk, want):
+        # the walk settles the row with no search: L + m extensions, L of
+        # them branching, plus the off-path nodes below T it counted
+        inc = _metric_table(self.TRELLIS, np.array([phi], dtype=float))
+        reached, zeta, info = decoders._first_dives(self.TRELLIS, inc)
+        assert not reached[0] and zeta[0] == want[3]
+        assert decoders._dive_walks(self.TRELLIS, inc, zeta, info) == [walk]
+        with mock.patch.object(decoders, "_mlsda_search", wraps=decoders._mlsda_search) as spy:
+            got = walked_rows(self.TRELLIS, inc, None)
+        assert spy.call_count == 0
+        assert got == [want] == [searched(self.TRELLIS, inc[0], None)]
+
+    @pytest.mark.parametrize("phi, want", [
+        # an excursion re-enters the dive's path below its prefix: the
+        # search wins at 5 on inputs 1, 0, 0, 0, not at the dive's T = 6
+        ([1, -1, -1, 1, -1, 1, -1, 1, 2, 1, -2, 1], (22, 28, 17, 5.0, 1)),
+        # one re-enters it at the goal at exactly T = 3 and comes first:
+        # the search keeps it, inputs 0, 0, 1, 1, not the dive's 0, 0, 1, 0
+        ([2, 2, 2, 2, -1, -1, 1, 1, 1, -2, 2, -1], (10, 15, 10, 3.0, 12)),
+        # the dive's path wins at T = 2, but a sibling lies at exactly T,
+        # and the search reaches the goal without extending it
+        ([1, 1, -1, -1, -1, -1, -1, -1, 1, 2, -1, 2], (14, 18, 11, 2.0, 2)),
+        # the dive's path wins at T = 4, but 10 off-path nodes lie below
+        # it, past the L + m = 6 the walk visits
+        ([1, 2, -1, 1, 2, 1, 1, 1, 1, -1, -2, 2], (20, 26, 16, 4.0, 0)),
+    ])
+    def test_walk_declines_to_the_search(self, phi, want):
+        inc = _metric_table(self.TRELLIS, np.array([phi], dtype=float))
+        reached, zeta, info = decoders._first_dives(self.TRELLIS, inc)
+        assert not reached[0]
+        assert decoders._dive_walks(self.TRELLIS, inc, zeta, info) == [None]
+        with mock.patch.object(decoders, "_mlsda_search", wraps=decoders._mlsda_search) as spy:
+            got = walked_rows(self.TRELLIS, inc, None)
+        assert spy.call_count == 1
+        assert got == [want] == [searched(self.TRELLIS, inc[0], None)]
 
 
 def elementwise_metric_table(trellis, phi) -> np.ndarray:
