@@ -576,6 +576,50 @@ class TestMetricTable:
                                   elementwise_metric_table(trellis, phi).view(np.int64))
 
 
+def osd_records(code, db, trials) -> list:
+    """_osd_bound's (U as float.hex, word) on each row of trials 0..trials-1
+    at seed 1, as the simulation's trial_llrs builds them."""
+    _, bm0, bm1 = _gda_tables(trial_llrs(code, db, 1, range(trials)))
+    bound, words = decoders._osd_bound(code, bm0, bm1)
+    return [[u.hex(), w] for u, w in zip(bound.tolist(), words.tolist())]
+
+
+def table_digest(trellis, db, trials) -> str:
+    """sha256 of the shape and bytes of _metric_table on trials 0..trials-1
+    at seed 1."""
+    table = _metric_table(trellis, trial_llrs(trellis, db, 1, range(trials)))
+    return hashlib.sha256(json.dumps(table.shape).encode() + table.tobytes()).hexdigest()
+
+
+# Pinned from the elimination on an [R, n] uint64 array with every column
+# updated at every step, and from the table gathered from subset sums: the
+# in-place forms must give the same bits.  The batches are the simulation's
+# (BATCH_SYMBOLS // N rows) or shorter.
+OSD_GOLDEN = {  # code -> (SNR in dB, rows, sha256 of the records)
+    "golay24": (0.0, 2730, "b5693bbcb399fd43707de3eae5142be934c3751444758b5cdcc06226e25a37f7"),
+    "qr48": (4.5, 1365, "2bbefac8b21488694f851c70c5994383632c0bcec4a093a66e6e902a5fcaa4d1"),
+}
+TABLE_GOLDEN = {  # code -> (L, SNR in dB, rows, sha256)
+    "conv-657": (8, 2.0, 2184, "257a01b0139cb119cb86c935ab1829a3dcdc8e714ec9618652653205386dae71"),
+    "conv-634-564": (100, 5.0, 309, "67f41d34e4fbef5affb5c61a48aaa5b6607231f7386268456c0dd460962f94d5"),
+    "conv-m16": (60, 7.0, 431, "c1051378a51d53743d8238bb78a104885f3fcae6656b415f0f3bb5ecdce37ee4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OSD_GOLDEN))
+def test_osd_bound_golden(name, golay, qr48):
+    db, rows, digest = OSD_GOLDEN[name]
+    records = osd_records({"golay24": golay, "qr48": qr48}[name], db, rows)
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GOLDEN))
+def test_metric_table_golden(name, fig_trellis_code, conv_634_564, conv_m16):
+    L, db, rows, digest = TABLE_GOLDEN[name]
+    code = {"conv-657": fig_trellis_code, "conv-634-564": conv_634_564, "conv-m16": conv_m16}[name]
+    assert table_digest(build_trellis(code, L), db, rows) == digest
+
+
 class TestBruteForce:
     def test_noiseless_recovers_transmitted(self, golay):
         cfg = ChannelConfig(gamma_b_db=120.0, gamma=1e12)
