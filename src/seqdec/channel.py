@@ -81,16 +81,18 @@ def transmit(codeword, cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
     return channel_output(bits, rng.gaussians(len(bits), cfg.noise_stddev))
 
 
-def channel_output(codewords, noise) -> np.ndarray:
+def channel_output(codewords, noise, out=None) -> np.ndarray:
     """(-1)^{x_j} sqrt(E) + noise_j, elementwise over codeword bits of any
-    shape (one codeword per row of a batch)."""
-    signs = 1.0 - 2.0 * np.asarray(codewords, dtype=np.uint8).astype(np.float64)
-    return signs + noise
+    shape (one codeword per row of a batch), written to out where it is
+    given (out may be noise itself)."""
+    signs = 1 - 2 * np.asarray(codewords, dtype=np.int8)  # +-1, +-1.0 in the add
+    return np.add(signs, noise, out=out)
 
 
-def llr(received, cfg: ChannelConfig) -> np.ndarray:
-    """Per-symbol log-likelihood ratios ln[Pr(r|0)/Pr(r|1)]."""
-    return cfg.llr_scale * np.asarray(received, dtype=np.float64)
+def llr(received, cfg: ChannelConfig, out=None) -> np.ndarray:
+    """Per-symbol log-likelihood ratios ln[Pr(r|0)/Pr(r|1)], written to
+    out where it is given (out may be received itself)."""
+    return np.multiply(cfg.llr_scale, np.asarray(received, dtype=np.float64), out=out)
 
 
 def hard_decision(phi) -> np.ndarray:

@@ -42,8 +42,9 @@ search is Dijkstra's algorithm: it extends every node whose metric lies
 below the winner's, zeta*, none above it, and at zeta* those that the
 stack's insertion order pops before the winner.  So numpy can give a
 search's exact result without a stack: the tree count sweeps thresholds
-over the code tree (_gda_count, starting at _osd_bound), and the trellis
-count takes one min-plus pass (_mlsda_count).  A row whose result a tie
+over the code tree (_gda_count, starting at _osd_bound, an elimination
+in place on k-bit words), and the trellis count takes one min-plus pass
+(_mlsda_count).  A row whose result a tie
 at zeta* would leave to insertion order is searched.  decode_batch hands
 a batch of rows to _gda_batch or _mlsda_batch, which settle in numpy
 each row whose search is one straight dive (_straight_dives,
@@ -57,6 +58,8 @@ own metric there, so that the dive's path wins with zeta* = T, and none
 lies at exactly T, so that the search extends just the path and the
 nodes below T; it declines every other row, and any with more than
 L + m such nodes, to the search.
+decode_batch builds a trellis batch's metric table (_metric_table) in
+a caller's array where one is given, as the simulation's held workspace.
 gda_decode decodes one row as a batch of one, which searches first;
 mlsda_decode searches it alone, since for one row a dozen numpy calls
 per level cost more than the dive.
@@ -77,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqdec.channel import NonFiniteLLR, check_lengths, hard_decision
+from seqdec.channel import NonFiniteLLR, check_lengths
 from seqdec.codes import BlockCode, encode_conv
 from seqdec.trellis import Trellis, min_path_costs, min_path_inputs
 
@@ -254,8 +257,9 @@ def _gda_search(code: BlockCode, bm0: list, bm1: list, extension_limit) -> tuple
 
 SEARCH_BUDGET = 1600  # extensions the tree search takes on a lone row before the count takes over
 SWEEP_BLOCK = 1 << 14  # the most nodes an array of the count holds
-# the most row bits _osd_bound casts to floats at a time (2 MiB): a whole
-# batch's [R, n, k] would be a 12 MiB temporary for QR-48
+# the most row bits _osd_bound unpacks from its k-bit words at a time, one
+# byte each (256 KiB), which the product casts to floats (2 MiB): a whole
+# QR-48 batch's [R, n, k] would be 12 MiB of floats
 OSD_BLOCK = 1 << 18
 
 
@@ -337,43 +341,61 @@ def _osd_bound(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
     reliable independent positions (reliability bm0 + bm1, the metric of
     leaving the hard decision, in a stable sort), or on all but one of
     them.  The generator is row-reduced over each row's positions in that
-    order, all rows at once, with each column held as a word of k row
-    bits, and the best of the k + 1 codewords is chosen by their metrics
-    as dot products."""
+    order, all rows at once, in place in one [n, R] array whose step s
+    holds each row's column at its s-th position, as a word of k row bits
+    in the narrowest unsigned type that holds them.  A step changes no
+    column before it (a pivot column is left with its pivot row's bit
+    alone, and a dependent one with bits in pivot rows alone, where no
+    later pivot row reaches), so it updates only the columns from its own
+    on.  The best of the k + 1 codewords is chosen by their metrics as
+    dot products."""
     rows, k, n = len(bm0), code.k, code.n
     everyone = np.arange(rows)
     cost = bm0 + bm1
     hard = bm1 < bm0
     order = np.argsort(-cost, axis=1, kind="stable")
-    # [R, n]: bit i of column j is row i's
-    reduced = np.tile(_pack(code.generator_bits.T), (rows, 1))
-    free = np.full(rows, (1 << k) - 1, dtype=np.uint64)  # the rows with no pivot yet
-    info = np.zeros(rows, dtype=np.uint64)  # the hard decisions at the pivots, by pivot row
-    # [n, R]: all ones where the hard decision at a step's column is 1
-    ones = np.where(np.take_along_axis(hard, order, axis=1).T, ~np.uint64(0), 0)
-    for step, column in enumerate(order.T):
-        v = reduced[everyone, column]
+    word = np.min_scalar_type((1 << k) - 1)
+    full = word.type((1 << k) - 1)
+    # [n, R]: bit i of step s's word is generator row i's at that position
+    reduced = _pack(code.generator_bits.T).astype(word).take(order.T)
+    free = np.full(rows, full)  # the rows with no pivot yet
+    info = np.zeros(rows, dtype=word)  # the hard decisions at the pivots, by pivot row
+    ordered = np.take_along_axis(hard, order, axis=1)  # [R, n]: the hard decisions in order
+    hit = np.empty_like(reduced)  # [n, R]: the flips of a step
+    for step in range(n):
+        v = reduced[step]
         pivot = v & free
         pivot &= -pivot  # the first free row with a 1 in the column, or none
-        # add the pivot row to the column's other rows: flip them where it has a 1
-        reduced ^= np.where(reduced & pivot[:, None], (v ^ pivot)[:, None], 0)
+        # add the pivot row to the column's other rows: flip them where it has
+        # a 1 (where there is none, flip is 0, so the shift by the word's
+        # width there flips nothing)
+        flip = np.where(pivot, v ^ pivot, 0)
+        later, bit = reduced[step:], hit[step:]
+        np.right_shift(later, np.bitwise_count(pivot - 1), out=bit)
+        bit &= 1  # the pivot row's bit
+        np.negative(bit, out=bit)  # all ones where that bit is 1
+        bit &= flip
+        later ^= bit
         free ^= pivot
-        info |= pivot & ones[step]
+        info |= np.where(ordered[:, step], pivot, 0)
         if step >= k - 1 and not free.any():
             break
-    base = (np.bitwise_count(reduced & info[:, None]) & 1).astype(bool)  # [R, n]
+    columns = np.empty((rows, n), dtype=word)  # [R, n], in position order
+    np.put_along_axis(columns, order, reduced.T, axis=1)
+    base = (np.bitwise_count(columns & info[:, None]) & 1).astype(bool)  # [R, n]
     signed = np.where(base != hard, -cost, cost)
     gain = np.empty((rows, k))  # flipping pivot i moves the metric by gain[i]
     size = max(1, OSD_BLOCK // (n * k))
     for first in range(0, rows, size):
-        part = reduced[first:first + size]
+        part = columns[first:first + size]
         # the block's bits [b, n, k], cast to floats by the product
-        row_bits = np.unpackbits(part.astype("<u8").view(np.uint8).reshape(len(part), n, 8),
+        row_bits = np.unpackbits(part.astype(f"<u{word.itemsize}").view(np.uint8)
+                                 .reshape(len(part), n, word.itemsize),
                                  axis=-1, count=k, bitorder="little")
         gain[first:first + size] = np.matmul(signed[first:first + size, None], row_bits)[:, 0]
     flip = gain.argmin(axis=1)
-    info ^= np.where(gain[everyone, flip] < 0.0, np.uint64(1) << flip.astype(np.uint64), 0)
-    osd = _pack(np.bitwise_count(reduced & info[:, None]) & 1)
+    info ^= np.where(gain[everyone, flip] < 0.0, word.type(1) << flip.astype(word), 0)
+    osd = _pack(np.bitwise_count(columns & info[:, None]) & 1)
     leaf = code.encode_words(_pack(hard[:, :k]))
     words = np.stack((osd, leaf), axis=1)
     metrics = _path_metrics(bm0, bm1, words)[..., -1]
@@ -527,14 +549,18 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
             for r in range(rows)]
 
 
-def _metric_table(trellis: Trellis, phi) -> np.ndarray:
+def _metric_table(trellis: Trellis, phi, out=None) -> np.ndarray:
     """Branch metric of every n_out-bit output pattern p at every level,
     for LLRs [..., N], as a flat row [..., levels << n_out] with entry
     (level << n_out) + p: the sum of |phi_j| over the positions of the
     level where p disagrees with the hard decision, added in position
-    order.  Each level's table is built as the subset sums of its |phi|
-    (the sum of pattern q adds |phi_i| for each set bit i of q, lowest
-    first), gathered at p XOR the level's hard-decision pattern.
+    order.  The patterns are built a position at a time, with no gather:
+    pattern q | 1 << i is pattern q (over positions below i) plus the cost
+    of a 1 at position i, max(phi_i, 0), and pattern q becomes itself
+    plus the cost of a 0, |phi_i| less that.  A cost is |phi_i| where the
+    bit disagrees with the hard decision and 0.0, which adds nothing,
+    where it agrees.  The table is written to out, a C-contiguous array of
+    its shape, where it is given.
 
     Raises NonFiniteLLR unless every row's sum of |phi| is at most half
     the largest float.  A path metric adds a subset of those magnitudes
@@ -543,20 +569,27 @@ def _metric_table(trellis: Trellis, phi) -> np.ndarray:
     where paths with different metrics would tie.
     """
     n_out = trellis.code.n_out
-    lead = phi.shape[:-1]
+    shape = phi.shape[:-1] + (trellis.levels << n_out,)
     a = np.abs(phi)
     with np.errstate(over="ignore"):
         sums = a.sum(axis=-1)
     if not (sums <= 0.5 * sys.float_info.max).all():
         raise NonFiniteLLR("LLR magnitudes sum past half the largest float: "
                            "the path metrics could overflow")
-    a = a.reshape(-1, n_out)  # one row per (trial, level)
-    subsets = np.zeros((len(a), 1 << n_out))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    table = out.reshape(-1, 1 << n_out)  # one row per (trial, level)
+    one = np.maximum(phi, 0.0)
+    zero = np.subtract(a, one, out=a).reshape(-1, n_out)
+    one = one.reshape(-1, n_out)
+    table[:, 0] = 0.0
     for i in range(n_out):
-        np.add(subsets[:, :1 << i], a[:, i, None], out=subsets[:, 1 << i:2 << i])
-    hard = hard_decision(phi).reshape(-1, n_out) @ (1 << np.arange(n_out))
-    at = (np.arange(1 << n_out) ^ hard[:, None]) + (np.arange(len(a)) << n_out)[:, None]
-    return subsets.take(at).reshape(lead + (-1,))
+        for q in range(1 << i):
+            np.add(table[:, q], one[:, i], out=table[:, q | 1 << i])
+            np.add(table[:, q], zero[:, i], out=table[:, q])
+    return out
 
 
 _CLOSED = (-math.inf, -1)  # a closed node: loses every merge test; seq -1 matches no entry
@@ -593,20 +626,21 @@ def mlsda_decode(trellis: Trellis, phi, extension_limit: int | None = None) -> D
     return DecodeOutcome(decoded, *counts, metric=zeta)
 
 
-def decode_batch(target, phi, extension_limit: int | None = None) -> list:
+def decode_batch(target, phi, extension_limit: int | None = None, table=None) -> list:
     """gda_decode's (BlockCode) or mlsda_decode's (Trellis) result on each
     row of LLRs phi [B, N], through _gda_batch or _mlsda_batch: a tuple
     (branch_computations, branch_computations_total, extensions, metric,
     bits), bits being the codeword (tree) or the information bits
     (trellis) as an int, bit j at position j; None where the decode
-    exceeds extension_limit."""
+    exceeds extension_limit.  A Trellis's metric table is built in table
+    [B, levels << n_out] where it is given (see _metric_table)."""
     phi = check_lengths(phi, len(phi), target.n)
     if isinstance(target, BlockCode):
         offset, bm0, bm1 = _gda_tables(phi)
         rows = _gda_batch(target, bm0, bm1, extension_limit)
         return [None if row is None else (*row[:3], row[3] + off, row[4])
                 for row, off in zip(rows, offset.tolist())]
-    return _mlsda_batch(target, _metric_table(target, phi), extension_limit)
+    return _mlsda_batch(target, _metric_table(target, phi, table), extension_limit)
 
 
 def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:

@@ -5,7 +5,9 @@ Reproducibility contract: trial t of a run draws everything (information
 bits, then noise) from its own stream seeded with seed XOR t, and
 results are reduced in trial order.  Outputs are therefore byte-identical
 for a fixed config regardless of the worker count, and of where a run's
-trials are cut into batches.
+trials are cut into batches.  A worker builds its block of trials batch
+by batch in one workspace it holds for the block (_run_trials): no batch
+allocates its uniforms, LLRs or metric table afresh.
 
 One process pool per process, forked on Linux and re-forked whenever its
 workers could run stale code (_pool), so a patched or reloaded module
@@ -234,7 +236,14 @@ def run_bound_curve(cfg: ExperimentConfig) -> list:
 BATCH_SYMBOLS = 1 << 16  # channel symbols of the trials built together; bounds peak memory
 
 
-def trial_llrs(target, gamma_b_db: float, seed: int, trials, all_zero: bool = False) -> np.ndarray:
+def _drawn(target, all_zero: bool) -> int:
+    """The uniforms a trial draws before its noise: one per information
+    bit (k on a BlockCode, L on a Trellis), none when all_zero."""
+    return 0 if all_zero else target.k if isinstance(target, BlockCode) else target.L
+
+
+def trial_llrs(target, gamma_b_db: float, seed: int, trials, all_zero: bool = False,
+               out=None) -> np.ndarray:
     """LLRs [len(trials), N] of these trials on a BlockCode or a Trellis.
 
     Trial t draws one row of uniforms from RngStream(seed XOR t): its
@@ -244,21 +253,25 @@ def trial_llrs(target, gamma_b_db: float, seed: int, trials, all_zero: bool = Fa
     RngStream(seed XOR t) row for row.  They are built into LLRs as
     arrays with a leading trial axis, by the functions a single trial
     uses, so each row is bitwise that of RngStream.bits, encode_block or
-    encode_conv, transmit and llr on the trial alone.
+    encode_conv, transmit and llr on the trial alone (the all-zero word
+    needs no encoding).  The noise turns into the LLRs in place.  Where
+    out is given, a pair (uniforms [len(trials), _drawn + 2N], LLRs
+    [len(trials), N]), the batch is built in those arrays and the second
+    is returned.
     """
     if isinstance(target, BlockCode):
         channel = ChannelConfig.for_block_code(target, gamma_b_db)
-        info_len, encode = target.k, partial(encode_block, target)
+        encode = partial(encode_block, target)
     else:
         channel = ChannelConfig.for_conv_code(target.code, target.L, gamma_b_db)
-        info_len, encode = target.L, partial(encode_conv, target.code)
-    drawn = 0 if all_zero else info_len
-    u = stream_uniforms([seed ^ t for t in trials], drawn + 2 * target.n)
-    info = (bits_from_uniforms(u[:, :drawn]) if drawn
-            else np.zeros((len(trials), info_len), dtype=np.uint8))
-    noise = gaussians_from_uniforms(u[:, drawn:], channel.noise_stddev)
-    phi = llr(channel_output(encode(info), noise), channel)
-    return check_lengths(phi, len(trials), target.n)
+        encode = partial(encode_conv, target.code)
+    drawn = _drawn(target, all_zero)
+    uniforms, phi = (None, None) if out is None else out
+    u = stream_uniforms([seed ^ t for t in trials], drawn + 2 * target.n, uniforms)
+    words = encode(bits_from_uniforms(u[:, :drawn])) if drawn else 0  # 0: the all-zero word
+    phi = gaussians_from_uniforms(u[:, drawn:], channel.noise_stddev, phi)
+    channel_output(words, phi, out=phi)
+    return check_lengths(llr(phi, channel, out=phi), len(trials), target.n)
 
 
 def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range) -> list:
@@ -267,14 +280,27 @@ def _run_trials(target, cfg: ExperimentConfig, gamma_b_db: float, trials: range)
     one batch of trials at a time, max(1, BATCH_SYMBOLS // N) trials of N
     channel symbols each.  Both give each trial the counts of the trial
     built and decoded alone (see decoders.decode_batch), so no output
-    depends on where the batches are cut."""
+    depends on where the batches are cut.
+
+    Every batch is built in one workspace held for the whole block: the
+    uniforms and LLRs of trial_llrs and, for a Trellis, decode_batch's
+    metric table, of which a shorter last batch fills the first rows.  So
+    no batch allocates, frees and faults in these arrays again."""
     size = max(1, BATCH_SYMBOLS // target.n)
+    rows = min(size, len(trials))
+    uniforms = np.empty((rows, _drawn(target, cfg.all_zero) + 2 * target.n))
+    phi = np.empty((rows, target.n))
+    table = (None if isinstance(target, BlockCode)
+             else np.empty((rows, target.levels << target.code.n_out)))
     results = []
     for first in range(trials.start, trials.stop, size):
         batch = range(first, min(first + size, trials.stop))
-        phi = trial_llrs(target, gamma_b_db, cfg.seed, batch, cfg.all_zero)
+        b = len(batch)
+        llrs = trial_llrs(target, gamma_b_db, cfg.seed, batch, cfg.all_zero,
+                          (uniforms[:b], phi[:b]))
         results += [None if r is None else r[0]
-                    for r in decode_batch(target, phi, cfg.extension_limit)]
+                    for r in decode_batch(target, llrs, cfg.extension_limit,
+                                          None if table is None else table[:b])]
     return results
 
 

@@ -10,6 +10,9 @@ equals RngStream(seeds[i]).uniforms(n) bit for bit: it runs numpy's
 SeedSequence hash (O'Neill's seed_seq_fe, whose output NEP 19 keeps
 stable) on every seed together in uint32 arrays and hands each row's
 state words to PCG64, so no SeedSequence object is built per seed.
+stream_uniforms and gaussians_from_uniforms write to a caller's array
+where one is given (out=), by the same float operations as into a fresh
+one, so a batch can be built in a workspace held across batches.
 
 Elementwise code runs + - * / and sqrt in numpy, which rounds them as
 Python floats do, but maps the math module's exp, log, log1p, erfc and
@@ -120,17 +123,22 @@ def bits_from_uniforms(u) -> np.ndarray:
     return (u < 0.5).astype(np.uint8)
 
 
-def gaussians_from_uniforms(u, stddev: float = 1.0) -> np.ndarray:
+def gaussians_from_uniforms(u, stddev: float = 1.0, out=None) -> np.ndarray:
     """Box-Muller along the last axis: n N(0, stddev^2) draws from 2n
     uniforms [..., 2n], one fresh pair per draw, the sine branch
     discarded.  Every element takes the same float operations whatever
-    the leading axes, so a row of a batch equals a draw of its own."""
+    the leading axes, so a row of a batch equals a draw of its own.  The
+    draws are written to out [..., n] where it is given, and in place
+    there, with one temporary for the cosines."""
     if stddev <= 0.0:
         raise DomainError("stddev must be positive")
-    u1 = 1.0 - u[..., 0::2]  # (0, 1]: keeps log finite
-    u2 = u[..., 1::2]
-    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-    return stddev * z
+    z = np.subtract(1.0, u[..., 0::2], out=out)  # (0, 1]: keeps log finite
+    np.log(z, out=z)
+    np.multiply(-2.0, z, out=z)
+    np.sqrt(z, out=z)
+    cosine = np.multiply(2.0 * math.pi, u[..., 1::2])
+    z *= np.cos(cosine, out=cosine)
+    return np.multiply(stddev, z, out=z)
 
 
 def _hash_consts(init: int, mult: int, count: int) -> tuple:
@@ -198,12 +206,16 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self._words
 
 
-def stream_uniforms(seeds, n: int) -> np.ndarray:
+def stream_uniforms(seeds, n: int, out=None) -> np.ndarray:
     """Uniforms [len(seeds), n] on [0, 1) whose row i equals
     RngStream(seeds[i]).uniforms(n) bit for bit, with the seeding hash
-    run on all seeds at once (seed_states)."""
+    run on all seeds at once (seed_states).  They are written to out, an
+    array of that shape with contiguous rows, where it is given."""
     states = seed_states(seeds)
-    out = np.empty((len(states), n))
+    if out is None:
+        out = np.empty((len(states), n))
+    elif out.shape != (len(states), n):
+        raise ValueError(f"out has shape {out.shape}, not {(len(states), n)}")
     for row, words in zip(out, states):
         np.random.Generator(np.random.PCG64(_StateWords(words))).random(out=row)
     return out

@@ -1,6 +1,7 @@
 import heapq
 import math
 
+import numpy as np
 import pytest
 from scipy.special import erfcx
 
@@ -43,6 +44,20 @@ def conv_m16():
     """The memory-16 (2,1,16) code of fig7 (see src/seqdec/configs/fig7.json)."""
     taps = tuple(tuple(int(c) for c in t) for t in ("11100110100001001", "10011001011110111"))
     return ConvCode(n_out=2, m=16, taps=taps, name="conv-m16")
+
+
+def stale_buffer(earlier: np.ndarray) -> np.ndarray:
+    """A NaN-filled buffer three rows longer than the stale batch earlier,
+    which it holds in its first rows: an out= view of its first rows
+    must be filled wholly, and the rows past the view left as they were."""
+    buffer = np.full((len(earlier) + 3,) + earlier.shape[1:], np.nan)
+    buffer[:len(earlier)] = earlier
+    return buffer
+
+
+@pytest.fixture(scope="session")
+def stale():
+    return stale_buffer
 
 
 def textbook_gda_search(code, bm0: list, bm1: list) -> tuple:

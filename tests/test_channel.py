@@ -8,6 +8,7 @@ from seqdec.channel import (
     ChannelConfig,
     InvalidSnr,
     NonFiniteLLR,
+    channel_output,
     check_lengths,
     db_to_linear,
     hard_decision,
@@ -61,6 +62,22 @@ class TestTransmit:
         r_b = transmit(word ^ 1, cfg, RngStream(55))
         signs = 1.0 - 2.0 * word.astype(float)
         assert np.allclose(r_a - r_b, 2.0 * signs, atol=1e-12)
+
+
+class TestInPlace:
+    def test_received_and_llrs_in_the_noise(self, golay):
+        # the batch path turns noise into LLRs in place: the same bits as
+        # channel_output and llr into fresh arrays
+        cfg = ChannelConfig.for_block_code(golay, 1.0)
+        words = np.array([encode_block(golay, RngStream(s).bits(12)) for s in range(5)])
+        noise = np.array([RngStream(s + 9).gaussians(24, cfg.noise_stddev) for s in range(5)])
+        want = llr(channel_output(words, noise), cfg)
+        buffer = noise.copy()
+        assert channel_output(words, buffer, out=buffer) is buffer
+        assert llr(buffer, cfg, out=buffer) is buffer
+        assert buffer.tobytes() == want.tobytes()
+        signs = 1.0 - 2.0 * words.astype(float)
+        assert channel_output(words, noise).tobytes() == (signs + noise).tobytes()
 
 
 class TestLlr:

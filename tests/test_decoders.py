@@ -560,6 +560,23 @@ def elementwise_metric_table(trellis, phi) -> np.ndarray:
 
 
 class TestMetricTable:
+    def test_out_array(self, conv_634_564, stale):
+        # the table of a shorter batch, written to the first rows of a
+        # larger NaN-filled buffer that holds a stale earlier batch, equals
+        # the call without out= bit for bit and leaves the rows past it
+        trellis = build_trellis(conv_634_564, 20)
+        earlier = _metric_table(trellis, trial_llrs(trellis, 3.0, 1, range(30)))
+        buffer = stale(earlier)
+        phi = trial_llrs(trellis, 3.0, 2, range(12))
+        got = _metric_table(trellis, phi, out=buffer[:12])
+        assert np.shares_memory(got, buffer)
+        assert got.tobytes() == _metric_table(trellis, phi).tobytes()
+        assert buffer[12:30].tobytes() == earlier[12:].tobytes() and np.isnan(buffer[30:]).all()
+        row = np.full(earlier.shape[1], np.nan)
+        assert _metric_table(trellis, phi[5], out=row).tobytes() == got[5].tobytes()
+        with pytest.raises(ValueError):  # not C-contiguous: a reshape would copy
+            _metric_table(trellis, phi, out=np.empty((12, 2 * earlier.shape[1]))[:, ::2])
+
     @pytest.mark.parametrize("n_out", [1, 2, 3])
     def test_subset_sums_equal_masked_sums(self, n_out):
         # bit for bit, on continuous, heavy-tailed and small-integer LLRs,
@@ -618,6 +635,38 @@ def test_metric_table_golden(name, fig_trellis_code, conv_634_564, conv_m16):
     L, db, rows, digest = TABLE_GOLDEN[name]
     code = {"conv-657": fig_trellis_code, "conv-634-564": conv_634_564, "conv-m16": conv_m16}[name]
     assert table_digest(build_trellis(code, L), db, rows) == digest
+
+
+def systematic_code(n: int, k: int, seed: int) -> BlockCode:
+    """A random systematic (n, k) code: row i is bit i and n - k random
+    parity bits."""
+    gen = np.random.default_rng(seed)
+    rows = tuple((1 << i) | (int(gen.integers(0, 1 << (n - k))) << k) for i in range(k))
+    return BlockCode(n=n, k=k, rows=rows, name=f"random-{n}-{k}")
+
+
+@pytest.mark.parametrize("name, width, db", [
+    ("random-12-8", np.uint8, 2.0), ("golay24", np.uint16, 0.0),
+    ("qr48", np.uint32, 3.0), ("random-64-40", np.uint64, 4.0)])
+def test_osd_bound_every_word_width(name, width, db, golay, qr48):
+    # the elimination holds k row bits in the narrowest unsigned type: on
+    # each width the word is a codeword, U is its metric by the search's
+    # adds and U >= zeta*; on the (64, 40) code, the one with 32 < k <= 53,
+    # the count gives each row the search's result too
+    code = {"random-12-8": systematic_code(12, 8, 6), "golay24": golay, "qr48": qr48,
+            "random-64-40": systematic_code(64, 40, 1)}[name]
+    assert np.min_scalar_type((1 << code.k) - 1) == width
+    _, bm0, bm1 = _gda_tables(trial_llrs(code, db, 1, range(200)))
+    bound, words = decoders._osd_bound(code, bm0, bm1)
+    searched = [decoders._gda_search(code, a, b, None) for a, b in zip(bm0.tolist(), bm1.tolist())]
+    metrics = decoders._path_metrics(bm0, bm1, words[:, None])[:, 0, -1]
+    assert bound.tobytes() == metrics.tobytes()
+    for word, u, result in zip(words.tolist(), bound.tolist(), searched):
+        bits = [(word >> j) & 1 for j in range(code.n)]
+        assert encode_block(code, bits[:code.k]).tolist() == bits
+        assert u >= result[3]
+    if code.k > 32:
+        assert decoders._gda_count(code, bm0, bm1, None) == searched
 
 
 class TestBruteForce:

@@ -10,6 +10,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1094,3 +1095,28 @@ def test_code_wider_than_64_bits(textbook_gda):
         assert [out.branch_computations, out.branch_computations_total, out.extensions] == counts
         assert out.metric == metric + float(offset)
         assert out.decoded.tolist() == [(bits >> j) & 1 for j in range(code.n)]
+
+
+@pytest.mark.parametrize("all_zero", [False, True])
+def test_trials_fill_one_stale_workspace(all_zero, stale, conv_634_564):
+    # trial_llrs builds a shorter batch in the first rows of arrays that hold
+    # a stale earlier batch (the all-zero uniforms are narrower), with the
+    # bits of a fresh build; _run_trials hands every batch of its block views
+    # of the one workspace it allocates
+    trellis = build_trellis(conv_634_564, 20)
+    width = (0 if all_zero else trellis.L) + 2 * trellis.n
+    uniforms = stale(np.random.default_rng(1).random((30, width)))
+    phi = stale(trial_llrs(trellis, 3.0, 5, range(30), all_zero))
+    got = trial_llrs(trellis, 3.0, 7, range(40, 52), all_zero, (uniforms[:12], phi[:12]))
+    assert np.shares_memory(got, phi)
+    assert got.tobytes() == trial_llrs(trellis, 3.0, 7, range(40, 52), all_zero).tobytes()
+    cfg = ExperimentConfig(code={}, snr_db=(3.0,), seed=7, all_zero=all_zero)
+    with mock.patch.object(harness, "BATCH_SYMBOLS", 5 * trellis.n), \
+            mock.patch.object(harness, "trial_llrs", wraps=harness.trial_llrs) as built, \
+            mock.patch.object(harness, "decode_batch", wraps=harness.decode_batch) as decoded:
+        harness._run_trials(trellis, cfg, 3.0, range(40, 52))
+    outs = [call.args[5] for call in built.call_args_list]
+    tables = [call.args[3] for call in decoded.call_args_list]
+    assert [len(o[1]) for o in outs] == [len(t) for t in tables] == [5, 5, 2]
+    for arrays in (*zip(*outs), tables):
+        assert all(np.shares_memory(a, arrays[0]) for a in arrays)

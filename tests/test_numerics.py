@@ -10,10 +10,12 @@ from seqdec.numerics import (
     DomainError,
     RngStream,
     bisect_root,
+    gaussians_from_uniforms,
     log_binomial,
     log_std_normal_cdf,
     math_map,
     std_normal_cdf,
+    stream_uniforms,
 )
 
 
@@ -241,3 +243,32 @@ class TestRngStream:
     def test_bits_balanced(self):
         bits = RngStream(3).bits(100_000)
         assert abs(bits.mean() - 0.5) < 0.01
+
+
+class TestOutArrays:
+    # a batch written to out=, a view of the first rows of a larger buffer
+    # holding a stale earlier batch and NaN, equals the call without out=
+    # bit for bit, and the rows past the view keep what they held
+
+    def test_stream_uniforms(self, stale):
+        earlier = stream_uniforms(range(100, 140), 50)
+        buffer = stale(earlier)
+        got = stream_uniforms(range(7, 30), 50, out=buffer[:23])
+        assert np.shares_memory(got, buffer)
+        assert got.tobytes() == stream_uniforms(range(7, 30), 50).tobytes()
+        assert buffer[23:40].tobytes() == earlier[23:].tobytes() and np.isnan(buffer[40:]).all()
+        with pytest.raises(ValueError):
+            stream_uniforms(range(3), 50, out=buffer[:4])
+
+    def test_gaussians_from_uniforms(self, stale):
+        earlier = gaussians_from_uniforms(stream_uniforms(range(40), 66), 0.7)
+        buffer = stale(earlier)
+        u = stream_uniforms(range(50, 70), 66)
+        got = gaussians_from_uniforms(u, 0.7, out=buffer[:20])
+        assert np.shares_memory(got, buffer)
+        assert got.tobytes() == gaussians_from_uniforms(u, 0.7).tobytes()
+        assert buffer[20:40].tobytes() == earlier[20:].tobytes() and np.isnan(buffer[40:]).all()
+        # one row alone, as RngStream.gaussians draws it
+        row = np.full(33, np.nan)
+        assert (gaussians_from_uniforms(u[3], 0.7, out=row).tobytes()
+                == RngStream(53).gaussians(33, 0.7).tobytes() == got[3].tobytes())
