@@ -355,10 +355,9 @@ def _osd_bound(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray) -> tuple:
     hard = bm1 < bm0
     order = np.argsort(-cost, axis=1, kind="stable")
     word = np.min_scalar_type((1 << k) - 1)
-    full = word.type((1 << k) - 1)
     # [n, R]: bit i of step s's word is generator row i's at that position
     reduced = _pack(code.generator_bits.T).astype(word).take(order.T)
-    free = np.full(rows, full)  # the rows with no pivot yet
+    free = np.full(rows, (1 << k) - 1, dtype=word)  # the rows with no pivot yet
     info = np.zeros(rows, dtype=word)  # the hard decisions at the pivots, by pivot row
     ordered = np.take_along_axis(hard, order, axis=1)  # [R, n]: the hard decisions in order
     hit = np.empty_like(reduced)  # [n, R]: the flips of a step
