@@ -13,11 +13,22 @@ into (l, s) led by one such step enters (l + 1, s) at the same weight),
 so they settle: from level 10 for the 634/564 code and level 40 for
 fig7's memory-16 code every row up to L repeats the one before, and the
 pass stops there (see min_path_costs).
+
+The pass has two bodies that form the same sums in the same order:
+gathers by register up to 256 states, and past 256 a broadcast over the
+input bit that gathers nothing from the source row (min_path_costs says
+how each works).  Measured on 2 CPUs with numpy 2.4, the broadcast body
+against the gathers it replaced: fig7's memory-16 d* at L = 100 takes
+4.9-5.7 ms (13.4-14.6 ms), and a memory-16 float pass is 1.23-1.27x as
+fast on one row and 1.32-1.39x on eight.  Forced onto smaller trellises at
+the count's block sizes, it reads 0.85x at 64 states (the (2,1,6)
+count's 76-row blocks), 0.93x at 128, 1.10x at 256 and 1.41x at 512
+against the gathers, so the split stays where it was.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -125,16 +136,17 @@ def build_trellis(code: ConvCode, L: int) -> Trellis:
 def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached, out=None) -> np.ndarray:
     """Least path cost into every (level, row, state) by one forward
     min-plus pass over costs[level, row, output pattern] ([levels, R,
-    2^n_out], level-major: an unbatched call is a batch of R = 1).  Each
-    level adds every branch's cost to its source's entry: the branch from
-    state s on input b is the register r = 2s + b (see build_trellis),
-    which enters state r mod S, so registers r and r + S are the two
-    branches into state r and each state keeps the lesser; input-1
-    branches are blocked from level L on.  The result [levels + 1, R, S]
-    is at least `unreached` (above every path cost) where no path passes.
-    It is written into out where one is given (a C-contiguous array of
-    that shape and costs' dtype), so that a caller making many passes
-    fills one table rather than faulting in a new one each time.
+    2^n_out], level-major: an unbatched call is a batch of R = 1;
+    ValueError for any other shape).  Each level adds every branch's cost
+    to its source's entry: the branch from state s on input b is the
+    register r = 2s + b (see build_trellis), which enters state r mod S,
+    so registers r and r + S are the two branches into state r and each
+    state keeps the lesser; input-1 branches are blocked from level L on.
+    The result [levels + 1, R, S] is at least `unreached` (above every
+    path cost) where no path passes.  It is written into out where one is
+    given, a C-contiguous array of that shape and costs' dtype (ValueError
+    otherwise), so that a caller making many passes fills one table rather
+    than faulting in a new one each time.
 
     Each level computes only the states that paths reach (see the module
     docstring), from the registers that leave reached states: below
@@ -142,37 +154,82 @@ def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached, out=None) -> 
     yet reached), and from level L on only even registers do.  Every
     other entry is written `unreached`, and no sum on one is formed.
 
+    Up to 256 states the sums gather the source row by each register's
+    source and the costs by its output pattern.  Past 256 they gather
+    nothing from the source row: the costs, looked up per [input bit,
+    source state] into a buffer the pass holds, are added to it by
+    broadcasting over the input bit, and state 2h + b keeps the lesser of
+    its arrivals from sources h and h + S/2 (registers 2h + b and
+    2h + b + S), written straight into the interleaved row.  The module
+    docstring gives the measurements behind the split.
+
     Where costs repeats one row at every level (a zero stride on its
     level axis, as Trellis.dstar's broadcast weights have), every level
     below L maps its row to the next by the same function, so once a
     full-width row (level >= m) equals the one before it, every row up
-    to L equals it too: the pass copies it there and goes on from L."""
+    to L equals it too: the pass copies it there and goes on from L.  The
+    broadcast sums then look their costs up once per pass."""
     nst, m, L = trellis.num_states, trellis.code.m, trellis.L
-    src = np.arange(2 * nst, dtype=np.intp) >> 1  # np.take indexes by intp
-    patterns = trellis.outputs.T.ravel().astype(np.intp)  # by register 2s + b
-    table = (np.empty((trellis.levels + 1, costs.shape[1], nst), dtype=costs.dtype)
-             if out is None else out)
+    rows = costs.shape[1]
+    shape = (trellis.levels + 1, rows, nst)
+    if costs.shape != (trellis.levels, rows, 1 << trellis.code.n_out):
+        raise ValueError(f"costs has shape {costs.shape}, not "
+                         f"{(trellis.levels, rows, 1 << trellis.code.n_out)}")
+    if out is None:
+        table = np.empty(shape, dtype=costs.dtype)
+    elif out.shape != shape or out.dtype != costs.dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {costs.dtype} array of shape {shape}")
+    else:
+        table = out
     table[0] = unreached
     table[0, :, 0] = 0
-    # fancy indexing gathers short rows faster than np.take, long ones slower
-    gather = (lambda a, idx: a[:, idx]) if nst <= 256 else partial(np.take, axis=1)
     repeats = costs.strides[0] == 0
+    gathered = nst <= 256  # fancy-index gathers beat broadcasting on short rows
+    if gathered:
+        src = np.arange(2 * nst, dtype=np.intp) >> 1
+        patterns = trellis.outputs.T.ravel().astype(np.intp)  # by register 2s + b
+    else:
+        outputs = trellis.outputs.astype(np.intp)
+        # [row, input bit, source state]: the cost of each register 2s + b,
+        # and its sum from level m on (in place where costs change per level)
+        reg = np.empty((rows, 2, nst), dtype=costs.dtype)
+        arrivals = np.empty_like(reg) if repeats else reg
     level = 0
     while level < trellis.levels:
         # the registers into the states of level + 1: multiples of 2^j,
         # below 2^(level + 1) in the head and 2S past it
         step = 1 << max(0, level + 1 - L)
-        regs = slice(0, 2 << min(level, m), step)
-        cand = gather(table[level], src[regs])
-        cand += gather(costs[level], patterns[regs])
         row = table[level + 1]
         if step > 1 or level + 1 < m:
             row[...] = unreached
-        if level < m:
-            row[:, regs] = cand
+        if gathered:
+            regs = slice(0, 2 << min(level, m), step)
+            cand = table[level][:, src[regs]]
+            cand += costs[level][:, patterns[regs]]
+            if level < m:
+                row[:, regs] = cand
+            else:
+                pairs = cand.reshape(rows, 2, -1)
+                np.minimum(pairs[:, 0], pairs[:, 1], out=row[:, ::step])
         else:
-            pairs = cand.reshape(len(cand), 2, -1)
-            np.minimum(pairs[:, 0], pairs[:, 1], out=row[:, ::step])
+            if level == 0 or not repeats:
+                # costs is checked above, so no index clips; with the
+                # default mode "raise", np.take fills out through a copy
+                np.take(costs[level], outputs, axis=1, out=reg, mode="clip")
+            # the sources of those registers, the states reached at level:
+            # multiples of step / 2 from L on, where only input 0 branches
+            sources = slice(0, 1 << min(level, m), max(1, step >> 1))
+            inputs = 2 if level < L else 1
+            # the sums by [row, input bit, source]: in the head register
+            # 2s + b is the state it enters, so they go into a view of the row
+            sums = (row[:, :2 << level:step].reshape(rows, -1, inputs).transpose(0, 2, 1)
+                    if level < m else arrivals[:, :inputs, sources])
+            np.add(table[level][:, None, sources], reg[:, :inputs, sources], out=sums)
+            if level >= m:
+                # the sources' halves, h and h + S/2, both enter state 2h + b
+                halves = sums.reshape(rows, inputs, 2, -1)
+                np.minimum(halves[:, :, 0], halves[:, :, 1],
+                           out=row[:, ::step].reshape(rows, -1, inputs).transpose(0, 2, 1))
         level += 1
         if repeats and m < level < L and np.array_equal(row, table[level - 1]):
             table[level + 1:L + 1] = row

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from seqdec import decoders
 from seqdec.channel import ChannelConfig, hard_decision, llr, transmit
-from seqdec.codes import BlockCode, ConvCode, encode_block, encode_conv
+from seqdec.codes import BlockCode, ConvCode, encode_block, encode_conv, parse_octal_generators
 from seqdec.decoders import (
     ExtensionLimitExceeded,
     SizeError,
@@ -26,7 +26,7 @@ from seqdec.decoders import (
 )
 from seqdec.harness import trial_llrs
 from seqdec.numerics import RngStream
-from seqdec.trellis import ABSENT, build_trellis, compute_dstar
+from seqdec.trellis import ABSENT, build_trellis, compute_dstar, min_path_costs
 
 
 def squared_distance_metric(phi, word):
@@ -443,6 +443,21 @@ class TestMlsdaCount:
         assert spy.call_count == 0
         assert got == [decoders._mlsda_search(trellis, row.tolist(), None) for row in inc]
 
+    @pytest.mark.parametrize("octal, m", [(("4734", "6624"), 9), (("4672", "7542"), 10)])
+    def test_count_past_256_states(self, octal, m):
+        # at L = 6 the tables of memory-9 and memory-10 rows fit COUNT_BLOCK
+        # many at a time, and their passes take min_path_costs' body for
+        # trellises past 256 states: at 1 dB the count settles every row
+        # with the search's result
+        trellis = build_trellis(parse_octal_generators(octal, m), 6)
+        assert trellis.num_states > 256 and decoders._count_rows(trellis) >= 16
+        inc = _metric_table(trellis, np.array([conv_trial(trellis, 1.0, seed)[1]
+                                               for seed in range(16)]))
+        with mock.patch.object(decoders, "_mlsda_search", wraps=decoders._mlsda_search) as spy:
+            got = decoders._mlsda_count(trellis, inc, None)
+        assert spy.call_count == 0
+        assert got == [decoders._mlsda_search(trellis, row.tolist(), None) for row in inc]
+
     def test_block_bounds_the_table(self, conv_634_564, conv_m16):
         # a 64-row (2,1,6) L=100 batch fits one table; one memory-16 row does
         # not, so that code keeps the search
@@ -714,6 +729,21 @@ class TestViterbi:
     def test_noiseless(self, fig_trellis):
         word, phi = conv_trial(fig_trellis, 120.0, 1)
         assert np.array_equal(viterbi_ml(fig_trellis, phi), word)
+
+    def test_memory_16_matches_the_search(self, conv_m16):
+        # 65,536 states: the pass takes min_path_costs' body for trellises
+        # past 256 states.  Its goal entry, with the search's float adds, is
+        # the search winner's metric, and its codeword weighs that metric
+        trellis = build_trellis(conv_m16, 100)
+        for db in (6.0, 7.0, 8.0):
+            for seed in range(2):
+                _, phi = conv_trial(trellis, db, seed)
+                out = mlsda_decode(trellis, phi)
+                inc = _metric_table(trellis, phi).reshape(trellis.levels, 1, -1)
+                table = min_path_costs(trellis, inc, math.inf)
+                assert table[trellis.levels, 0, 0] == out.metric
+                want = viterbi_ml(trellis, phi)
+                assert disagreement_metric(phi, want) == pytest.approx(out.metric, abs=1e-9)
 
     def test_zero_path_metric_identity(self, fig_trellis):
         _, phi = conv_trial(fig_trellis, 0.0, 9)

@@ -484,9 +484,10 @@ class TestValidationSuite:
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
     def test_dstar_fault_injection(self, monkeypatch):
-        # one corrupt entry in either of the check's own trellises, the
-        # (3,1,2) code at L = 6 and the (2,1,6) code at L = 4, fails it
-        for memory in (2, 6):
+        # one corrupt entry in any of the check's own trellises, the
+        # (3,1,2) code at L = 6, the (2,1,6) code at L = 4 and the (2,1,9)
+        # code at L = 10, fails it
+        for memory in (2, 6, 9):
             def corrupted(trellis, memory=memory):
                 table = compute_dstar(trellis)
                 if trellis.code.m == memory:

@@ -57,9 +57,9 @@ class TestBuildTrellis:
 
 
 @st.composite
-def conv_codes(draw, max_m=4):
-    """Random (n_out, 1, m) codes, m 0-max_m and n_out 1-3."""
-    m = draw(st.integers(0, max_m))
+def conv_codes(draw, max_m=4, min_m=0):
+    """Random (n_out, 1, m) codes, m min_m-max_m and n_out 1-3."""
+    m = draw(st.integers(min_m, max_m))
     n_out = draw(st.integers(1, 3))
     tap = st.tuples(*[st.integers(0, 1)] * (m + 1))
     taps = draw(st.tuples(*[tap] * n_out).filter(lambda t: any(v[0] for v in t)))
@@ -203,6 +203,67 @@ def test_repeating_costs_stop_exactly(code, L, rows, weights, seed):
     changed[L - 1] += 1
     assert np.array_equal(min_path_costs(trellis, changed, unreached),
                           full_width_min_path_costs(trellis, changed, unreached))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_codes(max_m=10, min_m=7), st.integers(1, 14), st.integers(1, 3), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_states_past_256_match_full_width(code, L, rows, weights, repeated, seed):
+    # memory 7 and 8 take the gathered body, 9 and 10 the broadcast one
+    # (past 256 states), for L below m and past it: costs the same at every
+    # level as a zero-stride broadcast and as its materialized copy, or
+    # drawn per level; int32 weights or floats.  Each table equals the
+    # full-width pass
+    trellis = build_trellis(code, L)
+    shape = (trellis.levels, rows, 1 << code.n_out)
+    gen = np.random.default_rng(seed)
+    if weights:
+        unreached = trellis.levels * code.n_out + 1
+        per_level = gen.integers(0, code.n_out + 1, shape, dtype=np.int32)
+        per_row = np.broadcast_to(np.bitwise_count(np.arange(shape[2])).astype(np.int32),
+                                  shape[1:])
+    else:
+        unreached = np.inf
+        per_level = gen.uniform(-1.0, 3.0, shape)
+        per_row = per_level[0]
+    if repeated:
+        broadcast = np.broadcast_to(per_row, shape)
+        tried = (broadcast, np.ascontiguousarray(broadcast))
+    else:
+        tried = (per_level,)
+    for costs in tried:
+        assert np.array_equal(min_path_costs(trellis, costs, unreached),
+                              full_width_min_path_costs(trellis, costs, unreached))
+
+
+class TestMinPathCostsOut:
+    TRELLIS = build_trellis(ConvCode(n_out=2, m=2, taps=((1, 1, 1), (1, 0, 1))), 4)
+    COSTS = np.arange(6 * 2 * 4, dtype=float).reshape(6, 2, 4)  # [levels, R, 4]
+
+    def test_out_is_filled_and_returned(self):
+        out = np.full((7, 2, 4), np.nan)
+        assert min_path_costs(self.TRELLIS, self.COSTS, np.inf, out) is out
+        assert np.array_equal(out, min_path_costs(self.TRELLIS, self.COSTS, np.inf))
+
+    @pytest.mark.parametrize("out", [
+        np.empty((6, 2, 4)),  # a level short
+        np.empty((7, 1, 4)),  # a row short, which would broadcast
+        np.empty((7, 2, 8)),  # twice the states
+        np.empty((7, 2, 4), dtype=np.float32),  # would be cast into
+        np.empty((7, 2, 4), dtype=np.int32),
+        np.empty((7, 4, 4))[:, ::2],  # rows not contiguous
+        np.empty((4, 2, 7)).T,  # Fortran order
+    ])
+    def test_rejects_a_wrong_out(self, out):
+        before = out.copy()
+        with pytest.raises(ValueError, match="out must be"):
+            min_path_costs(self.TRELLIS, self.COSTS, np.inf, out)
+        assert np.array_equal(out, before, equal_nan=True)  # untouched
+
+    @pytest.mark.parametrize("costs", [COSTS[:5], COSTS[..., :2], COSTS[None]])
+    def test_rejects_wrongly_shaped_costs(self, costs):
+        with pytest.raises(ValueError, match="costs has shape"):
+            min_path_costs(self.TRELLIS, costs, np.inf)
 
 
 class TestDstarLevels:
