@@ -490,8 +490,9 @@ def _gda_count(code: BlockCode, bm0: np.ndarray, bm1: np.ndarray, extension_limi
                 levels = slice(level - k, level - k + width)
                 path = np.empty((width + 1, len(f)))
                 path[0] = f
+                # in range by construction; the default mode fills out through a copy
                 tail_bm.take(((word >> shifts[levels]) & np.uint64(1)) + offsets[levels]
-                             + bases.take(w), out=path[1:])
+                             + bases.take(w), out=path[1:], mode="clip")
                 for i in range(width):
                     np.add(path[i], path[i + 1], out=path[i + 1])
                 count += np.bincount(w, np.count_nonzero(path[:width] <= threshold, axis=0), rows)
@@ -686,13 +687,15 @@ def _first_dives(trellis: Trellis, inc: np.ndarray) -> tuple:
     return zeta < top, zeta, np.packbits(bits[:L], axis=0, bitorder="little")
 
 
-COUNT_BLOCK = 1 << 19  # the most entries a table of the trellis count holds
+COUNT_BLOCK = 1 << 22  # the most entries a table of the trellis count holds (32 MiB)
 
 
 def _count_rows(trellis: Trellis) -> int:
     """Rows whose min-plus tables [levels + 1, S] fit one COUNT_BLOCK
-    together: 0 where none does (a memory-16 row at L = 100 has 7.7 M
-    entries)."""
+    together: 612 for the (2,1,6) code at L = 100, so a whole batch of
+    its trials (harness.BATCH_SYMBOLS symbols, 309 rows) is counted in
+    one pass, and 0 where no row fits (a memory-16 row at L = 100 has
+    7.7 M entries)."""
     return COUNT_BLOCK // ((trellis.levels + 1) * trellis.num_states)
 
 
@@ -838,7 +841,11 @@ def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     V of every node (its least path metric, with the search's own float
     adds), by one min-plus pass (min_path_costs) over as many rows at a
     time as _count_rows allows, each filling the one table the call
-    allocates.
+    allocates, sized to the rows it counts.  The metrics are transposed
+    once into the pass's state-major layout, [level, pattern, row], and
+    the table is filled state-major, [level, state, row], so that the
+    traceback reads it where it lies and the counts sum each row's flags
+    over levels and states with every row's flags side by side.
 
     The search extends every node below level L + m with V < zeta*, the
     goal's V, and no node with V > zeta*; its counts are those of the
@@ -850,21 +857,24 @@ def _mlsda_count(trellis: Trellis, inc: np.ndarray, extension_limit) -> list:
     L, levels, nst = trellis.L, trellis.levels, trellis.num_states
     step = _count_rows(trellis)
     buffer = np.empty((levels + 1) * min(step, len(inc)) * nst, dtype=inc.dtype)
+    total = np.min_scalar_type(levels * nst)  # holds a row's count over every node
     results = []
     for first in range(0, len(inc), step):
         rows = inc[first:first + step]
-        costs = rows.reshape(len(rows), levels, -1).transpose(1, 0, 2)
-        table = min_path_costs(trellis, costs, math.inf, buffer[:(levels + 1) * len(rows) * nst]
-                               .reshape(levels + 1, len(rows), nst))
+        # the metrics and the table state-major: [level, pattern or state, row]
+        costs = np.ascontiguousarray(rows.reshape(len(rows), levels, -1).transpose(1, 2, 0))
+        costs = costs.transpose(0, 2, 1)
+        states = buffer[:(levels + 1) * len(rows) * nst].reshape(levels + 1, nst, len(rows))
+        table = min_path_costs(trellis, costs, math.inf, states.transpose(0, 2, 1))
         inputs, tied, path = min_path_inputs(trellis, costs, table)
         zeta = path[levels]
-        inner = table[:levels]
-        # nodes per (row, state) at or below zeta*, below level L and above it;
-        # summing levels first keeps each reduction contiguous
-        below = inner <= zeta[:, None]
-        low = below[:L].sum(axis=0, dtype=np.int32).sum(axis=1).tolist()
-        tail = below[L:].sum(axis=0, dtype=np.int32).sum(axis=1).tolist()
-        ties = np.equal(inner, zeta[:, None]).sum(axis=0, dtype=np.int32).sum(axis=1)
+        # nodes per row at or below zeta*, below level L and above it, and at
+        # zeta*: one flag array over [level and state, row], summed down
+        inner = states[:levels].reshape(-1, len(rows))
+        flags = inner <= zeta
+        low = flags[:L * nst].view(np.uint8).sum(axis=0, dtype=total).tolist()
+        tail = flags[L * nst:].view(np.uint8).sum(axis=0, dtype=total).tolist()
+        ties = np.equal(inner, zeta, out=flags).view(np.uint8).sum(axis=0, dtype=total)
         searched = tied | (ties != np.count_nonzero(path[:levels] == zeta, axis=0))
         info = np.packbits(inputs, axis=0, bitorder="little")
         results += [_or_none(_mlsda_search, trellis, rows[i].tolist(), extension_limit)

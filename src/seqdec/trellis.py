@@ -14,16 +14,27 @@ so they settle: from level 10 for the 634/564 code and level 40 for
 fig7's memory-16 code every row up to L repeats the one before, and the
 pass stops there (see min_path_costs).
 
+The pass's table is laid out state-major: its [levels + 1, R, S] result
+is the transpose(0, 2, 1) view of a C-contiguous [levels + 1, S, R]
+array, so the R rows of each state lie side by side and each level moves
+whole state rows of R entries (with R = 1 the two layouts are the same
+memory).  On the (2,1,6) code at L = 100, measured on 2 CPUs with numpy
+2.4, the gathers take 16-21 us a row over the 258-302 rows a 5-6 dB
+batch counts, against 40-53 us in rows of states (C order), 2.4-2.6x
+as fast, and 1.54-1.57x as fast on 76 rows.
+
 The pass has two bodies that form the same sums in the same order:
 gathers by register up to 256 states, and past 256 a broadcast over the
-input bit that gathers nothing from the source row (min_path_costs says
+input bit that gathers nothing from the source rows (min_path_costs says
 how each works).  Measured on 2 CPUs with numpy 2.4, the broadcast body
 against the gathers it replaced: fig7's memory-16 d* at L = 100 takes
 4.9-5.7 ms (13.4-14.6 ms), and a memory-16 float pass is 1.23-1.27x as
-fast on one row and 1.32-1.39x on eight.  Forced onto smaller trellises at
-the count's block sizes, it reads 0.85x at 64 states (the (2,1,6)
-count's 76-row blocks), 0.93x at 128, 1.10x at 256 and 1.41x at 512
-against the gathers, so the split stays where it was.
+fast on one row and 1.32-1.39x on eight.  In the state-major layout,
+forced onto trellises of 64-512 states at L = 100 and as many rows as
+the count takes in one pass (309, 303, 150 and 74), the broadcast reads
+0.96-0.98x at 64 states, 1.04-1.05x at 128, 1.02-1.03x at 256 and 1.04x
+at 512 against the gathers, and 0.90-0.97x on one row, so the split
+stays where it was.
 """
 
 import math
@@ -76,19 +87,17 @@ class Trellis:
     def dstar(self) -> np.ndarray:
         """Minimum Hamming weight over all paths into each (level, state),
         read-only: min_path_costs on the output weights, ABSENT for nodes
-        no path enters.  Only the head levels up to min(m, L) and the
-        levels past L hold such nodes, so only they are searched for the
-        sentinel n + 1.
+        no path enters.  The pass writes its unreached value straight into
+        those, by the register rule the states from 2^l up at a head level
+        l < m and those off the multiples of 2^j at tail level L + j (see
+        the module docstring), and forms no sum on one, so it is given
+        ABSENT itself and no entry is searched for it.
 
         The table is int32, which holds every path weight (at most the
-        codeword length n) and the sentinel alike: the pass adds branch
-        weights only to the entries of reached nodes."""
-        big = self.n + 1
+        codeword length n) and ABSENT alike."""
         weight = np.bitwise_count(np.arange(1 << self.code.n_out)).astype(np.int32)
         table = min_path_costs(self, np.broadcast_to(weight, (self.levels, 1, weight.size)),
-                               big)[:, 0]
-        for part in (table[:min(self.code.m, self.L) + 1], table[self.L + 1:]):
-            part[part == big] = ABSENT
+                               ABSENT)[:, 0]
         table.flags.writeable = False
         return table
 
@@ -142,11 +151,20 @@ def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached, out=None) -> 
     register r = 2s + b (see build_trellis), which enters state r mod S,
     so registers r and r + S are the two branches into state r and each
     state keeps the lesser; input-1 branches are blocked from level L on.
-    The result [levels + 1, R, S] is at least `unreached` (above every
-    path cost) where no path passes.  It is written into out where one is
-    given, a C-contiguous array of that shape and costs' dtype (ValueError
-    otherwise), so that a caller making many passes fills one table rather
-    than faulting in a new one each time.
+    The result [levels + 1, R, S] is `unreached` where no path passes;
+    no sum on such an entry is formed (see below), so any value serves,
+    one above every path cost or Trellis.dstar's ABSENT alike.
+
+    The table is laid out state-major: it is the transpose(0, 2, 1) view
+    of a C-contiguous [levels + 1, S, R] array, so each state's R rows
+    are contiguous and a level's sums gather whole state rows.  It is
+    written into out where one is given, an array of that shape and
+    costs' dtype laid out that way or in C order (ValueError otherwise),
+    so that a caller making many passes fills one table rather than
+    faulting in a new one each time; both layouts take the same sums.
+    costs is read in any layout, fastest where its patterns' rows are
+    contiguous (costs.transpose(0, 2, 1) C-contiguous).  With R = 1 the
+    two layouts are the same memory.
 
     Each level computes only the states that paths reach (see the module
     docstring), from the registers that leave reached states: below
@@ -154,13 +172,13 @@ def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached, out=None) -> 
     yet reached), and from level L on only even registers do.  Every
     other entry is written `unreached`, and no sum on one is formed.
 
-    Up to 256 states the sums gather the source row by each register's
-    source and the costs by its output pattern.  Past 256 they gather
-    nothing from the source row: the costs, looked up per [input bit,
-    source state] into a buffer the pass holds, are added to it by
+    Up to 256 states the sums gather the source rows by each register's
+    source and the cost rows by its output pattern.  Past 256 they gather
+    nothing from the source rows: the cost rows, looked up per [input
+    bit, source state] into a buffer the pass holds, are added to them by
     broadcasting over the input bit, and state 2h + b keeps the lesser of
     its arrivals from sources h and h + S/2 (registers 2h + b and
-    2h + b + S), written straight into the interleaved row.  The module
+    2h + b + S), written straight into the interleaved rows.  The module
     docstring gives the measurements behind the split.
 
     Where costs repeats one row at every level (a zero stride on its
@@ -176,65 +194,86 @@ def min_path_costs(trellis: Trellis, costs: np.ndarray, unreached, out=None) -> 
         raise ValueError(f"costs has shape {costs.shape}, not "
                          f"{(trellis.levels, rows, 1 << trellis.code.n_out)}")
     if out is None:
-        table = np.empty(shape, dtype=costs.dtype)
-    elif out.shape != shape or out.dtype != costs.dtype or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {costs.dtype} array of shape {shape}")
+        table = np.empty((shape[0], nst, rows), dtype=costs.dtype).transpose(0, 2, 1)
+    elif (out.shape != shape or out.dtype != costs.dtype
+          or not (out.flags.c_contiguous or out.transpose(0, 2, 1).flags.c_contiguous)):
+        raise ValueError(f"out must be a {costs.dtype} array of shape {shape}, "
+                         "state-major or C-contiguous")
     else:
         table = out
-    table[0] = unreached
-    table[0, :, 0] = 0
+    # the pass runs on [state, row] and [pattern, row] views
+    states, patterns_by_row = table.transpose(0, 2, 1), costs.transpose(0, 2, 1)
+    states[0] = unreached
+    states[0, 0] = 0
     repeats = costs.strides[0] == 0
-    gathered = nst <= 256  # fancy-index gathers beat broadcasting on short rows
+    gathered = nst <= 256  # the split (see the module docstring)
+    # every np.take below has its indices in range by construction; with
+    # the default mode "raise", np.take fills out through a copy
     if gathered:
         src = np.arange(2 * nst, dtype=np.intp) >> 1
         patterns = trellis.outputs.T.ravel().astype(np.intp)  # by register 2s + b
+        # the sums of every register and their costs, in buffers the pass holds
+        cand = np.empty((2 * nst, rows), dtype=costs.dtype)
+        cost = np.empty_like(cand)
     else:
         outputs = trellis.outputs.astype(np.intp)
-        # [row, input bit, source state]: the cost of each register 2s + b,
+        # [input bit, source state, row]: the cost of each register 2s + b,
         # and its sum from level m on (in place where costs change per level)
-        reg = np.empty((rows, 2, nst), dtype=costs.dtype)
+        reg = np.empty((2, nst, rows), dtype=costs.dtype)
         arrivals = np.empty_like(reg) if repeats else reg
     level = 0
     while level < trellis.levels:
         # the registers into the states of level + 1: multiples of 2^j,
         # below 2^(level + 1) in the head and 2S past it
         step = 1 << max(0, level + 1 - L)
-        row = table[level + 1]
+        row = states[level + 1]
         if step > 1 or level + 1 < m:
             row[...] = unreached
         if gathered:
             regs = slice(0, 2 << min(level, m), step)
-            cand = table[level][:, src[regs]]
-            cand += costs[level][:, patterns[regs]]
+            sources = src[regs]
+            sums = np.take(states[level], sources, axis=0, out=cand[:len(sources)], mode="clip")
+            sums += np.take(patterns_by_row[level], patterns[regs], axis=0,
+                            out=cost[:len(sources)], mode="clip")
             if level < m:
-                row[:, regs] = cand
+                row[regs] = sums
             else:
-                pairs = cand.reshape(rows, 2, -1)
-                np.minimum(pairs[:, 0], pairs[:, 1], out=row[:, ::step])
+                pairs = sums.reshape(2, -1, rows)
+                np.minimum(pairs[0], pairs[1], out=row[::step])
         else:
             if level == 0 or not repeats:
-                # costs is checked above, so no index clips; with the
-                # default mode "raise", np.take fills out through a copy
-                np.take(costs[level], outputs, axis=1, out=reg, mode="clip")
+                np.take(patterns_by_row[level], outputs, axis=0, out=reg, mode="clip")
             # the sources of those registers, the states reached at level:
             # multiples of step / 2 from L on, where only input 0 branches
             sources = slice(0, 1 << min(level, m), max(1, step >> 1))
             inputs = 2 if level < L else 1
-            # the sums by [row, input bit, source]: in the head register
-            # 2s + b is the state it enters, so they go into a view of the row
-            sums = (row[:, :2 << level:step].reshape(rows, -1, inputs).transpose(0, 2, 1)
-                    if level < m else arrivals[:, :inputs, sources])
-            np.add(table[level][:, None, sources], reg[:, :inputs, sources], out=sums)
+            # the sums by [input bit, source, row]: in the head register
+            # 2s + b is the state it enters, so they go into a view of the rows
+            sums = (row[:2 << level:step].reshape(-1, inputs, rows).transpose(1, 0, 2)
+                    if level < m else arrivals[:inputs, sources])
+            np.add(states[level][None, sources], reg[:inputs, sources], out=sums)
             if level >= m:
                 # the sources' halves, h and h + S/2, both enter state 2h + b
-                halves = sums.reshape(rows, inputs, 2, -1)
-                np.minimum(halves[:, :, 0], halves[:, :, 1],
-                           out=row[:, ::step].reshape(rows, -1, inputs).transpose(0, 2, 1))
+                halves = sums.reshape(inputs, 2, -1, rows)
+                np.minimum(halves[:, 0], halves[:, 1],
+                           out=row[::step].reshape(-1, inputs, rows).transpose(1, 0, 2))
         level += 1
-        if repeats and m < level < L and np.array_equal(row, table[level - 1]):
-            table[level + 1:L + 1] = row
+        if repeats and m < level < L and np.array_equal(row, states[level - 1]):
+            states[level + 1:L + 1] = row
             level = L
     return table
+
+
+def _level_blocks(a: np.ndarray) -> tuple:
+    """a [levels, R, W] as (a [levels, R W] array whose level l holds the
+    entries of a[l], the offset of a row, the offset of a column): entry
+    (row, j) of level l is at row * (row offset) + j * (column offset).
+    The layouts min_path_costs fills and reads fastest, state-major and C
+    order, are viewed as they are; any other is copied into C order."""
+    if a.transpose(0, 2, 1).flags.c_contiguous:
+        return a.transpose(0, 2, 1).reshape(len(a), -1), 1, a.shape[1]
+    a = np.ascontiguousarray(a)
+    return a.reshape(len(a), -1), a.shape[2], 1
 
 
 def min_path_inputs(trellis: Trellis, costs: np.ndarray, table: np.ndarray) -> tuple:
@@ -246,23 +285,25 @@ def min_path_inputs(trellis: Trellis, costs: np.ndarray, table: np.ndarray) -> t
     of its nodes [levels + 1, R]), where tied marks the rows in which both
     registers into a node of the path give its entry.
 
-    Steps run on global indices: node (row, s) is row * S + s and its
-    register r is row * 2S + r, so a register's source node is its index
-    >> 1 and its input bit the index's lowest bit."""
+    Each step reads the table and costs where they lie, in either of
+    min_path_costs' layouts (see _level_blocks): a register r = 2s + b of
+    a row sums the entry of its source s and the cost of its output."""
     nst, L, levels = trellis.num_states, trellis.L, trellis.levels
     rows = np.arange(table.shape[1])
-    flat = table.reshape(levels + 1, -1)
-    flat_costs = np.ascontiguousarray(costs).reshape(levels, -1)
-    # the costs entry of every register: its row's patterns, then its output
-    at_cost = (rows[:, None] * costs.shape[2] + trellis.outputs.T.ravel()).ravel()
-    into = rows * nst + np.array([[0], [nst]])  # node (row, s) + this: its two registers
+    flat, by_row, by_state = _level_blocks(table)
+    flat_costs, cost_by_row, by_pattern = _level_blocks(costs)
+    # by register r = 2s + b: the offsets of its source s and of its output
+    source_at = (np.arange(2 * nst) >> 1) * by_state
+    cost_at = trellis.outputs.T.ravel().astype(np.intp) * by_pattern
+    into = np.array([[0], [nst]])  # state s + this: its two registers
+    row_at, cost_row_at = rows * by_row, rows * cost_by_row
     cand = np.empty((levels, 2, len(rows)), dtype=table.dtype)
     chosen = np.empty((levels, len(rows)), dtype=np.intp)
-    node = rows * nst  # the goal of every row
+    node = np.zeros(len(rows), dtype=np.intp)  # the goal of every row
     for level in reversed(range(levels)):
         reg = node + into
-        np.add(flat[level].take(reg >> 1), flat_costs[level].take(at_cost.take(reg)),
-               out=cand[level])
+        np.add(flat[level].take(source_at.take(reg) + row_at),
+               flat_costs[level].take(cost_at.take(reg) + cost_row_at), out=cand[level])
         if level >= L:
             cand[level][(reg & 1) == 1] = math.inf
         chosen[level] = np.where(cand[level, 1] < cand[level, 0], reg[1], reg[0])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqdec import decoders
+from seqdec import decoders, harness
 from seqdec.channel import ChannelConfig, hard_decision, llr, transmit
 from seqdec.codes import BlockCode, ConvCode, encode_block, encode_conv, parse_octal_generators
 from seqdec.decoders import (
@@ -459,9 +459,12 @@ class TestMlsdaCount:
         assert got == [decoders._mlsda_search(trellis, row.tolist(), None) for row in inc]
 
     def test_block_bounds_the_table(self, conv_634_564, conv_m16):
-        # a 64-row (2,1,6) L=100 batch fits one table; one memory-16 row does
-        # not, so that code keeps the search
-        assert decoders._count_rows(build_trellis(conv_634_564, 100)) >= 64
+        # a 64-row (2,1,6) L=100 batch fits one table, and so does a whole
+        # symbol batch (309 rows), which the count takes in one pass; one
+        # memory-16 row does not, so that code keeps the search
+        trellis = build_trellis(conv_634_564, 100)
+        assert decoders._count_rows(trellis) >= 64
+        assert decoders._count_rows(trellis) >= harness.BATCH_SYMBOLS // trellis.n
         assert decoders._count_rows(build_trellis(conv_m16, 100)) == 0
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from seqdec import trellis as trellis_module
 from seqdec.codes import ConvCode, encode_conv
 from seqdec.harness import dstar_by_enumeration, extension_event_hits
-from seqdec.trellis import ABSENT, build_trellis, compute_dstar, min_path_costs
+from seqdec.trellis import (ABSENT, build_trellis, compute_dstar, min_path_costs,
+                            min_path_inputs)
 
 
 def states(trellis, level):
@@ -236,12 +237,56 @@ def test_states_past_256_match_full_width(code, L, rows, weights, repeated, seed
                               full_width_min_path_costs(trellis, costs, unreached))
 
 
+def state_major(shape, dtype):
+    """An uninitialised array of logical shape [levels, R, W] laid out
+    state-major: the transpose(0, 2, 1) view of a C-contiguous [levels, W, R]."""
+    return np.empty((shape[0], shape[2], shape[1]), dtype=dtype).transpose(0, 2, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conv_codes(max_m=10, min_m=5), st.integers(1, 12), st.integers(2, 40), st.booleans(),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_many_rows_in_either_layout(code, L, rows, weights, major_out, major_costs, seed):
+    # 2-40 rows on both sides of the 256-state split (memory 5-8 gathers, 9
+    # and 10 broadcast), int32 weights or floats, costs and the given out
+    # each state-major or in C order: the table equals the full-width pass,
+    # and the traceback reads a state-major table and a C-order copy alike
+    trellis = build_trellis(code, L)
+    shape = (trellis.levels, rows, 1 << code.n_out)
+    gen = np.random.default_rng(seed)
+    if weights:
+        unreached = trellis.levels * code.n_out + 1
+        drawn = gen.integers(0, code.n_out + 1, shape, dtype=np.int32)
+    else:
+        unreached = np.inf
+        drawn = gen.uniform(0.0, 3.0, shape)
+    costs = state_major(shape, drawn.dtype) if major_costs else np.empty_like(drawn)
+    costs[...] = drawn
+    table_shape = (trellis.levels + 1, rows, trellis.num_states)
+    out = state_major(table_shape, drawn.dtype) if major_out else np.empty(table_shape,
+                                                                           drawn.dtype)
+    assert min_path_costs(trellis, costs, unreached, out) is out
+    assert np.array_equal(out, full_width_min_path_costs(trellis, drawn, unreached))
+    if not weights:
+        table = min_path_costs(trellis, costs, unreached)
+        assert table.transpose(0, 2, 1).flags.c_contiguous
+        got = min_path_inputs(trellis, costs, table)
+        want = min_path_inputs(trellis, drawn, np.ascontiguousarray(table))
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestMinPathCostsOut:
     TRELLIS = build_trellis(ConvCode(n_out=2, m=2, taps=((1, 1, 1), (1, 0, 1))), 4)
     COSTS = np.arange(6 * 2 * 4, dtype=float).reshape(6, 2, 4)  # [levels, R, 4]
 
     def test_out_is_filled_and_returned(self):
         out = np.full((7, 2, 4), np.nan)
+        assert min_path_costs(self.TRELLIS, self.COSTS, np.inf, out) is out
+        assert np.array_equal(out, min_path_costs(self.TRELLIS, self.COSTS, np.inf))
+
+    def test_state_major_out_is_filled_and_returned(self):
+        out = np.full((7, 4, 2), np.nan).transpose(0, 2, 1)
         assert min_path_costs(self.TRELLIS, self.COSTS, np.inf, out) is out
         assert np.array_equal(out, min_path_costs(self.TRELLIS, self.COSTS, np.inf))
 
