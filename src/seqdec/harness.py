@@ -519,16 +519,17 @@ def dstar_by_enumeration(code: ConvCode, L: int) -> np.ndarray:
 
 
 def check_dstar_oracle() -> CheckResult:
-    """DP table against exhaustive input enumeration on three small
-    trellises.  The 6/5/7 code at L = 6 passes through the pass's stop:
-    its d* row at level 3 repeats the row at level 2.  The 634/564 code at
-    L = 4 (16 inputs) has L < m, so its tail levels reach the states of
-    the L < m rule (see the trellis module docstring).  The memory-9
-    4734/6624 code at L = 10 (1,024 inputs) has 512 states, so its pass
-    takes min_path_costs' body for trellises past 256 states."""
+    """DP table against exhaustive input enumeration on five small
+    trellises.  The memory-0 4/4 code at L = 5 has one state, which both
+    inputs enter, and the memory-1 6/4 code at L = 6 two.  The 6/5/7 code
+    at L = 6 passes through the pass's stop: its d* row at level 3
+    repeats the row at level 2.  The 634/564 code at L = 4 (16 inputs)
+    has L < m, so its tail levels reach the states of the L < m rule (see
+    the trellis module docstring).  The memory-9 4734/6624 code at L = 10
+    (1,024 inputs) has 512 states."""
     mismatches = 0
-    for octal, m, L in ((["6", "5", "7"], 2, 6), (["634", "564"], 6, 4),
-                        (["4734", "6624"], 9, 10)):
+    for octal, m, L in ((["4", "4"], 0, 5), (["6", "4"], 1, 6), (["6", "5", "7"], 2, 6),
+                        (["634", "564"], 6, 4), (["4734", "6624"], 9, 10)):
         trellis = build_trellis(parse_octal_generators(octal, m=m), L)
         mismatches += int((compute_dstar(trellis) != dstar_by_enumeration(trellis.code, L)).sum())
     return _check("dstar-oracle", mismatches == 0, f"{mismatches} mismatching entries")

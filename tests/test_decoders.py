@@ -445,10 +445,9 @@ class TestMlsdaCount:
 
     @pytest.mark.parametrize("octal, m", [(("4734", "6624"), 9), (("4672", "7542"), 10)])
     def test_count_past_256_states(self, octal, m):
-        # at L = 6 the tables of memory-9 and memory-10 rows fit COUNT_BLOCK
-        # many at a time, and their passes take min_path_costs' body for
-        # trellises past 256 states: at 1 dB the count settles every row
-        # with the search's result
+        # at L = 6 the tables of memory-9 and memory-10 rows (512 and 1,024
+        # states) fit COUNT_BLOCK many at a time: at 1 dB the count settles
+        # every row with the search's result
         trellis = build_trellis(parse_octal_generators(octal, m), 6)
         assert trellis.num_states > 256 and decoders._count_rows(trellis) >= 16
         inc = _metric_table(trellis, np.array([conv_trial(trellis, 1.0, seed)[1]
@@ -734,9 +733,8 @@ class TestViterbi:
         assert np.array_equal(viterbi_ml(fig_trellis, phi), word)
 
     def test_memory_16_matches_the_search(self, conv_m16):
-        # 65,536 states: the pass takes min_path_costs' body for trellises
-        # past 256 states.  Its goal entry, with the search's float adds, is
-        # the search winner's metric, and its codeword weighs that metric
+        # 65,536 states: the pass's goal entry, with the search's float adds,
+        # is the search winner's metric, and its codeword weighs that metric
         trellis = build_trellis(conv_m16, 100)
         for db in (6.0, 7.0, 8.0):
             for seed in range(2):

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqdec import trellis as trellis_module
@@ -179,10 +179,13 @@ def full_width_min_path_costs(trellis, costs, unreached):
 @settings(max_examples=80, deadline=None)
 @given(conv_codes(max_m=6), st.integers(1, 14), st.integers(1, 3), st.booleans(),
        st.integers(0, 2**32 - 1))
+@example(ConvCode(n_out=2, m=0, taps=((1,), (1,))), 3, 2, False, 0)
+@example(ConvCode(n_out=2, m=1, taps=((1, 1), (1, 0))), 6, 2, True, 0)
 def test_repeating_costs_stop_exactly(code, L, rows, weights, seed):
     # the same costs at every level: as a zero-stride broadcast the pass may
     # stop at a repeated row, as a materialized copy it may not; both equal
-    # the full-width pass, for L below m and past the fixed point alike
+    # the full-width pass, for L below m and past the fixed point alike, and
+    # for memory 0 (one state, no halves) and memory 1 (two states)
     trellis = build_trellis(code, L)
     width = 1 << code.n_out
     if weights:
@@ -210,11 +213,10 @@ def test_repeating_costs_stop_exactly(code, L, rows, weights, seed):
 @given(conv_codes(max_m=10, min_m=7), st.integers(1, 14), st.integers(1, 3), st.booleans(),
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_states_past_256_match_full_width(code, L, rows, weights, repeated, seed):
-    # memory 7 and 8 take the gathered body, 9 and 10 the broadcast one
-    # (past 256 states), for L below m and past it: costs the same at every
-    # level as a zero-stride broadcast and as its materialized copy, or
-    # drawn per level; int32 weights or floats.  Each table equals the
-    # full-width pass
+    # memory 7-10 (128-1,024 states), for L below m and past it: costs the
+    # same at every level as a zero-stride broadcast and as its materialized
+    # copy, or drawn per level; int32 weights or floats.  Each table equals
+    # the full-width pass
     trellis = build_trellis(code, L)
     shape = (trellis.levels, rows, 1 << code.n_out)
     gen = np.random.default_rng(seed)
@@ -245,12 +247,12 @@ def state_major(shape, dtype):
 
 @settings(max_examples=40, deadline=None)
 @given(conv_codes(max_m=10, min_m=5), st.integers(1, 12), st.integers(2, 40), st.booleans(),
-       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_many_rows_in_either_layout(code, L, rows, weights, major_out, major_costs, seed):
-    # 2-40 rows on both sides of the 256-state split (memory 5-8 gathers, 9
-    # and 10 broadcast), int32 weights or floats, costs and the given out
-    # each state-major or in C order: the table equals the full-width pass,
-    # and the traceback reads a state-major table and a C-order copy alike
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_many_rows_in_either_layout(code, L, rows, weights, major_costs, seed):
+    # 2-40 rows on 32-1,024 states (memory 5-10), int32 weights or floats,
+    # costs state-major or in C order, a state-major out: the table equals
+    # the full-width pass, and the traceback reads a state-major table and
+    # a C-order copy alike
     trellis = build_trellis(code, L)
     shape = (trellis.levels, rows, 1 << code.n_out)
     gen = np.random.default_rng(seed)
@@ -263,8 +265,7 @@ def test_many_rows_in_either_layout(code, L, rows, weights, major_out, major_cos
     costs = state_major(shape, drawn.dtype) if major_costs else np.empty_like(drawn)
     costs[...] = drawn
     table_shape = (trellis.levels + 1, rows, trellis.num_states)
-    out = state_major(table_shape, drawn.dtype) if major_out else np.empty(table_shape,
-                                                                           drawn.dtype)
+    out = state_major(table_shape, drawn.dtype)
     assert min_path_costs(trellis, costs, unreached, out) is out
     assert np.array_equal(out, full_width_min_path_costs(trellis, drawn, unreached))
     if not weights:
@@ -281,9 +282,10 @@ class TestMinPathCostsOut:
     COSTS = np.arange(6 * 2 * 4, dtype=float).reshape(6, 2, 4)  # [levels, R, 4]
 
     def test_out_is_filled_and_returned(self):
-        out = np.full((7, 2, 4), np.nan)
-        assert min_path_costs(self.TRELLIS, self.COSTS, np.inf, out) is out
-        assert np.array_equal(out, min_path_costs(self.TRELLIS, self.COSTS, np.inf))
+        # with one row, C order is the state-major layout
+        out = np.full((7, 1, 4), np.nan)
+        assert min_path_costs(self.TRELLIS, self.COSTS[:, :1], np.inf, out) is out
+        assert np.array_equal(out, min_path_costs(self.TRELLIS, self.COSTS, np.inf)[:, :1])
 
     def test_state_major_out_is_filled_and_returned(self):
         out = np.full((7, 4, 2), np.nan).transpose(0, 2, 1)
@@ -298,6 +300,7 @@ class TestMinPathCostsOut:
         np.empty((7, 2, 4), dtype=np.int32),
         np.empty((7, 4, 4))[:, ::2],  # rows not contiguous
         np.empty((4, 2, 7)).T,  # Fortran order
+        np.empty((7, 2, 4)),  # C order
     ])
     def test_rejects_a_wrong_out(self, out):
         before = out.copy()
